@@ -1,0 +1,518 @@
+"""Seeded Monte Carlo experiments over torus coefficients.
+
+"Almost all" statements are probed by uniform sampling with counter-based
+per-sample streams: the master seed plus a sample id determine every random
+draw, so a run is reproducible byte for byte regardless of the worker
+count.  Evaluation happens on the dyadic schedule N_i = 2^i; the completion
+majorant is recorded next to each sum so that behaviour between schedule
+points stays controlled.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
+
+from .census import census, counting_bound, grid_sides
+from .discrepancy import poly_discrepancy, short_interval_discrepancy
+from .errors import BudgetError, ConfigError
+from .expsum import (
+    TorusPoint,
+    WeightSeq,
+    completion_fft,
+    sup_linear_coeff,
+    weyl_sum,
+)
+from .polyfam import PolynomialFamily, parse_family
+
+__all__ = [
+    "SCHEMA_VERSION",
+    "ExperimentConfig",
+    "RunRecord",
+    "FitResult",
+    "metric_sweep",
+    "exponent_fit",
+    "dimension_scan",
+    "discrepancy_growth",
+    "write_csv",
+    "write_jsonl",
+]
+
+SCHEMA_VERSION = 1
+
+_KINDS = ("weyl", "short", "discrepancy", "discrepancy_short")
+
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Everything one experiment needs; picklable and hashable."""
+
+    kind: str = "weyl"
+    family: str = "classical:2"
+    k: int | None = None
+    weights: str = "unit"
+    log2_n_min: int = 8
+    log2_n_max: int = 14
+    samples: int = 100
+    seed: int = 0
+    oversample: int = 4
+    alphas: tuple[str, ...] = ("0.75",)
+    eps: str = "0.05"
+    samples_per_box: int = 4
+    m_samples: int = 8
+    y_samples: int = 16
+    threads: int = 1
+    budget: int = 2_000_000_000
+    experiment_id: str = "exp"
+    out_csv: str | None = None
+    out_jsonl: str | None = None
+
+    def schedule(self) -> list[int]:
+        return [1 << i for i in range(self.log2_n_min, self.log2_n_max + 1)]
+
+    def family_obj(self) -> PolynomialFamily:
+        return parse_family(self.family, k=self.k)
+
+    def weights_obj(self) -> WeightSeq:
+        if self.weights != "unit":
+            raise ConfigError(f"config files support only unit weights, got {self.weights!r}")
+        return WeightSeq.unit()
+
+    def validate(self) -> "ExperimentConfig":
+        if self.kind not in _KINDS:
+            raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        if self.log2_n_min > self.log2_n_max:
+            raise ConfigError("schedule must be strictly increasing (log2_n_min <= log2_n_max)")
+        if self.samples < 1:
+            raise ConfigError("sample count must be >= 1")
+        if self.threads < 1:
+            raise ConfigError("threads must be >= 1")
+        try:
+            fam = self.family_obj()
+        except (ValueError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"bad family spec {self.family!r}: {exc}") from exc
+        k = self.k if self.k is not None else fam.d
+        if not 1 <= k <= fam.d:
+            raise ConfigError(f"k={k} out of range 1..{fam.d}")
+        self.weights_obj()
+        for a in self.alphas:
+            a = Fraction(a)
+            if not 0 < a < 1:
+                raise ConfigError(f"alpha={a} outside (0, 1)")
+        if Fraction(self.eps) <= 0:
+            raise ConfigError("eps must be positive")
+        return self
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ExperimentConfig":
+        known = {f.name for f in cls.__dataclass_fields__.values()}
+        unknown = set(data) - known
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        # floats from TOML/JSON normalize through their decimal repr so the
+        # exact-rational grid parameters agree with CLI string flags
+        if "alphas" in data:
+            data = dict(data, alphas=tuple(str(a) for a in data["alphas"]))
+        if "eps" in data:
+            data = dict(data, eps=str(data["eps"]))
+        if "family" in data and not isinstance(data["family"], str):
+            data = dict(data, family=json.dumps(data["family"]))
+        return cls(**data).validate()
+
+    @classmethod
+    def from_file(cls, path: str) -> "ExperimentConfig":
+        try:
+            text = open(path, "rb").read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        try:
+            if path.endswith(".json"):
+                data = json.loads(text)
+            else:
+                try:
+                    import tomllib  # Python >= 3.11
+                except ModuleNotFoundError:
+                    import tomli as tomllib
+                data = tomllib.loads(text.decode())
+        except Exception as exc:
+            raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError("config file must hold a table/object")
+        return cls.from_dict(data)
+
+    def override(self, **kwargs) -> "ExperimentConfig":
+        kwargs = {k: v for k, v in kwargs.items() if v is not None}
+        return replace(self, **kwargs).validate()
+
+
+@dataclass(frozen=True)
+class RunRecord:
+    """One experiment observation; append-only, schema-versioned."""
+
+    experiment_id: str
+    sample_id: int
+    coords: tuple[float, ...]
+    N: int
+    stat: str
+    value: float
+    extras: tuple[tuple[str, float], ...] = ()
+    schema_version: int = SCHEMA_VERSION
+
+    @property
+    def log2_n(self) -> float:
+        return math.log2(self.N)
+
+    @property
+    def log2_value(self) -> float:
+        return math.log2(self.value) if self.value > 0 else float("-inf")
+
+    def to_json(self) -> dict:
+        out = {
+            "experiment": self.experiment_id,
+            "schema": self.schema_version,
+            "sample": self.sample_id,
+            "coords": list(self.coords),
+            "N": self.N,
+            "stat": self.stat,
+            "value": self.value,
+            "log2_n": self.log2_n,
+            "log2_value": self.log2_value,
+        }
+        out.update(dict(self.extras))
+        return out
+
+
+# ---------------------------------------------------------------------------
+# Budget estimation (before any computation starts)
+
+
+def _estimate_ops(cfg: ExperimentConfig) -> int:
+    fam = cfg.family_obj()
+    k = cfg.k if cfg.k is not None else fam.d
+    total = 0
+    for N in cfg.schedule():
+        if cfg.kind == "weyl":
+            per = 4 * N  # sum pass + completion
+            if k < fam.d:
+                if fam.d - k == 1 and fam.degrees[-1] == 1:
+                    per += cfg.oversample * N * 8
+                else:
+                    per += N * cfg.y_samples
+        elif cfg.kind == "short":
+            per = cfg.oversample * N * 8 if fam.d == 2 else N * cfg.y_samples
+        else:
+            per = 4 * N + N.bit_length() * N  # points + sort
+            if cfg.kind == "discrepancy_short":
+                per *= cfg.m_samples
+        total += per
+    return total * cfg.samples
+
+
+# ---------------------------------------------------------------------------
+# Per-sample work (pure; runs in worker processes)
+
+
+def _sample_rng(seed: int, sample_id: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=((int(seed) & ((1 << 64) - 1)) << 64) | sample_id))
+
+
+def _run_sample(cfg: ExperimentConfig, sid: int) -> list[RunRecord]:
+    fam = cfg.family_obj()
+    k = cfg.k if cfg.k is not None else fam.d
+    weights = cfg.weights_obj()
+    rng = _sample_rng(cfg.seed, sid)
+    schedule = cfg.schedule()
+    records: list[RunRecord] = []
+
+    if cfg.kind == "weyl":
+        coords = tuple(rng.random(fam.d))  # y block re-drawn only in grid mode
+        x = coords[:k]
+        if k == fam.d:
+            u = TorusPoint.from_reals(coords)
+            n_max = schedule[-1]
+            trace = weyl_sum(fam, u, weights, n_max)
+            for N in schedule:
+                prefix = trace.dyadic_prefix_max[int(math.log2(N))]
+                w = completion_fft(fam, u, weights, N).W
+                records.append(
+                    RunRecord(cfg.experiment_id, sid, coords, N, "prefix_max_T", prefix,
+                              extras=(("w", w),))
+                )
+        elif fam.d - k == 1 and fam.degrees[-1] == 1:
+            for N in schedule:
+                c = _twisted_block(fam, x, weights, N, upto=k)
+                res = sup_linear_coeff(c, cfg.oversample)
+                records.append(
+                    RunRecord(cfg.experiment_id, sid, x, N, "sup_y_T", res.grid_max,
+                              extras=(("certified_upper", res.certified_upper),
+                                      ("argmax_y", res.argmax_y), ("certified", 1.0)))
+                )
+        else:
+            for N in schedule:
+                value, slack = _grid_sup_y(fam, x, weights, N, k, cfg.y_samples, rng)
+                records.append(
+                    RunRecord(cfg.experiment_id, sid, x, N, "sup_y_T", value,
+                              extras=(("continuity_slack", slack), ("certified", 0.0)))
+                )
+    elif cfg.kind == "short":
+        # The window start M only shuffles the lower coefficients, and the
+        # supremum runs over all of them, so the statistic is M-uniform;
+        # it is evaluated once per N with the leading coefficient fixed.
+        x_d = float(rng.random())
+        coords = (x_d,)
+        d = fam.d
+        for N in schedule:
+            ns = np.arange(1, N + 1, dtype=np.float64)
+            c = np.exp(2j * np.pi * ((x_d * ns**d) % 1.0))
+            if d == 2:
+                res = sup_linear_coeff(c, cfg.oversample)
+                records.append(
+                    RunRecord(cfg.experiment_id, sid, coords, N, "sup_short_S", res.grid_max,
+                              extras=(("certified_upper", res.certified_upper), ("certified", 1.0)))
+                )
+            else:
+                best = 0.0
+                for _ in range(cfg.y_samples):
+                    w = rng.random(d - 1)
+                    phase = sum(w[j] * ns ** (j + 1) for j in range(d - 1))
+                    best = max(best, abs(np.sum(c * np.exp(2j * np.pi * (phase % 1.0)))))
+                records.append(
+                    RunRecord(cfg.experiment_id, sid, coords, N, "sup_short_S", best,
+                              extras=(("certified", 0.0),))
+                )
+    elif cfg.kind == "discrepancy":
+        coords = tuple(rng.random(fam.d))
+        u = TorusPoint.from_reals(coords)
+        for N in schedule:
+            dv = poly_discrepancy(fam, u, N).value
+            records.append(
+                RunRecord(cfg.experiment_id, sid, coords, N, "D", dv,
+                          extras=_disc_ratios(dv, N))
+            )
+    elif cfg.kind == "discrepancy_short":
+        coords = tuple(rng.random(fam.d))
+        for N in schedule:
+            best, best_m = 0.0, 0
+            for _ in range(cfg.m_samples):
+                m = int(rng.integers(0, max(N, 1)))
+                dv = short_interval_discrepancy(coords, m, N).value
+                if dv > best:
+                    best, best_m = dv, m
+            records.append(
+                RunRecord(cfg.experiment_id, sid, coords, N, "D_short", best,
+                          extras=_disc_ratios(best, N) + (("m", float(best_m)),))
+            )
+    else:  # pragma: no cover - validate() rejects earlier
+        raise ConfigError(f"unknown kind {cfg.kind!r}")
+    return records
+
+
+def _disc_ratios(dv: float, N: int) -> tuple[tuple[str, float], ...]:
+    r1 = dv / math.sqrt(N)
+    r2 = r1 / math.log(N) ** 1.5 if N > 1 else r1
+    return (("ratio_sqrt", r1), ("ratio_sqrt_log", r2))
+
+
+def _twisted_block(fam, x: Sequence[float], weights: WeightSeq, N: int, upto: int) -> np.ndarray:
+    """Coefficients a_n e(sum_{j<=upto} x_j phi_j(n)) for the first block."""
+    ns = np.arange(1, N + 1, dtype=np.float64)
+    phase = np.zeros(N)
+    for j in range(upto):
+        vals = np.array([fam.polys[j](int(n)) for n in range(1, N + 1)], dtype=np.float64)
+        phase += (x[j] * vals) % 1.0
+    return weights.array(N) * np.exp(2j * np.pi * phase)
+
+
+def _grid_sup_y(fam, x, weights, N, k, y_samples, rng) -> tuple[float, float]:
+    """Sampled maximum over the y block, plus the Lipschitz slack of the net."""
+    c = _twisted_block(fam, x, weights, N, upto=k)
+    yvals = [np.array([p(n) for n in range(1, N + 1)], dtype=np.float64) for p in fam.polys[k:]]
+    best = 0.0
+    for _ in range(y_samples):
+        y = rng.random(fam.d - k)
+        phase = sum(float(yj) * v for yj, v in zip(y, yvals))
+        best = max(best, float(abs(np.sum(c * np.exp(2j * np.pi * (phase % 1.0))))))
+    # mean spacing of y_samples uniform points per axis ~ s^(-1/(d-k))
+    h = y_samples ** (-1.0 / (fam.d - k))
+    slack = math.pi * h * sum(float(np.abs(v).sum()) for v in yvals)
+    return best, slack
+
+
+# ---------------------------------------------------------------------------
+# The sweep driver
+
+
+def metric_sweep(cfg: ExperimentConfig) -> list[RunRecord]:
+    """Run the configured experiment and return records in (sample, N) order.
+
+    The per-sample work items are independent; with threads > 1 they run in
+    a process pool, and the deterministic per-sample streams plus ordered
+    collection make the output identical to a single-threaded run.
+    """
+    cfg = cfg.validate()
+    ops = _estimate_ops(cfg)
+    if ops > cfg.budget:
+        raise BudgetError(f"estimated {ops} operations exceed the budget {cfg.budget}")
+    sids = range(cfg.samples)
+    if cfg.threads == 1:
+        batches = [_run_sample(cfg, sid) for sid in sids]
+    else:
+        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+            batches = list(pool.map(_run_sample, [cfg] * cfg.samples, sids, chunksize=4))
+    return [rec for batch in batches for rec in batch]
+
+
+class FitResult(NamedTuple):
+    slope: float
+    intercept: float
+    r2: float
+
+
+def exponent_fit(records: Iterable[RunRecord]) -> FitResult:
+    """Least squares of log2(value) against log2(N) for one sample's records."""
+    pts = [(r.log2_n, r.log2_value) for r in records]
+    if len(pts) < 3:
+        raise ValueError("need at least 3 records to fit")
+    if any(not math.isfinite(y) for _, y in pts):
+        raise ValueError("all values must be positive")
+    xs = np.array([p[0] for p in pts])
+    ys = np.array([p[1] for p in pts])
+    if np.ptp(xs) == 0:
+        raise ValueError("records share a single N; fit is degenerate")
+    xm, ym = xs.mean(), ys.mean()
+    slope = float(np.sum((xs - xm) * (ys - ym)) / np.sum((xs - xm) ** 2))
+    intercept = float(ym - slope * xm)
+    ss_res = float(np.sum((ys - intercept - slope * xs) ** 2))
+    ss_tot = float(np.sum((ys - ym) ** 2))
+    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    return FitResult(slope, intercept, r2)
+
+
+def fit_by_sample(records: Sequence[RunRecord]) -> dict[int, FitResult]:
+    by_sample: dict[int, list[RunRecord]] = {}
+    for rec in records:
+        by_sample.setdefault(rec.sample_id, []).append(rec)
+    return {sid: exponent_fit(recs) for sid, recs in sorted(by_sample.items())}
+
+
+# ---------------------------------------------------------------------------
+# Census-driven scans
+
+
+def dimension_scan(cfg: ExperimentConfig) -> dict:
+    """Box-count the marked sets across the schedule and fit dimension proxies.
+
+    For each alpha the marked count is fitted against the box scale
+    (geometric mean of the sides); the slope is an empirical box-dimension
+    proxy reported next to the split index k, never asserted.
+    """
+    cfg = cfg.validate()
+    fam = cfg.family_obj()
+    k = cfg.k if cfg.k is not None else fam.d
+    weights = cfg.weights_obj()
+    grids = {}
+    for alpha in cfg.alphas:
+        for N in cfg.schedule():
+            grids[(alpha, N)] = grid_sides(fam, N, Fraction(alpha), Fraction(cfg.eps))
+    total = sum(g.U for g in grids.values()) * cfg.samples_per_box * cfg.schedule()[-1]
+    if total > cfg.budget:
+        raise BudgetError(f"estimated {total} operations exceed the budget {cfg.budget}")
+
+    rows = []
+    fits = {}
+    for alpha in cfg.alphas:
+        pts = []
+        for N in cfg.schedule():
+            grid = grids[(alpha, N)]
+            res = census(fam, weights, grid, cfg.samples_per_box, cfg.seed)
+            delta = math.prod(float(z) for z in grid.sides) ** (1.0 / fam.d)
+            rows.append(
+                {
+                    "alpha": float(Fraction(alpha)),
+                    "N": N,
+                    "marked": res.marked,
+                    "U": grid.U,
+                    "bound": counting_bound(grid, Fraction(alpha)),
+                    "delta": delta,
+                    "threshold_k": k,
+                }
+            )
+            if res.marked > 0:
+                pts.append((math.log2(1.0 / delta), math.log2(res.marked)))
+        if len(pts) >= 2:
+            xs = np.array([p[0] for p in pts])
+            ys = np.array([p[1] for p in pts])
+            fits[alpha] = float(np.sum((xs - xs.mean()) * (ys - ys.mean())) / np.sum((xs - xs.mean()) ** 2))
+        else:
+            fits[alpha] = None
+    return {"rows": rows, "dimension_proxy": fits, "threshold_k": k}
+
+
+def discrepancy_growth(cfg: ExperimentConfig) -> list[RunRecord]:
+    """Discrepancy of sampled coefficient vectors across the schedule."""
+    if cfg.kind not in ("discrepancy", "discrepancy_short"):
+        cfg = cfg.override(kind="discrepancy")
+    return metric_sweep(cfg)
+
+
+# ---------------------------------------------------------------------------
+# Emission
+
+
+def _extra_columns(records: Sequence[RunRecord]) -> list[str]:
+    cols: list[str] = []
+    for rec in records:
+        for key, _ in rec.extras:
+            if key not in cols:
+                cols.append(key)
+    return cols
+
+
+def csv_lines(records: Sequence[RunRecord], cfg: ExperimentConfig):
+    """Yield the CSV lines: seed-echoing header comment, column row, records."""
+    cols = _extra_columns(records)
+    yield f"# weylsums schema={SCHEMA_VERSION} experiment={cfg.experiment_id} seed={cfg.seed}"
+    yield ",".join(["experiment", "schema", "sample", "N", "stat", "value",
+                    "log2_n", "log2_value", "coords"] + cols)
+    for rec in records:
+        extras = dict(rec.extras)
+        row = [
+            rec.experiment_id,
+            str(rec.schema_version),
+            str(rec.sample_id),
+            str(rec.N),
+            rec.stat,
+            _fmt(rec.value),
+            _fmt(rec.log2_n),
+            _fmt(rec.log2_value),
+            ";".join(_fmt(c) for c in rec.coords),
+        ]
+        row += [_fmt(extras[c]) if c in extras else "" for c in cols]
+        yield ",".join(row)
+
+
+def write_csv(records: Sequence[RunRecord], path: str, cfg: ExperimentConfig) -> None:
+    """CSV with a seed-echoing header comment; floats at 17 significant digits."""
+    with open(path, "w") as fh:
+        for line in csv_lines(records, cfg):
+            fh.write(line + "\n")
+
+
+def write_jsonl(records: Sequence[RunRecord], path: str, cfg: ExperimentConfig) -> None:
+    """JSON-lines: one header object, then one object per record."""
+    with open(path, "w") as fh:
+        header = {"header": True, "schema": SCHEMA_VERSION,
+                  "experiment": cfg.experiment_id, "seed": cfg.seed}
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        for rec in records:
+            fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")

@@ -1,0 +1,510 @@
+"""Exponential-sum kernels.
+
+Phases are tracked in wrapping 64-bit fixed point (value = raw / 2^64),
+which makes the polynomial phase recurrence exact: the difference table
+never drifts, so continuity and completion identities can be tested at
+tight tolerances.  Only the final conversion to (cos, sin) is floating
+point.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
+
+from .errors import BudgetError
+from .polyfam import IntPolynomial, PolynomialFamily
+
+__all__ = [
+    "SCALE_BITS",
+    "TorusPoint",
+    "WeightSeq",
+    "SumTrace",
+    "CompletionResult",
+    "PhaseTable",
+    "phase_table",
+    "weyl_sum",
+    "short_interval_sum",
+    "completion_naive",
+    "completion_fft",
+    "reconstruct_prefix",
+    "reconstruct_all_prefixes",
+    "sup_linear_coeff",
+    "SupLinearResult",
+    "vinogradov_count",
+    "moment_integral",
+    "exact_moment_grid",
+]
+
+SCALE_BITS = 64
+_SCALE = 1 << SCALE_BITS
+_MASK = _SCALE - 1
+_TWO_PI = 2.0 * math.pi
+
+VINOGRADOV_TUPLE_BUDGET = 1 << 28
+MOMENT_GRID_BUDGET = 1 << 24
+
+
+def _quantize(x) -> int:
+    """Round a real to the nearest point of the 2^-64 grid on the circle.
+
+    This is the single quantization step: inputs pass through it once, and
+    all later phase arithmetic is exact wrapping integer arithmetic.
+    """
+    f = Fraction(x) % 1
+    return round(f * _SCALE) & _MASK
+
+
+class TorusPoint:
+    """A point of the d-torus stored as unsigned 64-bit fixed-point fractions."""
+
+    __slots__ = ("raw",)
+
+    def __init__(self, raw: Sequence[int]):
+        raw = tuple(int(r) for r in raw)
+        for r in raw:
+            if not 0 <= r < _SCALE:
+                raise ValueError(f"raw coordinate {r} outside [0, 2^64)")
+        self.raw = raw
+
+    @classmethod
+    def from_reals(cls, xs: Sequence) -> "TorusPoint":
+        return cls([_quantize(x) for x in xs])
+
+    @property
+    def d(self) -> int:
+        return len(self.raw)
+
+    def fractions(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(r, _SCALE) for r in self.raw)
+
+    def floats(self) -> tuple[float, ...]:
+        return tuple(r / _SCALE for r in self.raw)
+
+    def scaled(self, g: int) -> "TorusPoint":
+        """The point g*u mod 1, exact in raw arithmetic."""
+        return TorusPoint([(g * r) & _MASK for r in self.raw])
+
+    def __len__(self) -> int:
+        return len(self.raw)
+
+    def __getitem__(self, i: int) -> float:
+        return self.raw[i] / _SCALE
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, TorusPoint) and self.raw == other.raw
+
+    def __hash__(self) -> int:
+        return hash(self.raw)
+
+    def __repr__(self) -> str:
+        return f"TorusPoint({[f'{x:.6g}' for x in self.floats()]})"
+
+
+class WeightSeq:
+    """Complex weights a_1..a_N, either the constant 1 or an explicit list.
+
+    Explicit weights must sit under a declared polynomial envelope
+    |a_n| <= C n^c; the envelope is checked at construction, never inferred.
+    """
+
+    __slots__ = ("kind", "values", "envelope")
+
+    def __init__(self, kind: str, values=None, envelope: tuple[float, float] | None = None):
+        if kind not in ("unit", "explicit"):
+            raise ValueError(f"unknown weight kind {kind!r}")
+        self.kind = kind
+        if kind == "unit":
+            self.values = None
+            self.envelope = (1.0, 0.0)
+            return
+        if values is None:
+            raise ValueError("explicit weights need values")
+        vals = np.asarray(values, dtype=np.complex128)
+        if not np.all(np.isfinite(vals.view(np.float64))):
+            raise ValueError("weights must be finite")
+        if envelope is None:
+            raise ValueError("explicit weights need a declared envelope (C, c)")
+        C, c = float(envelope[0]), float(envelope[1])
+        ns = np.arange(1, len(vals) + 1, dtype=np.float64)
+        if np.any(np.abs(vals) > C * ns**c * (1 + 1e-12)):
+            raise ValueError("weights violate the declared envelope |a_n| <= C n^c")
+        self.values = vals
+        self.envelope = (C, c)
+
+    @classmethod
+    def unit(cls) -> "WeightSeq":
+        return cls("unit")
+
+    @classmethod
+    def explicit(cls, values, C: float, c: float = 0.0) -> "WeightSeq":
+        return cls("explicit", values=values, envelope=(C, c))
+
+    def array(self, N: int) -> np.ndarray:
+        if self.kind == "unit":
+            return np.ones(N, dtype=np.complex128)
+        if len(self.values) < N:
+            raise ValueError(f"weight list has {len(self.values)} entries, need {N}")
+        return self.values[:N]
+
+
+@dataclass(frozen=True)
+class SumTrace:
+    """One evaluated sum plus the prefix information gathered in the same pass.
+
+    ``dyadic_prefixes[i]`` is |T(u; 2^i)| and ``dyadic_prefix_max[i]`` is
+    max_{M <= 2^i} |T(u; M)|, for every power 2^i <= N.
+    """
+
+    value: complex
+    N: int
+    prefix_max: float
+    dyadic_prefixes: tuple[float, ...] | None = None
+    dyadic_prefix_max: tuple[float, ...] | None = None
+
+    def to_json(self) -> dict:
+        return {
+            "value_re": self.value.real,
+            "value_im": self.value.imag,
+            "prefix_max": self.prefix_max,
+            "N": self.N,
+        }
+
+
+@dataclass(frozen=True)
+class CompletionResult:
+    """The completion majorant W and, optionally, the twisted spectrum |X_h|."""
+
+    W: float
+    N: int
+    dft_magnitudes: tuple[float, ...] | None = None
+
+    def to_json(self) -> dict:
+        return {"W": self.W, "N": self.N}
+
+
+# ---------------------------------------------------------------------------
+# Phase tables
+
+
+class PhaseTable:
+    """Forward-difference registers for the phase f(n) = sum_j u_j phi_j(n) mod 1.
+
+    f is a degree-D polynomial, so D exact 64-bit additions advance it by
+    one step.  Registers hold (f(0), Delta f(0), ..., Delta^D f(0)) as raw
+    fixed-point values; they are built from exact samples f(0..D) where
+    f(i) = sum_j raw(u_j) * phi_j(i) mod 2^64.
+    """
+
+    __slots__ = ("registers",)
+
+    def __init__(self, polys: Sequence[IntPolynomial], raws: Sequence[int]):
+        if len(polys) != len(raws):
+            raise ValueError("one raw coordinate per polynomial required")
+        deg = max((int(p.degree) for p in polys if not p.is_zero), default=0)
+        samples = [
+            sum(r * p(i) for r, p in zip(raws, polys)) & _MASK for i in range(deg + 1)
+        ]
+        regs = list(samples)
+        for m in range(1, deg + 1):
+            for i in range(deg, m - 1, -1):
+                regs[i] = (regs[i] - regs[i - 1]) & _MASK
+        self.registers = tuple(regs)
+
+    def raw_phases(self, N: int) -> Iterator[int]:
+        """Yield the raw phase of n = 1, 2, ..., N.  Pure: state is local."""
+        regs = list(self.registers)
+        top = len(regs) - 1
+        for _ in range(N):
+            for i in range(top):
+                regs[i] = (regs[i] + regs[i + 1]) & _MASK
+            yield regs[0]
+
+    @staticmethod
+    def raw_at(polys: Sequence[IntPolynomial], raws: Sequence[int], n: int) -> int:
+        """Direct (non-recurrent) raw phase at n, for exactness cross-checks."""
+        return sum(r * p(n) for r, p in zip(raws, polys)) & _MASK
+
+
+def phase_table(fam: PolynomialFamily, u: TorusPoint) -> PhaseTable:
+    """Build the difference registers for a family at a torus point."""
+    if u.d != fam.d:
+        raise ValueError(f"point has {u.d} coordinates, family needs {fam.d}")
+    return PhaseTable(fam.polys, u.raw)
+
+
+def _phases_float(polys, raws, N: int) -> np.ndarray:
+    table = PhaseTable(polys, raws)
+    raw = np.fromiter(table.raw_phases(N), dtype=np.uint64, count=N)
+    return raw.astype(np.float64) * 2.0**-SCALE_BITS
+
+
+# ---------------------------------------------------------------------------
+# The sums themselves
+
+
+def weyl_sum(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> SumTrace:
+    """T(u; N) = sum_{n<=N} a_n e(f(n)) with exact phase bookkeeping.
+
+    The prefix maximum max_{M<=N} |T(u; M)| is tracked in the same pass,
+    together with the prefix magnitudes at dyadic M.
+    """
+    N = int(N)
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    phases = _phases_float(fam.polys, u.raw, N)
+    c = a.array(N) * np.exp(2j * np.pi * phases)
+    cum = np.cumsum(c)
+    mags = np.abs(cum)
+    running = np.maximum.accumulate(mags)
+    powers = [(1 << i) - 1 for i in range(N.bit_length()) if (1 << i) <= N]
+    return SumTrace(
+        value=complex(cum[-1]),
+        N=N,
+        prefix_max=float(running[-1]),
+        dyadic_prefixes=tuple(float(mags[p]) for p in powers),
+        dyadic_prefix_max=tuple(float(running[p]) for p in powers),
+    )
+
+
+def short_interval_sum(u: Sequence, M: int, N: int) -> complex:
+    """sum_{n=M+1}^{M+N} e(u_1 n + ... + u_d n^d).
+
+    Computed by shifting the coefficients to the window start and running
+    the ordinary sum, with the constant term applied as a global
+    unit-modulus factor.  ``u`` is quantized once; the shift itself is
+    exact.
+    """
+    from .polyfam import classical_family, shift_coefficients
+
+    pt = TorusPoint.from_reals(u)
+    d = pt.d
+    v = shift_coefficients(pt.fractions(), M)
+    shifted = TorusPoint.from_reals(v[1:])
+    trace = weyl_sum(classical_family(d), shifted, WeightSeq.unit(), N)
+    phase0 = float(v[0])
+    return complex(np.exp(2j * np.pi * phase0)) * trace.value
+
+
+def _twisted_coeffs(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> np.ndarray:
+    phases = _phases_float(fam.polys, u.raw, N)
+    return a.array(N) * np.exp(2j * np.pi * phases)
+
+
+def completion_naive(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> CompletionResult:
+    """Reference evaluation of the completion majorant, a direct O(N^2) loop over h.
+
+    W(u; N) = sum_{h=-N}^{N} (|h|+1)^{-1} |sum_{n<=N} a_n e(hn/N + f(n))|.
+    The h = 0 term is the plain sum, so W >= |T(u; N)|; the full weighted
+    family dominates every prefix T(u; M), M <= N.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    c = _twisted_coeffs(fam, u, a, N)
+    n = np.arange(1, N + 1)
+    total = 0.0
+    for h in range(-N, N + 1):
+        inner = np.sum(c * np.exp(2j * np.pi * h * n / N))
+        total += abs(inner) / (abs(h) + 1)
+    return CompletionResult(W=float(total), N=N)
+
+
+def _spectrum(c: np.ndarray, N: int) -> np.ndarray:
+    # X_h = sum_{n=1..N} c_n e(hn/N); the n = N term aliases to index 0,
+    # so a single length-N inverse DFT of the rolled coefficients gives all h.
+    return N * np.fft.ifft(np.roll(c, 1))
+
+
+def completion_fft(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> CompletionResult:
+    """O(N log N) completion majorant via one length-N DFT.
+
+    The twist e(hn/N) is N-periodic in h, so the 2N+1 inner sums collapse
+    onto the N spectrum values X_h; agrees with completion_naive to
+    floating-point tolerance.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    c = _twisted_coeffs(fam, u, a, N)
+    X = _spectrum(c, N)
+    mags = np.abs(X)
+    hs = np.arange(-N, N + 1)
+    W = float(np.sum(mags[hs % N] / (np.abs(hs) + 1)))
+    return CompletionResult(W=W, N=N, dft_magnitudes=tuple(mags))
+
+
+def reconstruct_prefix(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int, M: int) -> complex:
+    """Recover T(u; M) from the twisted full-length sums.
+
+    (1/N) sum_{h=1}^{N} (sum_{k<=M} e(-hk/N)) X_h equals the direct prefix
+    sum exactly (orthogonality of the h-twist); this is the module's
+    strongest self-test.
+    """
+    N, M = int(N), int(M)
+    if not 1 <= M <= N:
+        raise ValueError(f"need 1 <= M <= N, got M={M}, N={N}")
+    c = _twisted_coeffs(fam, u, a, N)
+    X = _spectrum(c, N)
+    h = np.arange(1, N + 1)
+    w = np.exp(-2j * np.pi * h / N)
+    geom = np.empty(N, dtype=np.complex128)
+    interior = h < N
+    wi = w[interior]
+    geom[interior] = wi * (1 - wi**M) / (1 - wi)
+    geom[~interior] = M  # h = N: the twist is trivial
+    return complex(np.sum(geom * X[h % N]) / N)
+
+
+def reconstruct_all_prefixes(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> np.ndarray:
+    """All reconstructed prefixes T(u; 1..N) in one O(N^2) pass (test helper)."""
+    c = _twisted_coeffs(fam, u, a, N)
+    X = _spectrum(c, N)
+    h = np.arange(1, N + 1)
+    kernel = np.exp(-2j * np.pi * np.outer(h, np.arange(1, N + 1)) / N)
+    geom = np.cumsum(kernel, axis=1)  # geom[h-1, M-1] = sum_{k<=M} e(-hk/N)
+    return (X[h % N] @ geom) / N
+
+
+class SupLinearResult(NamedTuple):
+    grid_max: float
+    certified_upper: float
+    argmax_y: float
+
+
+def sup_linear_coeff(c: Sequence[complex], oversample: int = 4) -> SupLinearResult:
+    """Certified supremum of g(y) = |sum_{n<=N} c_n e(yn)| over the circle.
+
+    Evaluates g on the grid y = j/L, L = oversample*N, via one zero-padded
+    transform, then adds the Lipschitz slack 2*pi*(1/(2L))*N*sum|c_n|
+    (|g'| <= 2*pi*N*sum|c_n|), so the true supremum lies between grid_max
+    and certified_upper.
+    """
+    c = np.asarray(c, dtype=np.complex128)
+    N = len(c)
+    if N < 1:
+        raise ValueError("need at least one coefficient")
+    if oversample < 2:
+        raise ValueError("oversample must be >= 2")
+    L = oversample * N
+    padded = np.zeros(L, dtype=np.complex128)
+    padded[1 : N + 1] = c
+    mags = np.abs(L * np.fft.ifft(padded))
+    j = int(np.argmax(mags))
+    grid_max = float(mags[j])
+    slack = _TWO_PI * (0.5 / L) * N * float(np.sum(np.abs(c)))
+    return SupLinearResult(grid_max, grid_max + slack, j / L)
+
+
+# ---------------------------------------------------------------------------
+# Mean values
+
+
+def vinogradov_count(d: int, s: int, N: int) -> int:
+    """Exact number of solutions of the power-sum system.
+
+    Counts ordered 2s-tuples (n_1..n_s, m_1..m_s) in [1,N]^{2s} with
+    sum n_i^j = sum m_i^j for every j = 1..d, by keying the N^s ordered
+    s-tuples on their power-sum vector and summing squared multiplicities.
+    """
+    d, s, N = int(d), int(s), int(N)
+    if d < 1 or s < 1 or N < 1:
+        raise ValueError("d, s, N must all be >= 1")
+    if N**s > VINOGRADOV_TUPLE_BUDGET:
+        raise BudgetError(
+            f"N^s = {N**s} tuples exceeds the enumeration budget {VINOGRADOV_TUPLE_BUDGET}"
+        )
+    if s * N**d >= 1 << 62:
+        raise BudgetError("power sums exceed the exact int64 range")
+    n = np.arange(1, N + 1, dtype=np.int64)
+    powers = np.stack([n**j for j in range(1, d + 1)], axis=1)  # (N, d), exact
+    if N**s <= 1 << 22:
+        keys = powers
+        for _ in range(s - 1):
+            keys = (keys[:, None, :] + powers[None, :, :]).reshape(-1, d)
+        _, counts = np.unique(keys, axis=0, return_counts=True)
+        return sum(int(c) * int(c) for c in counts)
+    # near the budget ceiling, expand one tail variable at a time and merge
+    # per-slice multiplicities so memory stays O(N^(s-1))
+    tail = powers
+    for _ in range(s - 2):
+        tail = (tail[:, None, :] + powers[None, :, :]).reshape(-1, d)
+    merged: dict[bytes, int] = {}
+    for row in powers:
+        keys, counts = np.unique(tail + row, axis=0, return_counts=True)
+        for key, cnt in zip(keys, counts):
+            kb = key.tobytes()
+            merged[kb] = merged.get(kb, 0) + int(cnt)
+    return sum(c * c for c in merged.values())
+
+
+def exact_moment_grid(fam: PolynomialFamily, N: int, two_s: int) -> list[int]:
+    """Smallest per-axis grid that integrates |T|^two_s exactly.
+
+    |T|^two_s is a trigonometric polynomial whose u_j-frequencies span at
+    most s*(max phi_j - min phi_j) over n <= N, so any finer uniform grid
+    kills every nonzero frequency.
+    """
+    N, two_s = int(N), int(two_s)
+    s = two_s // 2
+    grid = []
+    for p in fam.polys:
+        vals = [p(n) for n in range(1, N + 1)]
+        grid.append(s * (max(vals) - min(vals)) + 1)
+    return grid
+
+
+def moment_integral(
+    fam: PolynomialFamily,
+    a: WeightSeq,
+    N: int,
+    two_s: int,
+    grid: Sequence[int],
+) -> float:
+    """Uniform-grid quadrature of the 2s-th moment of |T(u; N)| over the torus.
+
+    With a fine-enough grid (see exact_moment_grid) the quadrature is exact
+    for the trigonometric polynomial |T|^two_s, so it reproduces the
+    solution count of the corresponding power-sum system.  A too-coarse
+    grid raises instead of silently returning an aliased value.
+    """
+    N, two_s = int(N), int(two_s)
+    grid = [int(g) for g in grid]
+    if two_s < 2 or two_s % 2:
+        raise ValueError("two_s must be a positive even integer")
+    if len(grid) != fam.d:
+        raise ValueError(f"grid needs {fam.d} axis sizes")
+    required = exact_moment_grid(fam, N, two_s)
+    for g, r, p in zip(grid, required, fam.polys):
+        if g < r:
+            raise ValueError(
+                f"grid axis for {p!r} has {g} points; {r} needed for exactness"
+            )
+    total = 1
+    for g in grid:
+        total *= g
+    if total > MOMENT_GRID_BUDGET:
+        raise BudgetError(f"grid has {total} points, budget {MOMENT_GRID_BUDGET}")
+
+    weights = a.array(N)
+    cols = []
+    for g, p in zip(grid, fam.polys):
+        vals = np.array([p(n) % g for n in range(1, N + 1)], dtype=np.float64)
+        js = np.arange(g, dtype=np.float64)
+        cols.append(np.exp(2j * np.pi * np.outer(js, vals) / g))
+    if fam.d == 1:
+        t = cols[0] @ weights
+    elif fam.d == 2:
+        t = np.einsum("in,jn,n->ij", cols[0], cols[1], weights)
+    elif fam.d == 3:
+        t = np.einsum("in,jn,kn,n->ijk", cols[0], cols[1], cols[2], weights)
+    else:
+        t = np.zeros(tuple(grid), dtype=np.complex128)
+        for idx in range(N):
+            block = cols[0][:, idx]
+            for col in cols[1:]:
+                block = np.multiply.outer(block, col[:, idx])
+            t += weights[idx] * block
+    return float(np.mean(np.abs(t) ** two_s))

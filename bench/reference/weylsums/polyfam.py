@@ -1,0 +1,457 @@
+"""Exact integer polynomial families.
+
+Everything here is exact: coefficients are Python ints, Wronskians are
+computed symbolically, and the coefficient shift for short intervals is
+done in Fraction arithmetic so that mod-1 reductions never drift.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
+from typing import Iterable, Sequence
+
+__all__ = [
+    "MINUS_INFINITY",
+    "IntPolynomial",
+    "PolynomialFamily",
+    "CaseLabel",
+    "classical_family",
+    "augmented_family",
+    "derivative",
+    "evaluate",
+    "wronskian",
+    "degree_stats",
+    "classify_case",
+    "shift_coefficients",
+    "parse_family",
+]
+
+# Degree marker for the zero polynomial.  A float -inf compares below every
+# integer degree and never silently turns into a plausible-looking index.
+MINUS_INFINITY = float("-inf")
+
+
+class IntPolynomial:
+    """A polynomial with arbitrary-precision integer coefficients.
+
+    ``coeffs[i]`` is the coefficient of T^i; the highest stored coefficient
+    is nonzero unless the polynomial is identically zero.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[int]):
+        cs = [int(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs: tuple[int, ...] = tuple(cs)
+
+    @classmethod
+    def monomial(cls, power: int, coeff: int = 1) -> "IntPolynomial":
+        if power < 0:
+            raise ValueError("monomial power must be >= 0")
+        return cls([0] * power + [coeff])
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def is_nonvanishing(self) -> bool:
+        """True unless the polynomial is identically zero."""
+        return bool(self.coeffs)
+
+    @property
+    def degree(self) -> int | float:
+        """Degree, or MINUS_INFINITY for the zero polynomial."""
+        return len(self.coeffs) - 1 if self.coeffs else MINUS_INFINITY
+
+    @property
+    def is_monomial(self) -> bool:
+        return bool(self.coeffs) and all(c == 0 for c in self.coeffs[:-1])
+
+    def derivative(self) -> "IntPolynomial":
+        return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def __call__(self, n: int) -> int:
+        """Exact Horner evaluation at an integer point."""
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * n + c
+        return acc
+
+    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return IntPolynomial(out)
+
+    def __neg__(self) -> "IntPolynomial":
+        return IntPolynomial([-c for c in self.coeffs])
+
+    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
+        return self + (-other)
+
+    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
+        if self.is_zero or other.is_zero:
+            return IntPolynomial([])
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return IntPolynomial(out)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        if self.is_zero:
+            return "0"
+        parts = []
+        for i in reversed(range(len(self.coeffs))):
+            c = self.coeffs[i]
+            if c == 0:
+                continue
+            if i == 0:
+                parts.append(f"{c}")
+            else:
+                head = "" if c == 1 else ("-" if c == -1 else f"{c}")
+                parts.append(f"{head}T" + (f"^{i}" if i > 1 else ""))
+        return " + ".join(parts).replace("+ -", "- ")
+
+
+def derivative(p: IntPolynomial) -> IntPolynomial:
+    """Exact formal derivative."""
+    return p.derivative()
+
+
+def evaluate(p: IntPolynomial, n: int) -> int:
+    """Exact value of p at the integer n (Horner)."""
+    return p(n)
+
+
+@dataclass(frozen=True)
+class CaseLabel:
+    """Which reduction applies to a (family, split) pair.
+
+    label 'A': a linear polynomial sits in the y part (no reduction needed).
+    label 'B': a linear polynomial sits in the x part; ``move_index`` is the
+    1-based position that gets moved over to y.
+    label 'C': no linear member at all; a fresh linear polynomial T is
+    appended to the family (``append_linear``).
+    """
+
+    label: str
+    move_index: int | None = None
+    append_linear: bool = False
+
+    def __str__(self) -> str:
+        if self.label == "B":
+            return f"B(move x_{self.move_index} to y)"
+        if self.label == "C":
+            return "C(append T)"
+        return "A"
+
+
+class PolynomialFamily:
+    """A family of d distinct nonconstant integer polynomials.
+
+    ``k`` is the default split index: the first k coordinates of a torus
+    point are the averaged ("x") block, the rest the uniform ("y") block.
+    Instances are immutable after construction and safe to share.
+    """
+
+    def __init__(self, polys: Sequence[IntPolynomial], k: int | None = None):
+        polys = tuple(polys)
+        if not polys:
+            raise ValueError("family must contain at least one polynomial")
+        for p in polys:
+            if p.is_zero or p.degree < 1:
+                raise ValueError(f"family members must be nonconstant, got {p!r}")
+        for a, b in combinations(polys, 2):
+            if a == b:
+                raise ValueError(f"family members must be pairwise distinct, got {a!r} twice")
+        self.polys = polys
+        self.degrees: tuple[int, ...] = tuple(int(p.degree) for p in polys)
+        self.sorted_degrees: tuple[int, ...] = tuple(sorted(self.degrees))
+        if k is None:
+            k = len(polys)
+        if not 1 <= k <= len(polys):
+            raise ValueError(f"split index k={k} out of range 1..{len(polys)}")
+        self.k = k
+
+    @property
+    def d(self) -> int:
+        return len(self.polys)
+
+    @property
+    def max_degree(self) -> int:
+        return max(self.degrees)
+
+    @cached_property
+    def _wronskian(self) -> IntPolynomial:
+        return _wronskian_det(self.polys)
+
+    def wronskian_nonvanishing(self) -> bool:
+        return not self._wronskian.is_zero
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, PolynomialFamily)
+            and self.polys == other.polys
+            and self.k == other.k
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.polys, self.k))
+
+    def __repr__(self) -> str:
+        return f"PolynomialFamily([{', '.join(map(repr, self.polys))}], k={self.k})"
+
+
+def classical_family(d: int, k: int | None = None) -> PolynomialFamily:
+    """The family (T, T^2, ..., T^d)."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    return PolynomialFamily([IntPolynomial.monomial(j) for j in range(1, d + 1)], k=k)
+
+
+def augmented_family(fam: PolynomialFamily) -> PolynomialFamily:
+    """The family with a fresh linear polynomial T appended (case C recipe)."""
+    t = IntPolynomial.monomial(1)
+    if t in fam.polys:
+        raise ValueError("family already contains T; augmentation would repeat it")
+    return PolynomialFamily(fam.polys + (t,), k=fam.k)
+
+
+# ---------------------------------------------------------------------------
+# Wronskian
+
+
+def _int_det_bareiss(m: list[list[int]]) -> int:
+    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
+    n = len(m)
+    m = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for p in range(n - 1):
+        if m[p][p] == 0:
+            for r in range(p + 1, n):
+                if m[r][p] != 0:
+                    m[p], m[r] = m[r], m[p]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(p + 1, n):
+            for j in range(p + 1, n):
+                m[i][j] = (m[i][j] * m[p][p] - m[i][p] * m[p][j]) // prev
+        prev = m[p][p]
+    return sign * m[-1][-1]
+
+
+def _falling(e: int, r: int) -> int:
+    out = 1
+    for t in range(r):
+        out *= e - t
+    return out
+
+
+def _wronskian_monomial(polys: Sequence[IntPolynomial]) -> IntPolynomial:
+    # For monomial members a_i T^{e_i} every permutation term of the
+    # determinant has the same total degree sum(e_i) - d(d-1)/2, so the
+    # Wronskian is that monomial times an integer determinant.
+    d = len(polys)
+    mat = []
+    for p in polys:
+        e = int(p.degree)
+        a = p.coeffs[-1]
+        mat.append([a * _falling(e, j) for j in range(d)])
+    c = _int_det_bareiss(mat)
+    power = sum(int(p.degree) for p in polys) - d * (d - 1) // 2
+    if c == 0 or power < 0:
+        return IntPolynomial([])
+    return IntPolynomial.monomial(power, c)
+
+
+def _det_cofactor(rows: list[list[IntPolynomial]]) -> IntPolynomial:
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = IntPolynomial([])
+    for j in range(n):
+        a = rows[0][j]
+        if a.is_zero:
+            continue
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        term = a * _det_cofactor(minor)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def _poly_divexact(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """Quotient a/b when the division is exact in Z[T] (Bareiss guarantees it)."""
+    if b.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if a.is_zero:
+        return IntPolynomial([])
+    rem = [Fraction(c) for c in a.coeffs]
+    div = [Fraction(c) for c in b.coeffs]
+    dq = len(rem) - len(div)
+    if dq < 0:
+        raise ArithmeticError("inexact polynomial division")
+    quot = [Fraction(0)] * (dq + 1)
+    for i in range(dq, -1, -1):
+        q = rem[i + len(div) - 1] / div[-1]
+        quot[i] = q
+        if q:
+            for j, c in enumerate(div):
+                rem[i + j] -= q * c
+    if any(rem) or any(q.denominator != 1 for q in quot):
+        raise ArithmeticError("inexact polynomial division")
+    return IntPolynomial([int(q) for q in quot])
+
+
+def _det_bareiss_poly(rows: list[list[IntPolynomial]]) -> IntPolynomial:
+    n = len(rows)
+    m = [row[:] for row in rows]
+    sign = 1
+    prev = IntPolynomial([1])
+    for p in range(n - 1):
+        if m[p][p].is_zero:
+            for r in range(p + 1, n):
+                if not m[r][p].is_zero:
+                    m[p], m[r] = m[r], m[p]
+                    sign = -sign
+                    break
+            else:
+                return IntPolynomial([])
+        for i in range(p + 1, n):
+            for j in range(p + 1, n):
+                num = m[i][j] * m[p][p] - m[i][p] * m[p][j]
+                m[i][j] = _poly_divexact(num, prev)
+        prev = m[p][p]
+    out = m[-1][-1]
+    return -out if sign < 0 else out
+
+
+def _wronskian_det(polys: Sequence[IntPolynomial]) -> IntPolynomial:
+    if all(p.is_monomial for p in polys):
+        return _wronskian_monomial(polys)
+    rows = []
+    for p in polys:
+        row = [p]
+        for _ in range(len(polys) - 1):
+            row.append(row[-1].derivative())
+        rows.append(row)
+    if len(polys) <= 6:
+        return _det_cofactor(rows)
+    return _det_bareiss_poly(rows)
+
+
+def wronskian(fam: PolynomialFamily) -> IntPolynomial:
+    """Determinant of the matrix (phi_i^(j-1))_{i,j}, exact over Z[T].
+
+    Nonvanishing of this polynomial is the nondegeneracy hypothesis behind
+    every mean-value based bound; ``fam.wronskian_nonvanishing()`` exposes
+    the flag directly.
+    """
+    return fam._wronskian
+
+
+# ---------------------------------------------------------------------------
+# Degree statistics and case classification
+
+
+def degree_stats(fam: PolynomialFamily, k: int) -> tuple[int, int]:
+    """Return (sigma_k, sigma~_k).
+
+    sigma_k sums the degrees of members k+1..d in the given order;
+    sigma~_k sums the d-k largest degrees (the top of the sorted list).
+    """
+    _check_split(fam, k)
+    sigma = sum(fam.degrees[k:])
+    sigma_tilde = sum(fam.sorted_degrees[k:])
+    return sigma, sigma_tilde
+
+
+def classify_case(fam: PolynomialFamily, k: int) -> CaseLabel:
+    """Classify a (family, split) pair into the mutually exclusive cases.
+
+    A: some y-block member (index > k) is linear.
+    B: no y-block member is linear but some x-block member is; the recipe
+       moves that member into y.
+    C: every member has degree >= 2; the recipe appends the polynomial T.
+    """
+    _check_split(fam, k)
+    if any(fam.degrees[j] == 1 for j in range(k, fam.d)):
+        return CaseLabel("A")
+    for j in range(k):
+        if fam.degrees[j] == 1:
+            return CaseLabel("B", move_index=j + 1)
+    return CaseLabel("C", append_linear=True)
+
+
+def _check_split(fam: PolynomialFamily, k: int) -> None:
+    if not 1 <= k <= fam.d:
+        raise ValueError(f"split index k={k} out of range 1..{fam.d}")
+
+
+# ---------------------------------------------------------------------------
+# Short-interval coefficient shift
+
+
+def shift_coefficients(u: Sequence, M: int) -> list[Fraction]:
+    """Rewrite sum_j u_j (T+M)^j as v_0 + v_1 T + ... + v_{d-1} T^{d-1} + u_d T^d.
+
+    Returns the d+1 fractional parts [v_0, ..., v_{d-1}, u_d] as exact
+    Fractions: v_j = sum_{i >= max(j,1)} u_i C(i,j) M^{i-j} mod 1.  Floats
+    in ``u`` are converted exactly, so shifting by M and then by -M gives
+    back the original coefficients mod 1 with no drift.
+    """
+    M = int(M)
+    us = [Fraction(x) % 1 for x in u]
+    d = len(us)
+    out: list[Fraction] = []
+    for j in range(d):
+        acc = Fraction(0)
+        for i in range(max(j, 1), d + 1):
+            acc += us[i - 1] * math.comb(i, j) * M ** (i - j)
+        out.append(acc % 1)
+    out.append(us[d - 1])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Family literal syntax (shared by CLI and config files)
+
+
+def parse_family(spec, k: int | None = None) -> PolynomialFamily:
+    """Parse a family literal.
+
+    Accepts ``"classical:d"``, a JSON string of coefficient lists
+    (lowest degree first, e.g. ``"[[0,1],[0,0,1]]"`` for (T, T^2)),
+    or an already-parsed list of coefficient lists.
+    """
+    if isinstance(spec, PolynomialFamily):
+        return spec if k is None else PolynomialFamily(spec.polys, k=k)
+    if isinstance(spec, str):
+        s = spec.strip()
+        if s.startswith("classical:"):
+            return classical_family(int(s.split(":", 1)[1]), k=k)
+        spec = json.loads(s)
+    if not isinstance(spec, (list, tuple)):
+        raise ValueError(f"cannot parse family literal {spec!r}")
+    return PolynomialFamily([IntPolynomial(c) for c in spec], k=k)
