@@ -15,8 +15,6 @@ from .polyfam import (
     augmented_family,
     classify_case,
     degree_stats,
-    derivative,
-    evaluate,
     parse_family,
     shift_coefficients,
     wronskian,

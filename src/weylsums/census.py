@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import BudgetError, InvariantViolation
-from .expsum import WeightSeq
+from .expsum import WeightSeq, _majorant
 from .polyfam import PolynomialFamily
 
 __all__ = [
@@ -172,16 +172,6 @@ def markov_check(sampled_values: Sequence[float], threshold: float, two_s: int) 
     return True
 
 
-def _completion_batch(pts: np.ndarray, vals: np.ndarray, a_arr: np.ndarray, N: int) -> np.ndarray:
-    """|W| at a batch of float points; pts (B, d), vals (d, N) = phi_j(n)."""
-    phases = pts @ vals
-    c = a_arr * np.exp(2j * np.pi * phases)
-    X = N * np.fft.ifft(np.roll(c, 1, axis=1), axis=1)
-    hs = np.arange(-N, N + 1)
-    w = 1.0 / (np.abs(hs) + 1.0)
-    return np.abs(X)[:, hs % N] @ w
-
-
 def census(
     fam: PolynomialFamily,
     a: WeightSeq,
@@ -227,7 +217,9 @@ def census(
             for row, box in enumerate(range(start, stop)):
                 gen = np.random.Generator(np.random.Philox(key=(seed << 64) | box))
                 pts[row, 1:, :] = corners[row] + gen.random((spb - 1, d)) * zeta
-        w = _completion_batch(pts.reshape(-1, d), vals, a_arr, N).reshape(stop - start, spb)
+        # float phases: the samples are reals inside boxes, not 2^-64 grid points
+        c = a_arr * np.exp(2j * np.pi * (pts.reshape(-1, d) @ vals))
+        w = _majorant(c).reshape(stop - start, spb)
         peaks[start:stop] = w.max(axis=1)
         moment_sum += float(np.sum(w**two_s))
         samples_ge += int(np.sum(w >= tau))

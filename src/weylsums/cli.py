@@ -38,7 +38,7 @@ from .expsum import (
 )
 from .polyfam import degree_stats, parse_family
 
-__all__ = ["main", "cli_main"]
+__all__ = ["main"]
 
 
 def _parse_point(text: str) -> list[float]:
@@ -364,9 +364,6 @@ def main(argv=None) -> int:
     except (ValueError, NotImplementedError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-
-cli_main = main
 
 
 if __name__ == "__main__":

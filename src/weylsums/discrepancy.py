@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError
-from .expsum import PhaseTable, TorusPoint, WeightSeq, weyl_sum
+from .expsum import TorusPoint, WeightSeq, _phases_float, weyl_sum
 from .polyfam import IntPolynomial, PolynomialFamily, shift_coefficients
 
 __all__ = [
@@ -187,17 +187,11 @@ def erdos_turan_bound_poly(fam: PolynomialFamily, u: TorusPoint, N: int, G: int)
     return 3.0 * (N / (G + 1) + total)
 
 
-def _points_from_raw_polys(polys, raws, N: int) -> np.ndarray:
-    table = PhaseTable(polys, raws)
-    raw = np.fromiter(table.raw_phases(N), dtype=np.uint64, count=N)
-    return raw.astype(np.float64) * 2.0**-64
-
-
 def poly_discrepancy(fam: PolynomialFamily, u: TorusPoint, N: int) -> DiscrepancyResult:
     """Discrepancy of the fractional parts {f(n)}, n = 1..N, at exact phases."""
     if u.d != fam.d:
         raise ValueError(f"point has {u.d} coordinates, family needs {fam.d}")
-    return exact_discrepancy(_points_from_raw_polys(fam.polys, u.raw, N))
+    return exact_discrepancy(_phases_float(fam.polys, u.raw, N))
 
 
 def short_interval_discrepancy(u: Sequence, M: int, N: int) -> DiscrepancyResult:
@@ -213,4 +207,4 @@ def short_interval_discrepancy(u: Sequence, M: int, N: int) -> DiscrepancyResult
     v = shift_coefficients(pt.fractions(), M)
     raws = TorusPoint.from_reals(v).raw  # exact: denominators divide 2^64
     polys = [IntPolynomial.monomial(j) for j in range(d + 1)]
-    return exact_discrepancy(_points_from_raw_polys(polys, raws, N))
+    return exact_discrepancy(_phases_float(polys, raws, N))

@@ -25,11 +25,12 @@ from .errors import BudgetError, ConfigError
 from .expsum import (
     TorusPoint,
     WeightSeq,
+    _phases_float,
     completion_fft,
     sup_linear_coeff,
     weyl_sum,
 )
-from .polyfam import PolynomialFamily, parse_family
+from .polyfam import IntPolynomial, PolynomialFamily, parse_family
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -104,6 +105,8 @@ class ExperimentConfig:
         k = self.k if self.k is not None else fam.d
         if not 1 <= k <= fam.d:
             raise ConfigError(f"k={k} out of range 1..{fam.d}")
+        if self.kind == "short" and fam.d < 2:
+            raise ConfigError("kind 'short' needs d >= 2: its supremum runs over the lower coefficients")
         self.weights_obj()
         for a in self.alphas:
             a = Fraction(a)
@@ -197,19 +200,16 @@ class RunRecord:
 
 
 def _estimate_ops(cfg: ExperimentConfig) -> int:
-    fam = cfg.family_obj()
-    k = cfg.k if cfg.k is not None else fam.d
+    fam, k = _split_family(cfg)
     total = 0
     for N in cfg.schedule():
-        if cfg.kind == "weyl":
+        if cfg.kind in ("weyl", "short"):
             per = 4 * N  # sum pass + completion
             if k < fam.d:
                 if fam.d - k == 1 and fam.degrees[-1] == 1:
                     per += cfg.oversample * N * 8
                 else:
                     per += N * cfg.y_samples
-        elif cfg.kind == "short":
-            per = cfg.oversample * N * 8 if fam.d == 2 else N * cfg.y_samples
         else:
             per = 4 * N + N.bit_length() * N  # points + sort
             if cfg.kind == "discrepancy_short":
@@ -226,34 +226,53 @@ def _sample_rng(seed: int, sample_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=((int(seed) & ((1 << 64) - 1)) << 64) | sample_id))
 
 
-def _run_sample(cfg: ExperimentConfig, sid: int) -> list[RunRecord]:
+def _split_family(cfg: ExperimentConfig) -> tuple[PolynomialFamily, int]:
+    """The family and split index the sample runs on.
+
+    The window start M of a short sum only shuffles the lower coefficients,
+    and the supremum runs over all of them, so the ``short`` statistic is
+    sup_y |T| for (T^d, T, ..., T^(d-1)) split at k = 1, evaluated once per N.
+    """
     fam = cfg.family_obj()
-    k = cfg.k if cfg.k is not None else fam.d
+    if cfg.kind == "short":
+        d = fam.d
+        polys = [IntPolynomial.monomial(d)] + [IntPolynomial.monomial(j) for j in range(1, d)]
+        return PolynomialFamily(polys, k=1), 1
+    return fam, cfg.k if cfg.k is not None else fam.d
+
+
+def _run_sample(cfg: ExperimentConfig, sid: int) -> list[RunRecord]:
+    fam, k = _split_family(cfg)
     weights = cfg.weights_obj()
     rng = _sample_rng(cfg.seed, sid)
     schedule = cfg.schedule()
     records: list[RunRecord] = []
 
-    if cfg.kind == "weyl":
-        coords = tuple(rng.random(fam.d))  # y block re-drawn only in grid mode
-        x = coords[:k]
-        if k == fam.d:
-            u = TorusPoint.from_reals(coords)
-            n_max = schedule[-1]
-            trace = weyl_sum(fam, u, weights, n_max)
-            for N in schedule:
-                prefix = trace.dyadic_prefix_max[int(math.log2(N))]
-                w = completion_fft(fam, u, weights, N).W
-                records.append(
-                    RunRecord(cfg.experiment_id, sid, coords, N, "prefix_max_T", prefix,
-                              extras=(("w", w),))
-                )
-        elif fam.d - k == 1 and fam.degrees[-1] == 1:
+    if cfg.kind == "weyl" and k == fam.d:
+        coords = tuple(rng.random(fam.d))
+        u = TorusPoint.from_reals(coords)
+        n_max = schedule[-1]
+        trace = weyl_sum(fam, u, weights, n_max)
+        for N in schedule:
+            prefix = trace.dyadic_prefix_max[int(math.log2(N))]
+            w = completion_fft(fam, u, weights, N).W
+            records.append(
+                RunRecord(cfg.experiment_id, sid, coords, N, "prefix_max_T", prefix,
+                          extras=(("w", w),))
+            )
+    elif cfg.kind in ("weyl", "short"):
+        if cfg.kind == "weyl":
+            x = tuple(rng.random(fam.d))[:k]  # the y block is re-drawn only in grid mode
+            stat = "sup_y_T"
+        else:
+            x = (float(rng.random()),)
+            stat = "sup_short_S"
+        if fam.d - k == 1 and fam.degrees[-1] == 1:
             for N in schedule:
                 c = _twisted_block(fam, x, weights, N, upto=k)
                 res = sup_linear_coeff(c, cfg.oversample)
                 records.append(
-                    RunRecord(cfg.experiment_id, sid, x, N, "sup_y_T", res.grid_max,
+                    RunRecord(cfg.experiment_id, sid, x, N, stat, res.grid_max,
                               extras=(("certified_upper", res.certified_upper),
                                       ("argmax_y", res.argmax_y), ("certified", 1.0)))
                 )
@@ -261,34 +280,8 @@ def _run_sample(cfg: ExperimentConfig, sid: int) -> list[RunRecord]:
             for N in schedule:
                 value, slack = _grid_sup_y(fam, x, weights, N, k, cfg.y_samples, rng)
                 records.append(
-                    RunRecord(cfg.experiment_id, sid, x, N, "sup_y_T", value,
+                    RunRecord(cfg.experiment_id, sid, x, N, stat, value,
                               extras=(("continuity_slack", slack), ("certified", 0.0)))
-                )
-    elif cfg.kind == "short":
-        # The window start M only shuffles the lower coefficients, and the
-        # supremum runs over all of them, so the statistic is M-uniform;
-        # it is evaluated once per N with the leading coefficient fixed.
-        x_d = float(rng.random())
-        coords = (x_d,)
-        d = fam.d
-        for N in schedule:
-            ns = np.arange(1, N + 1, dtype=np.float64)
-            c = np.exp(2j * np.pi * ((x_d * ns**d) % 1.0))
-            if d == 2:
-                res = sup_linear_coeff(c, cfg.oversample)
-                records.append(
-                    RunRecord(cfg.experiment_id, sid, coords, N, "sup_short_S", res.grid_max,
-                              extras=(("certified_upper", res.certified_upper), ("certified", 1.0)))
-                )
-            else:
-                best = 0.0
-                for _ in range(cfg.y_samples):
-                    w = rng.random(d - 1)
-                    phase = sum(w[j] * ns ** (j + 1) for j in range(d - 1))
-                    best = max(best, abs(np.sum(c * np.exp(2j * np.pi * (phase % 1.0)))))
-                records.append(
-                    RunRecord(cfg.experiment_id, sid, coords, N, "sup_short_S", best,
-                              extras=(("certified", 0.0),))
                 )
     elif cfg.kind == "discrepancy":
         coords = tuple(rng.random(fam.d))
@@ -325,25 +318,23 @@ def _disc_ratios(dv: float, N: int) -> tuple[tuple[str, float], ...]:
 
 def _twisted_block(fam, x: Sequence[float], weights: WeightSeq, N: int, upto: int) -> np.ndarray:
     """Coefficients a_n e(sum_{j<=upto} x_j phi_j(n)) for the first block."""
-    ns = np.arange(1, N + 1, dtype=np.float64)
-    phase = np.zeros(N)
-    for j in range(upto):
-        vals = np.array([fam.polys[j](int(n)) for n in range(1, N + 1)], dtype=np.float64)
-        phase += (x[j] * vals) % 1.0
-    return weights.array(N) * np.exp(2j * np.pi * phase)
+    raws = TorusPoint.from_reals(x[:upto]).raw
+    return weights.array(N) * np.exp(2j * np.pi * _phases_float(fam.polys[:upto], raws, N))
 
 
 def _grid_sup_y(fam, x, weights, N, k, y_samples, rng) -> tuple[float, float]:
     """Sampled maximum over the y block, plus the Lipschitz slack of the net."""
     c = _twisted_block(fam, x, weights, N, upto=k)
-    yvals = [np.array([p(n) for n in range(1, N + 1)], dtype=np.float64) for p in fam.polys[k:]]
+    ypolys = fam.polys[k:]
     best = 0.0
     for _ in range(y_samples):
-        y = rng.random(fam.d - k)
-        phase = sum(float(yj) * v for yj, v in zip(y, yvals))
-        best = max(best, float(abs(np.sum(c * np.exp(2j * np.pi * (phase % 1.0))))))
+        raws = TorusPoint.from_reals(rng.random(fam.d - k)).raw
+        phase = _phases_float(ypolys, raws, N)
+        best = max(best, float(abs(np.sum(c * np.exp(2j * np.pi * phase)))))
     # mean spacing of y_samples uniform points per axis ~ s^(-1/(d-k))
     h = y_samples ** (-1.0 / (fam.d - k))
+    ns = np.arange(1, N + 1, dtype=np.float64)
+    yvals = [np.polynomial.polynomial.polyval(ns, p.coeffs) for p in ypolys]
     slack = math.pi * h * sum(float(np.abs(v).sum()) for v in yvals)
     return best, slack
 

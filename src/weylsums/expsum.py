@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -177,11 +177,10 @@ class SumTrace:
 
 @dataclass(frozen=True)
 class CompletionResult:
-    """The completion majorant W and, optionally, the twisted spectrum |X_h|."""
+    """The completion majorant W."""
 
     W: float
     N: int
-    dft_magnitudes: tuple[float, ...] | None = None
 
     def to_json(self) -> dict:
         return {"W": self.W, "N": self.N}
@@ -215,14 +214,21 @@ class PhaseTable:
                 regs[i] = (regs[i] - regs[i - 1]) & _MASK
         self.registers = tuple(regs)
 
-    def raw_phases(self, N: int) -> Iterator[int]:
-        """Yield the raw phase of n = 1, 2, ..., N.  Pure: state is local."""
-        regs = list(self.registers)
-        top = len(regs) - 1
-        for _ in range(N):
-            for i in range(top):
-                regs[i] = (regs[i] + regs[i + 1]) & _MASK
-            yield regs[0]
+    def raw_phases(self, N: int) -> np.ndarray:
+        """The raw phases of n = 1, 2, ..., N as a uint64 array.
+
+        Forward-difference tabulation (Knuth, TAOCP vol. 2, 4.6.4): level i
+        holds Delta^i f(0..N), the exclusive prefix sum of level i + 1 plus
+        Delta^i f(0).  numpy's uint64 cumsum wraps mod 2^64, so every level
+        is exact.
+        """
+        regs = np.array(self.registers, dtype=np.uint64)
+        level = np.full(N + 1, regs[-1], dtype=np.uint64)
+        for r in regs[-2::-1]:
+            level[1:] = np.cumsum(level[:-1])
+            level[0] = 0
+            level += r
+        return level[1:]
 
     @staticmethod
     def raw_at(polys: Sequence[IntPolynomial], raws: Sequence[int], n: int) -> int:
@@ -238,9 +244,14 @@ def phase_table(fam: PolynomialFamily, u: TorusPoint) -> PhaseTable:
 
 
 def _phases_float(polys, raws, N: int) -> np.ndarray:
-    table = PhaseTable(polys, raws)
-    raw = np.fromiter(table.raw_phases(N), dtype=np.uint64, count=N)
-    return raw.astype(np.float64) * 2.0**-SCALE_BITS
+    """The phases {f(n)}, n = 1..N, as floats in [0, 1).
+
+    A raw phase within 2^-54 of 1 rounds to the float 1.0; it is mapped to
+    0.0, the same point of the circle.
+    """
+    x = PhaseTable(polys, raws).raw_phases(N).astype(np.float64) * 2.0**-SCALE_BITS
+    x[x == 1.0] = 0.0
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +327,16 @@ def completion_naive(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int)
 def _spectrum(c: np.ndarray, N: int) -> np.ndarray:
     # X_h = sum_{n=1..N} c_n e(hn/N); the n = N term aliases to index 0,
     # so a single length-N inverse DFT of the rolled coefficients gives all h.
-    return N * np.fft.ifft(np.roll(c, 1))
+    return N * np.fft.ifft(np.roll(c, 1, axis=-1))
+
+
+def _majorant(c: np.ndarray) -> np.ndarray:
+    """W = sum_{h=-N}^{N} |X_h| / (|h| + 1) over the last axis: (..., N) -> (...)."""
+    N = c.shape[-1]
+    hs = np.arange(-N, N + 1)
+    mags = np.abs(_spectrum(c, N))[..., hs % N]
+    mags /= np.abs(hs) + 1  # in place: the gathered magnitudes are the largest array
+    return mags.sum(axis=-1)
 
 
 def completion_fft(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> CompletionResult:
@@ -328,12 +348,7 @@ def completion_fft(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    c = _twisted_coeffs(fam, u, a, N)
-    X = _spectrum(c, N)
-    mags = np.abs(X)
-    hs = np.arange(-N, N + 1)
-    W = float(np.sum(mags[hs % N] / (np.abs(hs) + 1)))
-    return CompletionResult(W=W, N=N, dft_magnitudes=tuple(mags))
+    return CompletionResult(W=float(_majorant(_twisted_coeffs(fam, u, a, N))), N=N)
 
 
 def reconstruct_prefix(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int, M: int) -> complex:

@@ -22,8 +22,6 @@ __all__ = [
     "CaseLabel",
     "classical_family",
     "augmented_family",
-    "derivative",
-    "evaluate",
     "wronskian",
     "degree_stats",
     "classify_case",
@@ -60,10 +58,6 @@ class IntPolynomial:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_nonvanishing(self) -> bool:
-        """True unless the polynomial is identically zero."""
-        return bool(self.coeffs)
 
     @property
     def degree(self) -> int | float:
@@ -130,16 +124,6 @@ class IntPolynomial:
                 head = "" if c == 1 else ("-" if c == -1 else f"{c}")
                 parts.append(f"{head}T" + (f"^{i}" if i > 1 else ""))
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def derivative(p: IntPolynomial) -> IntPolynomial:
-    """Exact formal derivative."""
-    return p.derivative()
-
-
-def evaluate(p: IntPolynomial, n: int) -> int:
-    """Exact value of p at the integer n (Horner)."""
-    return p(n)
 
 
 @dataclass(frozen=True)

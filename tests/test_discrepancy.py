@@ -16,8 +16,7 @@ from weylsums import (
     poly_discrepancy,
     short_interval_discrepancy,
 )
-from weylsums.discrepancy import _points_from_raw_polys
-from weylsums.expsum import PhaseTable
+from weylsums.expsum import PhaseTable, _phases_float
 from weylsums.polyfam import IntPolynomial, shift_coefficients
 
 MASK = (1 << 64) - 1
@@ -129,7 +128,7 @@ class TestErdosTuran:
             N = int(rng.integers(4, 200))
             u = TorusPoint.from_reals(rng.random(d))
             fam = classical_family(d)
-            pts = _points_from_raw_polys(fam.polys, u.raw, N)
+            pts = _phases_float(fam.polys, u.raw, N)
             dn = exact_discrepancy(pts).value
             for expo in (0.25, 0.5, 0.75):
                 G = max(1, int(N**expo))
@@ -152,7 +151,7 @@ class TestErdosTuran:
         fam = classical_family(3)
         u = TorusPoint.from_reals([0.137, 0.61, 0.29])
         N, G = 80, 17
-        pts = _points_from_raw_polys(fam.polys, u.raw, N)
+        pts = _phases_float(fam.polys, u.raw, N)
         generic = erdos_turan_bound(pts, G)
         kernel = erdos_turan_bound_poly(fam, u, N, G)
         assert kernel == pytest.approx(generic, rel=1e-10)
@@ -166,6 +165,11 @@ class TestPolyDiscrepancy:
     def test_zero_point(self):
         res = poly_discrepancy(classical_family(2), TorusPoint.from_reals([0, 0]), 9)
         assert res.value == 9.0
+
+    def test_phase_rounding_to_one_is_zero(self):
+        # raw phases 2^64 - n round to the float 1.0: four copies of the point 0
+        res = poly_discrepancy(classical_family(1), TorusPoint([2**64 - 1]), 4)
+        assert res.value == 4.0
 
     def test_csv_row(self):
         res = poly_discrepancy(classical_family(1), TorusPoint.from_reals([0.5]), 4)

@@ -10,14 +10,18 @@ from weylsums import (
     ConfigError,
     ExperimentConfig,
     RunRecord,
+    TorusPoint,
+    WeightSeq,
+    classical_family,
     dimension_scan,
     discrepancy_growth,
     exponent_fit,
     metric_sweep,
+    weyl_sum,
     write_csv,
     write_jsonl,
 )
-from weylsums.experiments import fit_by_sample
+from weylsums.experiments import _twisted_block, fit_by_sample
 
 
 def tiny_cfg(**kw):
@@ -47,6 +51,8 @@ class TestConfig:
             tiny_cfg(family="classical:oops").validate()
         with pytest.raises(ConfigError):
             tiny_cfg(alphas=("1.5",)).validate()
+        with pytest.raises(ConfigError):  # no lower coefficients to take the sup over
+            tiny_cfg(kind="short", family="classical:1", k=1).validate()
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
@@ -133,6 +139,24 @@ class TestSweep:
             x_d = rec.coords[0]
             plain = abs(short_interval_sum([0.0, x_d], 0, rec.N))
             assert dict(rec.extras)["certified_upper"] >= plain - 1e-9
+
+    def test_short_is_the_certified_supy_route(self):
+        # short on classical:2 is sup_y |T| for (T^2, T) at k = 1; that route
+        # draws no y, so with one seed both kinds see the same x
+        short = metric_sweep(tiny_cfg(kind="short", family="classical:2", k=1))
+        weyl = metric_sweep(tiny_cfg(kind="weyl", family="[[0,0,1],[0,1]]", k=1))
+        assert [r.value for r in short] == [r.value for r in weyl]
+        assert [r.coords for r in short] == [r.coords for r in weyl]
+
+    def test_twisted_block_exact_for_high_degree(self):
+        # float x * n^d phases lose every bit of n^4 x mod 1 at N = 2^14
+        fam = classical_family(4)
+        x = np.random.default_rng(4).random(4)
+        N = 1 << 14
+        unit = WeightSeq.unit()
+        block = complex(np.sum(_twisted_block(fam, x, unit, N, upto=4)))
+        exact = weyl_sum(fam, TorusPoint.from_reals(x), unit, N).value
+        assert abs(block - exact) <= 1e-9 * abs(exact)
 
 
 class TestFit:

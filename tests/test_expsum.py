@@ -21,7 +21,8 @@ from weylsums import (
     vinogradov_count,
     weyl_sum,
 )
-from weylsums.expsum import reconstruct_all_prefixes, _twisted_coeffs
+from weylsums.expsum import PhaseTable, reconstruct_all_prefixes, _twisted_coeffs
+from weylsums.polyfam import IntPolynomial
 
 UNIT = WeightSeq.unit()
 MASK = (1 << 64) - 1
@@ -97,6 +98,23 @@ class TestPhaseTable:
         for n in np.sort(rng.integers(1, N + 1, size=100)):
             direct = table.raw_at(fam.polys, u.raw, int(n))
             assert raws[int(n) - 1] == direct
+
+    def test_kernel_equals_raw_at(self):
+        rng = np.random.default_rng(11)
+        short_polys = [IntPolynomial.monomial(j) for j in range(4)]  # constant member T^0
+        families = [
+            parse_family([[3, -5, 0, 2], [-1, 0, -7], [0, 4, -1, 0, 0, -3]]).polys,
+            classical_family(8).polys,
+            short_polys,
+        ]
+        for polys in families:
+            raws = [int(r) for r in rng.integers(0, 1 << 64, size=len(polys), dtype=np.uint64)]
+            table = PhaseTable(polys, raws)
+            for N in (1, 2, 257):
+                direct = [PhaseTable.raw_at(polys, raws, n) for n in range(1, N + 1)]
+                got = table.raw_phases(N)
+                assert got.dtype == np.uint64
+                assert got.tolist() == direct
 
     def test_mismatched_point_rejected(self):
         with pytest.raises(ValueError):
