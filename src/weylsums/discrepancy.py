@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_BUDGET = 512
+ERDOS_TURAN_TERM_BUDGET = 1 << 22  # G*N sum terms
 
 
 @dataclass(frozen=True)
@@ -180,6 +181,8 @@ def erdos_turan_bound_poly(fam: PolynomialFamily, u: TorusPoint, N: int, G: int)
     """
     if G < 1:
         raise ValueError("G must be >= 1")
+    if G * N > ERDOS_TURAN_TERM_BUDGET:
+        raise BudgetError(f"G*N = {G * N} sum terms exceed the budget {ERDOS_TURAN_TERM_BUDGET}")
     unit = WeightSeq.unit()
     total = 0.0
     for g in range(1, G + 1):

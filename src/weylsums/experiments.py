@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .expsum import (
     sup_linear_coeff,
     weyl_sum,
 )
-from .polyfam import IntPolynomial, PolynomialFamily, parse_family
+from .polyfam import IntPolynomial, PolynomialFamily, classical_family, parse_family
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -107,6 +108,8 @@ class ExperimentConfig:
             raise ConfigError(f"k={k} out of range 1..{fam.d}")
         if self.kind == "short" and fam.d < 2:
             raise ConfigError("kind 'short' needs d >= 2: its supremum runs over the lower coefficients")
+        if self.kind == "short" and fam.polys != classical_family(fam.d).polys:
+            raise ConfigError(f"kind 'short' runs on classical:{fam.d} only, got {self.family!r}")
         self.weights_obj()
         for a in self.alphas:
             a = Fraction(a)
@@ -347,18 +350,22 @@ def metric_sweep(cfg: ExperimentConfig) -> list[RunRecord]:
     """Run the configured experiment and return records in (sample, N) order.
 
     The per-sample work items are independent; with threads > 1 they run in
-    a process pool, and the deterministic per-sample streams plus ordered
-    collection make the output identical to a single-threaded run.
+    a process pool of at most min(threads, samples, cpu count) workers, and
+    the deterministic per-sample streams plus ordered collection make the
+    output identical to a single-threaded run.
     """
     cfg = cfg.validate()
     ops = _estimate_ops(cfg)
     if ops > cfg.budget:
         raise BudgetError(f"estimated {ops} operations exceed the budget {cfg.budget}")
     sids = range(cfg.samples)
-    if cfg.threads == 1:
+    workers = min(cfg.threads, cfg.samples, os.cpu_count() or 1)
+    if workers == 1:
         batches = [_run_sample(cfg, sid) for sid in sids]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+        # the pool starts every worker at once, so more than one per CPU or
+        # per sample only costs start-up time and memory
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_run_sample, [cfg] * cfg.samples, sids, chunksize=4))
     return [rec for batch in batches for rec in batch]
 

@@ -46,7 +46,10 @@ _MASK = _SCALE - 1
 _TWO_PI = 2.0 * math.pi
 
 VINOGRADOV_TUPLE_BUDGET = 1 << 28
+VINOGRADOV_BLOCK = 1 << 18
 MOMENT_GRID_BUDGET = 1 << 24
+COMPLETION_NAIVE_BUDGET = 1 << 20  # (2N+1)*N terms: admits N <= 723
+PREFIX_KERNEL_BUDGET = 1 << 20  # N*N kernel entries: admits N <= 1024
 
 
 def _quantize(x) -> int:
@@ -315,6 +318,8 @@ def completion_naive(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int)
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    if (2 * N + 1) * N > COMPLETION_NAIVE_BUDGET:
+        raise BudgetError(f"(2N+1)*N terms exceed the budget {COMPLETION_NAIVE_BUDGET} at N = {N}")
     c = _twisted_coeffs(fam, u, a, N)
     n = np.arange(1, N + 1)
     total = 0.0
@@ -375,6 +380,8 @@ def reconstruct_prefix(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: in
 
 def reconstruct_all_prefixes(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> np.ndarray:
     """All reconstructed prefixes T(u; 1..N) in one O(N^2) pass (test helper)."""
+    if N * N > PREFIX_KERNEL_BUDGET:
+        raise BudgetError(f"N*N = {N * N} kernel entries exceed the budget {PREFIX_KERNEL_BUDGET}")
     c = _twisted_coeffs(fam, u, a, N)
     X = _spectrum(c, N)
     h = np.arange(1, N + 1)
@@ -423,6 +430,13 @@ def vinogradov_count(d: int, s: int, N: int) -> int:
     Counts ordered 2s-tuples (n_1..n_s, m_1..m_s) in [1,N]^{2s} with
     sum n_i^j = sum m_i^j for every j = 1..d, by keying the N^s ordered
     s-tuples on their power-sum vector and summing squared multiplicities.
+
+    Equal keys have equal S_1 = sum n_i, so the s-tuples are walked in
+    windows of S_1 values, each holding at most VINOGRADOV_BLOCK of them
+    (or a single S_1 value that alone holds more), and a window's count is
+    final.  A window is gathered from the (s-1)-tuple tail, sorted by S_1,
+    shifted by each head n_s, so memory is O((VINOGRADOV_BLOCK + N^(s-1)) * d)
+    whatever the number of distinct keys.
     """
     d, s, N = int(d), int(s), int(N)
     if d < 1 or s < 1 or N < 1:
@@ -435,24 +449,25 @@ def vinogradov_count(d: int, s: int, N: int) -> int:
         raise BudgetError("power sums exceed the exact int64 range")
     n = np.arange(1, N + 1, dtype=np.int64)
     powers = np.stack([n**j for j in range(1, d + 1)], axis=1)  # (N, d), exact
-    if N**s <= 1 << 22:
-        keys = powers
-        for _ in range(s - 1):
-            keys = (keys[:, None, :] + powers[None, :, :]).reshape(-1, d)
-        _, counts = np.unique(keys, axis=0, return_counts=True)
-        return sum(int(c) * int(c) for c in counts)
-    # near the budget ceiling, expand one tail variable at a time and merge
-    # per-slice multiplicities so memory stays O(N^(s-1))
-    tail = powers
-    for _ in range(s - 2):
+    tail = np.zeros((1, d), dtype=np.int64)
+    for _ in range(s - 1):
         tail = (tail[:, None, :] + powers[None, :, :]).reshape(-1, d)
-    merged: dict[bytes, int] = {}
-    for row in powers:
-        keys, counts = np.unique(tail + row, axis=0, return_counts=True)
-        for key, cnt in zip(keys, counts):
-            kb = key.tobytes()
-            merged[kb] = merged.get(kb, 0) + int(cnt)
-    return sum(c * c for c in merged.values())
+    tail = tail[np.argsort(tail[:, 0])]
+    t1 = tail[:, 0]
+    # an S_1 value holds at most N * (most tail rows sharing one S_1) tuples
+    width = max(1, VINOGRADOV_BLOCK // (N * int(np.bincount(t1).max())))
+    total = 0
+    for lo in range(s, s * N + 1, width):
+        starts = np.searchsorted(t1, lo - n)
+        lengths = np.searchsorted(t1, lo + width - n) - starts
+        offsets = np.cumsum(lengths) - lengths
+        idx = np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
+        keys = tail[idx] + np.repeat(powers, lengths, axis=0)
+        keys = keys[np.lexsort(keys.T)]
+        new_key = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
+        counts = np.diff(np.concatenate(([0], new_key, [len(keys)])))
+        total += int(np.dot(counts, counts))
+    return total
 
 
 def exact_moment_grid(fam: PolynomialFamily, N: int, two_s: int) -> list[int]:
@@ -504,22 +519,11 @@ def moment_integral(
         raise BudgetError(f"grid has {total} points, budget {MOMENT_GRID_BUDGET}")
 
     weights = a.array(N)
-    cols = []
-    for g, p in zip(grid, fam.polys):
+    operands = []
+    for j, (g, p) in enumerate(zip(grid, fam.polys)):
         vals = np.array([p(n) % g for n in range(1, N + 1)], dtype=np.float64)
         js = np.arange(g, dtype=np.float64)
-        cols.append(np.exp(2j * np.pi * np.outer(js, vals) / g))
-    if fam.d == 1:
-        t = cols[0] @ weights
-    elif fam.d == 2:
-        t = np.einsum("in,jn,n->ij", cols[0], cols[1], weights)
-    elif fam.d == 3:
-        t = np.einsum("in,jn,kn,n->ijk", cols[0], cols[1], cols[2], weights)
-    else:
-        t = np.zeros(tuple(grid), dtype=np.complex128)
-        for idx in range(N):
-            block = cols[0][:, idx]
-            for col in cols[1:]:
-                block = np.multiply.outer(block, col[:, idx])
-            t += weights[idx] * block
+        operands += [np.exp(2j * np.pi * np.outer(js, vals) / g), [j, fam.d]]
+    # sublist form: axis j of t is grid axis j, axis d runs over n = 1..N
+    t = np.einsum(*operands, weights, [fam.d], list(range(fam.d)))
     return float(np.mean(np.abs(t) ** two_s))

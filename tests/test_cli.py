@@ -81,6 +81,18 @@ class TestExitCodes:
         assert code == 3
         assert "budget" in err
 
+    def test_naive_completion_budget_exits_3(self, capsys):
+        code, _, err = run(capsys, "completion", "--family", "classical:2", "--u", "0.1,0.2",
+                           "--N", "1024", "--method", "naive")
+        assert code == 3
+        assert "budget" in err
+
+    def test_short_nonclassical_family_exits_2(self, capsys):
+        code, _, err = run(capsys, "sweep", "--kind", "short", "--family", "[[0,1],[0,0,5]]",
+                           "--k", "1", "--samples", "1", "--log2-n-min", "5", "--log2-n-max", "6")
+        assert code == 2
+        assert "classical" in err
+
     def test_config_error_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.toml"
         cfg.write_text('kind = "nope"\n')

@@ -156,6 +156,11 @@ class TestErdosTuran:
         kernel = erdos_turan_bound_poly(fam, u, N, G)
         assert kernel == pytest.approx(generic, rel=1e-10)
 
+    def test_poly_budget(self):
+        with pytest.raises(BudgetError):
+            erdos_turan_bound_poly(classical_family(2), TorusPoint.from_reals([0.1, 0.2]),
+                                   4096, 1025)
+
     def test_g_validated(self):
         with pytest.raises(ValueError):
             erdos_turan_bound([0.1], 0)

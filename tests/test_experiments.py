@@ -54,6 +54,11 @@ class TestConfig:
         with pytest.raises(ConfigError):  # no lower coefficients to take the sup over
             tiny_cfg(kind="short", family="classical:1", k=1).validate()
 
+    def test_short_rejects_nonclassical_family(self):
+        with pytest.raises(ConfigError):
+            tiny_cfg(kind="short", family="[[0,1],[0,0,5]]", k=1).validate()
+        assert tiny_cfg(kind="short", family="[[0,1],[0,0,1]]", k=1).validate()
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"bogus": 1})
@@ -105,6 +110,35 @@ class TestSweep:
         h1 = hashlib.sha256(p1.read_bytes()).hexdigest()
         h2 = hashlib.sha256(p2.read_bytes()).hexdigest()
         assert h1 == h2
+
+    def test_pool_bounded_by_cpus_and_samples(self, monkeypatch):
+        import weylsums.experiments as exp_mod
+
+        seen = []
+
+        class FakePool:
+            # records the requested size and maps in-process: no process starts
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(exp_mod, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(exp_mod.os, "cpu_count", lambda: 3)
+        serial = metric_sweep(tiny_cfg(samples=6))
+        assert metric_sweep(tiny_cfg(samples=6, threads=10_000)) == serial
+        assert metric_sweep(tiny_cfg(samples=2, threads=10_000)) == serial[:8]
+        assert seen == [3, 2]
+        monkeypatch.setattr(exp_mod.os, "cpu_count", lambda: None)
+        assert metric_sweep(tiny_cfg(samples=6, threads=10_000)) == serial
+        assert seen == [3, 2]  # one CPU: the samples run serially
 
     def test_budget_rejected_before_run(self):
         cfg = tiny_cfg(samples=10**6, log2_n_max=20, budget=10**6)

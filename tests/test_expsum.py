@@ -319,8 +319,8 @@ class TestVinogradov:
         assert vinogradov_count(3, 2, 6) == 66
 
     def test_chunked_route_matches_convolution(self):
-        # N^s > 2^22 takes the memory-bounded path; for d = 1 the count is
-        # the sum of squared coefficients of (x + ... + x^N)^s
+        # N^s = 8e6 tuples spread over many S_1 windows; for d = 1 the count
+        # is the sum of squared coefficients of (x + ... + x^N)^s
         ones = np.ones(200)
         r = np.convolve(np.convolve(ones, ones), ones).astype(np.int64)
         assert vinogradov_count(1, 3, 200) == int(np.sum(r**2))
@@ -328,6 +328,44 @@ class TestVinogradov:
     def test_budget(self):
         with pytest.raises(BudgetError):
             vinogradov_count(2, 5, 10_000)
+
+    def test_permutation_closed_forms(self):
+        # for s <= d the first s power sums fix the multiset {n_i}, so the
+        # solutions are permutations; both power-sum vectors need more than
+        # 63 bits as one packed key (about 71 bits for (4, 2, 100))
+        N = 100
+        assert vinogradov_count(4, 2, N) == 2 * N * N - N
+        N = 40  # s = 3: 6 orderings of 3 distinct values, 3 of a double, 1 of a triple
+        distinct, double = math.comb(N, 3), N * (N - 1)
+        assert vinogradov_count(6, 3, N) == 36 * distinct + 9 * double + N == 369760
+
+    def test_many_windows_match_packed_key_oracle(self):
+        # (S_1, S_2) <= (3N, 3N^2) packs into one int64 for d = 2, giving an
+        # independent 1-D oracle; the N^3 tuples span several S_1 windows
+        N = 96
+        n = np.arange(1, N + 1, dtype=np.int64)
+        key = n * (3 * N * N + 1) + n * n
+        keys = (key[:, None, None] + key[None, :, None] + key[None, None, :]).ravel()
+        oracle = int(np.sum(np.unique(keys, return_counts=True)[1] ** 2))
+        assert oracle == 8801160
+        assert vinogradov_count(2, 3, N) == oracle
+
+    def test_memory_bounded_by_block(self):
+        import tracemalloc
+
+        from weylsums.expsum import VINOGRADOV_BLOCK
+
+        # N^3 = 4.3e6 tuples: one pass holds about 100 MiB of keys.  A window
+        # holds at most a block of (S_1, S_2, S_3) int64 rows; allow five
+        # such arrays (32 MiB at 2^18) plus two copies of the N^2 tail.
+        N = 162
+        tracemalloc.start()
+        try:
+            assert vinogradov_count(3, 3, N) == 25273620
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * VINOGRADOV_BLOCK * 3 * 8 + 2 * N * N * 3 * 8
 
 
 class TestMoments:
@@ -363,3 +401,20 @@ class TestMoments:
         fam = parse_family([[0, 2], [0, 0, 1]])
         grid = exact_moment_grid(fam, 6, 2)
         assert moment_integral(fam, UNIT, 6, 2, grid) == pytest.approx(6, rel=1e-9)
+
+    def test_four_axes_match_enumeration(self):
+        fam = classical_family(4)
+        grid = exact_moment_grid(fam, 3, 4)
+        assert vinogradov_count(4, 2, 3) == 15
+        assert moment_integral(fam, UNIT, 3, 4, grid) == pytest.approx(15, rel=1e-9)
+
+
+class TestBudgets:
+    # sizes just past each budget: cheap to run if the check were missing
+    def test_completion_naive(self):
+        with pytest.raises(BudgetError):
+            completion_naive(classical_family(2), random_point(2), UNIT, 1024)
+
+    def test_reconstruct_all_prefixes(self):
+        with pytest.raises(BudgetError):
+            reconstruct_all_prefixes(classical_family(2), random_point(2), UNIT, 1025)
