@@ -35,7 +35,10 @@ __all__ = [
 ]
 
 GRID_BOX_BUDGET = 1 << 24
-_CHUNK = 4096
+CENSUS_TERM_BUDGET = 1 << 28  # U*spb*N phase terms: admits classical:2 at N = 32 (1.35e8)
+_CHUNK = 4096  # boxes per chunk, cut further so a chunk holds at most _CHUNK_TERMS terms
+_CHUNK_TERMS = 1 << 18
+_STREAM_TAG = 0x63656E73  # "cens": keeps the census stream apart from project_union's
 
 
 def _iroot(x: int, r: int) -> int:
@@ -134,7 +137,7 @@ class CensusResult:
     samples_ge_threshold: int
     moment_sum: float
     two_s: int
-    marked_boxes: tuple[tuple[int, ...], ...]
+    marked_boxes: np.ndarray
     box_peaks: np.ndarray
     marked_by_alpha: dict | None = None
 
@@ -182,17 +185,21 @@ def census(
 ) -> CensusResult:
     """Sample W in every box and mark boxes reaching the threshold N^alpha.
 
-    Each box is probed at its center plus samples_per_box - 1 uniform
-    points from a per-box counter-based stream keyed by (seed, box index),
-    so results are bit-identical however the boxes are scheduled.  The
-    Markov identity is asserted on every run; when ``alphas`` is given the
-    same peaks are re-thresholded per alpha and the marked counts are
-    checked to be monotone.
+    Each box is probed at its center plus spb - 1 uniform points drawn in
+    box order from one Philox stream per call: draw j of box b on axis i is
+    output (b*(spb-1) + j)*d + i, so no result depends on the chunking.
+    ``marked_boxes`` is an int64 (marked, d) array.  The Markov identity is
+    asserted on every run; when ``alphas`` is given the same peaks are
+    re-thresholded per alpha and the marked counts are checked to be monotone.
     """
     if samples_per_box < 1:
         raise ValueError("samples_per_box must be >= 1")
     N = grid.N
     d = grid.d
+    spb = samples_per_box
+    terms = grid.U * spb * N
+    if terms > CENSUS_TERM_BUDGET:
+        raise BudgetError(f"U*spb*N = {terms} phase terms exceed the budget {CENSUS_TERM_BUDGET}")
     two_s = d * (d + 1)  # 2 s(d)
     tau = grid.threshold
     vals = np.array([[p(n) for n in range(1, N + 1)] for p in fam.polys], dtype=np.float64)
@@ -201,22 +208,20 @@ def census(
     counts = grid.counts
 
     seed = int(seed) & ((1 << 64) - 1)
+    gen = np.random.Generator(np.random.Philox(key=(seed << 64) | _STREAM_TAG))
     peaks = np.empty(grid.U, dtype=np.float64)
     moment_sum = 0.0
     samples_ge = 0
-    spb = samples_per_box
+    chunk = max(1, min(_CHUNK, _CHUNK_TERMS // (spb * N)))
 
-    for start in range(0, grid.U, _CHUNK):
-        stop = min(start + _CHUNK, grid.U)
+    for start in range(0, grid.U, chunk):
+        stop = min(start + chunk, grid.U)
         lin = np.arange(start, stop)
         idx = np.stack(np.unravel_index(lin, counts), axis=1).astype(np.float64)
         corners = idx * zeta
         pts = np.empty((stop - start, spb, d))
         pts[:, 0, :] = corners + 0.5 * zeta
-        if spb > 1:
-            for row, box in enumerate(range(start, stop)):
-                gen = np.random.Generator(np.random.Philox(key=(seed << 64) | box))
-                pts[row, 1:, :] = corners[row] + gen.random((spb - 1, d)) * zeta
+        pts[:, 1:, :] = corners[:, None, :] + gen.random((stop - start, spb - 1, d)) * zeta
         # float phases: the samples are reals inside boxes, not 2^-64 grid points
         c = a_arr * np.exp(2j * np.pi * (pts.reshape(-1, d) @ vals))
         w = _majorant(c).reshape(stop - start, spb)
@@ -226,9 +231,7 @@ def census(
 
     marked_mask = peaks >= tau
     marked_lin = np.nonzero(marked_mask)[0]
-    marked_boxes = tuple(
-        tuple(int(v) for v in np.unravel_index(m, counts)) for m in marked_lin
-    )
+    marked_boxes = np.stack(np.unravel_index(marked_lin, counts), axis=1)
     n_samples = grid.U * spb
     _markov_holds(samples_ge, moment_sum, tau, two_s)
 
@@ -348,7 +351,7 @@ def _hull_2d(pts: np.ndarray) -> np.ndarray:
 
 def project_union(
     grid: BoxGrid,
-    marked_boxes: Sequence[Sequence[int]],
+    marked_boxes: np.ndarray | Sequence[Sequence[int]],
     spec: ProjectionSpec,
     samples: int = 4096,
     seed: int = 0,
@@ -380,8 +383,9 @@ def project_union(
 
     axes = [_axis_of(row) for row in spec.basis]
     if all(ax is not None for ax in axes):
-        prefixes = {tuple(row) for row in idx[:, axes]}
-        measure = len(prefixes) * math.prod(float(grid.sides[ax]) for ax in axes)
+        # a set of packed keys, not np.unique, which imports numpy.ma (about 1.7 MiB)
+        keys = np.ravel_multi_index(tuple(idx[:, axes].T), [grid.counts[ax] for ax in axes])
+        measure = len(set(keys.tolist())) * math.prod(float(grid.sides[ax]) for ax in axes)
         return ProjectionResult(measure, "exact_axis", None)
 
     if k == d:

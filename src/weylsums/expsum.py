@@ -50,6 +50,7 @@ VINOGRADOV_BLOCK = 1 << 18
 MOMENT_GRID_BUDGET = 1 << 24
 COMPLETION_NAIVE_BUDGET = 1 << 20  # (2N+1)*N terms: admits N <= 723
 PREFIX_KERNEL_BUDGET = 1 << 20  # N*N kernel entries: admits N <= 1024
+SUM_TERM_BUDGET = 1 << 22  # N phases per sum: admits every N used by tests, demos and bench
 
 
 def _quantize(x) -> int:
@@ -250,8 +251,12 @@ def _phases_float(polys, raws, N: int) -> np.ndarray:
     """The phases {f(n)}, n = 1..N, as floats in [0, 1).
 
     A raw phase within 2^-54 of 1 rounds to the float 1.0; it is mapped to
-    0.0, the same point of the circle.
+    0.0, the same point of the circle.  Every N-length sum (``weyl_sum``,
+    the completions, the discrepancies) gets its phases here, so this is
+    where N is checked against ``SUM_TERM_BUDGET``.
     """
+    if N > SUM_TERM_BUDGET:
+        raise BudgetError(f"N = {N} phases exceed the budget {SUM_TERM_BUDGET}")
     x = PhaseTable(polys, raws).raw_phases(N).astype(np.float64) * 2.0**-SCALE_BITS
     x[x == 1.0] = 0.0
     return x

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +10,11 @@ from weylsums import (
     BudgetError,
     InvariantViolation,
     ProjectionSpec,
+    TorusPoint,
     WeightSeq,
     census,
     classical_family,
+    completion_fft,
     counting_bound,
     grid_sides,
     markov_check,
@@ -64,7 +67,8 @@ class TestCensus:
     def test_box_at_origin_marked(self):
         g = small_grid()
         res = census(classical_family(2), UNIT, g, samples_per_box=1, seed=0)
-        assert (0, 0) in res.marked_boxes  # W near 0 is about N + 2N/(N+1) > N^alpha
+        # W near 0 is about N + 2N/(N+1) > N^alpha
+        assert np.any(np.all(res.marked_boxes == (0, 0), axis=1))
         assert 0 <= res.marked <= res.U
         assert res.threshold == pytest.approx(8 ** 0.75)
 
@@ -75,7 +79,7 @@ class TestCensus:
         res = census(classical_family(2), tiny, g, samples_per_box=2, seed=1)
         assert res.box_peaks.max() < g.threshold
         assert res.marked == 0
-        assert res.marked_boxes == ()
+        assert res.marked_boxes.shape == (0, 2)
 
     def test_marked_monotone_in_alpha(self):
         g = small_grid()
@@ -89,7 +93,46 @@ class TestCensus:
         r1 = census(classical_family(2), UNIT, g, samples_per_box=3, seed=9)
         r2 = census(classical_family(2), UNIT, g, samples_per_box=3, seed=9)
         assert np.array_equal(r1.box_peaks, r2.box_peaks)
-        assert r1.marked_boxes == r2.marked_boxes
+        assert np.array_equal(r1.marked_boxes, r2.marked_boxes)
+
+    def test_chunking_does_not_change_results(self, monkeypatch):
+        g = small_grid()  # 4186 boxes: two chunks by default, 598 of 7 boxes below
+        ref = census(classical_family(2), UNIT, g, samples_per_box=3, seed=9)
+        monkeypatch.setattr(sys.modules["weylsums.census"], "_CHUNK", 7)
+        res = census(classical_family(2), UNIT, g, samples_per_box=3, seed=9)
+        assert np.array_equal(res.box_peaks, ref.box_peaks)
+        assert np.array_equal(res.marked_boxes, ref.marked_boxes)
+        assert res.samples_ge_threshold == ref.samples_ge_threshold
+        assert res.moment_sum == pytest.approx(ref.moment_sum, rel=1e-12)
+
+    @pytest.mark.parametrize("d,N", [(2, 8), (3, 4)])
+    def test_center_peaks_match_completion_fft(self, d, N):
+        fam = classical_family(d)
+        g = grid_sides(fam, N, Fraction(3, 4), Fraction(1, 4))
+        res = census(fam, UNIT, g, samples_per_box=1, seed=0)
+        rng = np.random.default_rng(d)
+        for lin in rng.choice(g.U, size=50, replace=False):
+            idx = np.unravel_index(lin, g.counts)
+            center = [(int(i) + Fraction(1, 2)) * z for i, z in zip(idx, g.sides)]
+            W = completion_fft(fam, TorusPoint.from_reals(center), UNIT, N).W
+            assert res.box_peaks[lin] == pytest.approx(W, rel=1e-12)
+        more = census(fam, UNIT, g, samples_per_box=3, seed=0)
+        assert np.all(more.box_peaks >= res.box_peaks)
+
+    @pytest.mark.parametrize("weights", [UNIT, WeightSeq.explicit([0.001] * 8, C=0.001, c=0.0)])
+    def test_marked_boxes_array(self, weights):
+        g = small_grid()
+        res = census(classical_family(2), weights, g, samples_per_box=2, seed=4)
+        assert res.marked_boxes.dtype == np.int64
+        assert res.marked_boxes.shape == (res.marked, 2)
+        lin = np.ravel_multi_index(tuple(res.marked_boxes.T), g.counts)
+        assert np.array_equal(lin, np.nonzero(res.box_peaks >= g.threshold)[0])
+
+    def test_term_budget(self):
+        # U*spb*N = 1318257 * 4 * 10^6, about 5.3e12 phase terms
+        g = grid_sides(classical_family(1), 10**6, Fraction(99, 100), Fraction(1, 100))
+        with pytest.raises(BudgetError):
+            census(classical_family(1), UNIT, g, samples_per_box=4)
 
     def test_moment_accumulates(self):
         g = small_grid()

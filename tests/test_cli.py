@@ -87,6 +87,18 @@ class TestExitCodes:
         assert code == 3
         assert "budget" in err
 
+    def test_census_term_budget_exits_3(self, capsys):
+        code, _, err = run(capsys, "census", "--family", "classical:1", "--N", "1000000",
+                           "--alpha", "0.99", "--eps", "0.01")
+        assert code == 3
+        assert "budget" in err
+
+    def test_sum_term_budget_exits_3(self, capsys):
+        code, _, err = run(capsys, "sum", "--family", "classical:2", "--u", "0.1,0.2",
+                           "--N", "8388608")
+        assert code == 3
+        assert "budget" in err
+
     def test_short_nonclassical_family_exits_2(self, capsys):
         code, _, err = run(capsys, "sweep", "--kind", "short", "--family", "[[0,1],[0,0,5]]",
                            "--k", "1", "--samples", "1", "--log2-n-min", "5", "--log2-n-max", "6")

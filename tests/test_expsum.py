@@ -418,3 +418,8 @@ class TestBudgets:
     def test_reconstruct_all_prefixes(self):
         with pytest.raises(BudgetError):
             reconstruct_all_prefixes(classical_family(2), random_point(2), UNIT, 1025)
+
+    def test_sum_terms(self):
+        for fn in (weyl_sum, completion_fft):
+            with pytest.raises(BudgetError):
+                fn(classical_family(2), random_point(2), UNIT, (1 << 22) + 1)
