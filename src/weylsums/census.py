@@ -328,10 +328,12 @@ def _axis_of(row: np.ndarray) -> int | None:
 
 def _hull_2d(pts: np.ndarray) -> np.ndarray:
     """Convex hull (CCW, no duplicate endpoint) of a small 2-D point cloud."""
-    pts = np.unique(pts, axis=0)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)  # repeated corners sort next to each other
+    pts = pts[keep]
     if len(pts) <= 2:
         return pts
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
 
     def half(points):
         out = []

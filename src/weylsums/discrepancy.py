@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetError
 from .expsum import TorusPoint, WeightSeq, _phases_float, weyl_sum
-from .polyfam import IntPolynomial, PolynomialFamily, shift_coefficients
+from .polyfam import PolynomialFamily, classical_family
 
 __all__ = [
     "DiscrepancyResult",
@@ -30,6 +30,7 @@ __all__ = [
 
 BRUTE_FORCE_BUDGET = 512
 ERDOS_TURAN_TERM_BUDGET = 1 << 22  # G*N sum terms
+SWEEP_BLOCK = 1 << 12  # points per batched sweep of window discrepancies
 
 
 @dataclass(frozen=True)
@@ -72,48 +73,66 @@ def exact_discrepancy(points: Sequence[float]) -> DiscrepancyResult:
     sweep over those candidates finds it.
     """
     pts = _validate(points)
-    N = len(pts)
-    xs, counts = np.unique(pts, return_counts=True)
-    K = len(xs)
-    cum = np.cumsum(counts)
-    low = np.concatenate(([0.0], cum[:-1])) - N * xs  # g- at each atom
-    high = cum - N * xs  # g+ at each atom
+    value, a, b = _sweep_rows(pts[None, :])
+    return DiscrepancyResult(value=float(value[0]), witness=(float(a[0]), float(b[0])), N=len(pts))
 
-    # Position code per atom i: 3i = left limit, 3i+1 = attained, 3i+2 = right
-    # limit; -1 = the left endpoint a=0; 3K+3 = the right endpoint b=1.
-    idx = np.arange(K)
-    has_zero_atom = xs[0] == 0.0
-    mask = xs > 0.0  # left limits only exist for positive atoms
 
-    a_pos = np.concatenate(([-1], 3 * idx[mask], 3 * idx + 1))
-    a_val = np.concatenate(([high[0] if has_zero_atom else 0.0], low[mask], high))
-    a_coord = np.concatenate(([0.0], xs[mask], xs))
-    order = np.argsort(a_pos, kind="stable")
-    a_pos, a_val, a_coord = a_pos[order], a_val[order], a_coord[order]
+def _sweep_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sweep of ``exact_discrepancy`` on every row of pts[B, N] at once.
 
-    b_pos = np.concatenate((3 * idx[mask] + 1, 3 * idx + 2, [3 * K + 3]))
-    b_val = np.concatenate((low[mask], high, [0.0]))
-    b_coord = np.concatenate((xs[mask], xs, [1.0]))
-    order = np.argsort(b_pos, kind="stable")
-    b_pos, b_val, b_coord = b_pos[order], b_val[order], b_coord[order]
+    Returns the values and the witness endpoints a, b, each of shape (B,).
+    Candidates sit in position order in one row of 2N + 2 slots: a = 0,
+    then per sorted point t its left limit g-(x_t) and its attained value
+    g+(x_t), then b = 1.  An atom's left limit sits at its first point and
+    its attained value at its last; every other slot, and the left limit
+    of an atom at 0, is neutral, so the valid candidates of each row are,
+    in order, those of the atom-by-atom sweep.  Slot q serves as a right
+    endpoint paired with the left endpoints at slots 0..q.
+    """
+    B, N = pts.shape
+    xs = np.sort(pts, axis=1)
+    t = np.arange(N)
+    nx = N * xs
+    new = xs[:, 1:] != xs[:, :-1]
+    val = np.empty((B, 2 * N + 2))
+    val[:, 0] = np.count_nonzero(xs == 0.0, axis=1)  # g+(0) of the atom at 0 (or none)
+    val[:, 1:-1:2] = t - nx  # g-, one-sided limits
+    val[:, 2:-1:2] = (t + 1) - nx  # g+, attained
+    val[:, -1] = 0.0
+    # a_ok: left-endpoint slots; b_ok: right-endpoint slots
+    a_ok = np.zeros((B, 2 * N + 2), dtype=bool)
+    a_ok[:, 0] = True
+    a_ok[:, 1] = xs[:, 0] > 0.0
+    a_ok[:, 3:-1:2] = new & (xs[:, 1:] > 0.0)
+    a_ok[:, 2:-3:2] = new
+    a_ok[:, -2] = True
+    b_ok = a_ok.copy()
+    b_ok[:, 0], b_ok[:, -1] = False, True
 
-    # For each right-endpoint candidate, pair with the extreme left-endpoint
-    # value at a strictly earlier position.
-    before = np.searchsorted(a_pos, b_pos, side="left") - 1  # always >= 0
-    run_min = np.minimum.accumulate(a_val)
-    run_max = np.maximum.accumulate(a_val)
-    gain = b_val - run_min[before]  # interval holds more than its share
-    loss = run_max[before] - b_val  # interval holds less than its share
+    a_min = np.where(a_ok, val, np.inf)
+    a_max = np.where(a_ok, val, -np.inf)
+    run_min = np.minimum.accumulate(a_min, axis=1)
+    run_max = np.maximum.accumulate(a_max, axis=1)
+    gain = np.where(b_ok, val - run_min, -np.inf)  # interval holds more than its share
+    loss = np.where(b_ok, run_max - val, -np.inf)  # interval holds less than its share
 
-    j_gain = int(np.argmax(gain))
-    j_loss = int(np.argmax(loss))
-    if gain[j_gain] >= loss[j_loss]:
-        value, j = float(gain[j_gain]), j_gain
-        i = int(np.argmin(a_val[: before[j] + 1]))
-    else:
-        value, j = float(loss[j_loss]), j_loss
-        i = int(np.argmax(a_val[: before[j] + 1]))
-    return DiscrepancyResult(value=value, witness=(float(a_coord[i]), float(b_coord[j])), N=N)
+    rows = np.arange(B)
+    j_gain = np.argmax(gain, axis=1)
+    j_loss = np.argmax(loss, axis=1)
+    use_gain = gain[rows, j_gain] >= loss[rows, j_loss]
+    j = np.where(use_gain, j_gain, j_loss)
+    value = np.where(use_gain, gain[rows, j_gain], loss[rows, j_loss])
+    # a is the earliest left endpoint holding the extreme that b was paired with
+    extreme = np.where(use_gain, run_min[rows, j], run_max[rows, j])
+    i = np.argmax(np.where(use_gain[:, None], a_min, a_max) == extreme[:, None], axis=1)
+    return value, _slot_coord(xs, i), _slot_coord(xs, j)
+
+
+def _slot_coord(xs: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The position of slot q of each row of ``_sweep_rows``."""
+    N = xs.shape[1]
+    x = xs[np.arange(len(q)), np.clip((q - 1) // 2, 0, N - 1)]
+    return np.where(q == 0, 0.0, np.where(q == 2 * N + 1, 1.0, x))
 
 
 def brute_force_discrepancy(points: Sequence[float]) -> float:
@@ -200,14 +219,23 @@ def poly_discrepancy(fam: PolynomialFamily, u: TorusPoint, N: int) -> Discrepanc
 def short_interval_discrepancy(u: Sequence, M: int, N: int) -> DiscrepancyResult:
     """Discrepancy of {u_1 n + ... + u_d n^d} over the window n = M+1..M+N.
 
-    Goes through the exact coefficient shift, keeping the constant term v_0
-    in the phase, so the produced points are bit-for-bit the same multiset
-    as direct evaluation over the shifted range and the discrepancy needs
-    no translation-sandwich slack at all.
+    ``u`` is quantized once and the phases f(M+n) come from the offset
+    kernel, exact mod 1, so the points are bit for bit those of direct
+    evaluation over the window and need no translation-sandwich slack.
     """
     pt = TorusPoint.from_reals(u)
-    d = pt.d
-    v = shift_coefficients(pt.fractions(), M)
-    raws = TorusPoint.from_reals(v).raw  # exact: denominators divide 2^64
-    polys = [IntPolynomial.monomial(j) for j in range(d + 1)]
-    return exact_discrepancy(_phases_float(polys, raws, N))
+    return exact_discrepancy(_phases_float(classical_family(pt.d).polys, pt.raw, N, M))
+
+
+def _window_discrepancies(raw: Sequence[int], starts: Sequence[int], N: int) -> np.ndarray:
+    """``short_interval_discrepancy`` values of the windows at every start.
+
+    ``raw`` is the quantized u; the windows are swept together, in blocks
+    of at most SWEEP_BLOCK points (or one window, if it alone holds more).
+    """
+    polys = classical_family(len(raw)).polys
+    rows = max(1, SWEEP_BLOCK // N)
+    return np.concatenate([
+        _sweep_rows(_phases_float(polys, raw, N, starts[lo:lo + rows]))[0]
+        for lo in range(0, len(starts), rows)
+    ])

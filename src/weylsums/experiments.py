@@ -21,15 +21,17 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .census import census, counting_bound, grid_sides
-from .discrepancy import poly_discrepancy, short_interval_discrepancy
+from .discrepancy import _window_discrepancies, exact_discrepancy
 from .errors import BudgetError, ConfigError
 from .expsum import (
     TorusPoint,
     WeightSeq,
+    _majorant,
     _phases_float,
-    completion_fft,
+    _quantize_array,
+    _sum_trace,
+    _twisted_coeffs,
     sup_linear_coeff,
-    weyl_sum,
 )
 from .polyfam import IntPolynomial, PolynomialFamily, classical_family, parse_family
 
@@ -49,6 +51,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _KINDS = ("weyl", "short", "discrepancy", "discrepancy_short")
+EXP_BLOCK = 1 << 14  # rows * N terms per batched exp block of the sampled sup over y
 
 
 def _fmt(x: float) -> str:
@@ -97,6 +100,8 @@ class ExperimentConfig:
             raise ConfigError("schedule must be strictly increasing (log2_n_min <= log2_n_max)")
         if self.samples < 1:
             raise ConfigError("sample count must be >= 1")
+        if self.m_samples < 1 or self.y_samples < 1:
+            raise ConfigError("m_samples and y_samples must be >= 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         try:
@@ -251,14 +256,14 @@ def _run_sample(cfg: ExperimentConfig, sid: int) -> list[RunRecord]:
     schedule = cfg.schedule()
     records: list[RunRecord] = []
 
+    n_max = schedule[-1]
     if cfg.kind == "weyl" and k == fam.d:
         coords = tuple(rng.random(fam.d))
-        u = TorusPoint.from_reals(coords)
-        n_max = schedule[-1]
-        trace = weyl_sum(fam, u, weights, n_max)
+        c = _twisted_coeffs(fam, TorusPoint.from_reals(coords), weights, n_max)
+        trace = _sum_trace(c)
         for N in schedule:
             prefix = trace.dyadic_prefix_max[int(math.log2(N))]
-            w = completion_fft(fam, u, weights, N).W
+            w = float(_majorant(c[:N]))
             records.append(
                 RunRecord(cfg.experiment_id, sid, coords, N, "prefix_max_T", prefix,
                           extras=(("w", w),))
@@ -270,40 +275,45 @@ def _run_sample(cfg: ExperimentConfig, sid: int) -> list[RunRecord]:
         else:
             x = (float(rng.random()),)
             stat = "sup_short_S"
+        c = _twisted_block(fam, x, weights, n_max, upto=k)
         if fam.d - k == 1 and fam.degrees[-1] == 1:
             for N in schedule:
-                c = _twisted_block(fam, x, weights, N, upto=k)
-                res = sup_linear_coeff(c, cfg.oversample)
+                res = sup_linear_coeff(c[:N], cfg.oversample)
                 records.append(
                     RunRecord(cfg.experiment_id, sid, x, N, stat, res.grid_max,
                               extras=(("certified_upper", res.certified_upper),
                                       ("argmax_y", res.argmax_y), ("certified", 1.0)))
                 )
         else:
-            for N in schedule:
-                value, slack = _grid_sup_y(fam, x, weights, N, k, cfg.y_samples, rng)
+            # one draw in the per-N, per-y order of the stream
+            ys = _quantize_array(rng.random((len(schedule), cfg.y_samples, fam.d - k)))
+            lipschitz = _lipschitz_terms(fam.polys[k:], n_max, cfg.y_samples)
+            mass = np.cumsum(np.abs(weights.array(n_max)))
+            for N, yraws in zip(schedule, ys):
+                value = _grid_sup_y(fam.polys[k:], c[:N], yraws)
+                slack = min(float(lipschitz[N - 1]), max(float(mass[N - 1]) - value, 0.0))
                 records.append(
                     RunRecord(cfg.experiment_id, sid, x, N, stat, value,
                               extras=(("continuity_slack", slack), ("certified", 0.0)))
                 )
     elif cfg.kind == "discrepancy":
         coords = tuple(rng.random(fam.d))
-        u = TorusPoint.from_reals(coords)
+        phases = _phases_float(fam.polys, TorusPoint.from_reals(coords).raw, n_max)
         for N in schedule:
-            dv = poly_discrepancy(fam, u, N).value
+            dv = exact_discrepancy(phases[:N]).value
             records.append(
                 RunRecord(cfg.experiment_id, sid, coords, N, "D", dv,
                           extras=_disc_ratios(dv, N))
             )
     elif cfg.kind == "discrepancy_short":
         coords = tuple(rng.random(fam.d))
+        raw = TorusPoint.from_reals(coords).raw
         for N in schedule:
-            best, best_m = 0.0, 0
-            for _ in range(cfg.m_samples):
-                m = int(rng.integers(0, max(N, 1)))
-                dv = short_interval_discrepancy(coords, m, N).value
-                if dv > best:
-                    best, best_m = dv, m
+            # scalar draws: one integers(size=m) call draws a different stream
+            ms = [int(rng.integers(0, max(N, 1))) for _ in range(cfg.m_samples)]
+            values = _window_discrepancies(raw, ms, N)
+            j = int(np.argmax(values))  # the first window of the largest value
+            best, best_m = float(values[j]), ms[j]
             records.append(
                 RunRecord(cfg.experiment_id, sid, coords, N, "D_short", best,
                           extras=_disc_ratios(best, N) + (("m", float(best_m)),))
@@ -325,21 +335,30 @@ def _twisted_block(fam, x: Sequence[float], weights: WeightSeq, N: int, upto: in
     return weights.array(N) * np.exp(2j * np.pi * _phases_float(fam.polys[:upto], raws, N))
 
 
-def _grid_sup_y(fam, x, weights, N, k, y_samples, rng) -> tuple[float, float]:
-    """Sampled maximum over the y block, plus the Lipschitz slack of the net."""
-    c = _twisted_block(fam, x, weights, N, upto=k)
-    ypolys = fam.polys[k:]
+def _grid_sup_y(ypolys, c: np.ndarray, yraws: np.ndarray) -> float:
+    """max over the rows y of yraws[B, d-k] of |sum_n c_n e(sum_j y_j phi_j(n))|.
+
+    The rows are summed together, in blocks of at most EXP_BLOCK terms (or
+    one row, if it alone holds more).
+    """
+    N = len(c)
+    rows = max(1, EXP_BLOCK // N)
     best = 0.0
-    for _ in range(y_samples):
-        raws = TorusPoint.from_reals(rng.random(fam.d - k)).raw
-        phase = _phases_float(ypolys, raws, N)
-        best = max(best, float(abs(np.sum(c * np.exp(2j * np.pi * phase)))))
-    # mean spacing of y_samples uniform points per axis ~ s^(-1/(d-k))
-    h = y_samples ** (-1.0 / (fam.d - k))
-    ns = np.arange(1, N + 1, dtype=np.float64)
-    yvals = [np.polynomial.polynomial.polyval(ns, p.coeffs) for p in ypolys]
-    slack = math.pi * h * sum(float(np.abs(v).sum()) for v in yvals)
-    return best, slack
+    for lo in range(0, len(yraws), rows):
+        s = np.sum(c * np.exp(2j * np.pi * _phases_float(ypolys, yraws[lo:lo + rows], N)), axis=1)
+        best = max(best, float(np.hypot(s.real, s.imag).max()))
+    return best
+
+
+def _lipschitz_terms(ypolys, n_max: int, y_samples: int) -> np.ndarray:
+    """The Lipschitz slack pi * h * sum_j sum_{n<=N} |phi_j(n)|, N = 1..n_max.
+
+    h = y_samples^(-1/(d-k)) is the mean spacing of the sampled y per axis.
+    """
+    h = y_samples ** (-1.0 / len(ypolys))
+    ns = np.arange(1, n_max + 1, dtype=np.float64)
+    reach = sum(np.abs(np.polynomial.polynomial.polyval(ns, p.coeffs)) for p in ypolys)
+    return math.pi * h * np.cumsum(reach)
 
 
 # ---------------------------------------------------------------------------

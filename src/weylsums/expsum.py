@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import BudgetError
-from .polyfam import IntPolynomial, PolynomialFamily
+from .polyfam import IntPolynomial, PolynomialFamily, classical_family
 
 __all__ = [
     "SCALE_BITS",
@@ -27,6 +27,7 @@ __all__ = [
     "CompletionResult",
     "PhaseTable",
     "phase_table",
+    "raw_phases",
     "weyl_sum",
     "short_interval_sum",
     "completion_naive",
@@ -61,6 +62,16 @@ def _quantize(x) -> int:
     """
     f = Fraction(x) % 1
     return round(f * _SCALE) & _MASK
+
+
+def _quantize_array(x: np.ndarray) -> np.ndarray:
+    """``_quantize`` of every float of an array in [0, 1), as uint64.
+
+    x * 2^64 is exact in binary floating point and rint rounds half to
+    even, as ``round`` does; the largest float below 1 maps to
+    2^64 - 2^11, so the cast never overflows.
+    """
+    return np.rint(x * 2.0**SCALE_BITS).astype(np.uint64)
 
 
 class TorusPoint:
@@ -208,31 +219,11 @@ class PhaseTable:
     def __init__(self, polys: Sequence[IntPolynomial], raws: Sequence[int]):
         if len(polys) != len(raws):
             raise ValueError("one raw coordinate per polynomial required")
-        deg = max((int(p.degree) for p in polys if not p.is_zero), default=0)
-        samples = [
-            sum(r * p(i) for r, p in zip(raws, polys)) & _MASK for i in range(deg + 1)
-        ]
-        regs = list(samples)
-        for m in range(1, deg + 1):
-            for i in range(deg, m - 1, -1):
-                regs[i] = (regs[i] - regs[i - 1]) & _MASK
-        self.registers = tuple(regs)
+        self.registers = tuple(int(r) for r in _registers(polys, raws, 0))
 
     def raw_phases(self, N: int) -> np.ndarray:
-        """The raw phases of n = 1, 2, ..., N as a uint64 array.
-
-        Forward-difference tabulation (Knuth, TAOCP vol. 2, 4.6.4): level i
-        holds Delta^i f(0..N), the exclusive prefix sum of level i + 1 plus
-        Delta^i f(0).  numpy's uint64 cumsum wraps mod 2^64, so every level
-        is exact.
-        """
-        regs = np.array(self.registers, dtype=np.uint64)
-        level = np.full(N + 1, regs[-1], dtype=np.uint64)
-        for r in regs[-2::-1]:
-            level[1:] = np.cumsum(level[:-1])
-            level[0] = 0
-            level += r
-        return level[1:]
+        """The raw phases of n = 1, 2, ..., N as a uint64 array."""
+        return _tabulate(np.array(self.registers, dtype=np.uint64), N)
 
     @staticmethod
     def raw_at(polys: Sequence[IntPolynomial], raws: Sequence[int], n: int) -> int:
@@ -247,8 +238,56 @@ def phase_table(fam: PolynomialFamily, u: TorusPoint) -> PhaseTable:
     return PhaseTable(fam.polys, u.raw)
 
 
-def _phases_float(polys, raws, N: int) -> np.ndarray:
-    """The phases {f(n)}, n = 1..N, as floats in [0, 1).
+def _registers(polys: Sequence[IntPolynomial], raws, starts) -> np.ndarray:
+    """Delta^i f(s), i = 0..D, for every row: uint64 (..., D+1).
+
+    f(s + i) is evaluated by Horner's rule in wrapping uint64, which is
+    exact mod 2^64 for any integer coefficients and starts; ``raws[..., d]``
+    and ``starts[...]`` broadcast against each other.
+    """
+    raws = np.asarray(raws, dtype=np.uint64)
+    starts = np.array(np.asarray(starts, dtype=object) & _MASK, dtype=np.uint64)
+    deg = max((int(p.degree) for p in polys if not p.is_zero), default=0)
+    n = starts[..., None] + np.arange(deg + 1, dtype=np.uint64)
+    f = np.zeros(np.broadcast_shapes(raws.shape[:-1], starts.shape) + (deg + 1,), dtype=np.uint64)
+    for j, p in enumerate(polys):
+        v = np.zeros_like(n)
+        for c in reversed(p.coeffs):
+            v = v * n + np.uint64(c & _MASK)
+        f += raws[..., j, None] * v
+    for m in range(1, deg + 1):
+        f[..., m:] -= f[..., m - 1 : -1]  # numpy buffers the overlap: Delta of the old values
+    return f
+
+
+def _tabulate(regs: np.ndarray, N: int) -> np.ndarray:
+    """f(s + 1..s + N) from the registers of f at s: (..., D+1) -> uint64 (..., N).
+
+    Forward-difference tabulation (Knuth, TAOCP vol. 2, 4.6.4): level i
+    holds Delta^i f(s..s+N), the exclusive prefix sum of level i + 1 plus
+    Delta^i f(s).  numpy's uint64 cumsum wraps mod 2^64, so every level
+    is exact.
+    """
+    level = np.repeat(regs[..., -1:], N + 1, axis=-1)
+    for i in range(regs.shape[-1] - 2, -1, -1):
+        level[..., 1:] = np.cumsum(level[..., :-1], axis=-1)
+        level[..., 0] = 0
+        level += regs[..., i, None]
+    return level[..., 1:]
+
+
+def raw_phases(polys: Sequence[IntPolynomial], raws, N: int, starts=0) -> np.ndarray:
+    """Raw phases of f(n) = sum_j raws[..., j] phi_j(n) at n = s+1, ..., s+N.
+
+    ``raws`` holds one row of d raw coordinates per sum and ``starts`` one
+    integer offset s per row (any sign and size); the two broadcast, and
+    the result is uint64 (..., N).  A single row is the case raws[d].
+    """
+    return _tabulate(_registers(polys, raws, starts), N)
+
+
+def _phases_float(polys, raws, N: int, starts=0) -> np.ndarray:
+    """The phases {f(n)} of ``raw_phases`` as floats in [0, 1).
 
     A raw phase within 2^-54 of 1 rounds to the float 1.0; it is mapped to
     0.0, the same point of the circle.  Every N-length sum (``weyl_sum``,
@@ -257,7 +296,7 @@ def _phases_float(polys, raws, N: int) -> np.ndarray:
     """
     if N > SUM_TERM_BUDGET:
         raise BudgetError(f"N = {N} phases exceed the budget {SUM_TERM_BUDGET}")
-    x = PhaseTable(polys, raws).raw_phases(N).astype(np.float64) * 2.0**-SCALE_BITS
+    x = raw_phases(polys, raws, N, starts).astype(np.float64) * 2.0**-SCALE_BITS
     x[x == 1.0] = 0.0
     return x
 
@@ -275,8 +314,12 @@ def weyl_sum(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> SumT
     N = int(N)
     if N < 1:
         raise ValueError("N must be >= 1")
-    phases = _phases_float(fam.polys, u.raw, N)
-    c = a.array(N) * np.exp(2j * np.pi * phases)
+    return _sum_trace(_twisted_coeffs(fam, u, a, N))
+
+
+def _sum_trace(c: np.ndarray) -> SumTrace:
+    """The value and the prefix record of sum_n c_n, for weyl_sum."""
+    N = len(c)
     cum = np.cumsum(c)
     mags = np.abs(cum)
     running = np.maximum.accumulate(mags)
@@ -293,20 +336,12 @@ def weyl_sum(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> SumT
 def short_interval_sum(u: Sequence, M: int, N: int) -> complex:
     """sum_{n=M+1}^{M+N} e(u_1 n + ... + u_d n^d).
 
-    Computed by shifting the coefficients to the window start and running
-    the ordinary sum, with the constant term applied as a global
-    unit-modulus factor.  ``u`` is quantized once; the shift itself is
-    exact.
+    ``u`` is quantized once; the phases f(M+n) come from the offset kernel,
+    so the window start, the constant term included, is exact.
     """
-    from .polyfam import classical_family, shift_coefficients
-
     pt = TorusPoint.from_reals(u)
-    d = pt.d
-    v = shift_coefficients(pt.fractions(), M)
-    shifted = TorusPoint.from_reals(v[1:])
-    trace = weyl_sum(classical_family(d), shifted, WeightSeq.unit(), N)
-    phase0 = float(v[0])
-    return complex(np.exp(2j * np.pi * phase0)) * trace.value
+    phases = _phases_float(classical_family(pt.d).polys, pt.raw, N, M)
+    return complex(np.sum(np.exp(2j * np.pi * phases)))
 
 
 def _twisted_coeffs(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> np.ndarray:

@@ -16,10 +16,59 @@ from weylsums import (
     poly_discrepancy,
     short_interval_discrepancy,
 )
+from weylsums.discrepancy import _sweep_rows, _window_discrepancies
 from weylsums.expsum import PhaseTable, _phases_float
 from weylsums.polyfam import IntPolynomial, shift_coefficients
 
 MASK = (1 << 64) - 1
+
+
+def unique_sweep(points):
+    """The one-row sweep over np.unique atoms: the reference for the batched sweep."""
+    pts = np.asarray(points, dtype=np.float64)
+    N = len(pts)
+    xs, counts = np.unique(pts, return_counts=True)
+    K = len(xs)
+    cum = np.cumsum(counts)
+    low = np.concatenate(([0.0], cum[:-1])) - N * xs
+    high = cum - N * xs
+    idx = np.arange(K)
+    mask = xs > 0.0
+    a_pos = np.concatenate(([-1], 3 * idx[mask], 3 * idx + 1))
+    a_val = np.concatenate(([high[0] if xs[0] == 0.0 else 0.0], low[mask], high))
+    a_coord = np.concatenate(([0.0], xs[mask], xs))
+    order = np.argsort(a_pos, kind="stable")
+    a_pos, a_val, a_coord = a_pos[order], a_val[order], a_coord[order]
+    b_pos = np.concatenate((3 * idx[mask] + 1, 3 * idx + 2, [3 * K + 3]))
+    b_val = np.concatenate((low[mask], high, [0.0]))
+    b_coord = np.concatenate((xs[mask], xs, [1.0]))
+    order = np.argsort(b_pos, kind="stable")
+    b_pos, b_val, b_coord = b_pos[order], b_val[order], b_coord[order]
+    before = np.searchsorted(a_pos, b_pos, side="left") - 1
+    gain = b_val - np.minimum.accumulate(a_val)[before]
+    loss = np.maximum.accumulate(a_val)[before] - b_val
+    j_gain, j_loss = int(np.argmax(gain)), int(np.argmax(loss))
+    if gain[j_gain] >= loss[j_loss]:
+        j = j_gain
+        value, i = float(gain[j]), int(np.argmin(a_val[: before[j] + 1]))
+    else:
+        j = j_loss
+        value, i = float(loss[j]), int(np.argmax(a_val[: before[j] + 1]))
+    return value, (float(a_coord[i]), float(b_coord[j]))
+
+
+def atom_rows(rng, B, N):
+    """Rows mixing random points, repeats, a coarse lattice and atoms at 0."""
+    rows = rng.random((B, N))
+    for b in range(B):
+        style = b % 4
+        if style == 1:
+            rows[b] = rng.choice([0.0, 0.125, 0.5, 0.875], size=N)
+        elif style == 2:
+            rows[b, : N // 2] = 0.0
+        elif style == 3:
+            rows[b] = rng.choice(rows[b, :3], size=N)
+    return rows
 
 
 class TestExactDiscrepancy:
@@ -106,6 +155,28 @@ class TestMutualOracle:
         a = exact_discrepancy(pts).value
         b = brute_force_discrepancy(pts)
         assert a == pytest.approx(b, abs=1e-12)
+
+
+class TestBatchedSweep:
+    def test_rows_match_brute_force_and_the_unique_sweep(self):
+        rng = np.random.default_rng(21)
+        for B, N in ((1, 1), (4, 1), (8, 2), (8, 13), (6, 64)):
+            rows = atom_rows(rng, B, N)
+            value, a, b = _sweep_rows(rows)
+            for r in range(B):
+                ref_value, ref_witness = unique_sweep(rows[r])
+                assert value[r] == ref_value
+                assert (a[r], b[r]) == ref_witness
+                assert value[r] == pytest.approx(brute_force_discrepancy(rows[r]), abs=1e-12)
+
+    def test_one_row_witness_unchanged(self):
+        rng = np.random.default_rng(22)
+        for row in atom_rows(rng, 40, 37):
+            res = exact_discrepancy(row)
+            assert (res.value, res.witness) == unique_sweep(row)
+        for pts in ([0.0] * 5, [0.3] * 4, [0.0, 0.0, 0.5], [0.75]):
+            res = exact_discrepancy(pts)
+            assert (res.value, res.witness) == unique_sweep(pts)
 
 
 class TestErdosTuran:
@@ -216,6 +287,16 @@ class TestShortIntervalDiscrepancy:
         ]
         direct = exact_discrepancy([r * 2.0**-64 for r in raw])
         assert res.value == direct.value
+
+    def test_windows_across_blocks_match_one_by_one(self, monkeypatch):
+        # SWEEP_BLOCK = 8 points puts windows of N = 3 into blocks of two
+        monkeypatch.setattr("weylsums.discrepancy.SWEEP_BLOCK", 8)
+        u = [0.3711, 0.219, 0.8]
+        raw = TorusPoint.from_reals(u).raw
+        starts = [0, 5, -4, 1 << 41, 7, 2]
+        for N in (3, 9):
+            got = _window_discrepancies(raw, starts, N)
+            assert got.tolist() == [short_interval_discrepancy(u, m, N).value for m in starts]
 
     def test_window_at_zero_matches_plain(self):
         u = [0.123, 0.456, 0.789]

@@ -13,15 +13,20 @@ from weylsums import (
     TorusPoint,
     WeightSeq,
     classical_family,
+    completion_fft,
     dimension_scan,
     discrepancy_growth,
+    exact_discrepancy,
     exponent_fit,
     metric_sweep,
+    poly_discrepancy,
     weyl_sum,
     write_csv,
     write_jsonl,
 )
-from weylsums.experiments import _twisted_block, fit_by_sample
+from weylsums.experiments import _sample_rng, _split_family, _twisted_block, fit_by_sample
+from weylsums.expsum import _phases_float
+from weylsums.polyfam import IntPolynomial, shift_coefficients
 
 
 def tiny_cfg(**kw):
@@ -31,6 +36,40 @@ def tiny_cfg(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def per_draw_reference(cfg):
+    """(coords, N, value, extra) per record, from one sum per y draw and one
+    sweep per window start, the algorithm the batched blocks replace."""
+    fam, k = _split_family(cfg)
+    unit = WeightSeq.unit()
+    out = []
+    for sid in range(cfg.samples):
+        rng = _sample_rng(cfg.seed, sid)
+        if cfg.kind == "discrepancy_short":
+            coords = tuple(rng.random(fam.d))
+            pt = TorusPoint.from_reals(coords)
+            polys = [IntPolynomial.monomial(j) for j in range(fam.d + 1)]
+            for N in cfg.schedule():
+                best, best_m = 0.0, 0
+                for _ in range(cfg.m_samples):
+                    m = int(rng.integers(0, N))
+                    raws = TorusPoint.from_reals(shift_coefficients(pt.fractions(), m)).raw
+                    dv = exact_discrepancy(_phases_float(polys, raws, N)).value
+                    if dv > best:
+                        best, best_m = dv, m
+                out.append((coords, N, best, float(best_m)))
+            continue
+        x = tuple(rng.random(fam.d))[:k] if cfg.kind == "weyl" else (float(rng.random()),)
+        for N in cfg.schedule():
+            c = _twisted_block(fam, x, unit, N, upto=k)
+            best = 0.0
+            for _ in range(cfg.y_samples):
+                raws = TorusPoint.from_reals(rng.random(fam.d - k)).raw
+                phase = _phases_float(fam.polys[k:], raws, N)
+                best = max(best, float(abs(np.sum(c * np.exp(2j * np.pi * phase)))))
+            out.append((x, N, best, None))
+    return out
 
 
 class TestConfig:
@@ -43,6 +82,10 @@ class TestConfig:
             tiny_cfg(kind="nope").validate()
         with pytest.raises(ConfigError):
             tiny_cfg(samples=0).validate()
+        with pytest.raises(ConfigError):  # a sup or max over no draws
+            tiny_cfg(kind="discrepancy_short", m_samples=0).validate()
+        with pytest.raises(ConfigError):
+            tiny_cfg(kind="weyl", family="classical:3", k=1, y_samples=0).validate()
         with pytest.raises(ConfigError):
             tiny_cfg(log2_n_min=9, log2_n_max=6).validate()
         with pytest.raises(ConfigError):
@@ -191,6 +234,50 @@ class TestSweep:
         block = complex(np.sum(_twisted_block(fam, x, unit, N, upto=4)))
         exact = weyl_sum(fam, TorusPoint.from_reals(x), unit, N).value
         assert abs(block - exact) <= 1e-9 * abs(exact)
+
+
+class TestBatchedBlocks:
+    @pytest.mark.parametrize("blocks", ["declared", "small"])
+    @pytest.mark.parametrize("kind", ["short", "weyl_grid", "discrepancy_short"])
+    def test_records_match_per_draw_reference(self, kind, blocks, monkeypatch):
+        # 9 y draws and 11 windows span three blocks of four rows at the
+        # largest N with the declared caps; with caps of 16 they span blocks
+        # of four rows at N = 4, two at N = 8 and one from N = 16 on
+        if blocks == "small":
+            monkeypatch.setattr("weylsums.experiments.EXP_BLOCK", 16)
+            monkeypatch.setattr("weylsums.discrepancy.SWEEP_BLOCK", 16)
+        log2_n_max = {"declared": 12 if kind != "discrepancy_short" else 10, "small": 7}[blocks]
+        if kind == "discrepancy_short":
+            cfg = tiny_cfg(kind=kind, family="classical:3", k=None, samples=2,
+                           log2_n_min=2, log2_n_max=log2_n_max, m_samples=11)
+        else:
+            cfg = tiny_cfg(kind="short" if kind == "short" else "weyl", family="classical:3", k=1,
+                           samples=2, log2_n_min=2, log2_n_max=log2_n_max, y_samples=9)
+        recs = metric_sweep(cfg)
+        ref = per_draw_reference(cfg)
+        assert [(r.coords, r.N, r.value) for r in recs] == [row[:3] for row in ref]
+        if kind == "discrepancy_short":
+            assert [dict(r.extras)["m"] for r in recs] == [row[3] for row in ref]
+
+    def test_prefix_routes_match_per_n_calls(self):
+        # the k = d sweep and the discrepancy sweep build one n_max block per sample
+        unit = WeightSeq.unit()
+        fam = classical_family(2)
+        for rec in metric_sweep(tiny_cfg(samples=2)):
+            u = TorusPoint.from_reals(rec.coords)
+            running = weyl_sum(fam, u, unit, rec.N).prefix_max
+            assert rec.value == running
+            assert dict(rec.extras)["w"] == completion_fft(fam, u, unit, rec.N).W
+        for rec in metric_sweep(tiny_cfg(kind="discrepancy", samples=2)):
+            assert rec.value == poly_discrepancy(fam, TorusPoint.from_reals(rec.coords), rec.N).value
+
+    def test_continuity_slack_is_a_bound(self):
+        # sup_y |T| <= sum |a_n| = N, so value + slack may not pass N
+        cfg = tiny_cfg(kind="weyl", family="classical:3", k=1, samples=2,
+                       log2_n_min=5, log2_n_max=10, y_samples=4)
+        for rec in metric_sweep(cfg):
+            slack = dict(rec.extras)["continuity_slack"]
+            assert 0.0 <= slack and rec.value + slack <= rec.N * (1 + 1e-12)
 
 
 class TestFit:

@@ -21,7 +21,14 @@ from weylsums import (
     vinogradov_count,
     weyl_sum,
 )
-from weylsums.expsum import PhaseTable, reconstruct_all_prefixes, _twisted_coeffs
+from weylsums.expsum import (
+    PhaseTable,
+    _quantize,
+    _quantize_array,
+    _twisted_coeffs,
+    raw_phases,
+    reconstruct_all_prefixes,
+)
 from weylsums.polyfam import IntPolynomial
 
 UNIT = WeightSeq.unit()
@@ -52,6 +59,16 @@ class TestTorusPoint:
     def test_rejects_bad_raw(self):
         with pytest.raises(ValueError):
             TorusPoint([1 << 64])
+
+    def test_array_quantization_matches_quantize(self):
+        tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+        edges = [0.0, tiny, 2**-1074 * 3, np.finfo(np.float64).tiny, 2.0**-66 * 5,
+                 2.0**-65, 2.0**-65 * 3, 2.0**-64, 2.0**-12 - 2.0**-70, 0.5,
+                 np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0)]
+        xs = np.concatenate((edges, np.random.default_rng(3).random(200)))
+        got = _quantize_array(xs)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [_quantize(float(x)) for x in xs]
 
 
 class TestWeights:
@@ -115,6 +132,32 @@ class TestPhaseTable:
                 got = table.raw_phases(N)
                 assert got.dtype == np.uint64
                 assert got.tolist() == direct
+
+    def test_batched_kernel_rows_equal_raw_at(self):
+        rng = np.random.default_rng(12)
+        families = [
+            parse_family([[3, -5, 0, 2], [-1, 0, -7], [0, 4, -1, 0, 0, -3]]).polys,
+            classical_family(8).polys,
+            [IntPolynomial.monomial(j) for j in range(4)],
+        ]
+        starts = [0, -1, -(1 << 45) - 3, (1 << 40) + 17, 1 << 63]
+        for polys in families:
+            for B in (1, 2, 5):
+                raws = rng.integers(0, 1 << 64, size=(B, len(polys)), dtype=np.uint64)
+                s = starts[:B] if B > 1 else [starts[3]]
+                for N in (1, 2, 67):
+                    got = raw_phases(polys, raws, N, s)
+                    assert got.dtype == np.uint64 and got.shape == (B, N)
+                    for b in range(B):
+                        row = [int(r) for r in raws[b]]
+                        direct = [PhaseTable.raw_at(polys, row, s[b] + n) for n in range(1, N + 1)]
+                        assert got[b].tolist() == direct
+                # one row of coordinates against a start per window
+                row = [int(r) for r in raws[0]]
+                got = raw_phases(polys, row, 3, starts)
+                assert got.shape == (len(starts), 3)
+                for b, m in enumerate(starts):
+                    assert got[b].tolist() == [PhaseTable.raw_at(polys, row, m + n) for n in (1, 2, 3)]
 
     def test_mismatched_point_rejected(self):
         with pytest.raises(ValueError):
@@ -204,6 +247,19 @@ class TestShortIntervalSum:
                 for n in range(M + 1, M + N + 1)
             )
             assert short_interval_sum(u, M, N) == pytest.approx(direct, abs=1e-9 * N)
+
+    def test_far_window_exact(self):
+        # at M = 2^40 the constant term f(M) is far beyond float precision;
+        # the offset kernel keeps it exact mod 1
+        u = [0.3141592653589793, 0.2718281828459045, 0.5772156649015329]
+        M, N = 1 << 40, 50
+        raws = TorusPoint.from_reals(u).raw
+        polys = classical_family(3).polys
+        direct = sum(
+            cmath.exp(2j * cmath.pi * (PhaseTable.raw_at(polys, raws, M + n) / 2**64))
+            for n in range(1, N + 1)
+        )
+        assert short_interval_sum(u, M, N) == pytest.approx(direct, abs=1e-9 * N)
 
 
 class TestCompletion:
