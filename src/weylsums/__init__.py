@@ -24,7 +24,6 @@ from .expsum import (
     WeightSeq,
     SumTrace,
     CompletionResult,
-    phase_table,
     weyl_sum,
     short_interval_sum,
     completion_naive,
@@ -80,7 +79,6 @@ from .experiments import (
     metric_sweep,
     exponent_fit,
     dimension_scan,
-    discrepancy_growth,
     write_csv,
     write_jsonl,
 )

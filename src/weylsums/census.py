@@ -39,6 +39,7 @@ CENSUS_TERM_BUDGET = 1 << 28  # U*spb*N phase terms: admits classical:2 at N = 3
 _CHUNK = 4096  # boxes per chunk, cut further so a chunk holds at most _CHUNK_TERMS terms
 _CHUNK_TERMS = 1 << 18
 _STREAM_TAG = 0x63656E73  # "cens": keeps the census stream apart from project_union's
+PAIR_BLOCK = 1 << 16  # (sample, polygon) pairs per inside test of the Monte Carlo projection
 
 
 def _iroot(x: int, r: int) -> int:
@@ -351,6 +352,22 @@ def _hull_2d(pts: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
+def _pair_blocks(first: np.ndarray, count: np.ndarray):
+    """Row r's pairs sit at positions first[r] .. first[r] + count[r] - 1.
+
+    Yields the row and the position of every pair, in blocks of consecutive
+    rows holding at most PAIR_BLOCK pairs (or one row that alone holds more).
+    """
+    ends = np.cumsum(count)
+    starts = ends - count  # index of each row's first pair
+    lo = 0
+    while lo < len(count):
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + PAIR_BLOCK, side="right")))
+        rows = np.repeat(np.arange(lo, hi), count[lo:hi])
+        yield rows, first[rows] + np.arange(starts[lo], starts[lo] + len(rows)) - starts[rows]
+        lo = hi
+
+
 def project_union(
     grid: BoxGrid,
     marked_boxes: np.ndarray | Sequence[Sequence[int]],
@@ -365,7 +382,9 @@ def project_union(
     k = d is a rotation, so the measure is the exact union volume.  The
     remaining case k = 2 < d runs Monte Carlo over the projected bounding
     box with a reported standard error, using the fact that all projected
-    boxes are translates of one convex polygon.
+    boxes are translates of one convex polygon.  Samples are tested against
+    the polygons of their own cell first, and those that missed against each
+    neighbouring cell in turn, in blocks of PAIR_BLOCK (sample, polygon) pairs.
     """
     d = grid.d
     if spec.basis.shape[1] != d:
@@ -417,29 +436,31 @@ def project_union(
     hi = trans.max(axis=0) + zono.max(axis=0)
     area_box = float(np.prod(hi - lo))
 
-    # bucket translates so each sample only tests nearby polygons
+    # translates bucketed by cells of side rad, indexed by sorted packed cell keys
     rad = float(np.max(np.linalg.norm(zono - centroid, axis=1)))
     cell = max(rad, 1e-300)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    keys = np.floor(trans / cell).astype(np.int64)
-    for i, key in enumerate(map(tuple, keys)):
-        buckets.setdefault(key, []).append(i)
-
     gen = np.random.Generator(np.random.Philox(key=(int(seed) << 64) | 0x70726F6A))
     xs = lo + gen.random((samples, 2)) * (hi - lo)
-    hits = 0
-    probe_keys = np.floor((xs - centroid) / cell).astype(np.int64)
-    for x, (cx, cy) in zip(xs, probe_keys):
-        cand: list[int] = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                cand.extend(buckets.get((cx + dx, cy + dy), ()))
-        if not cand:
-            continue
-        rel = x - trans[cand]
-        inside = np.all(rel @ normals.T <= offsets + 1e-12, axis=1)
-        if inside.any():
-            hits += 1
+    cells = np.floor(trans / cell).astype(np.int64)
+    probes = np.floor((xs - centroid) / cell).astype(np.int64)
+    base = np.minimum(cells.min(axis=0), probes.min(axis=0)) - 1  # neighbour cells stay >= base
+    width = int(np.max(np.maximum(cells.max(axis=0), probes.max(axis=0)) - base)) + 2
+    pack = [width, 1]  # cell (x, y) -> key (x - base_x) * width + (y - base_y), one-to-one
+    keys = (cells - base) @ pack
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+
+    hit = np.zeros(samples, dtype=bool)
+    live = np.arange(samples)
+    for shift in [(0, 0), (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]:
+        probe_keys = (probes[live] - base + shift) @ pack
+        first = np.searchsorted(keys, probe_keys)
+        for rows, pos in _pair_blocks(first, np.searchsorted(keys, probe_keys, side="right") - first):
+            rel = xs[live[rows]] - trans[order[pos]]
+            inside = np.all(rel @ normals.T <= offsets + 1e-12, axis=1)
+            hit[live[rows[inside]]] = True
+        live = live[~hit[live]]  # own cell first: most hits leave before the neighbours
+    hits = int(hit.sum())
     p = hits / samples
     return ProjectionResult(
         area_box * p, "monte_carlo", area_box * math.sqrt(max(p * (1 - p), 0.0) / samples)

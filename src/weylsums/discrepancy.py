@@ -31,6 +31,7 @@ __all__ = [
 BRUTE_FORCE_BUDGET = 512
 ERDOS_TURAN_TERM_BUDGET = 1 << 22  # G*N sum terms
 SWEEP_BLOCK = 1 << 12  # points per batched sweep of window discrepancies
+SWEEP_POINT_BUDGET = 1 << 21  # points per one-row sweep, at about 160 bytes each: about 320 MiB
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,15 @@ def exact_discrepancy(points: Sequence[float]) -> DiscrepancyResult:
     sweep over those candidates finds it.
     """
     pts = _validate(points)
+    _check_sweep(len(pts))
     value, a, b = _sweep_rows(pts[None, :])
     return DiscrepancyResult(value=float(value[0]), witness=(float(a[0]), float(b[0])), N=len(pts))
+
+
+def _check_sweep(N: int) -> None:
+    """Fail fast when one row of N points would outgrow SWEEP_POINT_BUDGET."""
+    if N > SWEEP_POINT_BUDGET:
+        raise BudgetError(f"N = {N} points exceed the sweep budget {SWEEP_POINT_BUDGET}")
 
 
 def _sweep_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -213,6 +221,7 @@ def poly_discrepancy(fam: PolynomialFamily, u: TorusPoint, N: int) -> Discrepanc
     """Discrepancy of the fractional parts {f(n)}, n = 1..N, at exact phases."""
     if u.d != fam.d:
         raise ValueError(f"point has {u.d} coordinates, family needs {fam.d}")
+    _check_sweep(N)
     return exact_discrepancy(_phases_float(fam.polys, u.raw, N))
 
 
@@ -223,6 +232,7 @@ def short_interval_discrepancy(u: Sequence, M: int, N: int) -> DiscrepancyResult
     kernel, exact mod 1, so the points are bit for bit those of direct
     evaluation over the window and need no translation-sandwich slack.
     """
+    _check_sweep(N)
     pt = TorusPoint.from_reals(u)
     return exact_discrepancy(_phases_float(classical_family(pt.d).polys, pt.raw, N, M))
 

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .census import census, counting_bound, grid_sides
-from .discrepancy import _window_discrepancies, exact_discrepancy
+from .discrepancy import _check_sweep, _window_discrepancies, exact_discrepancy
 from .errors import BudgetError, ConfigError
 from .expsum import (
     TorusPoint,
@@ -43,7 +43,6 @@ __all__ = [
     "metric_sweep",
     "exponent_fit",
     "dimension_scan",
-    "discrepancy_growth",
     "write_csv",
     "write_jsonl",
 ]
@@ -377,6 +376,8 @@ def metric_sweep(cfg: ExperimentConfig) -> list[RunRecord]:
     ops = _estimate_ops(cfg)
     if ops > cfg.budget:
         raise BudgetError(f"estimated {ops} operations exceed the budget {cfg.budget}")
+    if cfg.kind in ("discrepancy", "discrepancy_short"):
+        _check_sweep(cfg.schedule()[-1])  # the longest one-row sweep
     sids = range(cfg.samples)
     workers = min(cfg.threads, cfg.samples, os.cpu_count() or 1)
     if workers == 1:
@@ -473,13 +474,6 @@ def dimension_scan(cfg: ExperimentConfig) -> dict:
         else:
             fits[alpha] = None
     return {"rows": rows, "dimension_proxy": fits, "threshold_k": k}
-
-
-def discrepancy_growth(cfg: ExperimentConfig) -> list[RunRecord]:
-    """Discrepancy of sampled coefficient vectors across the schedule."""
-    if cfg.kind not in ("discrepancy", "discrepancy_short"):
-        cfg = cfg.override(kind="discrepancy")
-    return metric_sweep(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ __all__ = [
     "SumTrace",
     "CompletionResult",
     "PhaseTable",
-    "phase_table",
     "raw_phases",
     "weyl_sum",
     "short_interval_sum",
@@ -231,13 +230,6 @@ class PhaseTable:
         return sum(r * p(n) for r, p in zip(raws, polys)) & _MASK
 
 
-def phase_table(fam: PolynomialFamily, u: TorusPoint) -> PhaseTable:
-    """Build the difference registers for a family at a torus point."""
-    if u.d != fam.d:
-        raise ValueError(f"point has {u.d} coordinates, family needs {fam.d}")
-    return PhaseTable(fam.polys, u.raw)
-
-
 def _registers(polys: Sequence[IntPolynomial], raws, starts) -> np.ndarray:
     """Delta^i f(s), i = 0..D, for every row: uint64 (..., D+1).
 
@@ -375,21 +367,34 @@ def _spectrum(c: np.ndarray, N: int) -> np.ndarray:
     return N * np.fft.ifft(np.roll(c, 1, axis=-1))
 
 
+def _fold_weights(N: int) -> np.ndarray:
+    """w_N[k] = sum_{|h| <= N, h = k mod N} 1/(|h|+1): the majorant's weights folded onto k."""
+    k = np.arange(N, dtype=np.float64)
+    w = 1.0 / (k + 1.0) + 1.0 / (N + 1.0 - k)  # h = k and h = k - N
+    w[0] += 1.0 / (N + 1.0)  # h = N also folds onto k = 0
+    return w
+
+
 def _majorant(c: np.ndarray) -> np.ndarray:
-    """W = sum_{h=-N}^{N} |X_h| / (|h| + 1) over the last axis: (..., N) -> (...)."""
-    N = c.shape[-1]
-    hs = np.arange(-N, N + 1)
-    mags = np.abs(_spectrum(c, N))[..., hs % N]
-    mags /= np.abs(hs) + 1  # in place: the gathered magnitudes are the largest array
-    return mags.sum(axis=-1)
+    """W = sum_{h=-N}^{N} |X_h| / (|h| + 1) over the last axis: (..., N) -> (...).
+
+    X_h is N-periodic in h, so W = sum_k |X_k| w_N[k] with the weights
+    folded by ``_fold_weights``.  |fft(c)[k]| = |X_{-k}| (the roll in
+    ``_spectrum`` only twists phases) and w_N[k] = w_N[-k mod N], so the
+    forward transform's magnitudes are weighted as they are.  einsum, not
+    a BLAS dot, reduces them: an unpinned BLAS pool was slower at B = 1.
+    """
+    w = _fold_weights(c.shape[-1])
+    return np.einsum("...n,n->...", np.abs(np.fft.fft(c, axis=-1)), w)
 
 
 def completion_fft(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> CompletionResult:
     """O(N log N) completion majorant via one length-N DFT.
 
     The twist e(hn/N) is N-periodic in h, so the 2N+1 inner sums collapse
-    onto the N spectrum values X_h; agrees with completion_naive to
-    floating-point tolerance.
+    onto the N spectrum values X_k, each weighted by the sum of
+    1/(|h|+1) over the h that fold onto it (see ``_majorant``); agrees
+    with completion_naive to floating-point tolerance.
     """
     if N < 1:
         raise ValueError("N must be >= 1")

@@ -273,3 +273,107 @@ class TestProjections:
         g = small_grid()
         res = project_union(g, [], ProjectionSpec.coordinate(2, 1))
         assert res.measure == 0.0
+
+
+def per_sample_reference(grid, marked_boxes, spec, samples=4096, seed=0):
+    """The Monte Carlo route as one loop over samples and dict buckets, kept
+    as the oracle of the pruned, blocked route."""
+    d = grid.d
+    idx = np.asarray(marked_boxes, dtype=np.int64)
+    zeta = np.array([float(z) for z in grid.sides])
+    B = spec.basis
+    corners = np.array([[(b >> j) & 1 for j in range(d)] for b in range(1 << d)], dtype=np.float64)
+    zono = (corners * zeta) @ B.T
+    hull = sys.modules["weylsums.census"]._hull_2d(zono)
+    centroid = hull.mean(axis=0)
+    edges = np.roll(hull, -1, axis=0) - hull
+    normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    offsets = np.einsum("ij,ij->i", normals, hull)
+    trans = (idx * zeta) @ B.T
+    lo = trans.min(axis=0) + zono.min(axis=0)
+    hi = trans.max(axis=0) + zono.max(axis=0)
+    area_box = float(np.prod(hi - lo))
+    cell = max(float(np.max(np.linalg.norm(zono - centroid, axis=1))), 1e-300)
+    buckets = {}
+    for i, key in enumerate(map(tuple, np.floor(trans / cell).astype(np.int64))):
+        buckets.setdefault(key, []).append(i)
+    gen = np.random.Generator(np.random.Philox(key=(int(seed) << 64) | 0x70726F6A))
+    xs = lo + gen.random((samples, 2)) * (hi - lo)
+    hits = 0
+    for x, (cx, cy) in zip(xs, np.floor((xs - centroid) / cell).astype(np.int64)):
+        cand = []
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                cand.extend(buckets.get((cx + dx, cy + dy), ()))
+        if cand and np.all((x - trans[cand]) @ normals.T <= offsets + 1e-12, axis=1).any():
+            hits += 1
+    p = hits / samples
+    return (area_box * p, "monte_carlo", area_box * math.sqrt(max(p * (1 - p), 0.0) / samples))
+
+
+def rotated_plane(rng, d):
+    q, _ = np.linalg.qr(rng.normal(size=(d, 2)))
+    return ProjectionSpec(q.T)
+
+
+class TestPrunedProjection:
+    """The own-cell-first, blocked Monte Carlo route hits the same samples."""
+
+    @staticmethod
+    def scan_census(seed):
+        # the census and rotated plane of the census_scan benchmark workload
+        g = grid_sides(classical_family(3), 4, Fraction(3, 4), Fraction(1, 4))
+        res = census(classical_family(3), UNIT, g, samples_per_box=2, seed=seed)
+        rng = np.random.default_rng(seed)
+        rng.normal(size=3)
+        return g, res, rotated_plane(rng, 3)
+
+    @pytest.mark.parametrize("seed", [1, 3, 5, 7])
+    def test_scan_census(self, seed):
+        g, res, spec = self.scan_census(seed)
+        assert res.marked == g.U == 32768
+        got = project_union(g, res.marked_boxes, spec, seed=seed)
+        assert got == per_sample_reference(g, res.marked_boxes, spec, seed=seed)
+
+    def subset(self, seed=5, share=0.05):
+        g, res, spec = self.scan_census(seed)
+        rng = np.random.default_rng(seed)
+        return g, res.marked_boxes[rng.random(len(res.marked_boxes)) < share], spec
+
+    def test_subset_and_few_samples(self):
+        g, marked, spec = self.subset()
+        for samples in (4096, 16):
+            got = project_union(g, marked, spec, samples=samples, seed=2)
+            assert got == per_sample_reference(g, marked, spec, samples=samples, seed=2)
+
+    def test_four_dimensional_grid(self):
+        g = grid_sides(classical_family(4), 2, Fraction(3, 4), Fraction(1, 4))  # 4968 boxes
+        rng = np.random.default_rng(4)
+        lin = np.flatnonzero(rng.random(g.U) < 0.3)
+        marked = np.stack(np.unravel_index(lin, g.counts), axis=1)
+        spec = rotated_plane(rng, 4)
+        assert project_union(g, marked, spec, seed=4) == per_sample_reference(g, marked, spec, seed=4)
+
+    def test_duplicate_corner_basis(self):
+        g, marked, _ = self.subset(seed=3, share=0.2)
+        spec = ProjectionSpec(np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]) / math.sqrt(2))
+        assert project_union(g, marked, spec, seed=3) == per_sample_reference(g, marked, spec, seed=3)
+
+    def test_blocks_split_and_overflow(self, monkeypatch):
+        mod = sys.modules["weylsums.census"]
+        g, marked, spec = self.subset(share=0.1)
+        ref = per_sample_reference(g, marked, spec, seed=6)
+        blocks = []
+        real = mod._pair_blocks
+
+        def spy(first, count):
+            for rows, pos in real(first, count):
+                blocks.append(rows)
+                yield rows, pos
+
+        monkeypatch.setattr(mod, "PAIR_BLOCK", 7)
+        monkeypatch.setattr(mod, "_pair_blocks", spy)
+        assert project_union(g, marked, spec, seed=6) == ref
+        assert any(len(set(rows.tolist())) > 1 for rows in blocks)  # blocks hold several samples
+        assert any(len(rows) > 7 and len(set(rows.tolist())) == 1 for rows in blocks)  # and one overflows

@@ -99,6 +99,12 @@ class TestExitCodes:
         assert code == 3
         assert "budget" in err
 
+    def test_discrepancy_sweep_budget_exits_3(self, capsys):
+        for window in ((), ("--M", "7")):
+            code, _, err = run(capsys, "discrepancy", "--u", "0.1,0.2", "--N", "4194304", *window)
+            assert code == 3
+            assert "budget" in err
+
     def test_short_nonclassical_family_exits_2(self, capsys):
         code, _, err = run(capsys, "sweep", "--kind", "short", "--family", "[[0,1],[0,0,5]]",
                            "--k", "1", "--samples", "1", "--log2-n-min", "5", "--log2-n-max", "6")

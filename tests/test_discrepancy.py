@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from weylsums import (
     poly_discrepancy,
     short_interval_discrepancy,
 )
-from weylsums.discrepancy import _sweep_rows, _window_discrepancies
+from weylsums.discrepancy import SWEEP_POINT_BUDGET, _sweep_rows, _window_discrepancies
 from weylsums.expsum import PhaseTable, _phases_float
 from weylsums.polyfam import IntPolynomial, shift_coefficients
 
@@ -177,6 +178,30 @@ class TestBatchedSweep:
         for pts in ([0.0] * 5, [0.3] * 4, [0.0, 0.0, 0.5], [0.75]):
             res = exact_discrepancy(pts)
             assert (res.value, res.witness) == unique_sweep(pts)
+
+    def test_sweep_bytes_per_point(self):
+        N = 1 << 18
+        pts = np.random.default_rng(23).random(N)
+        tracemalloc.start()
+        try:
+            exact_discrepancy(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / N <= 160  # what SWEEP_POINT_BUDGET is sized by
+
+    def test_sweep_point_budget(self, monkeypatch):
+        # one point past the budget: each call fails before it builds phases
+        def never(*args):
+            raise AssertionError("phases were built")
+
+        monkeypatch.setattr("weylsums.discrepancy._phases_float", never)
+        N = SWEEP_POINT_BUDGET + 1
+        u = TorusPoint.from_reals([0.1, 0.2])
+        with pytest.raises(BudgetError):
+            poly_discrepancy(classical_family(2), u, N)
+        with pytest.raises(BudgetError):
+            short_interval_discrepancy([0.1, 0.2], 5, N)
 
 
 class TestErdosTuran:

@@ -15,7 +15,6 @@ from weylsums import (
     classical_family,
     completion_fft,
     dimension_scan,
-    discrepancy_growth,
     exact_discrepancy,
     exponent_fit,
     metric_sweep,
@@ -188,6 +187,18 @@ class TestSweep:
         with pytest.raises(BudgetError):
             metric_sweep(cfg)
 
+    def test_sweep_point_budget_rejected_before_run(self, monkeypatch):
+        import weylsums.experiments as exp_mod
+
+        def never(cfg, sid):
+            raise AssertionError("a sample ran")
+
+        monkeypatch.setattr(exp_mod, "_run_sample", never)
+        for kind in ("discrepancy", "discrepancy_short"):
+            cfg = tiny_cfg(kind=kind, samples=1, m_samples=1, log2_n_min=22, log2_n_max=22)
+            with pytest.raises(BudgetError):
+                metric_sweep(cfg)
+
     def test_certified_supy_mode(self):
         cfg = tiny_cfg(kind="weyl", family="[[0,0,1],[0,1]]", k=1)
         recs = metric_sweep(cfg)
@@ -324,14 +335,14 @@ class TestFit:
 class TestDiscrepancyGrowth:
     def test_ratio_columns(self):
         cfg = tiny_cfg(kind="discrepancy", samples=3, log2_n_min=5, log2_n_max=8)
-        recs = discrepancy_growth(cfg)
+        recs = metric_sweep(cfg.override(kind="discrepancy"))
         for rec in recs:
             extras = dict(rec.extras)
             assert extras["ratio_sqrt"] == pytest.approx(rec.value / math.sqrt(rec.N))
 
     def test_median_ratio_sane(self):
         cfg = tiny_cfg(kind="discrepancy", samples=12, log2_n_min=7, log2_n_max=10, seed=1)
-        recs = discrepancy_growth(cfg)
+        recs = metric_sweep(cfg.override(kind="discrepancy"))
         top = [r for r in recs if r.N == 1024]
         med = float(np.median([dict(r.extras)["ratio_sqrt"] for r in top]))
         assert med <= 10.0  # generous soft margin

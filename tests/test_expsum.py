@@ -14,7 +14,6 @@ from weylsums import (
     exact_moment_grid,
     moment_integral,
     parse_family,
-    phase_table,
     reconstruct_prefix,
     short_interval_sum,
     sup_linear_coeff,
@@ -23,8 +22,11 @@ from weylsums import (
 )
 from weylsums.expsum import (
     PhaseTable,
+    _fold_weights,
+    _majorant,
     _quantize,
     _quantize_array,
+    _spectrum,
     _twisted_coeffs,
     raw_phases,
     reconstruct_all_prefixes,
@@ -90,16 +92,16 @@ class TestWeights:
 
 class TestPhaseTable:
     def test_zero_point(self):
-        table = phase_table(classical_family(2), TorusPoint.from_reals([0, 0]))
+        table = PhaseTable(classical_family(2).polys, TorusPoint.from_reals([0, 0]).raw)
         assert all(r == 0 for r in table.registers)
 
     def test_half_registers(self):
-        table = phase_table(classical_family(1), TorusPoint.from_reals([0.5]))
+        table = PhaseTable(classical_family(1).polys, TorusPoint.from_reals([0.5]).raw)
         assert table.registers == (0, 1 << 63)
 
     def test_quarter_quarter_values(self):
         fam = classical_family(2)
-        table = phase_table(fam, TorusPoint.from_reals([0.25, 0.25]))
+        table = PhaseTable(fam.polys, TorusPoint.from_reals([0.25, 0.25]).raw)
         phases = list(table.raw_phases(2))
         # (n + n^2)/4 mod 1 at n = 1, 2 is 1/2 both times
         assert phases == [1 << 63, 1 << 63]
@@ -108,7 +110,7 @@ class TestPhaseTable:
         # the difference table must not drift, even over 10^5 steps
         fam = parse_family([[0, 1], [0, 0, 3], [0, 5, 0, 0, 1]])
         u = random_point(3)
-        table = phase_table(fam, u)
+        table = PhaseTable(fam.polys, u.raw)
         N = 100_000
         raws = list(table.raw_phases(N))
         rng = np.random.default_rng(7)
@@ -161,7 +163,7 @@ class TestPhaseTable:
 
     def test_mismatched_point_rejected(self):
         with pytest.raises(ValueError):
-            phase_table(classical_family(2), TorusPoint.from_reals([0.1]))
+            PhaseTable(classical_family(2).polys, TorusPoint.from_reals([0.1]).raw)
 
 
 class TestWeylSum:
@@ -302,6 +304,29 @@ class TestCompletion:
             completion_naive(fam, u, a, 8).W, rel=1e-9
         )
 
+
+    def test_fold_weights_equal_brute_force_fold(self):
+        for N in range(1, 65):
+            hs = np.arange(-N, N + 1)
+            brute = np.zeros(N)
+            np.add.at(brute, hs % N, 1.0 / (np.abs(hs) + 1))
+            np.testing.assert_array_equal(_fold_weights(N), brute)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 17, 64, 4096])
+    def test_folded_majorant_matches_the_gather(self, N):
+        def gathered(c):
+            # the 2N+1 gather of |X_h| the folded weights replace
+            hs = np.arange(-N, N + 1)
+            mags = np.abs(_spectrum(c, N))[..., hs % N]
+            mags /= np.abs(hs) + 1
+            return mags.sum(axis=-1)
+
+        rng = np.random.default_rng(N)
+        for shape in ((N,), (5, N), (2, 3, N)):
+            c = np.exp(2j * np.pi * rng.random(shape)) * rng.random(shape)
+            got, ref = _majorant(c), gathered(c)
+            assert got.shape == ref.shape == shape[:-1]
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
 
 class TestReconstruction:
     def test_full_prefix_at_zero(self):
