@@ -37,13 +37,14 @@ print(f"  measured ratio prefix_max / W = {trace.prefix_max / fast.W:.4f}")
 print()
 print("prefix reconstruction from the twisted spectrum (an exact identity):")
 rec = reconstruct_all_prefixes(fam, u, unit, N)
-direct = np.cumsum(_twisted_coeffs(fam, u, unit, N))
+direct = np.cumsum(_twisted_coeffs(fam.polys, u.raw, unit.array(N), N))
 worst = np.abs(rec - direct).max()
 print(f"  max |reconstructed - direct| over all M <= {N}: {worst:.2e}")
 
 print()
 print("certified supremum over a linear coefficient:")
-c = _twisted_coeffs(w.classical_family(1), w.TorusPoint.from_reals([rng.random()]), unit, 128)
+u1 = w.TorusPoint.from_reals([rng.random()])
+c = _twisted_coeffs(w.classical_family(1).polys, u1.raw, unit.array(128), 128)
 res = w.sup_linear_coeff(c, oversample=8)
 print(f"  grid max {res.grid_max:.6f} at y = {res.argmax_y:.6f}")
 print(f"  certified upper bound {res.certified_upper:.6f} "

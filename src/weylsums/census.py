@@ -296,6 +296,8 @@ class ProjectionSpec:
         b = np.asarray(basis, dtype=np.float64)
         if b.ndim == 1:
             b = b[None, :]
+        if len(b) == 0:
+            raise ValueError("the basis needs at least one direction")
         gram = b @ b.T
         if not np.allclose(gram, np.eye(len(b)), atol=1e-12):
             raise ValueError("basis rows must be orthonormal (within 1e-12)")
@@ -304,6 +306,8 @@ class ProjectionSpec:
 
     @classmethod
     def coordinate(cls, d: int, k: int) -> "ProjectionSpec":
+        if not 1 <= k <= d:
+            raise ValueError(f"coordinate projection needs 1 <= k <= d = {d}, got k = {k}")
         return cls(np.eye(d)[:k])
 
 
@@ -387,6 +391,8 @@ def project_union(
     neighbouring cell in turn, in blocks of PAIR_BLOCK (sample, polygon) pairs.
     """
     d = grid.d
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if spec.basis.shape[1] != d:
         raise ValueError(f"basis directions must have {d} components")
     k = spec.k
@@ -457,7 +463,8 @@ def project_union(
         first = np.searchsorted(keys, probe_keys)
         for rows, pos in _pair_blocks(first, np.searchsorted(keys, probe_keys, side="right") - first):
             rel = xs[live[rows]] - trans[order[pos]]
-            inside = np.all(rel @ normals.T <= offsets + 1e-12, axis=1)
+            # einsum, not a BLAS product: nothing pins BLAS's thread pool
+            inside = np.all(np.einsum("pi,ei->pe", rel, normals) <= offsets + 1e-12, axis=1)
             hit[live[rows[inside]]] = True
         live = live[~hit[live]]  # own cell first: most hits leave before the neighbours
     hits = int(hit.sum())

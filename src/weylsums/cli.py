@@ -202,13 +202,13 @@ def _cmd_census(args) -> int:
 def _cmd_project(args) -> int:
     fam = parse_family(args.family)
     grid = grid_sides(fam, args.N, Fraction(args.alpha), Fraction(args.eps))
-    res = run_census(fam, WeightSeq.unit(), grid, args.samples_per_box, args.seed)
     if args.direction:
         vec = np.array(_parse_point(args.direction))
         vec = vec / np.linalg.norm(vec)
         spec = ProjectionSpec(vec)
     else:
         spec = ProjectionSpec.coordinate(fam.d, args.coordinate_k)
+    res = run_census(fam, WeightSeq.unit(), grid, args.samples_per_box, args.seed)
     proj = project_union(grid, res.marked_boxes, spec, seed=args.seed)
     payload = {
         "alpha": float(Fraction(args.alpha)),

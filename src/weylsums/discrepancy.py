@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError
-from .expsum import TorusPoint, WeightSeq, _phases_float, weyl_sum
+from .expsum import SCALE_BITS, TorusPoint, _phases_float, _quantize_array, raw_phases
 from .polyfam import PolynomialFamily, classical_family
 
 __all__ = [
@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_BUDGET = 512
-ERDOS_TURAN_TERM_BUDGET = 1 << 22  # G*N sum terms
+ERDOS_TURAN_TERM_BUDGET = 1 << 22  # G*N terms of the one (G, N) dilation block
 SWEEP_BLOCK = 1 << 12  # points per batched sweep of window discrepancies
 SWEEP_POINT_BUDGET = 1 << 21  # points per one-row sweep, at about 160 bytes each: about 320 MiB
 
@@ -186,41 +186,39 @@ def brute_force_discrepancy(points: Sequence[float]) -> float:
 
 def erdos_turan_bound(points: Sequence[float], G: int) -> float:
     """The upper bound 3 (N/(G+1) + sum_{g<=G} |sum_n e(g x_n)| / g) for D_N."""
-    pts = _validate(points)
-    N = len(pts)
-    if G < 1:
-        raise ValueError("G must be >= 1")
-    total = 0.0
-    block = max(1, (1 << 22) // max(N, 1))
-    for start in range(1, G + 1, block):
-        gs = np.arange(start, min(start + block, G + 1))
-        sums = np.abs(np.exp(2j * np.pi * np.outer(gs, pts)).sum(axis=1))
-        total += float(np.sum(sums / gs))
-    return 3.0 * (N / (G + 1) + total)
+    return _erdos_turan(_quantize_array(_validate(points)), G)
 
 
 def erdos_turan_bound_poly(fam: PolynomialFamily, u: TorusPoint, N: int, G: int) -> float:
-    """Same bound for the polynomial sequence {f(n)}, reusing the sum kernel.
+    """Same bound for the polynomial sequence {f(n)}, from its exact raw phases."""
+    _check_erdos_turan(N, G)  # before the phases are built
+    return _erdos_turan(raw_phases(fam.polys, u.raw, N), G)
 
-    The dilated phase g f(n) is the phase of the scaled point g*u, which is
-    exact in raw fixed-point arithmetic, so each inner sum runs through the
-    ordinary difference-table kernel.
-    """
-    if G < 1:
-        raise ValueError("G must be >= 1")
+
+def _check_erdos_turan(N: int, G: int) -> None:
+    """Fail fast on G < 1, N < 1 or a (G, N) block past ERDOS_TURAN_TERM_BUDGET."""
+    if G < 1 or N < 1:
+        raise ValueError(f"need G >= 1 and N >= 1, got G = {G}, N = {N}")
     if G * N > ERDOS_TURAN_TERM_BUDGET:
         raise BudgetError(f"G*N = {G * N} sum terms exceed the budget {ERDOS_TURAN_TERM_BUDGET}")
-    unit = WeightSeq.unit()
-    total = 0.0
-    for g in range(1, G + 1):
-        total += abs(weyl_sum(fam, u.scaled(g), unit, N).value) / g
-    return 3.0 * (N / (G + 1) + total)
+
+
+def _erdos_turan(raw: np.ndarray, G: int) -> float:
+    """The Erdős–Turán bound of the points raw[N] / 2^64 (Kuipers–Niederreiter, ch. 2, Thm 2.5).
+
+    g * raw in wrapping uint64 is the exact raw phase of the dilation g x_n
+    mod 1, so every g = 1..G is one row of a single (G, N) block.
+    """
+    N = len(raw)
+    _check_erdos_turan(N, G)
+    gs = np.arange(1, G + 1, dtype=np.uint64)
+    # one expression, so no (G, N) temporary outlives its use
+    sums = np.abs(np.exp(2j * np.pi * 2.0**-SCALE_BITS * (gs[:, None] * raw)).sum(axis=1))
+    return 3.0 * (N / (G + 1) + float(np.sum(sums / gs)))
 
 
 def poly_discrepancy(fam: PolynomialFamily, u: TorusPoint, N: int) -> DiscrepancyResult:
     """Discrepancy of the fractional parts {f(n)}, n = 1..N, at exact phases."""
-    if u.d != fam.d:
-        raise ValueError(f"point has {u.d} coordinates, family needs {fam.d}")
     _check_sweep(N)
     return exact_discrepancy(_phases_float(fam.polys, u.raw, N))
 

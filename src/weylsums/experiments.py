@@ -64,12 +64,10 @@ class ExperimentConfig:
     kind: str = "weyl"
     family: str = "classical:2"
     k: int | None = None
-    weights: str = "unit"
     log2_n_min: int = 8
     log2_n_max: int = 14
     samples: int = 100
     seed: int = 0
-    oversample: int = 4
     alphas: tuple[str, ...] = ("0.75",)
     eps: str = "0.05"
     samples_per_box: int = 4
@@ -86,11 +84,6 @@ class ExperimentConfig:
 
     def family_obj(self) -> PolynomialFamily:
         return parse_family(self.family, k=self.k)
-
-    def weights_obj(self) -> WeightSeq:
-        if self.weights != "unit":
-            raise ConfigError(f"config files support only unit weights, got {self.weights!r}")
-        return WeightSeq.unit()
 
     def validate(self) -> "ExperimentConfig":
         if self.kind not in _KINDS:
@@ -114,7 +107,6 @@ class ExperimentConfig:
             raise ConfigError("kind 'short' needs d >= 2: its supremum runs over the lower coefficients")
         if self.kind == "short" and fam.polys != classical_family(fam.d).polys:
             raise ConfigError(f"kind 'short' runs on classical:{fam.d} only, got {self.family!r}")
-        self.weights_obj()
         for a in self.alphas:
             a = Fraction(a)
             if not 0 < a < 1:
@@ -214,7 +206,7 @@ def _estimate_ops(cfg: ExperimentConfig) -> int:
             per = 4 * N  # sum pass + completion
             if k < fam.d:
                 if fam.d - k == 1 and fam.degrees[-1] == 1:
-                    per += cfg.oversample * N * 8
+                    per += 4 * N * 8  # sup_linear_coeff's default oversample of 4
                 else:
                     per += N * cfg.y_samples
         else:
@@ -250,7 +242,6 @@ def _split_family(cfg: ExperimentConfig) -> tuple[PolynomialFamily, int]:
 
 def _run_sample(cfg: ExperimentConfig, sid: int) -> list[RunRecord]:
     fam, k = _split_family(cfg)
-    weights = cfg.weights_obj()
     rng = _sample_rng(cfg.seed, sid)
     schedule = cfg.schedule()
     records: list[RunRecord] = []
@@ -258,7 +249,7 @@ def _run_sample(cfg: ExperimentConfig, sid: int) -> list[RunRecord]:
     n_max = schedule[-1]
     if cfg.kind == "weyl" and k == fam.d:
         coords = tuple(rng.random(fam.d))
-        c = _twisted_coeffs(fam, TorusPoint.from_reals(coords), weights, n_max)
+        c = _twisted_coeffs(fam.polys, TorusPoint.from_reals(coords).raw, 1.0, n_max)  # unit weights
         trace = _sum_trace(c)
         for N in schedule:
             prefix = trace.dyadic_prefix_max[int(math.log2(N))]
@@ -274,10 +265,10 @@ def _run_sample(cfg: ExperimentConfig, sid: int) -> list[RunRecord]:
         else:
             x = (float(rng.random()),)
             stat = "sup_short_S"
-        c = _twisted_block(fam, x, weights, n_max, upto=k)
+        c = _twisted_coeffs(fam.polys[:k], TorusPoint.from_reals(x).raw, 1.0, n_max)
         if fam.d - k == 1 and fam.degrees[-1] == 1:
             for N in schedule:
-                res = sup_linear_coeff(c[:N], cfg.oversample)
+                res = sup_linear_coeff(c[:N])
                 records.append(
                     RunRecord(cfg.experiment_id, sid, x, N, stat, res.grid_max,
                               extras=(("certified_upper", res.certified_upper),
@@ -287,10 +278,9 @@ def _run_sample(cfg: ExperimentConfig, sid: int) -> list[RunRecord]:
             # one draw in the per-N, per-y order of the stream
             ys = _quantize_array(rng.random((len(schedule), cfg.y_samples, fam.d - k)))
             lipschitz = _lipschitz_terms(fam.polys[k:], n_max, cfg.y_samples)
-            mass = np.cumsum(np.abs(weights.array(n_max)))
             for N, yraws in zip(schedule, ys):
                 value = _grid_sup_y(fam.polys[k:], c[:N], yraws)
-                slack = min(float(lipschitz[N - 1]), max(float(mass[N - 1]) - value, 0.0))
+                slack = min(float(lipschitz[N - 1]), max(N - value, 0.0))  # sum |a_n| = N
                 records.append(
                     RunRecord(cfg.experiment_id, sid, x, N, stat, value,
                               extras=(("continuity_slack", slack), ("certified", 0.0)))
@@ -328,12 +318,6 @@ def _disc_ratios(dv: float, N: int) -> tuple[tuple[str, float], ...]:
     return (("ratio_sqrt", r1), ("ratio_sqrt_log", r2))
 
 
-def _twisted_block(fam, x: Sequence[float], weights: WeightSeq, N: int, upto: int) -> np.ndarray:
-    """Coefficients a_n e(sum_{j<=upto} x_j phi_j(n)) for the first block."""
-    raws = TorusPoint.from_reals(x[:upto]).raw
-    return weights.array(N) * np.exp(2j * np.pi * _phases_float(fam.polys[:upto], raws, N))
-
-
 def _grid_sup_y(ypolys, c: np.ndarray, yraws: np.ndarray) -> float:
     """max over the rows y of yraws[B, d-k] of |sum_n c_n e(sum_j y_j phi_j(n))|.
 
@@ -344,7 +328,7 @@ def _grid_sup_y(ypolys, c: np.ndarray, yraws: np.ndarray) -> float:
     rows = max(1, EXP_BLOCK // N)
     best = 0.0
     for lo in range(0, len(yraws), rows):
-        s = np.sum(c * np.exp(2j * np.pi * _phases_float(ypolys, yraws[lo:lo + rows], N)), axis=1)
+        s = np.sum(_twisted_coeffs(ypolys, yraws[lo:lo + rows], c, N), axis=1)
         best = max(best, float(np.hypot(s.real, s.imag).max()))
     return best
 
@@ -437,7 +421,6 @@ def dimension_scan(cfg: ExperimentConfig) -> dict:
     cfg = cfg.validate()
     fam = cfg.family_obj()
     k = cfg.k if cfg.k is not None else fam.d
-    weights = cfg.weights_obj()
     grids = {}
     for alpha in cfg.alphas:
         for N in cfg.schedule():
@@ -452,7 +435,7 @@ def dimension_scan(cfg: ExperimentConfig) -> dict:
         pts = []
         for N in cfg.schedule():
             grid = grids[(alpha, N)]
-            res = census(fam, weights, grid, cfg.samples_per_box, cfg.seed)
+            res = census(fam, WeightSeq.unit(), grid, cfg.samples_per_box, cfg.seed)
             delta = math.prod(float(z) for z in grid.sides) ** (1.0 / fam.d)
             rows.append(
                 {

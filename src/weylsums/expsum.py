@@ -99,10 +99,6 @@ class TorusPoint:
     def floats(self) -> tuple[float, ...]:
         return tuple(r / _SCALE for r in self.raw)
 
-    def scaled(self, g: int) -> "TorusPoint":
-        """The point g*u mod 1, exact in raw arithmetic."""
-        return TorusPoint([(g * r) & _MASK for r in self.raw])
-
     def __len__(self) -> int:
         return len(self.raw)
 
@@ -159,6 +155,9 @@ class WeightSeq:
         return cls("explicit", values=values, envelope=(C, c))
 
     def array(self, N: int) -> np.ndarray:
+        """a_1..a_N; N is checked against SUM_TERM_BUDGET before anything is allocated."""
+        if N > SUM_TERM_BUDGET:
+            raise BudgetError(f"N = {N} weights exceed the budget {SUM_TERM_BUDGET}")
         if self.kind == "unit":
             return np.ones(N, dtype=np.complex128)
         if len(self.values) < N:
@@ -216,8 +215,6 @@ class PhaseTable:
     __slots__ = ("registers",)
 
     def __init__(self, polys: Sequence[IntPolynomial], raws: Sequence[int]):
-        if len(polys) != len(raws):
-            raise ValueError("one raw coordinate per polynomial required")
         self.registers = tuple(int(r) for r in _registers(polys, raws, 0))
 
     def raw_phases(self, N: int) -> np.ndarray:
@@ -235,9 +232,13 @@ def _registers(polys: Sequence[IntPolynomial], raws, starts) -> np.ndarray:
 
     f(s + i) is evaluated by Horner's rule in wrapping uint64, which is
     exact mod 2^64 for any integer coefficients and starts; ``raws[..., d]``
-    and ``starts[...]`` broadcast against each other.
+    and ``starts[...]`` broadcast against each other.  Every phase comes
+    through here, so this is where a point is checked against the family.
     """
     raws = np.asarray(raws, dtype=np.uint64)
+    d = raws.shape[-1] if raws.ndim else 0
+    if d != len(polys):
+        raise ValueError(f"point has {d} coordinates, family needs {len(polys)}")
     starts = np.array(np.asarray(starts, dtype=object) & _MASK, dtype=np.uint64)
     deg = max((int(p.degree) for p in polys if not p.is_zero), default=0)
     n = starts[..., None] + np.arange(deg + 1, dtype=np.uint64)
@@ -306,7 +307,7 @@ def weyl_sum(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> SumT
     N = int(N)
     if N < 1:
         raise ValueError("N must be >= 1")
-    return _sum_trace(_twisted_coeffs(fam, u, a, N))
+    return _sum_trace(_twisted_coeffs(fam.polys, u.raw, a.array(N), N))
 
 
 def _sum_trace(c: np.ndarray) -> SumTrace:
@@ -332,13 +333,18 @@ def short_interval_sum(u: Sequence, M: int, N: int) -> complex:
     so the window start, the constant term included, is exact.
     """
     pt = TorusPoint.from_reals(u)
-    phases = _phases_float(classical_family(pt.d).polys, pt.raw, N, M)
-    return complex(np.sum(np.exp(2j * np.pi * phases)))
+    return complex(np.sum(_twisted_coeffs(classical_family(pt.d).polys, pt.raw, 1.0, N, M)))
 
 
-def _twisted_coeffs(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> np.ndarray:
-    phases = _phases_float(fam.polys, u.raw, N)
-    return a.array(N) * np.exp(2j * np.pi * phases)
+def _twisted_coeffs(polys: Sequence[IntPolynomial], raws, a, N: int, starts=0) -> np.ndarray:
+    """a_n e(f(n)) at n = s+1, ..., s+N: complex (..., N).
+
+    The one place where an exact phase becomes e(f(n)) (the Erdős–Turán
+    dilations in ``discrepancy`` aside).  ``raws`` and
+    ``starts`` broadcast as in ``raw_phases``, and the weights ``a`` (an
+    array or a scalar) against the phases.
+    """
+    return a * np.exp(2j * np.pi * _phases_float(polys, raws, N, starts))
 
 
 def completion_naive(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> CompletionResult:
@@ -352,7 +358,7 @@ def completion_naive(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int)
         raise ValueError("N must be >= 1")
     if (2 * N + 1) * N > COMPLETION_NAIVE_BUDGET:
         raise BudgetError(f"(2N+1)*N terms exceed the budget {COMPLETION_NAIVE_BUDGET} at N = {N}")
-    c = _twisted_coeffs(fam, u, a, N)
+    c = _twisted_coeffs(fam.polys, u.raw, a.array(N), N)
     n = np.arange(1, N + 1)
     total = 0.0
     for h in range(-N, N + 1):
@@ -398,7 +404,8 @@ def completion_fft(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    return CompletionResult(W=float(_majorant(_twisted_coeffs(fam, u, a, N))), N=N)
+    c = _twisted_coeffs(fam.polys, u.raw, a.array(N), N)
+    return CompletionResult(W=float(_majorant(c)), N=N)
 
 
 def reconstruct_prefix(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int, M: int) -> complex:
@@ -411,7 +418,7 @@ def reconstruct_prefix(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: in
     N, M = int(N), int(M)
     if not 1 <= M <= N:
         raise ValueError(f"need 1 <= M <= N, got M={M}, N={N}")
-    c = _twisted_coeffs(fam, u, a, N)
+    c = _twisted_coeffs(fam.polys, u.raw, a.array(N), N)
     X = _spectrum(c, N)
     h = np.arange(1, N + 1)
     w = np.exp(-2j * np.pi * h / N)
@@ -427,7 +434,7 @@ def reconstruct_all_prefixes(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq,
     """All reconstructed prefixes T(u; 1..N) in one O(N^2) pass (test helper)."""
     if N * N > PREFIX_KERNEL_BUDGET:
         raise BudgetError(f"N*N = {N * N} kernel entries exceed the budget {PREFIX_KERNEL_BUDGET}")
-    c = _twisted_coeffs(fam, u, a, N)
+    c = _twisted_coeffs(fam.polys, u.raw, a.array(N), N)
     X = _spectrum(c, N)
     h = np.arange(1, N + 1)
     kernel = np.exp(-2j * np.pi * np.outer(h, np.arange(1, N + 1)) / N)

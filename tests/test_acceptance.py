@@ -43,7 +43,7 @@ def test_c01_completion_identity():
             fam = w.classical_family(d)
             u = w.TorusPoint.from_reals(rng.random(d))
             rec = reconstruct_all_prefixes(fam, u, UNIT, N)
-            direct = np.cumsum(_twisted_coeffs(fam, u, UNIT, N))
+            direct = np.cumsum(_twisted_coeffs(fam.polys, u.raw, UNIT.array(N), N))
             assert np.abs(rec - direct).max() <= 1e-8 * N
 
 

@@ -264,6 +264,24 @@ class TestProjections:
         with pytest.raises(ValueError):
             ProjectionSpec([[1.0, 1.0]])
 
+    def test_empty_basis_rejected(self):
+        with pytest.raises(ValueError, match="direction"):
+            ProjectionSpec(np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("k", [0, -1, 5])
+    def test_coordinate_k_in_range(self, k):
+        with pytest.raises(ValueError, match="k"):
+            ProjectionSpec.coordinate(2, k)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_samples_validated(self, samples):
+        # the Monte Carlo route (k = 2 < d) and an exact one
+        g = unit_box_grid([Fraction(1, 4)] * 3)
+        rot = ProjectionSpec(np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]) / math.sqrt(2))
+        for spec in (rot, ProjectionSpec.coordinate(3, 1)):
+            with pytest.raises(ValueError, match="samples"):
+                project_union(g, [(0, 0, 0)], spec, samples=samples)
+
     def test_per_box_bound_needs_line(self):
         g = small_grid()
         with pytest.raises(ValueError):

@@ -111,6 +111,20 @@ class TestExitCodes:
         assert code == 2
         assert "classical" in err
 
+    @pytest.mark.parametrize("command", ["sum", "completion"])
+    @pytest.mark.parametrize("u", ["0.1", "0.1,0.2,0.3"])
+    def test_point_length_mismatch_exits_2(self, capsys, command, u):
+        code, _, err = run(capsys, command, "--family", "classical:2", "--u", u, "--N", "4")
+        assert code == 2
+        assert "coordinates" in err
+
+    @pytest.mark.parametrize("k", ["0", "-1", "5"])
+    def test_coordinate_k_out_of_range_exits_2(self, capsys, k):
+        code, _, err = run(capsys, "project", "--family", "classical:2", "--N", "4",
+                           "--coordinate-k", k)
+        assert code == 2
+        assert "k" in err
+
     def test_config_error_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.toml"
         cfg.write_text('kind = "nope"\n')

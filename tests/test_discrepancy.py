@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from weylsums import (
     BudgetError,
     TorusPoint,
+    WeightSeq,
     brute_force_discrepancy,
     classical_family,
     erdos_turan_bound,
@@ -16,8 +17,15 @@ from weylsums import (
     exact_discrepancy,
     poly_discrepancy,
     short_interval_discrepancy,
+    weyl_sum,
 )
-from weylsums.discrepancy import SWEEP_POINT_BUDGET, _sweep_rows, _window_discrepancies
+from weylsums.discrepancy import (
+    ERDOS_TURAN_TERM_BUDGET,
+    SWEEP_POINT_BUDGET,
+    _erdos_turan,
+    _sweep_rows,
+    _window_discrepancies,
+)
 from weylsums.expsum import PhaseTable, _phases_float
 from weylsums.polyfam import IntPolynomial, shift_coefficients
 
@@ -204,6 +212,16 @@ class TestBatchedSweep:
             short_interval_discrepancy([0.1, 0.2], 5, N)
 
 
+def per_g_reference(fam, u, N, G):
+    """The Erdős–Turán bound from one weyl_sum per dilated point g*u: the
+    reference for the one-block pass."""
+    unit = WeightSeq.unit()
+    total = 0.0
+    for g in range(1, G + 1):
+        total += abs(weyl_sum(fam, TorusPoint([(g * r) & MASK for r in u.raw]), unit, N).value) / g
+    return 3.0 * (N / (G + 1) + total)
+
+
 class TestErdosTuran:
     def test_uniform_lattice(self):
         N, G = 32, 7
@@ -252,10 +270,45 @@ class TestErdosTuran:
         kernel = erdos_turan_bound_poly(fam, u, N, G)
         assert kernel == pytest.approx(generic, rel=1e-10)
 
-    def test_poly_budget(self):
+    def test_poly_budget(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("phases were built")
+
+        monkeypatch.setattr("weylsums.discrepancy.raw_phases", never)
+        for N, G in ((4096, 1025), (1 << 40, 1)):
+            with pytest.raises(BudgetError):
+                erdos_turan_bound_poly(classical_family(2), TorusPoint.from_reals([0.1, 0.2]), N, G)
+
+    def test_point_budget(self):
         with pytest.raises(BudgetError):
-            erdos_turan_bound_poly(classical_family(2), TorusPoint.from_reals([0.1, 0.2]),
-                                   4096, 1025)
+            erdos_turan_bound(np.zeros(4096), 1025)
+        assert erdos_turan_bound(np.zeros(4096), 1024) > 0
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_one_block_matches_per_g_weyl_sums(self, d):
+        # the dilation g*u wraps mod 2^64: 3 * ceil(2^64/3) = 2^64 + 2, and
+        # numpy's uint64 product leaves the exact residue 2
+        r = (1 << 64) // 3 + 1
+        assert int((np.array([r], dtype=np.uint64) * np.uint64(3))[0]) == (3 * r) & MASK == 2
+        rng = np.random.default_rng(70 + d)
+        fam = classical_family(d)
+        cases = [(TorusPoint.from_reals(rng.random(d)), (1, 80, 4096)), (TorusPoint([r] * d), (1, 80))]
+        for u, Ns in cases:
+            for N in Ns:
+                for G in (1, 13, 150 if N < 4096 else ERDOS_TURAN_TERM_BUDGET // N):
+                    ref = per_g_reference(fam, u, N, G)
+                    assert erdos_turan_bound_poly(fam, u, N, G) == pytest.approx(ref, rel=1e-12)
+                    pts = _phases_float(fam.polys, u.raw, N)
+                    assert erdos_turan_bound(pts, G) == pytest.approx(ref, rel=1e-12)
+
+    def test_full_budget_of_dilations(self):
+        # one point: every |e(g x)| is 1, so the bound is 3 (1/(G+1) + H_G)
+        G = ERDOS_TURAN_TERM_BUDGET
+        raw = np.array(TorusPoint.from_reals([0.3]).raw, dtype=np.uint64)
+        harmonic = math.fsum(1.0 / np.arange(1, G + 1))
+        assert _erdos_turan(raw, G) == pytest.approx(3 * (1 / (G + 1) + harmonic), rel=1e-12)
+        with pytest.raises(BudgetError):
+            _erdos_turan(raw, G + 1)
 
     def test_g_validated(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import json
 import math
@@ -23,8 +24,8 @@ from weylsums import (
     write_csv,
     write_jsonl,
 )
-from weylsums.experiments import _sample_rng, _split_family, _twisted_block, fit_by_sample
-from weylsums.expsum import _phases_float
+from weylsums.experiments import _sample_rng, _split_family, fit_by_sample
+from weylsums.expsum import PhaseTable, _phases_float, _twisted_coeffs
 from weylsums.polyfam import IntPolynomial, shift_coefficients
 
 
@@ -61,7 +62,7 @@ def per_draw_reference(cfg):
             continue
         x = tuple(rng.random(fam.d))[:k] if cfg.kind == "weyl" else (float(rng.random()),)
         for N in cfg.schedule():
-            c = _twisted_block(fam, x, unit, N, upto=k)
+            c = _twisted_coeffs(fam.polys[:k], TorusPoint.from_reals(x).raw, unit.array(N), N)
             best = 0.0
             for _ in range(cfg.y_samples):
                 raws = TorusPoint.from_reals(rng.random(fam.d - k)).raw
@@ -237,13 +238,15 @@ class TestSweep:
         assert [r.coords for r in short] == [r.coords for r in weyl]
 
     def test_twisted_block_exact_for_high_degree(self):
-        # float x * n^d phases lose every bit of n^4 x mod 1 at N = 2^14
+        # float x * n^d phases lose every bit of n^4 x mod 1 at N = 2^14; the
+        # sweep's coefficient block must match direct integer phases
         fam = classical_family(4)
         x = np.random.default_rng(4).random(4)
         N = 1 << 14
-        unit = WeightSeq.unit()
-        block = complex(np.sum(_twisted_block(fam, x, unit, N, upto=4)))
-        exact = weyl_sum(fam, TorusPoint.from_reals(x), unit, N).value
+        raws = TorusPoint.from_reals(x).raw
+        block = complex(np.sum(_twisted_coeffs(fam.polys, raws, 1.0, N)))
+        exact = sum(cmath.exp(2j * cmath.pi * (PhaseTable.raw_at(fam.polys, raws, n) / 2**64))
+                    for n in range(1, N + 1))
         assert abs(block - exact) <= 1e-9 * abs(exact)
 
 

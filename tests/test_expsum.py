@@ -34,7 +34,6 @@ from weylsums.expsum import (
 from weylsums.polyfam import IntPolynomial
 
 UNIT = WeightSeq.unit()
-MASK = (1 << 64) - 1
 
 RNG = np.random.default_rng(20260810)
 
@@ -51,12 +50,6 @@ class TestTorusPoint:
     def test_wraps_mod_one(self):
         pt = TorusPoint.from_reals([1.25, -0.25])
         assert pt.floats() == (0.25, 0.75)
-
-    def test_scaled_exact(self):
-        pt = TorusPoint.from_reals([1 / 3])
-        tripled = pt.scaled(3)
-        # 3 * round(2^64/3) mod 2^64 = 2^64 - ... tiny but nonzero residue
-        assert tripled.raw[0] == (3 * pt.raw[0]) & MASK
 
     def test_rejects_bad_raw(self):
         with pytest.raises(ValueError):
@@ -164,6 +157,18 @@ class TestPhaseTable:
     def test_mismatched_point_rejected(self):
         with pytest.raises(ValueError):
             PhaseTable(classical_family(2).polys, TorusPoint.from_reals([0.1]).raw)
+
+    @pytest.mark.parametrize("coords", [[0.1], [0.1, 0.2, 0.3]])
+    def test_point_length_checked_on_every_route(self, coords):
+        fam = classical_family(2)
+        u = TorusPoint.from_reals(coords)
+        for fn in (weyl_sum, completion_fft):
+            with pytest.raises(ValueError, match="coordinates"):
+                fn(fam, u, UNIT, 4)
+        with pytest.raises(ValueError, match="coordinates"):
+            raw_phases(fam.polys, u.raw, 4)
+        with pytest.raises(ValueError, match="coordinates"):  # rows of the batched kernel too
+            raw_phases(fam.polys, np.zeros((3, len(coords)), dtype=np.uint64), 4)
 
 
 class TestWeylSum:
@@ -338,7 +343,7 @@ class TestReconstruction:
         fam = classical_family(2)
         u = random_point(2)
         val = reconstruct_prefix(fam, u, UNIT, 32, 1)
-        direct = _twisted_coeffs(fam, u, UNIT, 32)[0]
+        direct = _twisted_coeffs(fam.polys, u.raw, UNIT.array(32), 32)[0]
         assert val == pytest.approx(direct, abs=1e-9)
 
     def test_every_prefix(self):
@@ -346,7 +351,7 @@ class TestReconstruction:
         u = random_point(2)
         N = 64
         rec = reconstruct_all_prefixes(fam, u, UNIT, N)
-        direct = np.cumsum(_twisted_coeffs(fam, u, UNIT, N))
+        direct = np.cumsum(_twisted_coeffs(fam.polys, u.raw, UNIT.array(N), N))
         assert np.abs(rec - direct).max() < 1e-8
 
     def test_range_checked(self):
@@ -501,6 +506,8 @@ class TestBudgets:
             reconstruct_all_prefixes(classical_family(2), random_point(2), UNIT, 1025)
 
     def test_sum_terms(self):
-        for fn in (weyl_sum, completion_fft):
-            with pytest.raises(BudgetError):
-                fn(classical_family(2), random_point(2), UNIT, (1 << 22) + 1)
+        # 2^40 unit weights would take 16 TiB: the check comes before them
+        for N in ((1 << 22) + 1, 1 << 40):
+            for fn in (weyl_sum, completion_fft):
+                with pytest.raises(BudgetError):
+                    fn(classical_family(2), random_point(2), UNIT, N)
