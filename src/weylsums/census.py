@@ -445,7 +445,8 @@ def project_union(
     # translates bucketed by cells of side rad, indexed by sorted packed cell keys
     rad = float(np.max(np.linalg.norm(zono - centroid, axis=1)))
     cell = max(rad, 1e-300)
-    gen = np.random.Generator(np.random.Philox(key=(int(seed) << 64) | 0x70726F6A))
+    seed = int(seed) & ((1 << 64) - 1)  # as in census
+    gen = np.random.Generator(np.random.Philox(key=(seed << 64) | 0x70726F6A))
     xs = lo + gen.random((samples, 2)) * (hi - lo)
     cells = np.floor(trans / cell).astype(np.int64)
     probes = np.floor((xs - centroid) / cell).astype(np.int64)

@@ -44,7 +44,7 @@ __all__ = ["main"]
 def _parse_point(text: str) -> list[float]:
     try:
         return [float(Fraction(part)) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad coordinate list {text!r}: {exc}") from exc
 
 
@@ -208,6 +208,8 @@ def _cmd_project(args) -> int:
         spec = ProjectionSpec(vec)
     else:
         spec = ProjectionSpec.coordinate(fam.d, args.coordinate_k)
+    if spec.basis.shape[1] != fam.d:  # before the census, not after it
+        raise ConfigError(f"basis directions must have {fam.d} components")
     res = run_census(fam, WeightSeq.unit(), grid, args.samples_per_box, args.seed)
     proj = project_union(grid, res.marked_boxes, spec, seed=args.seed)
     payload = {
@@ -219,7 +221,7 @@ def _cmd_project(args) -> int:
         "measure": proj.measure,
         "method": proj.method,
         "std_error": proj.std_error,
-        "direction": list(spec.basis[0]) if spec.k == 1 else f"coordinate:{spec.k}",
+        "direction": spec.basis[0].tolist() if spec.k == 1 else f"coordinate:{spec.k}",
         "reference": projection_reference(
             grid, degree_stats(fam, spec.k)[1], spec.k, Fraction(args.alpha)
         ),

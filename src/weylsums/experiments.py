@@ -88,6 +88,8 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        if self.log2_n_min < 0:
+            raise ConfigError(f"log2_n_min must be >= 0, got {self.log2_n_min}")
         if self.log2_n_min > self.log2_n_max:
             raise ConfigError("schedule must be strictly increasing (log2_n_min <= log2_n_max)")
         if self.samples < 1:

@@ -1,10 +1,10 @@
 """Exponential-sum kernels.
 
-Phases are tracked in wrapping 64-bit fixed point (value = raw / 2^64),
-which makes the polynomial phase recurrence exact: the difference table
-never drifts, so continuity and completion identities can be tested at
-tight tolerances.  Only the final conversion to (cos, sin) is floating
-point.
+Phases are tracked in wrapping 64-bit fixed point (value = raw / 2^64).
+Reduction mod 2^64 is a ring map, so evaluating the integer polynomial f
+in wrapping uint64 arithmetic is exact and never drifts, and continuity
+and completion identities can be tested at tight tolerances.  Only the
+final conversion to (cos, sin) is floating point.
 """
 
 from __future__ import annotations
@@ -204,69 +204,31 @@ class CompletionResult:
 
 
 class PhaseTable:
-    """Forward-difference registers for the phase f(n) = sum_j u_j phi_j(n) mod 1.
+    """The raw phases of f(n) = sum_j u_j phi_j(n) mod 1 for one point u.
 
-    f is a degree-D polynomial, so D exact 64-bit additions advance it by
-    one step.  Registers hold (f(0), Delta f(0), ..., Delta^D f(0)) as raw
-    fixed-point values; they are built from exact samples f(0..D) where
-    f(i) = sum_j raw(u_j) * phi_j(i) mod 2^64.
+    ``raw_phases(N)`` is the kernel ``raw_phases`` on the stored row, and
+    ``registers`` are (f(0), Delta f(0), ..., Delta^D f(0)), differenced
+    from f(0..D).
     """
 
-    __slots__ = ("registers",)
+    __slots__ = ("polys", "raws", "registers")
 
     def __init__(self, polys: Sequence[IntPolynomial], raws: Sequence[int]):
-        self.registers = tuple(int(r) for r in _registers(polys, raws, 0))
+        self.polys = tuple(polys)
+        self.raws = tuple(int(r) for r in raws)
+        f = raw_phases(self.polys, self.raws, max([1] + [len(p.coeffs) for p in polys]), starts=-1)
+        for m in range(1, len(f)):
+            f[m:] -= f[m - 1 : -1]  # numpy buffers the overlap: Delta of the old values
+        self.registers = tuple(int(r) for r in f)
 
     def raw_phases(self, N: int) -> np.ndarray:
         """The raw phases of n = 1, 2, ..., N as a uint64 array."""
-        return _tabulate(np.array(self.registers, dtype=np.uint64), N)
+        return raw_phases(self.polys, self.raws, N)
 
     @staticmethod
     def raw_at(polys: Sequence[IntPolynomial], raws: Sequence[int], n: int) -> int:
-        """Direct (non-recurrent) raw phase at n, for exactness cross-checks."""
+        """Raw phase at n in Python integer arithmetic, for exactness cross-checks."""
         return sum(r * p(n) for r, p in zip(raws, polys)) & _MASK
-
-
-def _registers(polys: Sequence[IntPolynomial], raws, starts) -> np.ndarray:
-    """Delta^i f(s), i = 0..D, for every row: uint64 (..., D+1).
-
-    f(s + i) is evaluated by Horner's rule in wrapping uint64, which is
-    exact mod 2^64 for any integer coefficients and starts; ``raws[..., d]``
-    and ``starts[...]`` broadcast against each other.  Every phase comes
-    through here, so this is where a point is checked against the family.
-    """
-    raws = np.asarray(raws, dtype=np.uint64)
-    d = raws.shape[-1] if raws.ndim else 0
-    if d != len(polys):
-        raise ValueError(f"point has {d} coordinates, family needs {len(polys)}")
-    starts = np.array(np.asarray(starts, dtype=object) & _MASK, dtype=np.uint64)
-    deg = max((int(p.degree) for p in polys if not p.is_zero), default=0)
-    n = starts[..., None] + np.arange(deg + 1, dtype=np.uint64)
-    f = np.zeros(np.broadcast_shapes(raws.shape[:-1], starts.shape) + (deg + 1,), dtype=np.uint64)
-    for j, p in enumerate(polys):
-        v = np.zeros_like(n)
-        for c in reversed(p.coeffs):
-            v = v * n + np.uint64(c & _MASK)
-        f += raws[..., j, None] * v
-    for m in range(1, deg + 1):
-        f[..., m:] -= f[..., m - 1 : -1]  # numpy buffers the overlap: Delta of the old values
-    return f
-
-
-def _tabulate(regs: np.ndarray, N: int) -> np.ndarray:
-    """f(s + 1..s + N) from the registers of f at s: (..., D+1) -> uint64 (..., N).
-
-    Forward-difference tabulation (Knuth, TAOCP vol. 2, 4.6.4): level i
-    holds Delta^i f(s..s+N), the exclusive prefix sum of level i + 1 plus
-    Delta^i f(s).  numpy's uint64 cumsum wraps mod 2^64, so every level
-    is exact.
-    """
-    level = np.repeat(regs[..., -1:], N + 1, axis=-1)
-    for i in range(regs.shape[-1] - 2, -1, -1):
-        level[..., 1:] = np.cumsum(level[..., :-1], axis=-1)
-        level[..., 0] = 0
-        level += regs[..., i, None]
-    return level[..., 1:]
 
 
 def raw_phases(polys: Sequence[IntPolynomial], raws, N: int, starts=0) -> np.ndarray:
@@ -275,8 +237,30 @@ def raw_phases(polys: Sequence[IntPolynomial], raws, N: int, starts=0) -> np.nda
     ``raws`` holds one row of d raw coordinates per sum and ``starts`` one
     integer offset s per row (any sign and size); the two broadcast, and
     the result is uint64 (..., N).  A single row is the case raws[d].
+
+    Each row is folded into the coefficients of f, which is evaluated by
+    Horner's rule in place.  Reduction mod 2^64 is a ring map and numpy's
+    uint64 products and sums wrap, so every phase is exact.  Every phase
+    comes through here, so this is where a point is checked against the
+    family.
     """
-    return _tabulate(_registers(polys, raws, starts), N)
+    raws = np.asarray(raws, dtype=np.uint64)
+    d = raws.shape[-1] if raws.ndim else 0
+    if d != len(polys):
+        raise ValueError(f"point has {d} coordinates, family needs {len(polys)}")
+    starts = np.array(np.asarray(starts, dtype=object) & _MASK, dtype=np.uint64)
+    D = max([1] + [len(p.coeffs) for p in polys]) - 1
+    table = np.zeros((d, D + 1), dtype=np.uint64)
+    for j, p in enumerate(polys):
+        table[j, : len(p.coeffs)] = [c & _MASK for c in p.coeffs]
+    F = (raws[..., :, None] * table).sum(axis=-2, dtype=np.uint64)
+    n = starts[..., None] + np.arange(1, N + 1, dtype=np.uint64)
+    f = np.empty(np.broadcast_shapes(F.shape[:-1], n.shape[:-1]) + (N,), dtype=np.uint64)
+    f[...] = F[..., D, None]
+    for m in range(D - 1, -1, -1):
+        f *= n
+        f += F[..., m, None]
+    return f
 
 
 def _phases_float(polys, raws, N: int, starts=0) -> np.ndarray:

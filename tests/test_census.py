@@ -260,6 +260,20 @@ class TestProjections:
         assert mc.std_error is not None
         assert abs(mc.measure - axis.measure) <= max(5 * mc.std_error, 0.02)
 
+    def test_monte_carlo_seed_masked_to_64_bits(self):
+        # the same seeds census accepts: seed mod 2^64 picks the stream
+        g = unit_box_grid([Fraction(1, 4)] * 3)
+        rot = ProjectionSpec(np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]) / math.sqrt(2))
+        marked = [(0, 0, 0), (1, 2, 3), (3, 1, 0)]
+
+        def mc(seed):
+            res = project_union(g, marked, rot, samples=256, seed=seed)
+            assert res.method == "monte_carlo"
+            return res
+
+        assert mc(-1) == mc((1 << 64) - 1)
+        assert mc((1 << 64) + 5) == mc(5)
+
     def test_orthonormality_enforced(self):
         with pytest.raises(ValueError):
             ProjectionSpec([[1.0, 1.0]])

@@ -125,6 +125,31 @@ class TestExitCodes:
         assert code == 2
         assert "k" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("sum", "--family", "classical:2", "--u", "1e400,0.2", "--N", "4"),
+        ("project", "--family", "classical:2", "--N", "4", "--direction", "1e400,1"),
+    ])
+    def test_overflowing_coordinate_exits_2(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "bad coordinate list" in err and "Traceback" not in err
+
+    def test_negative_log2_n_min_exits_2(self, capsys):
+        code, _, err = run(capsys, "sweep", "--family", "classical:2", "--samples", "1",
+                           "--log2-n-min", "-1", "--log2-n-max", "3")
+        assert code == 2
+        assert "log2_n_min" in err
+
+    def test_direction_length_checked_before_census(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the census ran on a direction of the wrong length")
+
+        monkeypatch.setattr("weylsums.cli.run_census", never)
+        code, _, err = run(capsys, "project", "--family", "classical:2", "--N", "16",
+                           "--direction", "0.6,0.8,0")
+        assert code == 2
+        assert "components" in err
+
     def test_config_error_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.toml"
         cfg.write_text('kind = "nope"\n')
@@ -182,6 +207,12 @@ class TestCensusCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["measure"] <= payload["union_bound"] * (1 + 1e-9)
+
+    def test_project_direction_text(self, capsys):
+        code, out, _ = run(capsys, "project", "--family", "classical:2", "--N", "8",
+                           "--alpha", "0.75", "--eps", "0.25", "--direction", "0.6,0.8")
+        assert code == 0
+        assert "direction" in out and "np.float64" not in out
 
     def test_dimscan_text(self, capsys):
         code, out, _ = run(capsys, "dimscan", "--family", "classical:2",

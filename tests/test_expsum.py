@@ -100,7 +100,7 @@ class TestPhaseTable:
         assert phases == [1 << 63, 1 << 63]
 
     def test_recurrence_bit_identical_to_direct(self):
-        # the difference table must not drift, even over 10^5 steps
+        # the folded Horner kernel must match direct evaluation, even over 10^5 steps
         fam = parse_family([[0, 1], [0, 0, 3], [0, 5, 0, 0, 1]])
         u = random_point(3)
         table = PhaseTable(fam.polys, u.raw)
@@ -153,6 +153,21 @@ class TestPhaseTable:
                 assert got.shape == (len(starts), 3)
                 for b, m in enumerate(starts):
                     assert got[b].tolist() == [PhaseTable.raw_at(polys, row, m + n) for n in (1, 2, 3)]
+
+    def test_kernel_bytes_per_term(self):
+        import tracemalloc
+
+        # one uint64 result and one uint64 row of n: evaluating each phi_j
+        # at every n before summing would need a third (N,) array
+        fam = classical_family(5)
+        N = 1 << 20
+        tracemalloc.start()
+        try:
+            raw_phases(fam.polys, TorusPoint.from_reals([0.1, 0.2, 0.3, 0.4, 0.5]).raw, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / N <= 16.5
 
     def test_mismatched_point_rejected(self):
         with pytest.raises(ValueError):
