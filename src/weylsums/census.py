@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import BudgetError, InvariantViolation
-from .expsum import WeightSeq, _majorant
+from .expsum import WeightSeq, _majorant, _quantize_array, _twisted_coeffs
 from .polyfam import PolynomialFamily
 
 __all__ = [
@@ -189,6 +189,7 @@ def census(
     Each box is probed at its center plus spb - 1 uniform points drawn in
     box order from one Philox stream per call: draw j of box b on axis i is
     output (b*(spb-1) + j)*d + i, so no result depends on the chunking.
+    Each sample is quantised to the 2^-64 grid, so its phases are exact.
     ``marked_boxes`` is an int64 (marked, d) array.  The Markov identity is
     asserted on every run; when ``alphas`` is given the same peaks are
     re-thresholded per alpha and the marked counts are checked to be monotone.
@@ -203,7 +204,6 @@ def census(
         raise BudgetError(f"U*spb*N = {terms} phase terms exceed the budget {CENSUS_TERM_BUDGET}")
     two_s = d * (d + 1)  # 2 s(d)
     tau = grid.threshold
-    vals = np.array([[p(n) for n in range(1, N + 1)] for p in fam.polys], dtype=np.float64)
     a_arr = a.array(N)
     zeta = np.array([float(z) for z in grid.sides])
     counts = grid.counts
@@ -223,8 +223,7 @@ def census(
         pts = np.empty((stop - start, spb, d))
         pts[:, 0, :] = corners + 0.5 * zeta
         pts[:, 1:, :] = corners[:, None, :] + gen.random((stop - start, spb - 1, d)) * zeta
-        # float phases: the samples are reals inside boxes, not 2^-64 grid points
-        c = a_arr * np.exp(2j * np.pi * (pts.reshape(-1, d) @ vals))
+        c = _twisted_coeffs(fam.polys, _quantize_array(pts.reshape(-1, d)), a_arr, N)
         w = _majorant(c).reshape(stop - start, spb)
         peaks[start:stop] = w.max(axis=1)
         moment_sum += float(np.sum(w**two_s))

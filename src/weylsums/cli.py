@@ -204,8 +204,11 @@ def _cmd_project(args) -> int:
     grid = grid_sides(fam, args.N, Fraction(args.alpha), Fraction(args.eps))
     if args.direction:
         vec = np.array(_parse_point(args.direction))
-        vec = vec / np.linalg.norm(vec)
-        spec = ProjectionSpec(vec)
+        top = np.max(np.abs(vec), initial=0.0)
+        if top == 0.0:
+            raise ConfigError("--direction must be a nonzero vector")
+        vec = vec / top  # a largest component of 1: the norm neither overflows nor underflows
+        spec = ProjectionSpec(vec / np.linalg.norm(vec))
     else:
         spec = ProjectionSpec.coordinate(fam.d, args.coordinate_k)
     if spec.basis.shape[1] != fam.d:  # before the census, not after it

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError
-from .expsum import SCALE_BITS, TorusPoint, _phases_float, _quantize_array, raw_phases
+from .expsum import TorusPoint, _expi, _phases_float, _quantize_array, raw_phases
 from .polyfam import PolynomialFamily, classical_family
 
 __all__ = [
@@ -207,13 +207,13 @@ def _erdos_turan(raw: np.ndarray, G: int) -> float:
     """The Erdős–Turán bound of the points raw[N] / 2^64 (Kuipers–Niederreiter, ch. 2, Thm 2.5).
 
     g * raw in wrapping uint64 is the exact raw phase of the dilation g x_n
-    mod 1, so every g = 1..G is one row of a single (G, N) block.
+    mod 1, so every g = 1..G is one row of a single (G, N) block, which
+    ``_expi`` takes to e(g x_n).
     """
     N = len(raw)
     _check_erdos_turan(N, G)
     gs = np.arange(1, G + 1, dtype=np.uint64)
-    # one expression, so no (G, N) temporary outlives its use
-    sums = np.abs(np.exp(2j * np.pi * 2.0**-SCALE_BITS * (gs[:, None] * raw)).sum(axis=1))
+    sums = np.abs(_expi(gs[:, None] * raw).sum(axis=1))
     return 3.0 * (N / (G + 1) + float(np.sum(sums / gs)))
 
 

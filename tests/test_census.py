@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,19 @@ UNIT = WeightSeq.unit()
 
 def small_grid():
     return grid_sides(classical_family(2), 8, Fraction(3, 4), Fraction(1, 4))
+
+
+class FixedDraws:
+    """Stands in for np.random.Generator: every in-box draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __call__(self, bit_generator):
+        return self
+
+    def random(self, shape):
+        return np.full(shape, self.value)
 
 
 class TestGridSides:
@@ -118,6 +132,45 @@ class TestCensus:
             assert res.box_peaks[lin] == pytest.approx(W, rel=1e-12)
         more = census(fam, UNIT, g, samples_per_box=3, seed=0)
         assert np.all(more.box_peaks >= res.box_peaks)
+
+    def test_jittered_peaks_match_completion_fft(self, monkeypatch):
+        fam = classical_family(2)
+        g = small_grid()
+        r = 0.3183098861837907  # every in-box draw
+        monkeypatch.setattr(np.random, "Generator", FixedDraws(r))
+        res = census(fam, UNIT, g, samples_per_box=2, seed=0)
+        zeta = np.array([float(z) for z in g.sides])
+        jitter_wins = 0
+        for lin in np.random.default_rng(5).choice(g.U, size=50, replace=False):
+            idx = np.unravel_index(lin, g.counts)
+            center = [(int(i) + Fraction(1, 2)) * z for i, z in zip(idx, g.sides)]
+            sample = np.array(idx, dtype=np.float64) * zeta + r * zeta  # as the census forms it
+            W_center = completion_fft(fam, TorusPoint.from_reals(center), UNIT, g.N).W
+            W_sample = completion_fft(fam, TorusPoint.from_reals(sample), UNIT, g.N).W
+            assert res.box_peaks[lin] == pytest.approx(max(W_center, W_sample), rel=1e-12)
+            jitter_wins += W_sample > W_center * (1 + 1e-9)
+        assert jitter_wins > 0  # some peaks come from the jittered sample alone
+
+    def test_sample_rounding_to_one_is_zero(self, monkeypatch):
+        # on the last box of this grid, (c-1) zeta + r zeta rounds to 1.0 for
+        # the largest draw r below 1; it is the point 0 of the circle
+        fam = classical_family(1)
+        g = grid_sides(fam, 8, Fraction(3, 4), Fraction(1, 4))
+        zeta = float(g.sides[0])
+        top = np.nextafter(1.0, 0.0)
+        assert (g.counts[0] - 1) * zeta + top * zeta == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            monkeypatch.setattr(np.random, "Generator", FixedDraws(top))
+            at_one = census(fam, UNIT, g, samples_per_box=2, seed=0)
+            monkeypatch.setattr(np.random, "Generator", FixedDraws(0.0))
+            at_zero = census(fam, UNIT, g, samples_per_box=2, seed=0)
+        # box b's draw sits at (b+1) zeta in one census and at b zeta in the
+        # other: the same samples up to the last box's 1.0 against box 0's 0.0
+        assert at_one.moment_sum == pytest.approx(at_zero.moment_sum, rel=1e-12)
+        W0 = completion_fft(fam, TorusPoint([0]), UNIT, g.N).W
+        W_center = completion_fft(fam, TorusPoint.from_reals([1 - g.sides[0] / 2]), UNIT, g.N).W
+        assert at_one.box_peaks[-1] == pytest.approx(max(W0, W_center), rel=1e-12)
 
     @pytest.mark.parametrize("weights", [UNIT, WeightSeq.explicit([0.001] * 8, C=0.001, c=0.0)])
     def test_marked_boxes_array(self, weights):

@@ -150,6 +150,18 @@ class TestExitCodes:
         assert code == 2
         assert "components" in err
 
+    def test_zero_direction_exits_2(self, capsys):
+        code, _, err = run(capsys, "project", "--family", "classical:2", "--N", "4", "--direction", "0,0")
+        assert code == 2
+        assert "nonzero" in err
+
+    @pytest.mark.parametrize("direction,unit", [("1e308,1e308", [0.5**0.5] * 2), ("1e-320,0", [1.0, 0.0])])
+    def test_direction_norm_neither_overflows_nor_underflows(self, capsys, direction, unit):
+        code, out, _ = run(capsys, "project", "--family", "classical:2", "--N", "4",
+                           "--direction", direction, "--out", "json")
+        assert code == 0
+        assert json.loads(out)["direction"] == pytest.approx(unit)
+
     def test_config_error_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.toml"
         cfg.write_text('kind = "nope"\n')

@@ -314,6 +314,30 @@ class TestErdosTuran:
         with pytest.raises(ValueError):
             erdos_turan_bound([0.1], 0)
 
+    @pytest.mark.parametrize("d,N,G", [(1, 50, 7), (2, 300, 40), (3, 4096, 64)])
+    def test_matches_float_phase_formula(self, d, N, G):
+        # the float phase + exp form of the same bound, summed the same way
+        u = TorusPoint.from_reals(np.random.default_rng(80 + d).random(d))
+        fam = classical_family(d)
+        raw = np.array([PhaseTable.raw_at(fam.polys, u.raw, n) for n in range(1, N + 1)], dtype=np.uint64)
+        gs = np.arange(1, G + 1, dtype=np.uint64)
+        sums = np.abs(np.exp(2j * np.pi * 2.0**-64 * (gs[:, None] * raw)).sum(axis=1))
+        ref = 3.0 * (N / (G + 1) + float(np.sum(sums / gs)))
+        assert erdos_turan_bound_poly(fam, u, N, G) == pytest.approx(ref, rel=1e-12)
+        assert erdos_turan_bound(_phases_float(fam.polys, u.raw, N), G) == pytest.approx(ref, rel=1e-12)
+
+    def test_dilation_block_memory(self):
+        # the full (G, N) block: uint64 phases and their complex exponentials
+        N, G = 1 << 16, ERDOS_TURAN_TERM_BUDGET >> 16
+        u = TorusPoint.from_reals([0.1, 0.2])
+        tracemalloc.start()
+        try:
+            erdos_turan_bound_poly(classical_family(2), u, N, G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 << 20
+
 
 class TestPolyDiscrepancy:
     def test_zero_point(self):

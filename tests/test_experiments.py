@@ -66,8 +66,7 @@ def per_draw_reference(cfg):
             best = 0.0
             for _ in range(cfg.y_samples):
                 raws = TorusPoint.from_reals(rng.random(fam.d - k)).raw
-                phase = _phases_float(fam.polys[k:], raws, N)
-                best = max(best, float(abs(np.sum(c * np.exp(2j * np.pi * phase)))))
+                best = max(best, float(abs(np.sum(_twisted_coeffs(fam.polys[k:], raws, c, N)))))
             out.append((x, N, best, None))
     return out
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from weylsums.expsum import (
     _fold_weights,
     _majorant,
     _quantize,
+    _expi,
     _quantize_array,
     _spectrum,
     _twisted_coeffs,
@@ -64,6 +66,13 @@ class TestTorusPoint:
         got = _quantize_array(xs)
         assert got.dtype == np.uint64
         assert got.tolist() == [_quantize(float(x)) for x in xs]
+
+    def test_array_quantization_of_one_is_zero(self):
+        # 1.0 is the point 0 of the circle; 2^64 must not reach the uint64 cast
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _quantize_array(np.array([1.0, np.nextafter(1.0, 0.0), 0.0]))
+        assert got.tolist() == [0, (1 << 64) - (1 << 11), 0]
 
 
 class TestWeights:
@@ -184,6 +193,54 @@ class TestPhaseTable:
             raw_phases(fam.polys, u.raw, 4)
         with pytest.raises(ValueError, match="coordinates"):  # rows of the batched kernel too
             raw_phases(fam.polys, np.zeros((3, len(coords)), dtype=np.uint64), 4)
+
+
+class TestExpKernel:
+    EDGES = [0, 1, (1 << 52) - 1, 1 << 52, (1 << 52) + 1, 1 << 63, (1 << 64) - (1 << 11), (1 << 64) - 1]
+
+    def test_accuracy_against_high_precision(self):
+        import mpmath
+
+        theta = np.concatenate((
+            np.array(self.EDGES, dtype=np.uint64),
+            np.random.default_rng(31).integers(0, 1 << 64, size=1 << 14, dtype=np.uint64),
+        ))
+        with mpmath.workprec(113):  # theta / 2^63 is exact, and cospi reduces it exactly
+            exact = np.array([
+                complex(mpmath.cospi(mpmath.mpf(int(v)) / 2**63), mpmath.sinpi(mpmath.mpf(int(v)) / 2**63))
+                for v in theta
+            ])
+        err = np.abs(_expi(theta) - exact).max()
+        x = theta.astype(np.float64) * 2.0**-64  # the float phase + exp route the kernel replaced
+        x[x == 1.0] = 0.0
+        assert err <= 1e-15
+        assert err <= np.abs(np.exp(2j * np.pi * x) - exact).max()
+
+    def test_slabs_do_not_change_values(self, monkeypatch):
+        theta = np.random.default_rng(32).integers(0, 1 << 64, size=(3, 1001), dtype=np.uint64)
+        ref = _expi(theta)
+        assert ref.shape == theta.shape and ref.dtype == np.complex128
+        monkeypatch.setattr("weylsums.expsum._SLAB", 64)  # a partial last slab
+        assert np.array_equal(_expi(theta), ref)
+        assert np.array_equal(np.stack([_expi(row) for row in theta]), ref)
+        assert _expi(np.uint64(1 << 62)) == pytest.approx(1j, abs=1e-16)
+
+    def test_twisted_coeffs_bytes_per_term(self):
+        import tracemalloc
+
+        # one uint64 phase block and the complex result, plus fixed slab
+        # buffers: a float phase and a complex exponent would add 24 more
+        fam = classical_family(2)
+        B, N = 64, 1 << 12
+        raws = _quantize_array(np.random.default_rng(33).random((B, 2)))
+        a = UNIT.array(N)
+        tracemalloc.start()
+        try:
+            _twisted_coeffs(fam.polys, raws, a, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (B * N) <= 32.5
 
 
 class TestWeylSum:
@@ -526,3 +583,5 @@ class TestBudgets:
             for fn in (weyl_sum, completion_fft):
                 with pytest.raises(BudgetError):
                     fn(classical_family(2), random_point(2), UNIT, N)
+            with pytest.raises(BudgetError):
+                short_interval_sum([0.1, 0.2], 3, N)
