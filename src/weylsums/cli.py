@@ -36,7 +36,7 @@ from .expsum import (
     vinogradov_count,
     weyl_sum,
 )
-from .polyfam import degree_stats, parse_family
+from .polyfam import classical_family, degree_stats, parse_family
 
 __all__ = ["main"]
 
@@ -116,10 +116,12 @@ def _cmd_completion(args) -> int:
 
 def _cmd_discrepancy(args) -> int:
     u = _parse_point(args.u)
+    fam = parse_family(args.family if args.family else f"classical:{len(u)}")
     if args.M is not None:
+        if fam.polys != classical_family(len(u)).polys:
+            raise ConfigError(f"--M runs on classical:{len(u)} only, got {args.family!r}")
         res = disc_mod.short_interval_discrepancy(u, args.M, args.N)
     else:
-        fam = parse_family(args.family if args.family else f"classical:{len(u)}")
         res = disc_mod.poly_discrepancy(fam, TorusPoint.from_reals(u), args.N)
     payload = res.to_json()
     payload["normalized"] = res.value / res.N
@@ -131,8 +133,6 @@ def _cmd_vinogradov(args) -> int:
     count = vinogradov_count(args.d, args.s, args.N)
     payload = {"d": args.d, "s": args.s, "N": args.N, "count": count}
     if args.check_moment:
-        from .polyfam import classical_family
-
         fam = classical_family(args.d)
         grid = exact_moment_grid(fam, args.N, 2 * args.s)
         payload["moment"] = moment_integral(fam, WeightSeq.unit(), args.N, 2 * args.s, grid)

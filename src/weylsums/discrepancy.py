@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError
-from .expsum import TorusPoint, _expi, _phases_float, _quantize_array, raw_phases
+from .expsum import SCALE_BITS, TorusPoint, _expi, _quantize_array, raw_phases
 from .polyfam import PolynomialFamily, classical_family
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
 BRUTE_FORCE_BUDGET = 512
 ERDOS_TURAN_TERM_BUDGET = 1 << 22  # G*N terms of the one (G, N) dilation block
 SWEEP_BLOCK = 1 << 12  # points per batched sweep of window discrepancies
-SWEEP_POINT_BUDGET = 1 << 21  # points per one-row sweep, at about 160 bytes each: about 320 MiB
+SWEEP_POINT_BUDGET = 1 << 21  # points per one-row sweep, at about 110 bytes each (130 with raw phases): 260 MiB
 
 
 @dataclass(frozen=True)
@@ -75,20 +75,31 @@ def exact_discrepancy(points: Sequence[float]) -> DiscrepancyResult:
     """
     pts = _validate(points)
     _check_sweep(len(pts))
-    value, a, b = _sweep_rows(pts[None, :])
-    return DiscrepancyResult(value=float(value[0]), witness=(float(a[0]), float(b[0])), N=len(pts))
+    return _sweep_one(pts)
 
 
 def _check_sweep(N: int) -> None:
-    """Fail fast when one row of N points would outgrow SWEEP_POINT_BUDGET."""
+    """Fail fast on N < 1, or when one row of N points would outgrow SWEEP_POINT_BUDGET."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if N > SWEEP_POINT_BUDGET:
         raise BudgetError(f"N = {N} points exceed the sweep budget {SWEEP_POINT_BUDGET}")
 
 
-def _sweep_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sweep of ``exact_discrepancy`` on every row of pts[B, N] at once.
+def _sweep_one(keys: np.ndarray) -> DiscrepancyResult:
+    """The ``DiscrepancyResult`` of the sweep of one row keys[N]."""
+    value, a, b = _sweep_rows(keys[None, :])
+    return DiscrepancyResult(value=float(value[0]), witness=(float(a[0]), float(b[0])), N=len(keys))
 
-    Returns the values and the witness endpoints a, b, each of shape (B,).
+
+def _sweep_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sweep of ``exact_discrepancy`` on every row of keys[B, N] at once.
+
+    A key is a float point in [0, 1) or a uint64 raw phase, the point
+    raw / 2^64.  Order, distinctness and the atom at 0 are read off the
+    keys; only the deviations t - N x use the float position x.  Returns
+    the values and the witness endpoints a, b, each of shape (B,).
+
     Candidates sit in position order in one row of 2N + 2 slots: a = 0,
     then per sorted point t its left limit g-(x_t) and its attained value
     g+(x_t), then b = 1.  An atom's left limit sits at its first point and
@@ -97,30 +108,32 @@ def _sweep_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     in order, those of the atom-by-atom sweep.  Slot q serves as a right
     endpoint paired with the left endpoints at slots 0..q.
     """
-    B, N = pts.shape
-    xs = np.sort(pts, axis=1)
+    B, N = keys.shape
+    ks = np.sort(keys, axis=1)
+    xs = ks * 2.0**-SCALE_BITS if ks.dtype == np.uint64 else ks
     t = np.arange(N)
     nx = N * xs
-    new = xs[:, 1:] != xs[:, :-1]
+    new = ks[:, 1:] != ks[:, :-1]
     val = np.empty((B, 2 * N + 2))
-    val[:, 0] = np.count_nonzero(xs == 0.0, axis=1)  # g+(0) of the atom at 0 (or none)
+    val[:, 0] = np.count_nonzero(ks == 0, axis=1)  # g+(0) of the atom at 0 (or none)
     val[:, 1:-1:2] = t - nx  # g-, one-sided limits
     val[:, 2:-1:2] = (t + 1) - nx  # g+, attained
     val[:, -1] = 0.0
+    del t, nx  # 16 bytes a point, not held through the sweep
     # a_ok: left-endpoint slots; b_ok: right-endpoint slots
     a_ok = np.zeros((B, 2 * N + 2), dtype=bool)
     a_ok[:, 0] = True
-    a_ok[:, 1] = xs[:, 0] > 0.0
-    a_ok[:, 3:-1:2] = new & (xs[:, 1:] > 0.0)
+    a_ok[:, 1] = ks[:, 0] > 0
+    a_ok[:, 3:-1:2] = new & (ks[:, 1:] > 0)
     a_ok[:, 2:-3:2] = new
     a_ok[:, -2] = True
     b_ok = a_ok.copy()
     b_ok[:, 0], b_ok[:, -1] = False, True
 
-    a_min = np.where(a_ok, val, np.inf)
-    a_max = np.where(a_ok, val, -np.inf)
-    run_min = np.minimum.accumulate(a_min, axis=1)
-    run_max = np.maximum.accumulate(a_max, axis=1)
+    run_min = np.where(a_ok, val, np.inf)
+    np.minimum.accumulate(run_min, axis=1, out=run_min)
+    run_max = np.where(a_ok, val, -np.inf)
+    np.maximum.accumulate(run_max, axis=1, out=run_max)
     gain = np.where(b_ok, val - run_min, -np.inf)  # interval holds more than its share
     loss = np.where(b_ok, run_max - val, -np.inf)  # interval holds less than its share
 
@@ -130,17 +143,11 @@ def _sweep_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     use_gain = gain[rows, j_gain] >= loss[rows, j_loss]
     j = np.where(use_gain, j_gain, j_loss)
     value = np.where(use_gain, gain[rows, j_gain], loss[rows, j_loss])
-    # a is the earliest left endpoint holding the extreme that b was paired with
+    # a is the earliest left endpoint holding b's extreme: where the running extreme first reaches it
     extreme = np.where(use_gain, run_min[rows, j], run_max[rows, j])
-    i = np.argmax(np.where(use_gain[:, None], a_min, a_max) == extreme[:, None], axis=1)
-    return value, _slot_coord(xs, i), _slot_coord(xs, j)
-
-
-def _slot_coord(xs: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The position of slot q of each row of ``_sweep_rows``."""
-    N = xs.shape[1]
-    x = xs[np.arange(len(q)), np.clip((q - 1) // 2, 0, N - 1)]
-    return np.where(q == 0, 0.0, np.where(q == 2 * N + 1, 1.0, x))
+    i = np.argmax(np.where(use_gain[:, None], run_min, run_max) == extreme[:, None], axis=1)
+    pos = np.pad(xs, ((0, 0), (1, 1)), constant_values=(0.0, 1.0))  # slot q sits at pos[(q + 1) // 2]
+    return value, pos[rows, (i + 1) // 2], pos[rows, (j + 1) // 2]
 
 
 def brute_force_discrepancy(points: Sequence[float]) -> float:
@@ -220,7 +227,7 @@ def _erdos_turan(raw: np.ndarray, G: int) -> float:
 def poly_discrepancy(fam: PolynomialFamily, u: TorusPoint, N: int) -> DiscrepancyResult:
     """Discrepancy of the fractional parts {f(n)}, n = 1..N, at exact phases."""
     _check_sweep(N)
-    return exact_discrepancy(_phases_float(fam.polys, u.raw, N))
+    return _sweep_one(raw_phases(fam.polys, u.raw, N))
 
 
 def short_interval_discrepancy(u: Sequence, M: int, N: int) -> DiscrepancyResult:
@@ -232,7 +239,7 @@ def short_interval_discrepancy(u: Sequence, M: int, N: int) -> DiscrepancyResult
     """
     _check_sweep(N)
     pt = TorusPoint.from_reals(u)
-    return exact_discrepancy(_phases_float(classical_family(pt.d).polys, pt.raw, N, M))
+    return _sweep_one(raw_phases(classical_family(pt.d).polys, pt.raw, N, M))
 
 
 def _window_discrepancies(raw: Sequence[int], starts: Sequence[int], N: int) -> np.ndarray:
@@ -244,6 +251,6 @@ def _window_discrepancies(raw: Sequence[int], starts: Sequence[int], N: int) -> 
     polys = classical_family(len(raw)).polys
     rows = max(1, SWEEP_BLOCK // N)
     return np.concatenate([
-        _sweep_rows(_phases_float(polys, raw, N, starts[lo:lo + rows]))[0]
+        _sweep_rows(raw_phases(polys, raw, N, starts[lo:lo + rows]))[0]
         for lo in range(0, len(starts), rows)
     ])

@@ -21,16 +21,16 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .census import census, counting_bound, grid_sides
-from .discrepancy import _check_sweep, _window_discrepancies, exact_discrepancy
+from .discrepancy import _check_sweep, _sweep_one, _window_discrepancies
 from .errors import BudgetError, ConfigError
 from .expsum import (
     TorusPoint,
     WeightSeq,
     _majorant,
-    _phases_float,
     _quantize_array,
     _sum_trace,
     _twisted_coeffs,
+    raw_phases,
     sup_linear_coeff,
 )
 from .polyfam import IntPolynomial, PolynomialFamily, classical_family, parse_family
@@ -289,9 +289,9 @@ def _run_sample(cfg: ExperimentConfig, sid: int) -> list[RunRecord]:
                 )
     elif cfg.kind == "discrepancy":
         coords = tuple(rng.random(fam.d))
-        phases = _phases_float(fam.polys, TorusPoint.from_reals(coords).raw, n_max)
+        raw = raw_phases(fam.polys, TorusPoint.from_reals(coords).raw, n_max)
         for N in schedule:
-            dv = exact_discrepancy(phases[:N]).value
+            dv = _sweep_one(raw[:N]).value
             records.append(
                 RunRecord(cfg.experiment_id, sid, coords, N, "D", dv,
                           extras=_disc_ratios(dv, N))

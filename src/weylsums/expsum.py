@@ -293,17 +293,6 @@ def raw_phases(polys: Sequence[IntPolynomial], raws, N: int, starts=0) -> np.nda
     return f
 
 
-def _phases_float(polys, raws, N: int, starts=0) -> np.ndarray:
-    """The phases {f(n)} of ``raw_phases`` as floats in [0, 1), for the discrepancy sweeps.
-
-    A raw phase within 2^-54 of 1 rounds to the float 1.0; it is mapped to
-    0.0, the same point of the circle.
-    """
-    x = raw_phases(polys, raws, N, starts).astype(np.float64) * 2.0**-SCALE_BITS
-    x[x == 1.0] = 0.0
-    return x
-
-
 def _expi(theta: np.ndarray) -> np.ndarray:
     """e(theta / 2^64) of uint64 raw phases theta, as complex of the same shape.
 

@@ -111,6 +111,22 @@ class TestExitCodes:
         assert code == 2
         assert "classical" in err
 
+    def test_window_nonclassical_family_exits_2(self, capsys):
+        code, _, err = run(capsys, "discrepancy", "--family", "[[0,0,1],[0,1]]", "--u", "0.1,0.2",
+                           "--N", "8", "--M", "3")
+        assert code == 2
+        assert "classical:2" in err
+        code, _, _ = run(capsys, "discrepancy", "--family", "classical:2", "--u", "0.1,0.2",
+                         "--N", "8", "--M", "3")
+        assert code == 0
+
+    @pytest.mark.parametrize("window", [(), ("--M", "3")])
+    @pytest.mark.parametrize("N", ["0", "-3"])
+    def test_discrepancy_nonpositive_n_exits_2(self, capsys, N, window):
+        code, _, err = run(capsys, "discrepancy", "--u", "0.1,0.2", "--N", N, *window)
+        assert code == 2
+        assert "N must be >= 1" in err
+
     @pytest.mark.parametrize("command", ["sum", "completion"])
     @pytest.mark.parametrize("u", ["0.1", "0.1,0.2,0.3"])
     def test_point_length_mismatch_exits_2(self, capsys, command, u):

@@ -26,7 +26,7 @@ from weylsums.discrepancy import (
     _sweep_rows,
     _window_discrepancies,
 )
-from weylsums.expsum import PhaseTable, _phases_float
+from weylsums.expsum import PhaseTable, raw_phases
 from weylsums.polyfam import IntPolynomial, shift_coefficients
 
 MASK = (1 << 64) - 1
@@ -187,23 +187,44 @@ class TestBatchedSweep:
             res = exact_discrepancy(pts)
             assert (res.value, res.witness) == unique_sweep(pts)
 
+    def test_raw_phase_rows_match_their_float_positions(self):
+        # uint64 keys are swept exactly; every value and witness equals that
+        # of the same row given as float positions raw / 2^64, including raw
+        # 0, distinct raws that round to one float and raws that round to 1.0
+        rng = np.random.default_rng(24)
+        edges = [0, 0, 1, 2**63 + 1, 2**63 + 2, 2**64 - 2**10, 2**64 - 2, 2**64 - 1]
+        for N in (1, 2, 8, 13, 64):
+            rows = rng.integers(0, 2**64, size=(12, N), dtype=np.uint64)
+            rows[1::3] = rng.choice(np.array(edges, dtype=np.uint64), size=(4, N))
+            rows[2::3, : N // 2] = rng.choice(np.array(edges, dtype=np.uint64), size=(4, N // 2))
+            raw_value, raw_a, raw_b = _sweep_rows(rows)
+            float_value, float_a, float_b = _sweep_rows(rows * 2.0**-64)
+            assert raw_value.tolist() == float_value.tolist()
+            assert raw_a.tolist() == float_a.tolist()
+            assert raw_b.tolist() == float_b.tolist()
+
     def test_sweep_bytes_per_point(self):
+        # what SWEEP_POINT_BUDGET is sized by, for float points and for the
+        # raw phases of a polynomial (those phases included)
         N = 1 << 18
         pts = np.random.default_rng(23).random(N)
-        tracemalloc.start()
-        try:
-            exact_discrepancy(pts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / N <= 160  # what SWEEP_POINT_BUDGET is sized by
+        u = TorusPoint.from_reals([0.1, 0.2, 0.3])
+        for run, bound in ((lambda: exact_discrepancy(pts), 120),
+                           (lambda: poly_discrepancy(classical_family(3), u, N), 140)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / N <= bound
 
     def test_sweep_point_budget(self, monkeypatch):
         # one point past the budget: each call fails before it builds phases
         def never(*args):
             raise AssertionError("phases were built")
 
-        monkeypatch.setattr("weylsums.discrepancy._phases_float", never)
+        monkeypatch.setattr("weylsums.discrepancy.raw_phases", never)
         N = SWEEP_POINT_BUDGET + 1
         u = TorusPoint.from_reals([0.1, 0.2])
         with pytest.raises(BudgetError):
@@ -242,7 +263,7 @@ class TestErdosTuran:
             N = int(rng.integers(4, 200))
             u = TorusPoint.from_reals(rng.random(d))
             fam = classical_family(d)
-            pts = _phases_float(fam.polys, u.raw, N)
+            pts = raw_phases(fam.polys, u.raw, N).astype(np.float64) * 2.0**-64
             dn = exact_discrepancy(pts).value
             for expo in (0.25, 0.5, 0.75):
                 G = max(1, int(N**expo))
@@ -265,7 +286,7 @@ class TestErdosTuran:
         fam = classical_family(3)
         u = TorusPoint.from_reals([0.137, 0.61, 0.29])
         N, G = 80, 17
-        pts = _phases_float(fam.polys, u.raw, N)
+        pts = raw_phases(fam.polys, u.raw, N).astype(np.float64) * 2.0**-64
         generic = erdos_turan_bound(pts, G)
         kernel = erdos_turan_bound_poly(fam, u, N, G)
         assert kernel == pytest.approx(generic, rel=1e-10)
@@ -298,7 +319,7 @@ class TestErdosTuran:
                 for G in (1, 13, 150 if N < 4096 else ERDOS_TURAN_TERM_BUDGET // N):
                     ref = per_g_reference(fam, u, N, G)
                     assert erdos_turan_bound_poly(fam, u, N, G) == pytest.approx(ref, rel=1e-12)
-                    pts = _phases_float(fam.polys, u.raw, N)
+                    pts = raw_phases(fam.polys, u.raw, N).astype(np.float64) * 2.0**-64
                     assert erdos_turan_bound(pts, G) == pytest.approx(ref, rel=1e-12)
 
     def test_full_budget_of_dilations(self):
@@ -324,7 +345,8 @@ class TestErdosTuran:
         sums = np.abs(np.exp(2j * np.pi * 2.0**-64 * (gs[:, None] * raw)).sum(axis=1))
         ref = 3.0 * (N / (G + 1) + float(np.sum(sums / gs)))
         assert erdos_turan_bound_poly(fam, u, N, G) == pytest.approx(ref, rel=1e-12)
-        assert erdos_turan_bound(_phases_float(fam.polys, u.raw, N), G) == pytest.approx(ref, rel=1e-12)
+        pts = raw_phases(fam.polys, u.raw, N).astype(np.float64) * 2.0**-64
+        assert erdos_turan_bound(pts, G) == pytest.approx(ref, rel=1e-12)
 
     def test_dilation_block_memory(self):
         # the full (G, N) block: uint64 phases and their complex exponentials
@@ -344,10 +366,23 @@ class TestPolyDiscrepancy:
         res = poly_discrepancy(classical_family(2), TorusPoint.from_reals([0, 0]), 9)
         assert res.value == 9.0
 
-    def test_phase_rounding_to_one_is_zero(self):
-        # raw phases 2^64 - n round to the float 1.0: four copies of the point 0
+    def test_phases_just_below_one_are_distinct_points(self):
+        # raw phases 2^64 - n are four distinct points just below 1, all of
+        # which round to the float position 1.0
         res = poly_discrepancy(classical_family(1), TorusPoint([2**64 - 1]), 4)
         assert res.value == 4.0
+        assert 0.0 <= res.witness[0] <= res.witness[1] <= 1.0
+
+    @pytest.mark.parametrize("N", [0, -3])
+    def test_n_checked_before_phases(self, monkeypatch, N):
+        def never(*args):
+            raise AssertionError("phases were built")
+
+        monkeypatch.setattr("weylsums.discrepancy.raw_phases", never)
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            poly_discrepancy(classical_family(2), TorusPoint.from_reals([0.1, 0.2]), N)
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            short_interval_discrepancy([0.1, 0.2], 5, N)
 
     def test_csv_row(self):
         res = poly_discrepancy(classical_family(1), TorusPoint.from_reals([0.5]), 4)

@@ -25,7 +25,7 @@ from weylsums import (
     write_jsonl,
 )
 from weylsums.experiments import _sample_rng, _split_family, fit_by_sample
-from weylsums.expsum import PhaseTable, _phases_float, _twisted_coeffs
+from weylsums.expsum import PhaseTable, _twisted_coeffs, raw_phases
 from weylsums.polyfam import IntPolynomial, shift_coefficients
 
 
@@ -55,7 +55,8 @@ def per_draw_reference(cfg):
                 for _ in range(cfg.m_samples):
                     m = int(rng.integers(0, N))
                     raws = TorusPoint.from_reals(shift_coefficients(pt.fractions(), m)).raw
-                    dv = exact_discrepancy(_phases_float(polys, raws, N)).value
+                    pts = raw_phases(polys, raws, N).astype(np.float64) * 2.0**-64
+                    dv = exact_discrepancy(pts).value
                     if dv > best:
                         best, best_m = dv, m
                 out.append((coords, N, best, float(best_m)))
