@@ -17,8 +17,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, InvariantViolation
-from .expsum import WeightSeq, _majorant, _quantize_array, _twisted_coeffs
+from .errors import InvariantViolation, check_cost
+from .expsum import WeightSeq, _expi_bytes, _majorant, _quantize_array, _twisted_coeffs
 from .polyfam import PolynomialFamily
 
 __all__ = [
@@ -34,8 +34,6 @@ __all__ = [
     "per_box_projection_bound",
 ]
 
-GRID_BOX_BUDGET = 1 << 24
-CENSUS_TERM_BUDGET = 1 << 28  # U*spb*N phase terms: admits classical:2 at N = 32 (1.35e8)
 _CHUNK = 4096  # boxes per chunk, cut further so a chunk holds at most _CHUNK_TERMS terms
 _CHUNK_TERMS = 1 << 18
 _STREAM_TAG = 0x63656E73  # "cens": keeps the census stream apart from project_union's
@@ -90,7 +88,7 @@ class BoxGrid:
         return tuple(i * z for i, z in zip(index, self.sides))
 
 
-def grid_sides(fam: PolynomialFamily, N: int, alpha, eps, budget: int = GRID_BOX_BUDGET) -> BoxGrid:
+def grid_sides(fam: PolynomialFamily, N: int, alpha, eps) -> BoxGrid:
     """Build the census grid with sides 1/ceil(N^(e_j + 1 + eps - alpha)).
 
     alpha and eps may be Fractions, strings ("0.05") or floats; they are
@@ -111,8 +109,6 @@ def grid_sides(fam: PolynomialFamily, N: int, alpha, eps, budget: int = GRID_BOX
         q = Fraction(e + 1) + eps - alpha
         counts.append(_ceil_pow(N, q))
     U = math.prod(counts)
-    if U > budget:
-        raise BudgetError(f"grid has {U} boxes, budget {budget}")
     return BoxGrid(
         d=fam.d,
         N=N,
@@ -176,6 +172,13 @@ def markov_check(sampled_values: Sequence[float], threshold: float, two_s: int) 
     return True
 
 
+def _census_cost(grid: BoxGrid, spb: int) -> tuple[int, int]:
+    """(terms, peak bytes) of a census: 48 bytes a term of one chunk, 17 + 16 d a box, all marked."""
+    chunk_terms = min(min(grid.U, _CHUNK) * spb * grid.N, max(_CHUNK_TERMS, spb * grid.N))
+    peak = (17 + 16 * grid.d) * grid.U + 48 * chunk_terms + _expi_bytes(chunk_terms) + 16 * grid.N
+    return grid.U * spb * grid.N, peak
+
+
 def census(
     fam: PolynomialFamily,
     a: WeightSeq,
@@ -199,9 +202,7 @@ def census(
     N = grid.N
     d = grid.d
     spb = samples_per_box
-    terms = grid.U * spb * N
-    if terms > CENSUS_TERM_BUDGET:
-        raise BudgetError(f"U*spb*N = {terms} phase terms exceed the budget {CENSUS_TERM_BUDGET}")
+    check_cost("census", *_census_cost(grid, spb))
     two_s = d * (d + 1)  # 2 s(d)
     tau = grid.threshold
     a_arr = a.array(N)
@@ -395,12 +396,13 @@ def project_union(
     if spec.basis.shape[1] != d:
         raise ValueError(f"basis directions must have {d} components")
     k = spec.k
-    if len(marked_boxes) == 0:
+    if (m := len(marked_boxes)) == 0:
         return ProjectionResult(0.0, "exact_1d" if k == 1 else "exact_axis", None)
     idx = np.asarray(marked_boxes, dtype=np.int64)
     zeta = np.array([float(z) for z in grid.sides])
 
-    if k == 1:
+    if k == 1:  # every route but the rotation declares the peak measured on it
+        check_cost("project_union", m, (16 * d + 56) * m + 4096)
         e = spec.basis[0]
         centers = (idx + 0.5) * zeta
         mid = centers @ e
@@ -409,6 +411,7 @@ def project_union(
 
     axes = [_axis_of(row) for row in spec.basis]
     if all(ax is not None for ax in axes):
+        check_cost("project_union", m, (8 * k + 104) * m + 4096)  # a Python set of up to m keys
         # a set of packed keys, not np.unique, which imports numpy.ma (about 1.7 MiB)
         keys = np.ravel_multi_index(tuple(idx[:, axes].T), [grid.counts[ax] for ax in axes])
         measure = len(set(keys.tolist())) * math.prod(float(grid.sides[ax]) for ax in axes)
@@ -417,13 +420,13 @@ def project_union(
     if k == d:
         # Full-rank orthonormal projection is a rotation: measure preserved,
         # and grid boxes are disjoint.
-        return ProjectionResult(len(idx) * math.prod(map(float, grid.sides)), "exact_full", None)
+        return ProjectionResult(m * math.prod(map(float, grid.sides)), "exact_full", None)
 
     if k != 2:
-        raise NotImplementedError(
-            "general Monte Carlo projection is implemented for k in {1, 2, d}"
-        )
-
+        raise NotImplementedError("general Monte Carlo projection is implemented for k in {1, 2, d}")
+    # a pair block holds at most PAIR_BLOCK pairs, or the m translates of one crowded cell
+    check_cost("project_union", m + samples,
+               56 * m + 88 * samples + 88 * max(PAIR_BLOCK, m) + ((8 * d + 32) << d) + 4096)
     B = spec.basis  # (2, d)
     corners = np.array(
         [[(b >> j) & 1 for j in range(d)] for b in range(1 << d)], dtype=np.float64

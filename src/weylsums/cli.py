@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 budget exceeded,
-4 hard-invariant failure.
+Exit codes: 0 success, 2 configuration/usage error, 3 work or memory
+budget exceeded, 4 hard-invariant failure.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def _cmd_sweep(args) -> int:
         exp_mod.write_csv(records, cfg.out_csv, cfg)
     if cfg.out_jsonl:
         exp_mod.write_jsonl(records, cfg.out_jsonl, cfg)
-    fits = exp_mod.fit_by_sample(records)
+    fits = exp_mod.fit_by_sample(records) if len(cfg.schedule()) >= 3 else {}
     slopes = [f.slope for f in fits.values()]
     payload = {
         "experiment": cfg.experiment_id,

@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetError
-from .expsum import SCALE_BITS, TorusPoint, _expi, _quantize_array, raw_phases
+from .errors import check_cost
+from .expsum import SCALE_BITS, TorusPoint, _expi, _expi_bytes, _quantize_array, raw_phases
 from .polyfam import PolynomialFamily, classical_family
 
 __all__ = [
@@ -28,10 +28,7 @@ __all__ = [
     "short_interval_discrepancy",
 ]
 
-BRUTE_FORCE_BUDGET = 512
-ERDOS_TURAN_TERM_BUDGET = 1 << 22  # G*N terms of the one (G, N) dilation block
 SWEEP_BLOCK = 1 << 12  # points per batched sweep of window discrepancies
-SWEEP_POINT_BUDGET = 1 << 21  # points per one-row sweep, at about 110 bytes each (130 with raw phases): 260 MiB
 
 
 @dataclass(frozen=True)
@@ -74,16 +71,8 @@ def exact_discrepancy(points: Sequence[float]) -> DiscrepancyResult:
     sweep over those candidates finds it.
     """
     pts = _validate(points)
-    _check_sweep(len(pts))
+    check_cost("exact_discrepancy", len(pts), 120 * len(pts) + 4096)
     return _sweep_one(pts)
-
-
-def _check_sweep(N: int) -> None:
-    """Fail fast on N < 1, or when one row of N points would outgrow SWEEP_POINT_BUDGET."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if N > SWEEP_POINT_BUDGET:
-        raise BudgetError(f"N = {N} points exceed the sweep budget {SWEEP_POINT_BUDGET}")
 
 
 def _sweep_one(keys: np.ndarray) -> DiscrepancyResult:
@@ -161,8 +150,7 @@ def brute_force_discrepancy(points: Sequence[float]) -> float:
     """
     pts = _validate(points)
     N = len(pts)
-    if N > BRUTE_FORCE_BUDGET:
-        raise BudgetError(f"brute force capped at N = {BRUTE_FORCE_BUDGET}")
+    check_cost("brute_force_discrepancy", (N + 2) ** 2, 68 * (N + 2) ** 2 + 4096)
     pts = np.sort(pts)
     V = np.unique(np.concatenate((pts, [0.0, 1.0])))
     bl = np.searchsorted(pts, V, side="left").astype(np.float64)
@@ -193,21 +181,20 @@ def brute_force_discrepancy(points: Sequence[float]) -> float:
 
 def erdos_turan_bound(points: Sequence[float], G: int) -> float:
     """The upper bound 3 (N/(G+1) + sum_{g<=G} |sum_n e(g x_n)| / g) for D_N."""
-    return _erdos_turan(_quantize_array(_validate(points)), G)
+    pts = _validate(points)
+    if G < 1:
+        raise ValueError(f"need G >= 1, got G = {G}")
+    N = len(pts)  # a (G, N) block of phases and exponentials, 24 bytes a term
+    check_cost("erdos_turan_bound", G * N, 24 * G * N + 16 * G + 40 * N + _expi_bytes(G * N) + (1 << 16))
+    return _erdos_turan(_quantize_array(pts), G)
 
 
 def erdos_turan_bound_poly(fam: PolynomialFamily, u: TorusPoint, N: int, G: int) -> float:
     """Same bound for the polynomial sequence {f(n)}, from its exact raw phases."""
-    _check_erdos_turan(N, G)  # before the phases are built
-    return _erdos_turan(raw_phases(fam.polys, u.raw, N), G)
-
-
-def _check_erdos_turan(N: int, G: int) -> None:
-    """Fail fast on G < 1, N < 1 or a (G, N) block past ERDOS_TURAN_TERM_BUDGET."""
     if G < 1 or N < 1:
         raise ValueError(f"need G >= 1 and N >= 1, got G = {G}, N = {N}")
-    if G * N > ERDOS_TURAN_TERM_BUDGET:
-        raise BudgetError(f"G*N = {G * N} sum terms exceed the budget {ERDOS_TURAN_TERM_BUDGET}")
+    check_cost("erdos_turan_bound_poly", G * N, 24 * G * N + 16 * G + 40 * N + _expi_bytes(G * N) + (1 << 16))
+    return _erdos_turan(raw_phases(fam.polys, u.raw, N), G)
 
 
 def _erdos_turan(raw: np.ndarray, G: int) -> float:
@@ -218,7 +205,6 @@ def _erdos_turan(raw: np.ndarray, G: int) -> float:
     ``_expi`` takes to e(g x_n).
     """
     N = len(raw)
-    _check_erdos_turan(N, G)
     gs = np.arange(1, G + 1, dtype=np.uint64)
     sums = np.abs(_expi(gs[:, None] * raw).sum(axis=1))
     return 3.0 * (N / (G + 1) + float(np.sum(sums / gs)))
@@ -226,7 +212,9 @@ def _erdos_turan(raw: np.ndarray, G: int) -> float:
 
 def poly_discrepancy(fam: PolynomialFamily, u: TorusPoint, N: int) -> DiscrepancyResult:
     """Discrepancy of the fractional parts {f(n)}, n = 1..N, at exact phases."""
-    _check_sweep(N)
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    check_cost("poly_discrepancy", N, 128 * N + 4096)
     return _sweep_one(raw_phases(fam.polys, u.raw, N))
 
 
@@ -237,7 +225,9 @@ def short_interval_discrepancy(u: Sequence, M: int, N: int) -> DiscrepancyResult
     kernel, exact mod 1, so the points are bit for bit those of direct
     evaluation over the window and need no translation-sandwich slack.
     """
-    _check_sweep(N)
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    check_cost("short_interval_discrepancy", N, 128 * N + 4096)
     pt = TorusPoint.from_reals(u)
     return _sweep_one(raw_phases(classical_family(pt.d).polys, pt.raw, N, M))
 

@@ -14,18 +14,19 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .census import census, counting_bound, grid_sides
-from .discrepancy import _check_sweep, _sweep_one, _window_discrepancies
-from .errors import BudgetError, ConfigError
+from .census import _census_cost, census, counting_bound, grid_sides
+from .discrepancy import SWEEP_BLOCK, _sweep_one, _window_discrepancies
+from .errors import ConfigError, check_cost
 from .expsum import (
     TorusPoint,
     WeightSeq,
+    _expi_bytes,
     _majorant,
     _quantize_array,
     _sum_trace,
@@ -74,7 +75,6 @@ class ExperimentConfig:
     m_samples: int = 8
     y_samples: int = 16
     threads: int = 1
-    budget: int = 2_000_000_000
     experiment_id: str = "exp"
     out_csv: str | None = None
     out_jsonl: str | None = None
@@ -86,6 +86,14 @@ class ExperimentConfig:
         return parse_family(self.family, k=self.k)
 
     def validate(self) -> "ExperimentConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")
+            want = {"str": str, "int": int, "tuple[str, ...]": tuple}[kind]
+            # exact types: a bool is not an int, and the alphas are strings
+            if not (value is None and optional or type(value) is want
+                    and (want is not tuple or all(type(a) is str for a in value))):
+                raise ConfigError(f"config key {f.name!r} must be {f.type}, got {value!r}")
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.log2_n_min < 0:
@@ -197,29 +205,6 @@ class RunRecord:
 
 
 # ---------------------------------------------------------------------------
-# Budget estimation (before any computation starts)
-
-
-def _estimate_ops(cfg: ExperimentConfig) -> int:
-    fam, k = _split_family(cfg)
-    total = 0
-    for N in cfg.schedule():
-        if cfg.kind in ("weyl", "short"):
-            per = 4 * N  # sum pass + completion
-            if k < fam.d:
-                if fam.d - k == 1 and fam.degrees[-1] == 1:
-                    per += 4 * N * 8  # sup_linear_coeff's default oversample of 4
-                else:
-                    per += N * cfg.y_samples
-        else:
-            per = 4 * N + N.bit_length() * N  # points + sort
-            if cfg.kind == "discrepancy_short":
-                per *= cfg.m_samples
-        total += per
-    return total * cfg.samples
-
-
-# ---------------------------------------------------------------------------
 # Per-sample work (pure; runs in worker processes)
 
 
@@ -240,6 +225,11 @@ def _split_family(cfg: ExperimentConfig) -> tuple[PolynomialFamily, int]:
         polys = [IntPolynomial.monomial(d)] + [IntPolynomial.monomial(j) for j in range(1, d)]
         return PolynomialFamily(polys, k=1), 1
     return fam, cfg.k if cfg.k is not None else fam.d
+
+
+def _certified(fam: PolynomialFamily, k: int) -> bool:
+    """Whether ``sup_linear_coeff`` certifies the sup over y: one linear coefficient."""
+    return fam.d - k == 1 and fam.degrees[-1] == 1
 
 
 def _run_sample(cfg: ExperimentConfig, sid: int) -> list[RunRecord]:
@@ -268,7 +258,7 @@ def _run_sample(cfg: ExperimentConfig, sid: int) -> list[RunRecord]:
             x = (float(rng.random()),)
             stat = "sup_short_S"
         c = _twisted_coeffs(fam.polys[:k], TorusPoint.from_reals(x).raw, 1.0, n_max)
-        if fam.d - k == 1 and fam.degrees[-1] == 1:
+        if _certified(fam, k):
             for N in schedule:
                 res = sup_linear_coeff(c[:N])
                 records.append(
@@ -359,11 +349,22 @@ def metric_sweep(cfg: ExperimentConfig) -> list[RunRecord]:
     output identical to a single-threaded run.
     """
     cfg = cfg.validate()
-    ops = _estimate_ops(cfg)
-    if ops > cfg.budget:
-        raise BudgetError(f"estimated {ops} operations exceed the budget {cfg.budget}")
-    if cfg.kind in ("discrepancy", "discrepancy_short"):
-        _check_sweep(cfg.schedule()[-1])  # the longest one-row sweep
+    fam, k = _split_family(cfg)
+    schedule = cfg.schedule()
+    n, y, m = schedule[-1], cfg.y_samples, cfg.m_samples  # one sample's arrays at the longest N
+    if cfg.kind == "discrepancy":
+        per, peak = 1, 128 * n
+    elif cfg.kind == "discrepancy_short":  # 48 bytes a window, 128 a block's result shared by its windows
+        per, peak = m, 160 * max(SWEEP_BLOCK, n) + (48 + 128 * n // max(SWEEP_BLOCK, n)) * m
+    elif k == fam.d:
+        per, peak = 1, 48 * n + _expi_bytes(n)
+    elif _certified(fam, k):  # sup_linear_coeff's default oversample of 4
+        per, peak = 4, 176 * n + _expi_bytes(n)
+    else:
+        block = min(y * n, max(EXP_BLOCK, n))
+        per, peak = y, 16 * n + 40 * block + 24 * len(schedule) * y * (fam.d - k) + _expi_bytes(block)
+    check_cost("metric_sweep", cfg.samples * sum(schedule) * per,
+               peak + (512 * len(schedule) + 128) * cfg.samples + (1 << 14))  # and every record
     sids = range(cfg.samples)
     workers = min(cfg.threads, cfg.samples, os.cpu_count() or 1)
     if workers == 1:
@@ -389,17 +390,22 @@ def exponent_fit(records: Iterable[RunRecord]) -> FitResult:
         raise ValueError("need at least 3 records to fit")
     if any(not math.isfinite(y) for _, y in pts):
         raise ValueError("all values must be positive")
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
+    xs, ys = np.array(pts).T
     if np.ptp(xs) == 0:
         raise ValueError("records share a single N; fit is degenerate")
+    slope = _slope(xs, ys)
     xm, ym = xs.mean(), ys.mean()
-    slope = float(np.sum((xs - xm) * (ys - ym)) / np.sum((xs - xm) ** 2))
     intercept = float(ym - slope * xm)
     ss_res = float(np.sum((ys - intercept - slope * xs) ** 2))
     ss_tot = float(np.sum((ys - ym) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return FitResult(slope, intercept, r2)
+
+
+def _slope(xs: np.ndarray, ys: np.ndarray) -> float:
+    """The least-squares slope of ys against xs."""
+    xm, ym = xs.mean(), ys.mean()
+    return float(np.sum((xs - xm) * (ys - ym)) / np.sum((xs - xm) ** 2))
 
 
 def fit_by_sample(records: Sequence[RunRecord]) -> dict[int, FitResult]:
@@ -423,13 +429,11 @@ def dimension_scan(cfg: ExperimentConfig) -> dict:
     cfg = cfg.validate()
     fam = cfg.family_obj()
     k = cfg.k if cfg.k is not None else fam.d
-    grids = {}
-    for alpha in cfg.alphas:
-        for N in cfg.schedule():
-            grids[(alpha, N)] = grid_sides(fam, N, Fraction(alpha), Fraction(cfg.eps))
-    total = sum(g.U for g in grids.values()) * cfg.samples_per_box * cfg.schedule()[-1]
-    if total > cfg.budget:
-        raise BudgetError(f"estimated {total} operations exceed the budget {cfg.budget}")
+    grids = {(alpha, N): grid_sides(fam, N, Fraction(alpha), Fraction(cfg.eps))
+             for alpha in cfg.alphas for N in cfg.schedule()}
+    # the censuses run one after another: their terms add up, their peaks do not
+    costs = [_census_cost(g, cfg.samples_per_box) for g in grids.values()]
+    check_cost("dimension_scan", sum(t for t, _ in costs), max(b for _, b in costs))
 
     rows = []
     fits = {}
@@ -452,12 +456,7 @@ def dimension_scan(cfg: ExperimentConfig) -> dict:
             )
             if res.marked > 0:
                 pts.append((math.log2(1.0 / delta), math.log2(res.marked)))
-        if len(pts) >= 2:
-            xs = np.array([p[0] for p in pts])
-            ys = np.array([p[1] for p in pts])
-            fits[alpha] = float(np.sum((xs - xs.mean()) * (ys - ys.mean())) / np.sum((xs - xs.mean()) ** 2))
-        else:
-            fits[alpha] = None
+        fits[alpha] = _slope(*np.array(pts).T) if len(pts) >= 2 else None
     return {"rows": rows, "dimension_proxy": fits, "threshold_k": k}
 
 

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, check_cost
 from .polyfam import IntPolynomial, PolynomialFamily, classical_family
 
 __all__ = [
@@ -50,16 +50,16 @@ _SCALE = 1 << SCALE_BITS
 _MASK = _SCALE - 1
 _TWO_PI = 2.0 * math.pi
 
-VINOGRADOV_TUPLE_BUDGET = 1 << 28
 VINOGRADOV_BLOCK = 1 << 18
-MOMENT_GRID_BUDGET = 1 << 24
-COMPLETION_NAIVE_BUDGET = 1 << 20  # (2N+1)*N terms: admits N <= 723
-PREFIX_KERNEL_BUDGET = 1 << 20  # N*N kernel entries: admits N <= 1024
-SUM_TERM_BUDGET = 1 << 22  # N phases per sum: admits every N used by tests, demos and bench
 
 _TABLE_BITS = 12  # e(k / 2^12) per value k of a phase's top bits
 _LOW_BITS = SCALE_BITS - _TABLE_BITS
 _SLAB = 1 << 13  # terms per pass of _expi: its buffers stay in cache
+
+
+def _expi_bytes(n: int) -> int:
+    """Peak bytes of ``_expi``'s slab buffers on n terms, plus 4 KiB of small arrays."""
+    return 48 * min(n, _SLAB) + 4096
 
 
 def _root_table() -> np.ndarray:
@@ -183,9 +183,7 @@ class WeightSeq:
         return cls("explicit", values=values, envelope=(C, c))
 
     def array(self, N: int) -> np.ndarray:
-        """a_1..a_N; N is checked against SUM_TERM_BUDGET before anything is allocated."""
-        if N > SUM_TERM_BUDGET:
-            raise BudgetError(f"N = {N} weights exceed the budget {SUM_TERM_BUDGET}")
+        """a_1..a_N."""
         if self.kind == "unit":
             return np.ones(N, dtype=np.complex128)
         if len(self.values) < N:
@@ -270,10 +268,8 @@ def raw_phases(polys: Sequence[IntPolynomial], raws, N: int, starts=0) -> np.nda
     Horner's rule in place.  Reduction mod 2^64 is a ring map and numpy's
     uint64 products and sums wrap, so every phase is exact.  Every phase
     comes through here, so this is where a point is checked against the
-    family and N against ``SUM_TERM_BUDGET``.
+    family; the entry points check their cost before they call it.
     """
-    if N > SUM_TERM_BUDGET:
-        raise BudgetError(f"N = {N} phases exceed the budget {SUM_TERM_BUDGET}")
     raws = np.asarray(raws, dtype=np.uint64)
     d = raws.shape[-1] if raws.ndim else 0
     if d != len(polys):
@@ -346,6 +342,7 @@ def weyl_sum(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> SumT
     N = int(N)
     if N < 1:
         raise ValueError("N must be >= 1")
+    check_cost("weyl_sum", N, 48 * N + _expi_bytes(N))
     return _sum_trace(_twisted_coeffs(fam.polys, u.raw, a.array(N), N))
 
 
@@ -371,6 +368,7 @@ def short_interval_sum(u: Sequence, M: int, N: int) -> complex:
     ``u`` is quantized once; the phases f(M+n) come from the offset kernel,
     so the window start, the constant term included, is exact.
     """
+    check_cost("short_interval_sum", N, 32 * N + _expi_bytes(N))
     pt = TorusPoint.from_reals(u)
     return complex(np.sum(_twisted_coeffs(classical_family(pt.d).polys, pt.raw, 1.0, N, M)))
 
@@ -396,8 +394,7 @@ def completion_naive(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int)
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if (2 * N + 1) * N > COMPLETION_NAIVE_BUDGET:
-        raise BudgetError(f"(2N+1)*N terms exceed the budget {COMPLETION_NAIVE_BUDGET} at N = {N}")
+    check_cost("completion_naive", (2 * N + 1) * N, 96 * N + _expi_bytes(N))
     c = _twisted_coeffs(fam.polys, u.raw, a.array(N), N)
     n = np.arange(1, N + 1)
     total = 0.0
@@ -444,6 +441,7 @@ def completion_fft(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    check_cost("completion_fft", N, 48 * N + _expi_bytes(N))
     c = _twisted_coeffs(fam.polys, u.raw, a.array(N), N)
     return CompletionResult(W=float(_majorant(c)), N=N)
 
@@ -458,6 +456,7 @@ def reconstruct_prefix(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: in
     N, M = int(N), int(M)
     if not 1 <= M <= N:
         raise ValueError(f"need 1 <= M <= N, got M={M}, N={N}")
+    check_cost("reconstruct_prefix", N, 121 * N + _expi_bytes(N))
     c = _twisted_coeffs(fam.polys, u.raw, a.array(N), N)
     X = _spectrum(c, N)
     h = np.arange(1, N + 1)
@@ -472,8 +471,7 @@ def reconstruct_prefix(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: in
 
 def reconstruct_all_prefixes(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> np.ndarray:
     """All reconstructed prefixes T(u; 1..N) in one O(N^2) pass (test helper)."""
-    if N * N > PREFIX_KERNEL_BUDGET:
-        raise BudgetError(f"N*N = {N * N} kernel entries exceed the budget {PREFIX_KERNEL_BUDGET}")
+    check_cost("reconstruct_all_prefixes", N * N, 32 * N * N + 128 * N + _expi_bytes(N))
     c = _twisted_coeffs(fam.polys, u.raw, a.array(N), N)
     X = _spectrum(c, N)
     h = np.arange(1, N + 1)
@@ -496,13 +494,14 @@ def sup_linear_coeff(c: Sequence[complex], oversample: int = 4) -> SupLinearResu
     (|g'| <= 2*pi*N*sum|c_n|), so the true supremum lies between grid_max
     and certified_upper.
     """
-    c = np.asarray(c, dtype=np.complex128)
     N = len(c)
     if N < 1:
         raise ValueError("need at least one coefficient")
     if oversample < 2:
         raise ValueError("oversample must be >= 2")
     L = oversample * N
+    check_cost("sup_linear_coeff", L, 16 * N + 40 * L + (1 << 16))
+    c = np.asarray(c, dtype=np.complex128)
     padded = np.zeros(L, dtype=np.complex128)
     padded[1 : N + 1] = c
     mags = np.abs(L * np.fft.ifft(padded))
@@ -533,10 +532,10 @@ def vinogradov_count(d: int, s: int, N: int) -> int:
     d, s, N = int(d), int(s), int(N)
     if d < 1 or s < 1 or N < 1:
         raise ValueError("d, s, N must all be >= 1")
-    if N**s > VINOGRADOV_TUPLE_BUDGET:
-        raise BudgetError(
-            f"N^s = {N**s} tuples exceeds the enumeration budget {VINOGRADOV_TUPLE_BUDGET}"
-        )
+    # a window holds VINOGRADOV_BLOCK tuples or one S_1 value's N^(s-1); s N windows search N heads
+    rows = min(N**s, max(VINOGRADOV_BLOCK, N ** (s - 1)))
+    check_cost("vinogradov_count", N**s + s * N * N,
+               (24 * d + 16) * rows + (16 * d + 8) * N ** (s - 1) + 80 * N + 4096)
     if s * N**d >= 1 << 62:
         raise BudgetError("power sums exceed the exact int64 range")
     n = np.arange(1, N + 1, dtype=np.int64)
@@ -598,18 +597,15 @@ def moment_integral(
         raise ValueError("two_s must be a positive even integer")
     if len(grid) != fam.d:
         raise ValueError(f"grid needs {fam.d} axis sizes")
+    points = math.prod(grid)  # summed over n = 1..N, after N values of each phi_j in Python
+    check_cost("moment_integral", N * (points + fam.d),
+               32 * points + 32 * N * sum(grid) + 64 * N * fam.d + 4096)
     required = exact_moment_grid(fam, N, two_s)
     for g, r, p in zip(grid, required, fam.polys):
         if g < r:
             raise ValueError(
                 f"grid axis for {p!r} has {g} points; {r} needed for exactness"
             )
-    total = 1
-    for g in grid:
-        total *= g
-    if total > MOMENT_GRID_BUDGET:
-        raise BudgetError(f"grid has {total} points, budget {MOMENT_GRID_BUDGET}")
-
     weights = a.array(N)
     operands = []
     for j, (g, p) in enumerate(zip(grid, fam.polys)):

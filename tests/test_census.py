@@ -73,8 +73,12 @@ class TestGridSides:
             grid_sides(fam, 16, Fraction(3, 4), Fraction(0))
 
     def test_budget(self):
-        with pytest.raises(BudgetError):
-            grid_sides(classical_family(3), 64, Fraction(3, 5), Fraction(3, 10))
+        # a grid allocates nothing, so any size is built; the census on it
+        # checks its own cost
+        g = grid_sides(classical_family(3), 64, Fraction(3, 5), Fraction(3, 10))
+        assert g.U == 1177 * 75282 * 4817991
+        with pytest.raises(BudgetError, match="census"):
+            census(classical_family(3), UNIT, g, samples_per_box=1)
 
 
 class TestCensus:
@@ -181,11 +185,26 @@ class TestCensus:
         lin = np.ravel_multi_index(tuple(res.marked_boxes.T), g.counts)
         assert np.array_equal(lin, np.nonzero(res.box_peaks >= g.threshold)[0])
 
-    def test_term_budget(self):
+    def test_term_budget(self, admitted):
+        # U*spb*N terms: classical:2 at N = 32, alpha = 0.95 has 263627
+        # boxes of 32 terms a sample, so spb = 254 is the last within the
+        # work budget; either would run for minutes
+        g = grid_sides(classical_family(2), 32, Fraction(95, 100), Fraction(1, 4))
+        assert g.U == 263627
+        assert admitted(census, classical_family(2), UNIT, g, samples_per_box=254)
+        assert not admitted(census, classical_family(2), UNIT, g, samples_per_box=255)
         # U*spb*N = 1318257 * 4 * 10^6, about 5.3e12 phase terms
         g = grid_sides(classical_family(1), 10**6, Fraction(99, 100), Fraction(1, 100))
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match="work budget"):
             census(classical_family(1), UNIT, g, samples_per_box=4)
+
+    def test_memory_budget(self, admitted):
+        # 17 + 16 d bytes a box: classical:2 at alpha = 1/2 has 49 a box
+        # and is past the memory budget from N = 32 (5.9 million boxes)
+        fam = classical_family(2)
+        for N, fits in ((31, True), (32, False)):
+            g = grid_sides(fam, N, Fraction(1, 2), Fraction(1, 4))
+            assert admitted(census, fam, UNIT, g, samples_per_box=1) is fits
 
     def test_moment_accumulates(self):
         g = small_grid()

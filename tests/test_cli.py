@@ -76,34 +76,43 @@ class TestExitCodes:
         assert code == 2
 
     def test_budget_exits_3(self, capsys):
-        code, _, err = run(capsys, "census", "--family", "classical:3", "--N", "64",
-                           "--alpha", "0.6", "--eps", "0.3")
+        # 6065514 boxes, all but a few hundred marked: past the memory budget
+        code, _, err = run(capsys, "census", "--family", "classical:3", "--N", "8",
+                           "--alpha", "0.75", "--eps", "0.25", "--samples-per-box", "1")
         assert code == 3
-        assert "budget" in err
+        assert "census" in err and "memory budget" in err
 
-    def test_naive_completion_budget_exits_3(self, capsys):
-        code, _, err = run(capsys, "completion", "--family", "classical:2", "--u", "0.1,0.2",
-                           "--N", "1024", "--method", "naive")
-        assert code == 3
-        assert "budget" in err
+    def test_naive_completion_budget_exits_3(self, capsys, monkeypatch):
+        # at the work budget of 2^20 terms, (2N+1)*N admits N = 723
+        monkeypatch.setattr("weylsums.errors.WORK_BUDGET", 1 << 20)
+        for N, expect in (("723", 0), ("724", 3)):
+            code, _, err = run(capsys, "completion", "--family", "classical:2", "--u", "0.1,0.2",
+                               "--N", N, "--method", "naive")
+            assert code == expect
+        assert "work budget" in err
 
-    def test_census_term_budget_exits_3(self, capsys):
-        code, _, err = run(capsys, "census", "--family", "classical:1", "--N", "1000000",
-                           "--alpha", "0.99", "--eps", "0.01")
-        assert code == 3
-        assert "budget" in err
+    def test_census_term_budget_exits_3(self, capsys, monkeypatch):
+        # classical:1 at N = 64: 1449 boxes of 64 terms per sample
+        monkeypatch.setattr("weylsums.errors.WORK_BUDGET", 1449 * 64 * 4)
+        for spb, expect in (("4", 0), ("5", 3)):
+            code, _, err = run(capsys, "census", "--family", "classical:1", "--N", "64",
+                               "--alpha", "0.5", "--eps", "0.25", "--samples-per-box", spb)
+            assert code == expect
+        assert "work budget" in err
 
     def test_sum_term_budget_exits_3(self, capsys):
+        # 48 bytes a term: N = 5584128 is the last admitted
         code, _, err = run(capsys, "sum", "--family", "classical:2", "--u", "0.1,0.2",
-                           "--N", "8388608")
+                           "--N", "5584129")
         assert code == 3
-        assert "budget" in err
+        assert "memory budget" in err
 
     def test_discrepancy_sweep_budget_exits_3(self, capsys):
+        # 128 bytes a point: N = 2097120 is the last admitted
         for window in ((), ("--M", "7")):
-            code, _, err = run(capsys, "discrepancy", "--u", "0.1,0.2", "--N", "4194304", *window)
+            code, _, err = run(capsys, "discrepancy", "--u", "0.1,0.2", "--N", "2097121", *window)
             assert code == 3
-            assert "budget" in err
+            assert "memory budget" in err
 
     def test_short_nonclassical_family_exits_2(self, capsys):
         code, _, err = run(capsys, "sweep", "--kind", "short", "--family", "[[0,1],[0,0,5]]",
@@ -184,6 +193,26 @@ class TestExitCodes:
         code, _, err = run(capsys, "sweep", "--config", str(cfg))
         assert code == 2
 
+    @pytest.mark.parametrize("data,key", [
+        ({"k": "2"}, "k"),
+        ({"samples": "10"}, "samples"),
+        ({"log2_n_min": 2.5, "log2_n_max": 4}, "log2_n_min"),
+        ({"seed": True}, "seed"),
+    ])
+    def test_mistyped_config_value_exits_2(self, capsys, tmp_path, data, key):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps(data))
+        code, _, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert f"config key '{key}'" in err
+
+    def test_budget_config_key_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "budget.json"
+        cfg.write_text(json.dumps({"budget": 10**9}))
+        code, _, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert "unknown config keys: ['budget']" in err
+
 
 class TestSweepCommand:
     def test_writes_deterministic_csv(self, capsys, tmp_path):
@@ -195,6 +224,16 @@ class TestSweepCommand:
         assert run(capsys, *args, "--out-csv", str(out2), "--threads", "2")[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.read_text().splitlines()[0].endswith("seed=21")
+
+    def test_short_schedule_reports_no_slope(self, capsys):
+        # two schedule points: every record is written and no slope is fitted
+        code, out, err = run(capsys, "sweep", "--family", "classical:2", "--samples", "2",
+                             "--log2-n-min", "2", "--log2-n-max", "3", "--out", "json")
+        assert code == 0, err
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert len(lines) == 5
+        assert lines[-1]["records"] == 4
+        assert lines[-1]["median_slope"] is None and lines[-1]["max_slope"] is None
 
     def test_stdout_records_without_files(self, capsys):
         code, out, _ = run(capsys, "sweep", "--family", "classical:2", "--samples", "1",

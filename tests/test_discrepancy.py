@@ -20,9 +20,6 @@ from weylsums import (
     weyl_sum,
 )
 from weylsums.discrepancy import (
-    ERDOS_TURAN_TERM_BUDGET,
-    SWEEP_POINT_BUDGET,
-    _erdos_turan,
     _sweep_rows,
     _window_discrepancies,
 )
@@ -130,9 +127,12 @@ class TestExactDiscrepancy:
 
 
 class TestMutualOracle:
-    def test_brute_force_budget(self):
+    def test_brute_force_budget(self, admitted):
+        # 68 bytes an entry of its (N+2) x (N+2) count matrices
+        assert admitted(brute_force_discrepancy, np.zeros(1984))
+        assert not admitted(brute_force_discrepancy, np.zeros(1985))
         with pytest.raises(BudgetError):
-            brute_force_discrepancy(np.zeros(513))
+            brute_force_discrepancy(np.zeros(10**5))
 
     def test_brute_all_equal(self):
         assert brute_force_discrepancy([0.25] * 6) == pytest.approx(6.0)
@@ -204,8 +204,8 @@ class TestBatchedSweep:
             assert raw_b.tolist() == float_b.tolist()
 
     def test_sweep_bytes_per_point(self):
-        # what SWEEP_POINT_BUDGET is sized by, for float points and for the
-        # raw phases of a polynomial (those phases included)
+        # the bytes a point the sweeps declare, for float points and for
+        # the raw phases of a polynomial (those phases included)
         N = 1 << 18
         pts = np.random.default_rng(23).random(N)
         u = TorusPoint.from_reals([0.1, 0.2, 0.3])
@@ -219,18 +219,20 @@ class TestBatchedSweep:
                 tracemalloc.stop()
             assert peak / N <= bound
 
-    def test_sweep_point_budget(self, monkeypatch):
-        # one point past the budget: each call fails before it builds phases
+    def test_sweep_point_budget(self, monkeypatch, admitted):
+        # 128 bytes a point, phases included: N = 2097120 is the last
+        # admitted, and one point past it fails before phases are built
         def never(*args):
             raise AssertionError("phases were built")
 
         monkeypatch.setattr("weylsums.discrepancy.raw_phases", never)
-        N = SWEEP_POINT_BUDGET + 1
         u = TorusPoint.from_reals([0.1, 0.2])
+        assert admitted(poly_discrepancy, classical_family(2), u, 2097120)
+        assert admitted(short_interval_discrepancy, [0.1, 0.2], 5, 2097120)
         with pytest.raises(BudgetError):
-            poly_discrepancy(classical_family(2), u, N)
+            poly_discrepancy(classical_family(2), u, 2097121)
         with pytest.raises(BudgetError):
-            short_interval_discrepancy([0.1, 0.2], 5, N)
+            short_interval_discrepancy([0.1, 0.2], 5, 2097121)
 
 
 def per_g_reference(fam, u, N, G):
@@ -291,18 +293,23 @@ class TestErdosTuran:
         kernel = erdos_turan_bound_poly(fam, u, N, G)
         assert kernel == pytest.approx(generic, rel=1e-10)
 
-    def test_poly_budget(self, monkeypatch):
+    def test_poly_budget(self, monkeypatch, admitted):
+        # 24 bytes a term of the (G, N) block: G = 2723 is the last at N = 4096
         def never(*args):
             raise AssertionError("phases were built")
 
         monkeypatch.setattr("weylsums.discrepancy.raw_phases", never)
-        for N, G in ((4096, 1025), (1 << 40, 1)):
+        u = TorusPoint.from_reals([0.1, 0.2])
+        assert admitted(erdos_turan_bound_poly, classical_family(2), u, 4096, 2723)
+        for N, G in ((4096, 2724), (1 << 40, 1)):
             with pytest.raises(BudgetError):
-                erdos_turan_bound_poly(classical_family(2), TorusPoint.from_reals([0.1, 0.2]), N, G)
+                erdos_turan_bound_poly(classical_family(2), u, N, G)
 
-    def test_point_budget(self):
-        with pytest.raises(BudgetError):
-            erdos_turan_bound(np.zeros(4096), 1025)
+    def test_point_budget(self, admitted):
+        assert admitted(erdos_turan_bound, np.zeros(4096), 2723)
+        assert not admitted(erdos_turan_bound, np.zeros(4096), 2724)
+
+    def test_point_budget_runs(self):
         assert erdos_turan_bound(np.zeros(4096), 1024) > 0
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -316,20 +323,21 @@ class TestErdosTuran:
         cases = [(TorusPoint.from_reals(rng.random(d)), (1, 80, 4096)), (TorusPoint([r] * d), (1, 80))]
         for u, Ns in cases:
             for N in Ns:
-                for G in (1, 13, 150 if N < 4096 else ERDOS_TURAN_TERM_BUDGET // N):
+                for G in (1, 13, 150 if N < 4096 else 1024):
                     ref = per_g_reference(fam, u, N, G)
                     assert erdos_turan_bound_poly(fam, u, N, G) == pytest.approx(ref, rel=1e-12)
                     pts = raw_phases(fam.polys, u.raw, N).astype(np.float64) * 2.0**-64
                     assert erdos_turan_bound(pts, G) == pytest.approx(ref, rel=1e-12)
 
-    def test_full_budget_of_dilations(self):
-        # one point: every |e(g x)| is 1, so the bound is 3 (1/(G+1) + H_G)
-        G = ERDOS_TURAN_TERM_BUDGET
-        raw = np.array(TorusPoint.from_reals([0.3]).raw, dtype=np.uint64)
+    def test_full_budget_of_dilations(self, monkeypatch):
+        # one point: every |e(g x)| is 1, so the bound is 3 (1/(G+1) + H_G).
+        # At a 16 MiB memory budget a (G, 1) block admits G = 407858.
+        monkeypatch.setattr("weylsums.errors.MEMORY_BUDGET", 1 << 24)
+        G = 407858
         harmonic = math.fsum(1.0 / np.arange(1, G + 1))
-        assert _erdos_turan(raw, G) == pytest.approx(3 * (1 / (G + 1) + harmonic), rel=1e-12)
+        assert erdos_turan_bound([0.3], G) == pytest.approx(3 * (1 / (G + 1) + harmonic), rel=1e-12)
         with pytest.raises(BudgetError):
-            _erdos_turan(raw, G + 1)
+            erdos_turan_bound([0.3], G + 1)
 
     def test_g_validated(self):
         with pytest.raises(ValueError):
@@ -349,8 +357,8 @@ class TestErdosTuran:
         assert erdos_turan_bound(pts, G) == pytest.approx(ref, rel=1e-12)
 
     def test_dilation_block_memory(self):
-        # the full (G, N) block: uint64 phases and their complex exponentials
-        N, G = 1 << 16, ERDOS_TURAN_TERM_BUDGET >> 16
+        # a (G, N) block of 2^22 terms: uint64 phases and their complex exponentials
+        N, G = 1 << 16, 64
         u = TorusPoint.from_reals([0.1, 0.2])
         tracemalloc.start()
         try:

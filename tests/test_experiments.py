@@ -183,10 +183,16 @@ class TestSweep:
         assert metric_sweep(tiny_cfg(samples=6, threads=10_000)) == serial
         assert seen == [3, 2]  # one CPU: the samples run serially
 
-    def test_budget_rejected_before_run(self):
-        cfg = tiny_cfg(samples=10**6, log2_n_max=20, budget=10**6)
-        with pytest.raises(BudgetError):
-            metric_sweep(cfg)
+    def test_budget_rejected_before_run(self, admitted):
+        # the records of 123329 samples, four each, are the last to fit the
+        # memory budget; 2^17 sampled y at N = 2^14 the last within the work budget
+        assert admitted(metric_sweep, tiny_cfg(samples=123329))
+        assert not admitted(metric_sweep, tiny_cfg(samples=123330))
+        sampled = dict(k=1, samples=1, log2_n_min=14, log2_n_max=14)
+        assert admitted(metric_sweep, tiny_cfg(y_samples=1 << 17, **sampled))
+        assert not admitted(metric_sweep, tiny_cfg(y_samples=(1 << 17) + 1, **sampled))
+        with pytest.raises(BudgetError, match="work budget"):
+            metric_sweep(tiny_cfg(samples=10**6, log2_n_max=20))
 
     def test_sweep_point_budget_rejected_before_run(self, monkeypatch):
         import weylsums.experiments as exp_mod
@@ -195,10 +201,16 @@ class TestSweep:
             raise AssertionError("a sample ran")
 
         monkeypatch.setattr(exp_mod, "_run_sample", never)
+        # one-row sweeps of 2^20 points fit the memory budget, of 2^21 do not
         for kind in ("discrepancy", "discrepancy_short"):
-            cfg = tiny_cfg(kind=kind, samples=1, m_samples=1, log2_n_min=22, log2_n_max=22)
-            with pytest.raises(BudgetError):
+            cfg = tiny_cfg(kind=kind, samples=1, m_samples=1, log2_n_min=21, log2_n_max=21)
+            with pytest.raises(BudgetError, match="memory budget"):
                 metric_sweep(cfg)
+
+    def test_largest_one_row_sweep_admitted(self, admitted):
+        for kind in ("discrepancy", "discrepancy_short"):
+            cfg = tiny_cfg(kind=kind, samples=1, m_samples=1, log2_n_min=20, log2_n_max=20)
+            assert admitted(metric_sweep, cfg)
 
     def test_certified_supy_mode(self):
         cfg = tiny_cfg(kind="weyl", family="[[0,0,1],[0,1]]", k=1)
@@ -363,7 +375,7 @@ class TestDimensionScan:
         cfg = ExperimentConfig(kind="weyl", family="classical:2", k=1,
                                log2_n_min=3, log2_n_max=4, samples=1,
                                alphas=("0.75", "0.9"), eps="0.25", seed=2,
-                               samples_per_box=2, budget=10**9)
+                               samples_per_box=2)
         table = dimension_scan(cfg)
         rows = table["rows"]
         assert {r["alpha"] for r in rows} == {0.75, 0.9}
@@ -376,12 +388,16 @@ class TestDimensionScan:
             assert per_alpha == sorted(per_alpha, reverse=True)
         assert table["threshold_k"] == 1
 
-    def test_budget_rejection(self):
+    def test_budget_rejection(self, monkeypatch, admitted):
+        # the censuses' terms add up: 4186 boxes at N = 8 and 65536 at
+        # N = 16, 4 samples of N terms each, are 4328256 terms
         cfg = ExperimentConfig(kind="weyl", family="classical:2",
                                log2_n_min=3, log2_n_max=4, alphas=("0.75",),
-                               eps="0.25", budget=10)
-        with pytest.raises(BudgetError):
-            dimension_scan(cfg)
+                               eps="0.25")
+        monkeypatch.setattr("weylsums.errors.WORK_BUDGET", 4328256)
+        assert admitted(dimension_scan, cfg)
+        monkeypatch.setattr("weylsums.errors.WORK_BUDGET", 4328255)
+        assert not admitted(dimension_scan, cfg)
 
 
 class TestWriters:

@@ -483,8 +483,15 @@ class TestVinogradov:
         r = np.convolve(np.convolve(ones, ones), ones).astype(np.int64)
         assert vinogradov_count(1, 3, 200) == int(np.sum(r**2))
 
-    def test_budget(self):
-        with pytest.raises(BudgetError):
+    def test_budget(self, admitted):
+        # N^s tuples plus s N^2 window searches: (d, 3, 1289) is the last N
+        # within the work budget, and would run for minutes
+        for d in (1, 2):
+            assert admitted(vinogradov_count, d, 3, 1289)
+            assert not admitted(vinogradov_count, d, 3, 1290)
+
+    def test_budget_refused_for_real(self):
+        with pytest.raises(BudgetError, match="work budget"):
             vinogradov_count(2, 5, 10_000)
 
     def test_permutation_closed_forms(self):
@@ -568,20 +575,34 @@ class TestMoments:
 
 
 class TestBudgets:
-    # sizes just past each budget: cheap to run if the check were missing
-    def test_completion_naive(self):
+    # the last admitted size and the first refused one, pinned without
+    # running either; one real refusal each, far past the boundary
+    def test_completion_naive(self, admitted):
+        # (2N+1)*N terms within the work budget
+        assert admitted(completion_naive, classical_family(2), random_point(2), UNIT, 32767)
+        assert not admitted(completion_naive, classical_family(2), random_point(2), UNIT, 32768)
         with pytest.raises(BudgetError):
-            completion_naive(classical_family(2), random_point(2), UNIT, 1024)
+            completion_naive(classical_family(2), random_point(2), UNIT, 1 << 20)
 
-    def test_reconstruct_all_prefixes(self):
+    def test_reconstruct_all_prefixes(self, admitted):
+        # an N x N complex kernel and its cumulative sum, 32 bytes an entry
+        assert admitted(reconstruct_all_prefixes, classical_family(2), random_point(2), UNIT, 2893)
+        assert not admitted(reconstruct_all_prefixes, classical_family(2), random_point(2), UNIT, 2894)
         with pytest.raises(BudgetError):
-            reconstruct_all_prefixes(classical_family(2), random_point(2), UNIT, 1025)
+            reconstruct_all_prefixes(classical_family(2), random_point(2), UNIT, 1 << 20)
 
-    def test_sum_terms(self):
+    def test_sum_terms(self, admitted):
+        # 48 bytes a term for a sum, 32 for a short-interval sum
+        for fn in (weyl_sum, completion_fft):
+            assert admitted(fn, classical_family(2), random_point(2), UNIT, 5584128)
+            assert not admitted(fn, classical_family(2), random_point(2), UNIT, 5584129)
+        assert admitted(short_interval_sum, [0.1, 0.2], 3, 8376192)
+        assert not admitted(short_interval_sum, [0.1, 0.2], 3, 8376193)
+
+    def test_sum_terms_refused_for_real(self):
         # 2^40 unit weights would take 16 TiB: the check comes before them
-        for N in ((1 << 22) + 1, 1 << 40):
-            for fn in (weyl_sum, completion_fft):
-                with pytest.raises(BudgetError):
-                    fn(classical_family(2), random_point(2), UNIT, N)
+        for fn in (weyl_sum, completion_fft):
             with pytest.raises(BudgetError):
-                short_interval_sum([0.1, 0.2], 3, N)
+                fn(classical_family(2), random_point(2), UNIT, 1 << 40)
+        with pytest.raises(BudgetError):
+            short_interval_sum([0.1, 0.2], 3, 1 << 40)
