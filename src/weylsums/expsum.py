@@ -279,7 +279,7 @@ def raw_phases(polys: Sequence[IntPolynomial], raws, N: int, starts=0) -> np.nda
     table = np.zeros((d, D + 1), dtype=np.uint64)
     for j, p in enumerate(polys):
         table[j, : len(p.coeffs)] = [c & _MASK for c in p.coeffs]
-    F = (raws[..., :, None] * table).sum(axis=-2, dtype=np.uint64)
+    F = raws @ table
     n = starts[..., None] + np.arange(1, N + 1, dtype=np.uint64)
     f = np.empty(np.broadcast_shapes(F.shape[:-1], n.shape[:-1]) + (N,), dtype=np.uint64)
     f[...] = F[..., D, None]
@@ -368,6 +368,8 @@ def short_interval_sum(u: Sequence, M: int, N: int) -> complex:
     ``u`` is quantized once; the phases f(M+n) come from the offset kernel,
     so the window start, the constant term included, is exact.
     """
+    if N < 1:
+        raise ValueError("N must be >= 1")
     check_cost("short_interval_sum", N, 32 * N + _expi_bytes(N))
     pt = TorusPoint.from_reals(u)
     return complex(np.sum(_twisted_coeffs(classical_family(pt.d).polys, pt.raw, 1.0, N, M)))
@@ -528,14 +530,23 @@ def vinogradov_count(d: int, s: int, N: int) -> int:
     final.  A window is gathered from the (s-1)-tuple tail, sorted by S_1,
     shifted by each head n_s, so memory is O((VINOGRADOV_BLOCK + N^(s-1)) * d)
     whatever the number of distinct keys.
+
+    In a window of S_1 values [lo, lo + width), (S_1, S_2) is one int64 key
+    (S_1 - lo) * span + S_2, span = s N^2 + 1 > S_2, below 2^62 by a cap on
+    width: d <= 2 sorts one column and d >= 3 lexsorts d - 1.
     """
     d, s, N = int(d), int(s), int(N)
     if d < 1 or s < 1 or N < 1:
         raise ValueError("d, s, N must all be >= 1")
-    # a window holds VINOGRADOV_BLOCK tuples or one S_1 value's N^(s-1); s N windows search N heads
+    span = s * N * N + 1 if d > 1 else 1  # the key is S_1 - lo for d = 1
+    cap = (1 << 62) // span
+    # one S_1 value holds at most N^(s-1) tuples, one per tail row, so a window
+    # spans at least this many; it holds VINOGRADOV_BLOCK tuples or one value's,
+    # in max(d - 1, 1) key columns, and searches N heads
+    least_width = max(1, min(VINOGRADOV_BLOCK // N ** (s - 1), cap))
     rows = min(N**s, max(VINOGRADOV_BLOCK, N ** (s - 1)))
-    check_cost("vinogradov_count", N**s + s * N * N,
-               (24 * d + 16) * rows + (16 * d + 8) * N ** (s - 1) + 80 * N + 4096)
+    check_cost("vinogradov_count", N**s + -(-s * N // least_width) * N,
+               (24 * max(d - 1, 1) + 12) * rows + (16 * d + 8) * N ** (s - 1) + (8 * d + 56) * N + 4096)
     if s * N**d >= 1 << 62:
         raise BudgetError("power sums exceed the exact int64 range")
     n = np.arange(1, N + 1, dtype=np.int64)
@@ -545,20 +556,35 @@ def vinogradov_count(d: int, s: int, N: int) -> int:
         tail = (tail[:, None, :] + powers[None, :, :]).reshape(-1, d)
     tail = tail[np.argsort(tail[:, 0])]
     t1 = tail[:, 0]
-    # an S_1 value holds at most N * (most tail rows sharing one S_1) tuples
-    width = max(1, VINOGRADOV_BLOCK // (N * int(np.bincount(t1).max())))
+    # an S_1 value also holds at most N times the most tail rows sharing one S_1
+    width = max(1, min(VINOGRADOV_BLOCK // min(N * int(np.bincount(t1).max()), len(t1)), cap))
+    # the tail part and the head part of a key may wrap in int64, but the key
+    # lies in [0, 2^62), so their wrapping sum is exact
+    sq = powers[:, 1] if d > 1 else 0
+    packed = t1 * span + (tail[:, 1] if d > 1 else 0)
     total = 0
     for lo in range(s, s * N + 1, width):
         starts = np.searchsorted(t1, lo - n)
         lengths = np.searchsorted(t1, lo + width - n) - starts
         offsets = np.cumsum(lengths) - lengths
         idx = np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
-        keys = tail[idx] + np.repeat(powers, lengths, axis=0)
-        keys = keys[np.lexsort(keys.T)]
-        new_key = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
-        counts = np.diff(np.concatenate(([0], new_key, [len(keys)])))
-        total += int(np.dot(counts, counts))
+        key = packed[idx] + np.repeat((n - lo) * span + sq, lengths)
+        if d > 2:
+            key = np.column_stack((key, tail[idx, 2:] + np.repeat(powers[:, 2:], lengths, axis=0)))
+        total += _sum_of_squared_multiplicities(key)
     return total
+
+
+def _sum_of_squared_multiplicities(keys: np.ndarray) -> int:
+    """Sum of the squared multiplicities of the entries of a 1-D array, or the rows of a 2-D one."""
+    if keys.ndim == 1:
+        keys = np.sort(keys)
+        new_key = keys[1:] != keys[:-1]
+    else:
+        keys = keys[np.lexsort(keys.T)]
+        new_key = np.any(keys[1:] != keys[:-1], axis=1)
+    counts = np.diff(np.concatenate(([0], np.flatnonzero(new_key) + 1, [len(keys)])))
+    return int(np.dot(counts, counts))
 
 
 def exact_moment_grid(fam: PolynomialFamily, N: int, two_s: int) -> list[int]:

@@ -224,50 +224,18 @@ def augmented_family(fam: PolynomialFamily) -> PolynomialFamily:
 # Wronskian
 
 
-def _int_det_bareiss(m: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    n = len(m)
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for p in range(n - 1):
-        if m[p][p] == 0:
-            for r in range(p + 1, n):
-                if m[r][p] != 0:
-                    m[p], m[r] = m[r], m[p]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(p + 1, n):
-            for j in range(p + 1, n):
-                m[i][j] = (m[i][j] * m[p][p] - m[i][p] * m[p][j]) // prev
-        prev = m[p][p]
-    return sign * m[-1][-1]
-
-
-def _falling(e: int, r: int) -> int:
-    out = 1
-    for t in range(r):
-        out *= e - t
-    return out
-
-
 def _wronskian_monomial(polys: Sequence[IntPolynomial]) -> IntPolynomial:
-    # For monomial members a_i T^{e_i} every permutation term of the
-    # determinant has the same total degree sum(e_i) - d(d-1)/2, so the
-    # Wronskian is that monomial times an integer determinant.
+    # Row i of the matrix is a_i (e_i)_j T^(e_i - j), j < d, for members
+    # a_i T^(e_i).  Every permutation term has the power sum(e_i) - d(d-1)/2,
+    # and each falling factorial (e)_j is monic of degree j in e, so column
+    # operations leave a_i times the Vandermonde matrix (e_i^j): the
+    # constant is prod a_i * prod_{i<j} (e_j - e_i).
     d = len(polys)
-    mat = []
-    for p in polys:
-        e = int(p.degree)
-        a = p.coeffs[-1]
-        mat.append([a * _falling(e, j) for j in range(d)])
-    c = _int_det_bareiss(mat)
-    power = sum(int(p.degree) for p in polys) - d * (d - 1) // 2
-    if c == 0 or power < 0:
+    es = [int(p.degree) for p in polys]
+    c = math.prod(p.coeffs[-1] for p in polys) * math.prod(b - a for a, b in combinations(es, 2))
+    if c == 0:
         return IntPolynomial([])
-    return IntPolynomial.monomial(power, c)
+    return IntPolynomial.monomial(sum(es) - d * (d - 1) // 2, c)
 
 
 def _det_cofactor(rows: list[list[IntPolynomial]]) -> IntPolynomial:

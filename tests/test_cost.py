@@ -90,6 +90,8 @@ CASES = {
     "sup_linear_coeff": ("sup_linear_coeff",
                          _on(w.sup_linear_coeff, lambda N: np.exp(2j * np.pi * _points(N))), (1 << 12, 1 << 16)),
     "vinogradov_count": ("vinogradov_count", lambda N: lambda: w.vinogradov_count(2, 3, N), (48, 96)),
+    "vinogradov_count_one_variable": ("vinogradov_count", lambda N: lambda: w.vinogradov_count(2, 1, N),
+                                      (10**5, 10**6)),
     "moment_integral": ("moment_integral", _moment, (16, 24)),
     "exact_discrepancy": ("exact_discrepancy", _on(w.exact_discrepancy, _points), (1 << 12, 1 << 16)),
     "brute_force_discrepancy": ("brute_force_discrepancy", _on(w.brute_force_discrepancy, _points), (128, 512)),

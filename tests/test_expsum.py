@@ -1,6 +1,9 @@
 import cmath
+import itertools
 import math
+import time
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -340,6 +343,11 @@ class TestShortIntervalSum:
         )
         assert short_interval_sum(u, M, N) == pytest.approx(direct, abs=1e-9 * N)
 
+    def test_needs_a_term(self):
+        for N in (0, -3):
+            with pytest.raises(ValueError, match="N must be >= 1"):
+                short_interval_sum([0.1, 0.2], 3, N)
+
 
 class TestCompletion:
     def test_closed_form_at_zero(self):
@@ -483,12 +491,38 @@ class TestVinogradov:
         r = np.convolve(np.convolve(ones, ones), ones).astype(np.int64)
         assert vinogradov_count(1, 3, 200) == int(np.sum(r**2))
 
+    def test_matches_brute_force_oracle(self):
+        # the power-sum vector of every s-tuple, counted directly
+        def oracle(d, s, N):
+            vectors = Counter(tuple(sum(n**j for n in t) for j in range(1, d + 1))
+                              for t in itertools.product(range(1, N + 1), repeat=s))
+            return sum(c * c for c in vectors.values())
+
+        for d in range(1, 7):
+            for s in range(1, 5):
+                for N in (1, 2, 3, 5, 8):
+                    assert vinogradov_count(d, s, N) == oracle(d, s, N), (d, s, N)
+
+    def test_one_variable_is_one_pass(self):
+        # s = 1: a window spans 2^18 values of S_1, so N tuples take a few
+        # windows, not N searches over N heads
+        for d in (1, 2, 3):
+            start = time.process_time()
+            assert vinogradov_count(d, 1, 10**6) == 10**6
+            assert time.process_time() - start < 1.0
+
     def test_budget(self, admitted):
-        # N^s tuples plus s N^2 window searches: (d, 3, 1289) is the last N
+        # N^s tuples plus N head searches a window: (d, 3, 1289) is the last N
         # within the work budget, and would run for minutes
         for d in (1, 2):
             assert admitted(vinogradov_count, d, 3, 1289)
             assert not admitted(vinogradov_count, d, 3, 1290)
+        # windows of several S_1 values: fewer head searches for s = 2, and
+        # few enough for s = 1 that the memory budget binds first
+        assert admitted(vinogradov_count, 2, 2, 40132)
+        assert not admitted(vinogradov_count, 2, 2, 40133)
+        assert admitted(vinogradov_count, 1, 1, 4046783)
+        assert not admitted(vinogradov_count, 1, 1, 4046784)
 
     def test_budget_refused_for_real(self):
         with pytest.raises(BudgetError, match="work budget"):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -30,6 +31,17 @@ def families(max_members=5):
     return st.lists(coeff_lists(), min_size=1, max_size=max_members).map(
         lambda lists: [IntPolynomial(c) for c in lists]
     ).filter(lambda ps: len({p.coeffs for p in ps}) == len(ps)).map(PolynomialFamily)
+
+
+def _derivative_rows(polys):
+    """The Wronskian matrix: row i is phi_i and its first d - 1 derivatives."""
+    rows = []
+    for p in polys:
+        row = [p]
+        for _ in range(len(polys) - 1):
+            row.append(row[-1].derivative())
+        rows.append(row)
+    return rows
 
 
 class TestIntPolynomial:
@@ -103,16 +115,24 @@ class TestWronskian:
             assert w.coeffs[-1] > 0
 
     def test_monomial_fastpath_matches_cofactor(self):
-        polys = [IntPolynomial.monomial(1, 2), IntPolynomial.monomial(3), IntPolynomial.monomial(4, -1)]
-        from weylsums.polyfam import _det_cofactor, _wronskian_monomial
+        # the closed form against the determinant of the derivative rows, on
+        # random a_i T^(e_i) with leading coefficients of either sign and any
+        # size: distinct exponents, and a repeated one, which gives zero
+        from weylsums.polyfam import _det_bareiss_poly, _det_cofactor, _wronskian_monomial
 
-        rows = []
-        for p in polys:
-            row = [p]
-            for _ in range(len(polys) - 1):
-                row.append(row[-1].derivative())
-            rows.append(row)
-        assert _wronskian_monomial(polys) == _det_cofactor(rows)
+        rng = random.Random(20261018)
+        polys = [IntPolynomial.monomial(1, 2), IntPolynomial.monomial(3), IntPolynomial.monomial(4, -1)]
+        assert _wronskian_monomial(polys) == _det_cofactor(_derivative_rows(polys)) == IntPolynomial.monomial(5, -12)
+        for d in range(1, 10):
+            det = _det_cofactor if d <= 6 else _det_bareiss_poly
+            for repeat in (False, True)[: min(d, 2)]:
+                exponents = rng.sample(range(1, 13), d)
+                if repeat:
+                    exponents[-1] = exponents[0]
+                polys = [IntPolynomial.monomial(e, rng.choice([-1, 1]) * rng.randint(1, 50)) for e in exponents]
+                w = _wronskian_monomial(polys)
+                assert w == det(_derivative_rows(polys))
+                assert w.is_zero == repeat
 
     def test_nonmonomial_family(self):
         # ((T-3)^2, (T-3)^4) has a nonvanishing Wronskian
@@ -125,13 +145,7 @@ class TestWronskian:
         fam = PolynomialFamily(polys)
         from weylsums.polyfam import _det_cofactor
 
-        rows = []
-        for p in polys:
-            row = [p]
-            for _ in range(len(polys) - 1):
-                row.append(row[-1].derivative())
-            rows.append(row)
-        assert wronskian(fam) == _det_cofactor(rows)
+        assert wronskian(fam) == _det_cofactor(_derivative_rows(polys))
 
 
 class TestDegreeStats:
