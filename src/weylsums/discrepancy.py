@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import check_cost
 from .expsum import SCALE_BITS, TorusPoint, _expi, _expi_bytes, _quantize_array, raw_phases
-from .polyfam import PolynomialFamily, classical_family
+from .polyfam import IntPolynomial, PolynomialFamily, classical_family
 
 __all__ = [
     "DiscrepancyResult",
@@ -81,13 +81,47 @@ def _sweep_one(keys: np.ndarray) -> DiscrepancyResult:
     return DiscrepancyResult(value=float(value[0]), witness=(float(a[0]), float(b[0])), N=len(keys))
 
 
+def _sweep_values(ks: np.ndarray) -> np.ndarray:
+    """The discrepancy of every row of ks[B, N], each row sorted: the sweep value.
+
+    A key is a float point in [0, 1) or a uint64 raw phase, the point
+    raw / 2^64.  The value is the largest valid candidate of ``_sweep_rows``
+    minus the smallest (Kuipers–Niederreiter, ch. 2, §1): for any two
+    candidates both orders are realised, the closed interval spanning them
+    holding the gain and the open gap between them the loss.  The largest
+    sweep value fl(v_b - v_a) over those pairs is then fl(max v - min v),
+    since rounding is monotone.
+
+    The extremes are taken over every point, with no atom masks, and are
+    the same two numbers.  Within an atom N x is one float, so g+ =
+    (t + 1) - N x grows to the atom's last point, a valid candidate, and
+    g- = t - N x is least at its first, valid unless the atom sits at 0,
+    where it is 0.0, the value of the b = 1 slot.  Every valid candidate
+    lies between these extremes: a g- below its atom's last g+, a g+ above
+    its atom's first g-, the b = 1 slot's 0.0 between the last point's
+    g+ = N - N x >= 0 and the first point's g- = -N x <= 0, and the count
+    of zeros at slot 0 is the last g+ of the atom at 0.
+    """
+    N = ks.shape[1]
+    # N x in one pass: scaling by 2^-64 commutes with rounding, so this is N * (raw / 2^64)
+    nx = ks * (N * 2.0**-SCALE_BITS if ks.dtype == np.uint64 else N)
+    high = np.max(np.arange(1, N + 1) - nx, axis=1)
+    return high - np.min(np.subtract(np.arange(N), nx, out=nx), axis=1)
+
+
 def _sweep_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sweep of ``exact_discrepancy`` on every row of keys[B, N] at once.
 
-    A key is a float point in [0, 1) or a uint64 raw phase, the point
-    raw / 2^64.  Order, distinctness and the atom at 0 are read off the
-    keys; only the deviations t - N x use the float position x.  Returns
-    the values and the witness endpoints a, b, each of shape (B,).
+    Order, distinctness and the atom at 0 are read off the keys; only the
+    deviations t - N x use the float position x.  Returns the values and
+    the witness endpoints a, b, each of shape (B,).  The value is the
+    largest valid candidate minus the smallest, from ``_sweep_values``:
+    each pair of candidates is realised in both orders, by the closed
+    interval spanning them (gain) and the open gap between them (loss).
+    The prefix search below only finds the witness, which only the one-row
+    entry points ``exact_discrepancy``, ``poly_discrepancy`` and
+    ``short_interval_discrepancy`` report; the sweeps of many rows call
+    ``_sweep_values`` alone.
 
     Candidates sit in position order in one row of 2N + 2 slots: a = 0,
     then per sorted point t its left limit g-(x_t) and its attained value
@@ -95,10 +129,13 @@ def _sweep_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     its attained value at its last; every other slot, and the left limit
     of an atom at 0, is neutral, so the valid candidates of each row are,
     in order, those of the atom-by-atom sweep.  Slot q serves as a right
-    endpoint paired with the left endpoints at slots 0..q.
+    endpoint paired with the left endpoints at slots 0..q; the witness is
+    the first right endpoint whose gain (or, if no gain reaches the value,
+    loss) is the value, with the earliest left endpoint that realises it.
     """
     B, N = keys.shape
     ks = np.sort(keys, axis=1)
+    value = _sweep_values(ks)
     xs = ks * 2.0**-SCALE_BITS if ks.dtype == np.uint64 else ks
     t = np.arange(N)
     nx = N * xs
@@ -123,20 +160,20 @@ def _sweep_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     np.minimum.accumulate(run_min, axis=1, out=run_min)
     run_max = np.where(a_ok, val, -np.inf)
     np.maximum.accumulate(run_max, axis=1, out=run_max)
-    gain = np.where(b_ok, val - run_min, -np.inf)  # interval holds more than its share
-    loss = np.where(b_ok, run_max - val, -np.inf)  # interval holds less than its share
-
     rows = np.arange(B)
-    j_gain = np.argmax(gain, axis=1)
-    j_loss = np.argmax(loss, axis=1)
-    use_gain = gain[rows, j_gain] >= loss[rows, j_loss]
+    j_gain = np.argmax(np.where(b_ok, val - run_min, -np.inf), axis=1)  # interval holds more than its share
+    j_loss = np.argmax(np.where(b_ok, run_max - val, -np.inf), axis=1)  # interval holds less than its share
+    use_gain = val[rows, j_gain] - run_min[rows, j_gain] == value
     j = np.where(use_gain, j_gain, j_loss)
-    value = np.where(use_gain, gain[rows, j_gain], loss[rows, j_loss])
     # a is the earliest left endpoint holding b's extreme: where the running extreme first reaches it
     extreme = np.where(use_gain, run_min[rows, j], run_max[rows, j])
     i = np.argmax(np.where(use_gain[:, None], run_min, run_max) == extreme[:, None], axis=1)
-    pos = np.pad(xs, ((0, 0), (1, 1)), constant_values=(0.0, 1.0))  # slot q sits at pos[(q + 1) // 2]
-    return value, pos[rows, (i + 1) // 2], pos[rows, (j + 1) // 2]
+
+    def position(q):  # slot 0 sits at 0, slot 2N + 1 at 1, slots 2t + 1 and 2t + 2 at x_t
+        inner = xs[rows, np.clip((q + 1) // 2 - 1, 0, N - 1)]
+        return np.where(q == 0, 0.0, np.where(q == 2 * N + 1, 1.0, inner))
+
+    return value, position(i), position(j)
 
 
 def brute_force_discrepancy(points: Sequence[float]) -> float:
@@ -232,15 +269,16 @@ def short_interval_discrepancy(u: Sequence, M: int, N: int) -> DiscrepancyResult
     return _sweep_one(raw_phases(classical_family(pt.d).polys, pt.raw, N, M))
 
 
-def _window_discrepancies(raw: Sequence[int], starts: Sequence[int], N: int) -> np.ndarray:
+def _window_discrepancies(polys: Sequence[IntPolynomial], raw: Sequence[int], starts: Sequence[int],
+                          N: int) -> np.ndarray:
     """``short_interval_discrepancy`` values of the windows at every start.
 
-    ``raw`` is the quantized u; the windows are swept together, in blocks
-    of at most SWEEP_BLOCK points (or one window, if it alone holds more).
+    ``polys`` is the classical family of ``raw``, the quantized u; the
+    windows are swept together, in blocks of at most SWEEP_BLOCK points (or
+    one window, if it alone holds more).
     """
-    polys = classical_family(len(raw)).polys
     rows = max(1, SWEEP_BLOCK // N)
     return np.concatenate([
-        _sweep_rows(raw_phases(polys, raw, N, starts[lo:lo + rows]))[0]
+        _sweep_values(np.sort(raw_phases(polys, raw, N, starts[lo:lo + rows]), axis=1))
         for lo in range(0, len(starts), rows)
     ])

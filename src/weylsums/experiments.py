@@ -16,12 +16,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .census import _census_cost, census, counting_bound, grid_sides
-from .discrepancy import SWEEP_BLOCK, _sweep_one, _window_discrepancies
+from .discrepancy import SWEEP_BLOCK, _sweep_values, _window_discrepancies
 from .errors import ConfigError, check_cost
 from .expsum import (
     TorusPoint,
@@ -281,7 +282,7 @@ def _run_sample(cfg: ExperimentConfig, sid: int) -> list[RunRecord]:
         coords = tuple(rng.random(fam.d))
         raw = raw_phases(fam.polys, TorusPoint.from_reals(coords).raw, n_max)
         for N in schedule:
-            dv = _sweep_one(raw[:N]).value
+            dv = float(_sweep_values(np.sort(raw[None, :N], axis=1))[0])
             records.append(
                 RunRecord(cfg.experiment_id, sid, coords, N, "D", dv,
                           extras=_disc_ratios(dv, N))
@@ -289,10 +290,11 @@ def _run_sample(cfg: ExperimentConfig, sid: int) -> list[RunRecord]:
     elif cfg.kind == "discrepancy_short":
         coords = tuple(rng.random(fam.d))
         raw = TorusPoint.from_reals(coords).raw
+        polys = classical_family(len(raw)).polys
         for N in schedule:
             # scalar draws: one integers(size=m) call draws a different stream
             ms = [int(rng.integers(0, max(N, 1))) for _ in range(cfg.m_samples)]
-            values = _window_discrepancies(raw, ms, N)
+            values = _window_discrepancies(polys, raw, ms, N)
             j = int(np.argmax(values))  # the first window of the largest value
             best, best_m = float(values[j]), ms[j]
             records.append(
@@ -352,10 +354,10 @@ def metric_sweep(cfg: ExperimentConfig) -> list[RunRecord]:
     fam, k = _split_family(cfg)
     schedule = cfg.schedule()
     n, y, m = schedule[-1], cfg.y_samples, cfg.m_samples  # one sample's arrays at the longest N
-    if cfg.kind == "discrepancy":
-        per, peak = 1, 128 * n
+    if cfg.kind == "discrepancy":  # the phases, a sorted prefix, N x, an arange and one temporary
+        per, peak = 1, 52 * n
     elif cfg.kind == "discrepancy_short":  # 48 bytes a window, 128 a block's result shared by its windows
-        per, peak = m, 160 * max(SWEEP_BLOCK, n) + (48 + 128 * n // max(SWEEP_BLOCK, n)) * m
+        per, peak = m, 44 * max(SWEEP_BLOCK, n) + (48 + 128 * n // max(SWEEP_BLOCK, n)) * m
     elif k == fam.d:
         per, peak = 1, 48 * n + _expi_bytes(n)
     elif _certified(fam, k):  # sup_linear_coeff's default oversample of 4
@@ -367,14 +369,13 @@ def metric_sweep(cfg: ExperimentConfig) -> list[RunRecord]:
                peak + (512 * len(schedule) + 128) * cfg.samples + (1 << 14))  # and every record
     sids = range(cfg.samples)
     workers = min(cfg.threads, cfg.samples, os.cpu_count() or 1)
+    # each sample's list is freed once its records are moved into the result
     if workers == 1:
-        batches = [_run_sample(cfg, sid) for sid in sids]
-    else:
-        # the pool starts every worker at once, so more than one per CPU or
-        # per sample only costs start-up time and memory
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_run_sample, [cfg] * cfg.samples, sids, chunksize=4))
-    return [rec for batch in batches for rec in batch]
+        return list(chain.from_iterable(_run_sample(cfg, sid) for sid in sids))
+    # the pool starts every worker at once, so more than one per CPU or
+    # per sample only costs start-up time and memory
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(chain.from_iterable(pool.map(_run_sample, [cfg] * cfg.samples, sids, chunksize=4)))
 
 
 class FitResult(NamedTuple):

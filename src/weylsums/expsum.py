@@ -528,8 +528,8 @@ def vinogradov_count(d: int, s: int, N: int) -> int:
     windows of S_1 values, each holding at most VINOGRADOV_BLOCK of them
     (or a single S_1 value that alone holds more), and a window's count is
     final.  A window is gathered from the (s-1)-tuple tail, sorted by S_1,
-    shifted by each head n_s, so memory is O((VINOGRADOV_BLOCK + N^(s-1)) * d)
-    whatever the number of distinct keys.
+    shifted by each head n_s that can reach it, so memory is
+    O((VINOGRADOV_BLOCK + N^(s-1)) * d) whatever the number of distinct keys.
 
     In a window of S_1 values [lo, lo + width), (S_1, S_2) is one int64 key
     (S_1 - lo) * span + S_2, span = s N^2 + 1 > S_2, below 2^62 by a cap on
@@ -560,17 +560,20 @@ def vinogradov_count(d: int, s: int, N: int) -> int:
     width = max(1, min(VINOGRADOV_BLOCK // min(N * int(np.bincount(t1).max()), len(t1)), cap))
     # the tail part and the head part of a key may wrap in int64, but the key
     # lies in [0, 2^62), so their wrapping sum is exact
-    sq = powers[:, 1] if d > 1 else 0
     packed = t1 * span + (tail[:, 1] if d > 1 else 0)
+    t_min, t_max = int(t1[0]), int(t1[-1])
     total = 0
     for lo in range(s, s * N + 1, width):
-        starts = np.searchsorted(t1, lo - n)
-        lengths = np.searchsorted(t1, lo + width - n) - starts
+        # only the heads n with t_min <= S_1 - n <= t_max for some S_1 in the window reach it
+        heads = slice(max(lo - t_max, 1) - 1, min(lo + width - t_min, N + 1) - 1)
+        m, p = n[heads], powers[heads]
+        starts = np.searchsorted(t1, lo - m)
+        lengths = np.searchsorted(t1, lo + width - m) - starts
         offsets = np.cumsum(lengths) - lengths
         idx = np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
-        key = packed[idx] + np.repeat((n - lo) * span + sq, lengths)
+        key = packed[idx] + np.repeat((m - lo) * span + (p[:, 1] if d > 1 else 0), lengths)
         if d > 2:
-            key = np.column_stack((key, tail[idx, 2:] + np.repeat(powers[:, 2:], lengths, axis=0)))
+            key = np.column_stack((key, tail[idx, 2:] + np.repeat(p[:, 2:], lengths, axis=0)))
         total += _sum_of_squared_multiplicities(key)
     return total
 

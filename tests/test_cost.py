@@ -185,19 +185,19 @@ class TestRefusedBeforeWork:
             w.moment_integral(FAM2, UNIT, 16, 6, [4096, 4096])
 
     def test_sweep_draws(self):
-        # 16 GB of y draws; 3e8 window starts, declared at 176 bytes each
+        # 16 GB of y draws; 3e8 window starts, declared at 48 bytes each
         for cfg in (dict(kind="weyl", k=1, y_samples=10**9), dict(kind="discrepancy_short", m_samples=3 * 10**8)):
             with pytest.raises(BudgetError, match="metric_sweep.*memory"):
                 w.metric_sweep(ExperimentConfig(family="classical:3", log2_n_min=0, log2_n_max=0, samples=1,
                                                 **cfg))
 
     def test_largest_sweeps_admitted(self, admitted):
-        # a one-row discrepancy sweep of 2^20 points, and a weyl sweep of 2^22 terms
+        # a one-row discrepancy sweep of 2^22 points, and a weyl sweep of 2^22 terms
         def sweep(kind, lg):
             return ExperimentConfig(kind=kind, family="classical:3", log2_n_min=lg, log2_n_max=lg, samples=1)
 
-        assert admitted(w.metric_sweep, sweep("discrepancy", 20))
-        assert not admitted(w.metric_sweep, sweep("discrepancy", 21))
+        assert admitted(w.metric_sweep, sweep("discrepancy", 22))
+        assert not admitted(w.metric_sweep, sweep("discrepancy", 23))
         assert admitted(w.metric_sweep, sweep("weyl", 22))
 
     def test_budgets_can_be_shrunk(self, monkeypatch):

@@ -21,6 +21,7 @@ from weylsums import (
 )
 from weylsums.discrepancy import (
     _sweep_rows,
+    _sweep_values,
     _window_discrepancies,
 )
 from weylsums.expsum import PhaseTable, raw_phases
@@ -164,6 +165,9 @@ class TestMutualOracle:
         a = exact_discrepancy(pts).value
         b = brute_force_discrepancy(pts)
         assert a == pytest.approx(b, abs=1e-12)
+        kernel = _sweep_values(np.sort(np.array(pts, dtype=np.float64)[None, :], axis=1))[0]
+        assert kernel == a == unique_sweep(pts)[0]
+        assert kernel == pytest.approx(b, abs=1e-12)
 
 
 class TestBatchedSweep:
@@ -172,11 +176,14 @@ class TestBatchedSweep:
         for B, N in ((1, 1), (4, 1), (8, 2), (8, 13), (6, 64)):
             rows = atom_rows(rng, B, N)
             value, a, b = _sweep_rows(rows)
+            kernel = _sweep_values(np.sort(rows, axis=1))
             for r in range(B):
                 ref_value, ref_witness = unique_sweep(rows[r])
                 assert value[r] == ref_value
                 assert (a[r], b[r]) == ref_witness
                 assert value[r] == pytest.approx(brute_force_discrepancy(rows[r]), abs=1e-12)
+                assert kernel[r] == ref_value == value[r]
+                assert kernel[r] == pytest.approx(brute_force_discrepancy(rows[r]), abs=1e-12)
 
     def test_one_row_witness_unchanged(self):
         rng = np.random.default_rng(22)
@@ -202,6 +209,12 @@ class TestBatchedSweep:
             assert raw_value.tolist() == float_value.tolist()
             assert raw_a.tolist() == float_a.tolist()
             assert raw_b.tolist() == float_b.tolist()
+            kernel = _sweep_values(np.sort(rows, axis=1))
+            assert kernel.tolist() == raw_value.tolist() == _sweep_values(np.sort(rows * 2.0**-64, axis=1)).tolist()
+            for r, pts in enumerate(rows * 2.0**-64):
+                if pts.max() < 1.0:  # positions rounded to 1.0 lie outside the oracles' domain
+                    assert kernel[r] == unique_sweep(pts)[0]
+                    assert kernel[r] == pytest.approx(brute_force_discrepancy(pts), abs=1e-12)
 
     def test_sweep_bytes_per_point(self):
         # the bytes a point the sweeps declare, for float points and for
@@ -440,7 +453,7 @@ class TestShortIntervalDiscrepancy:
         raw = TorusPoint.from_reals(u).raw
         starts = [0, 5, -4, 1 << 41, 7, 2]
         for N in (3, 9):
-            got = _window_discrepancies(raw, starts, N)
+            got = _window_discrepancies(classical_family(3).polys, raw, starts, N)
             assert got.tolist() == [short_interval_discrepancy(u, m, N).value for m in starts]
 
     def test_window_at_zero_matches_plain(self):

@@ -201,15 +201,15 @@ class TestSweep:
             raise AssertionError("a sample ran")
 
         monkeypatch.setattr(exp_mod, "_run_sample", never)
-        # one-row sweeps of 2^20 points fit the memory budget, of 2^21 do not
+        # one-row sweeps of 2^22 points fit the memory budget, of 2^23 do not
         for kind in ("discrepancy", "discrepancy_short"):
-            cfg = tiny_cfg(kind=kind, samples=1, m_samples=1, log2_n_min=21, log2_n_max=21)
+            cfg = tiny_cfg(kind=kind, samples=1, m_samples=1, log2_n_min=23, log2_n_max=23)
             with pytest.raises(BudgetError, match="memory budget"):
                 metric_sweep(cfg)
 
     def test_largest_one_row_sweep_admitted(self, admitted):
         for kind in ("discrepancy", "discrepancy_short"):
-            cfg = tiny_cfg(kind=kind, samples=1, m_samples=1, log2_n_min=20, log2_n_max=20)
+            cfg = tiny_cfg(kind=kind, samples=1, m_samples=1, log2_n_min=22, log2_n_max=22)
             assert admitted(metric_sweep, cfg)
 
     def test_certified_supy_mode(self):
