@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvariantViolation, check_cost
-from .expsum import WeightSeq, _expi_bytes, _majorant, _quantize_array, _twisted_coeffs
+from .expsum import _SLAB, WeightSeq, _expi_bytes, _majorant, _quantize_array, _reduce_rows
 from .polyfam import PolynomialFamily
 
 __all__ = [
@@ -34,8 +34,7 @@ __all__ = [
     "per_box_projection_bound",
 ]
 
-_CHUNK = 4096  # boxes per chunk, cut further so a chunk holds at most _CHUNK_TERMS terms
-_CHUNK_TERMS = 1 << 18
+_CHUNK = 4096  # boxes per chunk of sample draws
 _STREAM_TAG = 0x63656E73  # "cens": keeps the census stream apart from project_union's
 PAIR_BLOCK = 1 << 16  # (sample, polygon) pairs per inside test of the Monte Carlo projection
 
@@ -173,9 +172,11 @@ def markov_check(sampled_values: Sequence[float], threshold: float, two_s: int) 
 
 
 def _census_cost(grid: BoxGrid, spb: int) -> tuple[int, int]:
-    """(terms, peak bytes) of a census: 48 bytes a term of one chunk, 17 + 16 d a box, all marked."""
-    chunk_terms = min(min(grid.U, _CHUNK) * spb * grid.N, max(_CHUNK_TERMS, spb * grid.N))
-    peak = (17 + 16 * grid.d) * grid.U + 48 * chunk_terms + _expi_bytes(chunk_terms) + 16 * grid.N
+    """(terms, peak bytes) of a census: 17 + 16 d bytes a box, all marked; 32 d + 8 a box and
+    24 (d + 1) a sample of one chunk of boxes; 48 a term of one slab of whole rows."""
+    boxes, slab = min(grid.U, _CHUNK), grid.N * max(1, _SLAB // grid.N)  # whole rows, as _reduce_rows takes them
+    peak = ((17 + 16 * grid.d) * grid.U + (32 * grid.d + 8 + 24 * (grid.d + 1) * spb) * boxes
+            + 48 * slab + _expi_bytes(slab) + 16 * grid.N)
     return grid.U * spb * grid.N, peak
 
 
@@ -205,7 +206,7 @@ def census(
     check_cost("census", *_census_cost(grid, spb))
     two_s = d * (d + 1)  # 2 s(d)
     tau = grid.threshold
-    a_arr = a.array(N)
+    weights = None if a.kind == "unit" else a.array(N)
     zeta = np.array([float(z) for z in grid.sides])
     counts = grid.counts
 
@@ -214,18 +215,16 @@ def census(
     peaks = np.empty(grid.U, dtype=np.float64)
     moment_sum = 0.0
     samples_ge = 0
-    chunk = max(1, min(_CHUNK, _CHUNK_TERMS // (spb * N)))
-
-    for start in range(0, grid.U, chunk):
-        stop = min(start + chunk, grid.U)
+    for start in range(0, grid.U, _CHUNK):
+        stop = min(start + _CHUNK, grid.U)
         lin = np.arange(start, stop)
         idx = np.stack(np.unravel_index(lin, counts), axis=1).astype(np.float64)
         corners = idx * zeta
         pts = np.empty((stop - start, spb, d))
         pts[:, 0, :] = corners + 0.5 * zeta
         pts[:, 1:, :] = corners[:, None, :] + gen.random((stop - start, spb - 1, d)) * zeta
-        c = _twisted_coeffs(fam.polys, _quantize_array(pts.reshape(-1, d)), a_arr, N)
-        w = _majorant(c).reshape(stop - start, spb)
+        raws = _quantize_array(pts.reshape(-1, d))
+        w = _reduce_rows(fam.polys, raws, weights, N, _majorant, np.float64).reshape(stop - start, spb)
         peaks[start:stop] = w.max(axis=1)
         moment_sum += float(np.sum(w**two_s))
         samples_ge += int(np.sum(w >= tau))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import chain
@@ -25,11 +24,13 @@ from .census import _census_cost, census, counting_bound, grid_sides
 from .discrepancy import SWEEP_BLOCK, _sweep_values, _window_discrepancies
 from .errors import ConfigError, check_cost
 from .expsum import (
+    _SLAB,
     TorusPoint,
     WeightSeq,
     _expi_bytes,
     _majorant,
     _quantize_array,
+    _reduce_rows,
     _sum_trace,
     _twisted_coeffs,
     raw_phases,
@@ -52,7 +53,6 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _KINDS = ("weyl", "short", "discrepancy", "discrepancy_short")
-EXP_BLOCK = 1 << 14  # rows * N terms per batched exp block of the sampled sup over y
 
 
 def _fmt(x: float) -> str:
@@ -242,7 +242,7 @@ def _run_sample(cfg: ExperimentConfig, sid: int) -> list[RunRecord]:
     n_max = schedule[-1]
     if cfg.kind == "weyl" and k == fam.d:
         coords = tuple(rng.random(fam.d))
-        c = _twisted_coeffs(fam.polys, TorusPoint.from_reals(coords).raw, 1.0, n_max)  # unit weights
+        c = _twisted_coeffs(fam.polys, TorusPoint.from_reals(coords).raw, None, n_max)  # unit weights
         trace = _sum_trace(c)
         for N in schedule:
             prefix = trace.dyadic_prefix_max[int(math.log2(N))]
@@ -258,7 +258,7 @@ def _run_sample(cfg: ExperimentConfig, sid: int) -> list[RunRecord]:
         else:
             x = (float(rng.random()),)
             stat = "sup_short_S"
-        c = _twisted_coeffs(fam.polys[:k], TorusPoint.from_reals(x).raw, 1.0, n_max)
+        c = _twisted_coeffs(fam.polys[:k], TorusPoint.from_reals(x).raw, None, n_max)
         if _certified(fam, k):
             for N in schedule:
                 res = sup_linear_coeff(c[:N])
@@ -315,16 +315,10 @@ def _disc_ratios(dv: float, N: int) -> tuple[tuple[str, float], ...]:
 def _grid_sup_y(ypolys, c: np.ndarray, yraws: np.ndarray) -> float:
     """max over the rows y of yraws[B, d-k] of |sum_n c_n e(sum_j y_j phi_j(n))|.
 
-    The rows are summed together, in blocks of at most EXP_BLOCK terms (or
-    one row, if it alone holds more).
+    Each row is summed whole, slab by slab of rows.
     """
-    N = len(c)
-    rows = max(1, EXP_BLOCK // N)
-    best = 0.0
-    for lo in range(0, len(yraws), rows):
-        s = np.sum(_twisted_coeffs(ypolys, yraws[lo:lo + rows], c, N), axis=1)
-        best = max(best, float(np.hypot(s.real, s.imag).max()))
-    return best
+    s = _reduce_rows(ypolys, yraws, c, len(c), lambda slab: slab.sum(axis=1), np.complex128)
+    return float(np.hypot(s.real, s.imag).max())
 
 
 def _lipschitz_terms(ypolys, n_max: int, y_samples: int) -> np.ndarray:
@@ -362,9 +356,9 @@ def metric_sweep(cfg: ExperimentConfig) -> list[RunRecord]:
         per, peak = 1, 48 * n + _expi_bytes(n)
     elif _certified(fam, k):  # sup_linear_coeff's default oversample of 4
         per, peak = 4, 176 * n + _expi_bytes(n)
-    else:
-        block = min(y * n, max(EXP_BLOCK, n))
-        per, peak = y, 16 * n + 40 * block + 24 * len(schedule) * y * (fam.d - k) + _expi_bytes(block)
+    else:  # the x part, 48 bytes a term of one slab of y rows, 24 a y draw and 24 a row sum at one N
+        block = min(y * n, max(_SLAB, n))
+        per, peak = y, 16 * n + 48 * block + 24 * (len(schedule) * (fam.d - k) + 1) * y + _expi_bytes(block)
     check_cost("metric_sweep", cfg.samples * sum(schedule) * per,
                peak + (512 * len(schedule) + 128) * cfg.samples + (1 << 14))  # and every record
     sids = range(cfg.samples)
@@ -373,7 +367,8 @@ def metric_sweep(cfg: ExperimentConfig) -> list[RunRecord]:
     if workers == 1:
         return list(chain.from_iterable(_run_sample(cfg, sid) for sid in sids))
     # the pool starts every worker at once, so more than one per CPU or
-    # per sample only costs start-up time and memory
+    # per sample only costs start-up time and memory; its import is paid only here
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(chain.from_iterable(pool.map(_run_sample, [cfg] * cfg.samples, sids, chunksize=4)))
 

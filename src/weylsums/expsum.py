@@ -9,11 +9,13 @@ No float phase of f(n) is ever formed.  ``_expi`` maps a raw phase theta
 straight to e(theta / 2^64): the top 12 bits pick a root of unity from a
 table built once at import, and a short Taylor polynomial in the low 52
 bits turns it through the rest (Tang, ACM TOMS 15(2), 1989).  Every value
-is within 1e-15 of the exact one.
+is within 1e-15 of the exact one.  ``_twisted_coeffs`` returns whole rows of a_n e(f(n)); the
+slab kernel ``_reduce_rows`` reduces them slab by slab, for the sampled sup over y and the census.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -257,40 +259,54 @@ class PhaseTable:
         return sum(r * p(n) for r, p in zip(raws, polys)) & _MASK
 
 
-def raw_phases(polys: Sequence[IntPolynomial], raws, N: int, starts=0) -> np.ndarray:
+def raw_phases(polys: Sequence[IntPolynomial], raws, N: int, starts=0, out=None) -> np.ndarray:
     """Raw phases of f(n) = sum_j raws[..., j] phi_j(n) at n = s+1, ..., s+N.
 
     ``raws`` holds one row of d raw coordinates per sum and ``starts`` one
     integer offset s per row (any sign and size); the two broadcast, and
-    the result is uint64 (..., N).  A single row is the case raws[d].
+    the result is uint64 (..., N), into ``out`` if given.  A single row is the case raws[d].
 
     Each row is folded into the coefficients of f, which is evaluated by
-    Horner's rule in place.  Reduction mod 2^64 is a ring map and numpy's
-    uint64 products and sums wrap, so every phase is exact.  Every phase
-    comes through here, so this is where a point is checked against the
-    family; the entry points check their cost before they call it.
+    Horner's rule in place, skipping the powers of n that no phi_j has.
+    Reduction mod 2^64 is a ring map and numpy's uint64 products and sums
+    wrap, so every phase is exact.  Every phase comes through here, so this
+    is where a point is checked against the family; the entry points check
+    their cost before they call it.
     """
     raws = np.asarray(raws, dtype=np.uint64)
     d = raws.shape[-1] if raws.ndim else 0
     if d != len(polys):
         raise ValueError(f"point has {d} coordinates, family needs {len(polys)}")
-    starts = np.array(np.asarray(starts, dtype=object) & _MASK, dtype=np.uint64)
-    D = max([1] + [len(p.coeffs) for p in polys]) - 1
-    table = np.zeros((d, D + 1), dtype=np.uint64)
-    for j, p in enumerate(polys):
-        table[j, : len(p.coeffs)] = [c & _MASK for c in p.coeffs]
+    starts = np.array((starts if isinstance(starts, int) else np.asarray(starts, object)) & _MASK, dtype=np.uint64)
+    # from a list: tuple(genexpr) is resized off the free list, then parked on it as traced memory
+    table, used = _coefficient_table(tuple([p.coeffs for p in polys]))
     F = raws @ table
-    n = starts[..., None] + np.arange(1, N + 1, dtype=np.uint64)
-    f = np.empty(np.broadcast_shapes(F.shape[:-1], n.shape[:-1]) + (N,), dtype=np.uint64)
-    f[...] = F[..., D, None]
+    D = table.shape[1] - 1
+    # out before n: in the other order glibc gives both fresh, page-faulting memory on every long row
+    out = np.empty(np.broadcast_shapes(F.shape[:-1], starts.shape) + (N,), dtype=np.uint64) if out is None else out
+    n = np.arange(1, N + 1, dtype=np.uint64)
+    n = n + starts[..., None] if starts.ndim else np.add(n, starts, out=n) if starts else n  # one start: in place
+    np.multiply(F[..., D, None], n if D else np.uint64(1), out=out)
     for m in range(D - 1, -1, -1):
-        f *= n
-        f += F[..., m, None]
-    return f
+        if used[m]:
+            out += F[..., m, None]
+        if m:
+            out *= n
+    return out
 
 
-def _expi(theta: np.ndarray) -> np.ndarray:
-    """e(theta / 2^64) of uint64 raw phases theta, as complex of the same shape.
+@functools.lru_cache(maxsize=64)
+def _coefficient_table(coeffs: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The shared uint64 table (d, D+1) that folds a row into f's coefficients, and its nonzero columns."""
+    table = np.zeros((len(coeffs), max([1] + [len(c) for c in coeffs])), dtype=np.uint64)
+    for j, cs in enumerate(coeffs):
+        table[j, : len(cs)] = [c & _MASK for c in cs]
+    table.flags.writeable = False
+    return table, tuple(table.any(axis=0))
+
+
+def _expi(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """e(theta / 2^64) of uint64 raw phases theta, as complex of the same shape (into ``out``).
 
     e(theta) = r (1 + z) with r = e(hi / 2^12), hi the top 12 bits of
     theta, a table entry, and z = (cos t - 1) + i sin t to Taylor order t^5
@@ -301,7 +317,7 @@ def _expi(theta: np.ndarray) -> np.ndarray:
     output.
     """
     flat = np.ascontiguousarray(theta).reshape(-1)
-    out = np.empty(flat.shape, dtype=np.complex128)
+    out = np.empty(flat.shape, dtype=np.complex128) if out is None else out.reshape(-1)
     m = min(_SLAB, len(flat))
     bits = np.empty(m, dtype=np.uint64)
     t, s, x = (np.empty(m) for _ in range(3))
@@ -312,9 +328,10 @@ def _expi(theta: np.ndarray) -> np.ndarray:
         if len(th) < m:
             bits, t, s, x, z = (b[: len(th)] for b in (bits, t, s, x, z))
         np.right_shift(th, _LOW_BITS, out=bits)
-        np.take(_ROOTS, bits.view(np.int64), out=r, mode="clip")
+        np.take(_ROOTS, bits.view(np.int64), out=r, mode="wrap")  # bits < 2^12: wrap never moves one
         np.bitwise_and(th, (1 << _LOW_BITS) - 1, out=bits)
-        np.multiply(bits.view(np.int64), _TWO_PI * 2.0**-SCALE_BITS, out=t)  # lo < 2^52: exact as int64
+        np.copyto(t, bits.view(np.int64))  # lo < 2^52: exact as a float
+        np.multiply(t, _TWO_PI * 2.0**-SCALE_BITS, out=t)
         np.multiply(t, t, out=s)
         np.multiply(s, 1 / 24, out=x)  # cos t - 1 = s (s/24 - 1/2)
         np.subtract(x, 0.5, out=x)
@@ -379,12 +396,38 @@ def _twisted_coeffs(polys: Sequence[IntPolynomial], raws, a, N: int, starts=0) -
     """a_n e(f(n)) at n = s+1, ..., s+N: complex (..., N).
 
     The exact phases of ``raw_phases`` go through ``_expi``.  ``raws`` and
-    ``starts`` broadcast as in ``raw_phases``, and the weights ``a`` (an
-    array or a scalar) against the phases, which they multiply in place.
+    ``starts`` broadcast as in ``raw_phases``, and the weights ``a`` (an array, a scalar, or
+    None for unit weights, which are skipped) against the phases, which they multiply in place.
     """
     c = _expi(raw_phases(polys, raws, N, starts))
-    c *= a
+    if a is not None:
+        c *= a
     return c
+
+
+def _reduce_rows(polys: Sequence[IntPolynomial], raws, a, N: int, reduce, dtype, starts=0) -> np.ndarray:
+    """reduce(c) of each row c of ``_twisted_coeffs(polys, raws, a, N, starts)``, as dtype (B,).
+
+    ``raws`` is one row (d,) or B, and ``starts`` one integer or B.  Each slab of whole rows (about
+    _SLAB terms, at least one row) goes through ``raw_phases`` and ``_expi`` into one uint64 and one
+    complex buffer, reused by every slab, and the weights; ``reduce`` maps the (rows, N) slab to its
+    rows' values.  Every step is element by element and each row is reduced whole, so the values are
+    bit for bit those of the whole block.
+    """
+    raws = np.atleast_2d(np.asarray(raws, dtype=np.uint64))
+    one_start = np.ndim(starts) == 0
+    B = len(raws) if one_start else len(starts)  # a single row or start serves every row
+    rows = max(1, min(B, _SLAB // N))
+    f, c, out = np.empty((rows, N), dtype=np.uint64), np.empty((rows, N), dtype=np.complex128), np.empty(B, dtype=dtype)
+    for lo in range(0, B, rows):
+        k = min(rows, B - lo)
+        raw_phases(polys, raws[lo : lo + k] if len(raws) > 1 else raws, N,
+                   starts if one_start else starts[lo : lo + k], out=f[:k])
+        slab = _expi(f[:k], c[:k])
+        if a is not None:
+            slab *= a
+        out[lo : lo + k] = reduce(slab)
+    return out
 
 
 def completion_naive(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> CompletionResult:
@@ -540,12 +583,11 @@ def vinogradov_count(d: int, s: int, N: int) -> int:
         raise ValueError("d, s, N must all be >= 1")
     span = s * N * N + 1 if d > 1 else 1  # the key is S_1 - lo for d = 1
     cap = (1 << 62) // span
-    # one S_1 value holds at most N^(s-1) tuples, one per tail row, so a window
-    # spans at least this many; it holds VINOGRADOV_BLOCK tuples or one value's,
-    # in max(d - 1, 1) key columns, and searches N heads
-    least_width = max(1, min(VINOGRADOV_BLOCK // N ** (s - 1), cap))
-    rows = min(N**s, max(VINOGRADOV_BLOCK, N ** (s - 1)))
-    check_cost("vinogradov_count", N**s + -(-s * N // least_width) * N,
+    # an S_1 value holds at most N times the most tail rows sharing an S_1 (1 for s <= 2), and one
+    # tuple a tail row; a window of width values holds at most width times the most s-tuples sharing one
+    width = max(1, min(VINOGRADOV_BLOCK // min(N * _most_sharing_a_sum(max(s - 1, 1), N), N ** (s - 1)), cap))
+    rows = min(N**s, width * _most_sharing_a_sum(s, N))
+    check_cost("vinogradov_count", N**s + -(-s * N // width) * N,
                (24 * max(d - 1, 1) + 12) * rows + (16 * d + 8) * N ** (s - 1) + (8 * d + 56) * N + 4096)
     if s * N**d >= 1 << 62:
         raise BudgetError("power sums exceed the exact int64 range")
@@ -556,8 +598,6 @@ def vinogradov_count(d: int, s: int, N: int) -> int:
         tail = (tail[:, None, :] + powers[None, :, :]).reshape(-1, d)
     tail = tail[np.argsort(tail[:, 0])]
     t1 = tail[:, 0]
-    # an S_1 value also holds at most N times the most tail rows sharing one S_1
-    width = max(1, min(VINOGRADOV_BLOCK // min(N * int(np.bincount(t1).max()), len(t1)), cap))
     # the tail part and the head part of a key may wrap in int64, but the key
     # lies in [0, 2^62), so their wrapping sum is exact
     packed = t1 * span + (tail[:, 1] if d > 1 else 0)
@@ -576,6 +616,12 @@ def vinogradov_count(d: int, s: int, N: int) -> int:
             key = np.column_stack((key, tail[idx, 2:] + np.repeat(p[:, 2:], lengths, axis=0)))
         total += _sum_of_squared_multiplicities(key)
     return total
+
+
+def _most_sharing_a_sum(s: int, N: int) -> int:
+    """The most s-tuples in [1, N]^s sharing one sum: the middle coefficient of (1 + ... + x^(N-1))^s."""
+    m = s * (N - 1) // 2  # the coefficients are symmetric and unimodal; inclusion-exclusion gives this one
+    return sum((-1) ** j * math.comb(s, j) * math.comb(m - j * N + s - 1, s - 1) for j in range(m // N + 1))
 
 
 def _sum_of_squared_multiplicities(keys: np.ndarray) -> int:

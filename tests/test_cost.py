@@ -3,10 +3,11 @@
 Every public entry point calls ``errors.check_cost`` once before its
 work (``project_union``'s O(1) rotation route has none to check).  Each
 declared peak is checked here against the peak tracemalloc measures
-when the call runs, at two sizes each.
+when the call runs, at two sizes or more each.
 """
 
 import ast
+import gc
 import pathlib
 import tracemalloc
 from fractions import Fraction
@@ -76,7 +77,7 @@ def _points(N):
     return np.random.default_rng(1).random(N)
 
 
-# case: (the checked entry point, size -> the call to measure, two sizes)
+# case: (the checked entry point, size -> the call to measure, its sizes)
 CASES = {
     "weyl_sum": ("weyl_sum", lambda N: lambda: w.weyl_sum(FAM3, U3, UNIT, N), (1 << 12, 1 << 16)),
     "completion_fft": ("completion_fft", lambda N: lambda: w.completion_fft(FAM3, U3, UNIT, N), (1 << 12, 1 << 16)),
@@ -92,6 +93,9 @@ CASES = {
     "vinogradov_count": ("vinogradov_count", lambda N: lambda: w.vinogradov_count(2, 3, N), (48, 96)),
     "vinogradov_count_one_variable": ("vinogradov_count", lambda N: lambda: w.vinogradov_count(2, 1, N),
                                       (10**5, 10**6)),
+    # windows whose S_1 values hold fewer tuples than the middle one
+    "vinogradov_count_underfilled": ("vinogradov_count", lambda dsN: lambda: w.vinogradov_count(*dsN),
+                                     ((6, 3, 162), (5, 3, 162), (1, 5, 12))),
     "moment_integral": ("moment_integral", _moment, (16, 24)),
     "exact_discrepancy": ("exact_discrepancy", _on(w.exact_discrepancy, _points), (1 << 12, 1 << 16)),
     "brute_force_discrepancy": ("brute_force_discrepancy", _on(w.brute_force_discrepancy, _points), (128, 512)),
@@ -120,6 +124,10 @@ CASES = {
 
 
 def _peak(fn) -> int:
+    # tracemalloc does not see objects reused from CPython's free lists; a
+    # full collection clears them, so a measurement does not depend on what
+    # ran before it
+    gc.collect()
     tracemalloc.start()
     try:
         fn()
@@ -139,6 +147,11 @@ def test_declared_peak_within_2x_of_measured(case, declared):
         name, _, declared_peak = declared[0]
         assert name == what
         assert peak <= declared_peak <= 2 * peak, f"{case} at {size}: declared {declared_peak}, measured {peak}"
+
+
+def test_back_to_back_measurements_agree():
+    call = CASES["metric_sweep_records"][1](1000)
+    assert _peak(call) == _peak(call)
 
 
 def _check_cost_sites():

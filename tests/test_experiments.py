@@ -2,6 +2,9 @@ import cmath
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -154,6 +157,13 @@ class TestSweep:
         h2 = hashlib.sha256(p2.read_bytes()).hexdigest()
         assert h1 == h2
 
+    def test_package_import_leaves_the_process_pool_out(self):
+        # the pool's modules cost about 19 ms of every process start; only threads > 1 imports them
+        code = "import sys, weylsums; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == "[]"
+
     def test_pool_bounded_by_cpus_and_samples(self, monkeypatch):
         import weylsums.experiments as exp_mod
 
@@ -173,7 +183,7 @@ class TestSweep:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(exp_mod, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)  # imported where the pool starts
         monkeypatch.setattr(exp_mod.os, "cpu_count", lambda: 3)
         serial = metric_sweep(tiny_cfg(samples=6))
         assert metric_sweep(tiny_cfg(samples=6, threads=10_000)) == serial
@@ -266,11 +276,12 @@ class TestBatchedBlocks:
     @pytest.mark.parametrize("blocks", ["declared", "small"])
     @pytest.mark.parametrize("kind", ["short", "weyl_grid", "discrepancy_short"])
     def test_records_match_per_draw_reference(self, kind, blocks, monkeypatch):
-        # 9 y draws and 11 windows span three blocks of four rows at the
-        # largest N with the declared caps; with caps of 16 they span blocks
-        # of four rows at N = 4, two at N = 8 and one from N = 16 on
+        # at the largest N, 9 y draws span five slabs of two rows and 11
+        # windows three blocks of four with the declared sizes; with sizes of
+        # 16 they span blocks of four rows at N = 4, two at N = 8 and one from
+        # N = 16 on
         if blocks == "small":
-            monkeypatch.setattr("weylsums.experiments.EXP_BLOCK", 16)
+            monkeypatch.setattr("weylsums.expsum._SLAB", 16)
             monkeypatch.setattr("weylsums.discrepancy.SWEEP_BLOCK", 16)
         log2_n_max = {"declared": 12 if kind != "discrepancy_short" else 10, "small": 7}[blocks]
         if kind == "discrepancy_short":

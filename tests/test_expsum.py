@@ -28,9 +28,11 @@ from weylsums.expsum import (
     PhaseTable,
     _fold_weights,
     _majorant,
+    _most_sharing_a_sum,
     _quantize,
     _expi,
     _quantize_array,
+    _reduce_rows,
     _spectrum,
     _twisted_coeffs,
     raw_phases,
@@ -244,6 +246,36 @@ class TestExpKernel:
         finally:
             tracemalloc.stop()
         assert peak / (B * N) <= 32.5
+
+    @pytest.mark.parametrize("slab", ["declared", 64])
+    def test_row_reductions_match_the_whole_block(self, slab, monkeypatch):
+        # each row is reduced whole, so the slab kernel's row sums and
+        # majorants are bit for bit those of the whole (B, N) block; 13 and
+        # 150 rows do not fill their last slab, and N = slab + 1 is one row a
+        # slab.  einsum splits a row longer than numpy's 8192-element buffer
+        # where the block's layout puts it, so such a row's majorant is that
+        # of the row alone
+        if slab != "declared":
+            monkeypatch.setattr("weylsums.expsum._SLAB", slab)
+        import weylsums.expsum as expsum
+
+        size = expsum._SLAB
+        fam = classical_family(3)
+        rng = np.random.default_rng(34)
+        row_sums = lambda c: np.sum(c, axis=1)
+        for N in (1, 5, size - 1, size, size + 1):
+            for B in (1, 13, 150):
+                raws = _quantize_array(rng.random((B, 3)))
+                starts = rng.integers(-(10**12), 10**12, size=B)
+                a = np.exp(2j * np.pi * rng.random(N)) * rng.random(N)
+                sums = _reduce_rows(fam.polys, raws, a, N, row_sums, np.complex128, starts)
+                assert np.array_equal(sums, row_sums(_twisted_coeffs(fam.polys, raws, a, N, starts)))
+                one_point = _reduce_rows(fam.polys, raws[0], a, N, row_sums, np.complex128, starts)
+                assert np.array_equal(one_point, row_sums(_twisted_coeffs(fam.polys, raws[0], a, N, starts)))
+                w = _reduce_rows(fam.polys, raws, None, N, _majorant, np.float64)
+                for weights in (None, UNIT.array(N)):  # unit weights are skipped: only zeros' signs can differ
+                    c = _twisted_coeffs(fam.polys, raws, weights, N)
+                    assert np.array_equal(w, _majorant(c) if N <= size else [_majorant(row[None])[0] for row in c])
 
 
 class TestWeylSum:
@@ -476,6 +508,15 @@ class TestVinogradov:
 
     def test_hand_count(self):
         assert vinogradov_count(1, 2, 2) == 6
+
+    def test_most_sharing_a_sum_is_the_largest_convolution_coefficient(self):
+        # the declared window size uses it; N ones convolved s times count the tuples by sum
+        for s in range(1, 7):
+            for N in (1, 2, 3, 7, 12, 40):
+                counts = np.ones(1, dtype=np.int64)
+                for _ in range(s):
+                    counts = np.convolve(counts, np.ones(N, dtype=np.int64))
+                assert _most_sharing_a_sum(s, N) == counts.max()
 
     def test_frozen_regressions(self):
         # enumerated independently and cross-checked by quadrature
