@@ -18,7 +18,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvariantViolation, check_cost
-from .expsum import _SLAB, WeightSeq, _expi_bytes, _majorant, _quantize_array, _reduce_rows
+from .expsum import (WeightSeq, _expi_bytes, _majorant, _phase_rows, _quantize_array, _reduce_rows, _slab_terms,
+                     _twisted)
 from .polyfam import PolynomialFamily
 
 __all__ = [
@@ -95,8 +96,10 @@ def grid_sides(fam: PolynomialFamily, N: int, alpha, eps) -> BoxGrid:
     integer root extraction rather than rounded float powers.
     """
     N = int(N)
-    alpha = Fraction(alpha)
-    eps = Fraction(eps)
+    try:
+        alpha, eps = Fraction(alpha), Fraction(eps)
+    except ZeroDivisionError as exc:  # "1/0"
+        raise ValueError(f"alpha and eps need a nonzero denominator: {exc}") from exc
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     if eps <= 0:
@@ -174,7 +177,8 @@ def markov_check(sampled_values: Sequence[float], threshold: float, two_s: int) 
 def _census_cost(grid: BoxGrid, spb: int) -> tuple[int, int]:
     """(terms, peak bytes) of a census: 17 + 16 d bytes a box, all marked; 32 d + 8 a box and
     24 (d + 1) a sample of one chunk of boxes; 48 a term of one slab of whole rows."""
-    boxes, slab = min(grid.U, _CHUNK), grid.N * max(1, _SLAB // grid.N)  # whole rows, as _reduce_rows takes them
+    boxes = min(grid.U, _CHUNK)
+    slab = _slab_terms(boxes * spb, grid.N)
     peak = ((17 + 16 * grid.d) * grid.U + (32 * grid.d + 8 + 24 * (grid.d + 1) * spb) * boxes
             + 48 * slab + _expi_bytes(slab) + 16 * grid.N)
     return grid.U * spb * grid.N, peak
@@ -224,7 +228,7 @@ def census(
         pts[:, 0, :] = corners + 0.5 * zeta
         pts[:, 1:, :] = corners[:, None, :] + gen.random((stop - start, spb - 1, d)) * zeta
         raws = _quantize_array(pts.reshape(-1, d))
-        w = _reduce_rows(fam.polys, raws, weights, N, _majorant, np.float64).reshape(stop - start, spb)
+        w = _reduce_rows(*_phase_rows(fam.polys, raws, N), _twisted(_majorant, weights), np.float64).reshape(-1, spb)
         peaks[start:stop] = w.max(axis=1)
         moment_sum += float(np.sum(w**two_s))
         samples_ge += int(np.sum(w >= tau))

@@ -44,7 +44,7 @@ __all__ = ["main"]
 def _parse_point(text: str) -> list[float]:
     try:
         return [float(Fraction(part)) for part in text.split(",") if part.strip()]
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad coordinate list {text!r}: {exc}") from exc
 
 
@@ -182,14 +182,14 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_census(args) -> int:
     fam = parse_family(args.family)
-    grid = grid_sides(fam, args.N, Fraction(args.alpha), Fraction(args.eps))
+    grid = grid_sides(fam, args.N, args.alpha, args.eps)  # parses the rationals
     res = run_census(fam, WeightSeq.unit(), grid, args.samples_per_box, args.seed)
     payload = {
-        "alpha": float(Fraction(args.alpha)),
+        "alpha": float(grid.alpha),
         "N": args.N,
         "marked": res.marked,
         "U": res.U,
-        "bound": counting_bound(grid, Fraction(args.alpha)),
+        "bound": counting_bound(grid, grid.alpha),
         "threshold": res.threshold,
         "empirical_moment": res.empirical_moment,
         "samples_per_box": res.samples_per_box,
@@ -201,7 +201,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_project(args) -> int:
     fam = parse_family(args.family)
-    grid = grid_sides(fam, args.N, Fraction(args.alpha), Fraction(args.eps))
+    grid = grid_sides(fam, args.N, args.alpha, args.eps)  # parses the rationals
     if args.direction:
         vec = np.array(_parse_point(args.direction))
         top = np.max(np.abs(vec), initial=0.0)
@@ -216,17 +216,17 @@ def _cmd_project(args) -> int:
     res = run_census(fam, WeightSeq.unit(), grid, args.samples_per_box, args.seed)
     proj = project_union(grid, res.marked_boxes, spec, seed=args.seed)
     payload = {
-        "alpha": float(Fraction(args.alpha)),
+        "alpha": float(grid.alpha),
         "N": args.N,
         "marked": res.marked,
         "U": res.U,
-        "bound": counting_bound(grid, Fraction(args.alpha)),
+        "bound": counting_bound(grid, grid.alpha),
         "measure": proj.measure,
         "method": proj.method,
         "std_error": proj.std_error,
         "direction": spec.basis[0].tolist() if spec.k == 1 else f"coordinate:{spec.k}",
         "reference": projection_reference(
-            grid, degree_stats(fam, spec.k)[1], spec.k, Fraction(args.alpha)
+            grid, degree_stats(fam, spec.k)[1], spec.k, grid.alpha
         ),
     }
     if spec.k == 1:

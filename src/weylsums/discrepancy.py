@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import check_cost
-from .expsum import SCALE_BITS, TorusPoint, _expi, _expi_bytes, _quantize_array, raw_phases
+from .expsum import (SCALE_BITS, TorusPoint, _expi_bytes, _phase_rows, _quantize_array, _reduce_rows, _slab_terms,
+                     _twisted, raw_phases)
 from .polyfam import IntPolynomial, PolynomialFamily, classical_family
 
 __all__ = [
@@ -27,8 +28,6 @@ __all__ = [
     "poly_discrepancy",
     "short_interval_discrepancy",
 ]
-
-SWEEP_BLOCK = 1 << 12  # points per batched sweep of window discrepancies
 
 
 @dataclass(frozen=True)
@@ -221,8 +220,7 @@ def erdos_turan_bound(points: Sequence[float], G: int) -> float:
     pts = _validate(points)
     if G < 1:
         raise ValueError(f"need G >= 1, got G = {G}")
-    N = len(pts)  # a (G, N) block of phases and exponentials, 24 bytes a term
-    check_cost("erdos_turan_bound", G * N, 24 * G * N + 16 * G + 40 * N + _expi_bytes(G * N) + (1 << 16))
+    check_cost("erdos_turan_bound", G * len(pts), _erdos_turan_bytes(len(pts), G))
     return _erdos_turan(_quantize_array(pts), G)
 
 
@@ -230,20 +228,29 @@ def erdos_turan_bound_poly(fam: PolynomialFamily, u: TorusPoint, N: int, G: int)
     """Same bound for the polynomial sequence {f(n)}, from its exact raw phases."""
     if G < 1 or N < 1:
         raise ValueError(f"need G >= 1 and N >= 1, got G = {G}, N = {N}")
-    check_cost("erdos_turan_bound_poly", G * N, 24 * G * N + 16 * G + 40 * N + _expi_bytes(G * N) + (1 << 16))
+    check_cost("erdos_turan_bound_poly", G * N, _erdos_turan_bytes(N, G))
     return _erdos_turan(raw_phases(fam.polys, u.raw, N), G)
+
+
+def _erdos_turan_bytes(N: int, G: int) -> int:
+    """Peak bytes of ``_erdos_turan`` on N points: 8 a point of the raw row, 24 a term of one slab of
+    rows g x, S >= N terms (which also covers quantising float points), and 24 a dilation g."""
+    S = _slab_terms(G, N)
+    return 8 * N + 24 * S + 24 * G + _expi_bytes(S) + (1 << 16)
 
 
 def _erdos_turan(raw: np.ndarray, G: int) -> float:
     """The Erdős–Turán bound of the points raw[N] / 2^64 (Kuipers–Niederreiter, ch. 2, Thm 2.5).
 
     g * raw in wrapping uint64 is the exact raw phase of the dilation g x_n
-    mod 1, so every g = 1..G is one row of a single (G, N) block, which
-    ``_expi`` takes to e(g x_n).
+    mod 1, so the dilations g = 1..G are a row source of ``_reduce_rows``:
+    each slab of rows is written by one wrapping product and taken to
+    e(g x_n) by ``_expi``, and each row is summed whole.
     """
     N = len(raw)
     gs = np.arange(1, G + 1, dtype=np.uint64)
-    sums = np.abs(_expi(gs[:, None] * raw).sum(axis=1))
+    sums = _reduce_rows((G, N), lambda f, lo, hi: np.multiply(gs[lo:hi, None], raw, out=f),
+                        _twisted(lambda c: np.abs(c.sum(axis=1))), np.float64)
     return 3.0 * (N / (G + 1) + float(np.sum(sums / gs)))
 
 
@@ -273,12 +280,11 @@ def _window_discrepancies(polys: Sequence[IntPolynomial], raw: Sequence[int], st
                           N: int) -> np.ndarray:
     """``short_interval_discrepancy`` values of the windows at every start.
 
-    ``polys`` is the classical family of ``raw``, the quantized u; the
-    windows are swept together, in blocks of at most SWEEP_BLOCK points (or
-    one window, if it alone holds more).
+    ``polys`` is the classical family of ``raw``, the quantized u.  Each
+    slab of windows from ``_reduce_rows`` is sorted in place and swept.
     """
-    rows = max(1, SWEEP_BLOCK // N)
-    return np.concatenate([
-        _sweep_values(np.sort(raw_phases(polys, raw, N, starts[lo:lo + rows]), axis=1))
-        for lo in range(0, len(starts), rows)
-    ])
+    def sweep(f):
+        f.sort(axis=1)
+        return _sweep_values(f)
+
+    return _reduce_rows(*_phase_rows(polys, raw, N, starts), sweep, np.float64)

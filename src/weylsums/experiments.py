@@ -21,17 +21,19 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .census import _census_cost, census, counting_bound, grid_sides
-from .discrepancy import SWEEP_BLOCK, _sweep_values, _window_discrepancies
+from .discrepancy import _sweep_values, _window_discrepancies
 from .errors import ConfigError, check_cost
 from .expsum import (
-    _SLAB,
     TorusPoint,
     WeightSeq,
     _expi_bytes,
     _majorant,
+    _phase_rows,
     _quantize_array,
     _reduce_rows,
+    _slab_terms,
     _sum_trace,
+    _twisted,
     _twisted_coeffs,
     raw_phases,
     sup_linear_coeff,
@@ -118,11 +120,16 @@ class ExperimentConfig:
             raise ConfigError("kind 'short' needs d >= 2: its supremum runs over the lower coefficients")
         if self.kind == "short" and fam.polys != classical_family(fam.d).polys:
             raise ConfigError(f"kind 'short' runs on classical:{fam.d} only, got {self.family!r}")
-        for a in self.alphas:
-            a = Fraction(a)
+        if self.kind in ("discrepancy", "discrepancy_short") and k != fam.d:  # they draw all d coordinates
+            raise ConfigError(f"kind {self.kind!r} measures D at one full point: k must be {fam.d}, got {k}")
+        try:
+            alphas, eps = [Fraction(a) for a in self.alphas], Fraction(self.eps)
+        except (ValueError, ZeroDivisionError) as exc:  # "x" or "1/0"
+            raise ConfigError(f"bad alpha or eps: {exc}") from exc
+        for a in alphas:
             if not 0 < a < 1:
                 raise ConfigError(f"alpha={a} outside (0, 1)")
-        if Fraction(self.eps) <= 0:
+        if eps <= 0:
             raise ConfigError("eps must be positive")
         return self
 
@@ -317,7 +324,7 @@ def _grid_sup_y(ypolys, c: np.ndarray, yraws: np.ndarray) -> float:
 
     Each row is summed whole, slab by slab of rows.
     """
-    s = _reduce_rows(ypolys, yraws, c, len(c), lambda slab: slab.sum(axis=1), np.complex128)
+    s = _reduce_rows(*_phase_rows(ypolys, yraws, len(c)), _twisted(lambda slab: slab.sum(axis=1), c), np.complex128)
     return float(np.hypot(s.real, s.imag).max())
 
 
@@ -350,14 +357,14 @@ def metric_sweep(cfg: ExperimentConfig) -> list[RunRecord]:
     n, y, m = schedule[-1], cfg.y_samples, cfg.m_samples  # one sample's arrays at the longest N
     if cfg.kind == "discrepancy":  # the phases, a sorted prefix, N x, an arange and one temporary
         per, peak = 1, 52 * n
-    elif cfg.kind == "discrepancy_short":  # 48 bytes a window, 128 a block's result shared by its windows
-        per, peak = m, 44 * max(SWEEP_BLOCK, n) + (48 + 128 * n // max(SWEEP_BLOCK, n)) * m
+    elif cfg.kind == "discrepancy_short":  # 32 bytes a term of a slab of whole windows, 16 a point of one, 48 a start
+        per, peak = m, 32 * _slab_terms(m, n) + 16 * n + 48 * m
     elif k == fam.d:
         per, peak = 1, 48 * n + _expi_bytes(n)
     elif _certified(fam, k):  # sup_linear_coeff's default oversample of 4
         per, peak = 4, 176 * n + _expi_bytes(n)
     else:  # the x part, 48 bytes a term of one slab of y rows, 24 a y draw and 24 a row sum at one N
-        block = min(y * n, max(_SLAB, n))
+        block = _slab_terms(y, n)
         per, peak = y, 16 * n + 48 * block + 24 * (len(schedule) * (fam.d - k) + 1) * y + _expi_bytes(block)
     check_cost("metric_sweep", cfg.samples * sum(schedule) * per,
                peak + (512 * len(schedule) + 128) * cfg.samples + (1 << 14))  # and every record

@@ -9,8 +9,10 @@ No float phase of f(n) is ever formed.  ``_expi`` maps a raw phase theta
 straight to e(theta / 2^64): the top 12 bits pick a root of unity from a
 table built once at import, and a short Taylor polynomial in the low 52
 bits turns it through the rest (Tang, ACM TOMS 15(2), 1989).  Every value
-is within 1e-15 of the exact one.  ``_twisted_coeffs`` returns whole rows of a_n e(f(n)); the
-slab kernel ``_reduce_rows`` reduces them slab by slab, for the sampled sup over y and the census.
+is within 1e-15 of the exact one.  ``_twisted_coeffs`` returns whole rows of a_n e(f(n)).
+``_reduce_rows`` is the one walker that cuts phase rows into slabs and reduces each row to one
+value: rows of ``_phase_rows`` (the sampled sup over y, the census and the window discrepancies)
+or the Erdős–Turán dilations g x, taken through ``_twisted`` where the reduction needs e(theta).
 """
 
 from __future__ import annotations
@@ -56,7 +58,12 @@ VINOGRADOV_BLOCK = 1 << 18
 
 _TABLE_BITS = 12  # e(k / 2^12) per value k of a phase's top bits
 _LOW_BITS = SCALE_BITS - _TABLE_BITS
-_SLAB = 1 << 13  # terms per pass of _expi: its buffers stay in cache
+_SLAB = 1 << 13  # terms per pass of _expi and per slab of _reduce_rows: the buffers stay in cache
+
+
+def _slab_terms(B: int, N: int) -> int:
+    """Terms in a slab of ``_reduce_rows`` on B rows of N: whole rows, about _SLAB, at least one."""
+    return N * max(1, min(B, _SLAB // N))
 
 
 def _expi_bytes(n: int) -> int:
@@ -405,29 +412,47 @@ def _twisted_coeffs(polys: Sequence[IntPolynomial], raws, a, N: int, starts=0) -
     return c
 
 
-def _reduce_rows(polys: Sequence[IntPolynomial], raws, a, N: int, reduce, dtype, starts=0) -> np.ndarray:
-    """reduce(c) of each row c of ``_twisted_coeffs(polys, raws, a, N, starts)``, as dtype (B,).
+def _phase_rows(polys: Sequence[IntPolynomial], raws, N: int, starts=0):
+    """The row source ((B, N), fill) of ``raw_phases(polys, raws, N, starts)`` for ``_reduce_rows``.
 
-    ``raws`` is one row (d,) or B, and ``starts`` one integer or B.  Each slab of whole rows (about
-    _SLAB terms, at least one row) goes through ``raw_phases`` and ``_expi`` into one uint64 and one
-    complex buffer, reused by every slab, and the weights; ``reduce`` maps the (rows, N) slab to its
-    rows' values.  Every step is element by element and each row is reduced whole, so the values are
-    bit for bit those of the whole block.
+    ``raws`` is one row (d,) or B, and ``starts`` one integer or B; a single one serves every row.
     """
     raws = np.atleast_2d(np.asarray(raws, dtype=np.uint64))
     one_start = np.ndim(starts) == 0
-    B = len(raws) if one_start else len(starts)  # a single row or start serves every row
-    rows = max(1, min(B, _SLAB // N))
-    f, c, out = np.empty((rows, N), dtype=np.uint64), np.empty((rows, N), dtype=np.complex128), np.empty(B, dtype=dtype)
+    return (len(raws) if one_start else len(starts), N), lambda f, lo, hi: raw_phases(
+        polys, raws[lo:hi] if len(raws) > 1 else raws, N, starts if one_start else starts[lo:hi], out=f)
+
+
+def _reduce_rows(shape: tuple[int, int], fill, reduce, dtype) -> np.ndarray:
+    """The one walker of phase rows: reduce(f) of each slab f of B rows of N, as dtype (B,).
+
+    A slab is ``_slab_terms(B, N)`` terms of whole rows; fill(f, lo, hi) writes rows lo..hi into
+    one uint64 buffer reused by every slab, and ``reduce`` maps them to their values.  Each row is
+    reduced whole, so the values are bit for bit those of the whole (B, N) block.
+    """
+    B, N = shape
+    rows = _slab_terms(B, N) // N
+    f, out = np.empty((rows, N), dtype=np.uint64), np.empty(B, dtype=dtype)
     for lo in range(0, B, rows):
-        k = min(rows, B - lo)
-        raw_phases(polys, raws[lo : lo + k] if len(raws) > 1 else raws, N,
-                   starts if one_start else starts[lo : lo + k], out=f[:k])
-        slab = _expi(f[:k], c[:k])
-        if a is not None:
-            slab *= a
-        out[lo : lo + k] = reduce(slab)
+        hi = min(lo + rows, B)
+        out[lo:hi] = reduce(fill(f[: hi - lo], lo, hi))
     return out
+
+
+def _twisted(reduce, a=None):
+    """The slab reduction reduce(a_n e(theta)) for ``_reduce_rows``, weights ``a`` as in
+    ``_twisted_coeffs``; e(theta) goes into one complex buffer, sized by the first, largest slab."""
+    buf = None
+
+    def run(theta):
+        nonlocal buf
+        buf = np.empty(theta.shape, dtype=np.complex128) if buf is None else buf
+        c = _expi(theta, buf[: len(theta)])
+        if a is not None:
+            c *= a
+        return reduce(c)
+
+    return run
 
 
 def completion_naive(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> CompletionResult:

@@ -159,6 +159,28 @@ class TestExitCodes:
         assert code == 2
         assert "bad coordinate list" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--family", "classical:2", "--samples", "1", "--eps", "1/0"),
+        ("sweep", "--family", "classical:2", "--samples", "1", "--alphas", "1/0"),
+        ("dimscan", "--family", "classical:2", "--alphas", "1/0"),
+        ("census", "--family", "classical:2", "--N", "4", "--alpha", "1/0"),
+        ("census", "--family", "classical:2", "--N", "4", "--eps", "0/0"),
+        ("project", "--family", "classical:2", "--N", "4", "--eps", "1/0"),
+        ("sum", "--family", "classical:2", "--u", "1/0,0.2", "--N", "4"),
+    ])
+    def test_zero_denominator_exits_2(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "Fraction(" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["discrepancy", "discrepancy_short"])
+    def test_discrepancy_kinds_refuse_a_split(self, capsys, kind):
+        # both kinds draw all d coordinates: k < d would measure D at one full point, not sup_y D
+        code, _, err = run(capsys, "sweep", "--kind", kind, "--family", "classical:3", "--k", "1",
+                           "--samples", "1", "--log2-n-min", "2", "--log2-n-max", "3")
+        assert code == 2
+        assert "k must be 3" in err
+
     def test_negative_log2_n_min_exits_2(self, capsys):
         code, _, err = run(capsys, "sweep", "--family", "classical:2", "--samples", "1",
                            "--log2-n-min", "-1", "--log2-n-max", "3")

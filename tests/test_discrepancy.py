@@ -24,7 +24,7 @@ from weylsums.discrepancy import (
     _sweep_values,
     _window_discrepancies,
 )
-from weylsums.expsum import PhaseTable, raw_phases
+from weylsums.expsum import PhaseTable, _expi_bytes, raw_phases
 from weylsums.polyfam import IntPolynomial, shift_coefficients
 
 MASK = (1 << 64) - 1
@@ -307,28 +307,35 @@ class TestErdosTuran:
         assert kernel == pytest.approx(generic, rel=1e-10)
 
     def test_poly_budget(self, monkeypatch, admitted):
-        # 24 bytes a term of the (G, N) block: G = 2723 is the last at N = 4096
+        # the rows g x are walked in slabs, so memory grows by 24 bytes a g:
+        # at N = 4096 the work budget binds first, and G = 2^31 / 4096 is the last
         def never(*args):
             raise AssertionError("phases were built")
 
         monkeypatch.setattr("weylsums.discrepancy.raw_phases", never)
         u = TorusPoint.from_reals([0.1, 0.2])
-        assert admitted(erdos_turan_bound_poly, classical_family(2), u, 4096, 2723)
-        for N, G in ((4096, 2724), (1 << 40, 1)):
+        assert admitted(erdos_turan_bound_poly, classical_family(2), u, 4096, 524288)
+        for N, G in ((4096, 524289), (1 << 40, 1)):
             with pytest.raises(BudgetError):
                 erdos_turan_bound_poly(classical_family(2), u, N, G)
 
     def test_point_budget(self, admitted):
-        assert admitted(erdos_turan_bound, np.zeros(4096), 2723)
-        assert not admitted(erdos_turan_bound, np.zeros(4096), 2724)
+        assert admitted(erdos_turan_bound, np.zeros(4096), 524288)
+        assert not admitted(erdos_turan_bound, np.zeros(4096), 524289)
 
     def test_point_budget_runs(self):
         assert erdos_turan_bound(np.zeros(4096), 1024) > 0
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
-    def test_one_block_matches_per_g_weyl_sums(self, d):
+    def test_one_block_matches_per_g_weyl_sums(self, d, monkeypatch):
         # the dilation g*u wraps mod 2^64: 3 * ceil(2^64/3) = 2^64 + 2, and
-        # numpy's uint64 product leaves the exact residue 2
+        # numpy's uint64 product leaves the exact residue 2.  With _SLAB = 64
+        # terms the rows g x of N = 1 straddle slabs of 64 rows, and a row of
+        # N = 80, longer than a slab, is a slab of its own; each row is summed
+        # whole, so the values are bit for bit those of the declared slabs
+        import weylsums.expsum as expsum
+
+        declared = expsum._SLAB
         r = (1 << 64) // 3 + 1
         assert int((np.array([r], dtype=np.uint64) * np.uint64(3))[0]) == (3 * r) & MASK == 2
         rng = np.random.default_rng(70 + d)
@@ -338,15 +345,20 @@ class TestErdosTuran:
             for N in Ns:
                 for G in (1, 13, 150 if N < 4096 else 1024):
                     ref = per_g_reference(fam, u, N, G)
-                    assert erdos_turan_bound_poly(fam, u, N, G) == pytest.approx(ref, rel=1e-12)
                     pts = raw_phases(fam.polys, u.raw, N).astype(np.float64) * 2.0**-64
-                    assert erdos_turan_bound(pts, G) == pytest.approx(ref, rel=1e-12)
+                    got = []
+                    # not N = 4096 at 64 terms: _expi would take its 2^22 terms 64 at a time
+                    for slab in (declared, 64) if N < 4096 else (declared,):
+                        monkeypatch.setattr(expsum, "_SLAB", slab)
+                        got.append((erdos_turan_bound_poly(fam, u, N, G), erdos_turan_bound(pts, G)))
+                    assert got[0] == pytest.approx((ref, ref), rel=1e-12)
+                    assert got[-1] == got[0]
 
     def test_full_budget_of_dilations(self, monkeypatch):
         # one point: every |e(g x)| is 1, so the bound is 3 (1/(G+1) + H_G).
-        # At a 16 MiB memory budget a (G, 1) block admits G = 407858.
+        # At a 16 MiB memory budget, 24 bytes a g and slabs of 8192 rows admit G = 671573.
         monkeypatch.setattr("weylsums.errors.MEMORY_BUDGET", 1 << 24)
-        G = 407858
+        G = 671573
         harmonic = math.fsum(1.0 / np.arange(1, G + 1))
         assert erdos_turan_bound([0.3], G) == pytest.approx(3 * (1 / (G + 1) + harmonic), rel=1e-12)
         with pytest.raises(BudgetError):
@@ -370,7 +382,8 @@ class TestErdosTuran:
         assert erdos_turan_bound(pts, G) == pytest.approx(ref, rel=1e-12)
 
     def test_dilation_block_memory(self):
-        # a (G, N) block of 2^22 terms: uint64 phases and their complex exponentials
+        # 2^22 terms g x, walked one row of 2^16 a slab: 8 bytes a point of the
+        # raw row, 24 a term of the slab (phases and exponentials), 24 a g
         N, G = 1 << 16, 64
         u = TorusPoint.from_reals([0.1, 0.2])
         tracemalloc.start()
@@ -379,7 +392,7 @@ class TestErdosTuran:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 128 << 20
+        assert peak <= 8 * N + 24 * N + 24 * G + _expi_bytes(N) + (1 << 16)
 
 
 class TestPolyDiscrepancy:
@@ -447,8 +460,9 @@ class TestShortIntervalDiscrepancy:
         assert res.value == direct.value
 
     def test_windows_across_blocks_match_one_by_one(self, monkeypatch):
-        # SWEEP_BLOCK = 8 points puts windows of N = 3 into blocks of two
-        monkeypatch.setattr("weylsums.discrepancy.SWEEP_BLOCK", 8)
+        # _SLAB = 8 terms puts windows of N = 3 into slabs of two, and a
+        # window of N = 9, longer than a slab, into a slab of its own
+        monkeypatch.setattr("weylsums.expsum._SLAB", 8)
         u = [0.3711, 0.219, 0.8]
         raw = TorusPoint.from_reals(u).raw
         starts = [0, 5, -4, 1 << 41, 7, 2]

@@ -276,13 +276,12 @@ class TestBatchedBlocks:
     @pytest.mark.parametrize("blocks", ["declared", "small"])
     @pytest.mark.parametrize("kind", ["short", "weyl_grid", "discrepancy_short"])
     def test_records_match_per_draw_reference(self, kind, blocks, monkeypatch):
-        # at the largest N, 9 y draws span five slabs of two rows and 11
-        # windows three blocks of four with the declared sizes; with sizes of
-        # 16 they span blocks of four rows at N = 4, two at N = 8 and one from
-        # N = 16 on
+        # at the largest N, with the declared _SLAB of 8192 terms, 9 y draws
+        # (N = 4096) span five slabs of at most two rows and 11 windows
+        # (N = 1024) two slabs, of eight rows and three; with _SLAB = 16 both
+        # span slabs of four rows at N = 4, two at N = 8 and one from N = 16 on
         if blocks == "small":
             monkeypatch.setattr("weylsums.expsum._SLAB", 16)
-            monkeypatch.setattr("weylsums.discrepancy.SWEEP_BLOCK", 16)
         log2_n_max = {"declared": 12 if kind != "discrepancy_short" else 10, "small": 7}[blocks]
         if kind == "discrepancy_short":
             cfg = tiny_cfg(kind=kind, family="classical:3", k=None, samples=2,

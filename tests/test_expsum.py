@@ -29,11 +29,13 @@ from weylsums.expsum import (
     _fold_weights,
     _majorant,
     _most_sharing_a_sum,
+    _phase_rows,
     _quantize,
     _expi,
     _quantize_array,
     _reduce_rows,
     _spectrum,
+    _twisted,
     _twisted_coeffs,
     raw_phases,
     reconstruct_all_prefixes,
@@ -268,11 +270,12 @@ class TestExpKernel:
                 raws = _quantize_array(rng.random((B, 3)))
                 starts = rng.integers(-(10**12), 10**12, size=B)
                 a = np.exp(2j * np.pi * rng.random(N)) * rng.random(N)
-                sums = _reduce_rows(fam.polys, raws, a, N, row_sums, np.complex128, starts)
+                sums = _reduce_rows(*_phase_rows(fam.polys, raws, N, starts), _twisted(row_sums, a), np.complex128)
                 assert np.array_equal(sums, row_sums(_twisted_coeffs(fam.polys, raws, a, N, starts)))
-                one_point = _reduce_rows(fam.polys, raws[0], a, N, row_sums, np.complex128, starts)
+                one_point = _reduce_rows(*_phase_rows(fam.polys, raws[0], N, starts), _twisted(row_sums, a),
+                                         np.complex128)
                 assert np.array_equal(one_point, row_sums(_twisted_coeffs(fam.polys, raws[0], a, N, starts)))
-                w = _reduce_rows(fam.polys, raws, None, N, _majorant, np.float64)
+                w = _reduce_rows(*_phase_rows(fam.polys, raws, N), _twisted(_majorant), np.float64)
                 for weights in (None, UNIT.array(N)):  # unit weights are skipped: only zeros' signs can differ
                     c = _twisted_coeffs(fam.polys, raws, weights, N)
                     assert np.array_equal(w, _majorant(c) if N <= size else [_majorant(row[None])[0] for row in c])
