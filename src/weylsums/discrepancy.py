@@ -104,8 +104,9 @@ def _sweep_values(ks: np.ndarray) -> np.ndarray:
     N = ks.shape[1]
     # N x in one pass: scaling by 2^-64 commutes with rounding, so this is N * (raw / 2^64)
     nx = ks * (N * 2.0**-SCALE_BITS if ks.dtype == np.uint64 else N)
-    high = np.max(np.arange(1, N + 1) - nx, axis=1)
-    return high - np.min(np.subtract(np.arange(N), nx, out=nx), axis=1)
+    # float counts t, exact below 2^53: an int64 t would be cast through an 8192-element buffer
+    high = np.max(np.arange(1.0, N + 1) - nx, axis=1)
+    return high - np.min(np.subtract(np.arange(float(N)), nx, out=nx), axis=1)
 
 
 def _sweep_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -276,12 +277,13 @@ def short_interval_discrepancy(u: Sequence, M: int, N: int) -> DiscrepancyResult
     return _sweep_one(raw_phases(classical_family(pt.d).polys, pt.raw, N, M))
 
 
-def _window_discrepancies(polys: Sequence[IntPolynomial], raw: Sequence[int], starts: Sequence[int],
-                          N: int) -> np.ndarray:
-    """``short_interval_discrepancy`` values of the windows at every start.
+def _window_discrepancies(polys: Sequence[IntPolynomial], raw, starts, N: int) -> np.ndarray:
+    """The discrepancy of {f(n)}, n = s+1..s+N, for every row of ``_phase_rows(polys, raw, N, starts)``.
 
-    ``polys`` is the classical family of ``raw``, the quantized u.  Each
-    slab of windows from ``_reduce_rows`` is sorted in place and swept.
+    ``raw`` is one quantized point or one a row, and ``starts`` one start
+    or one a row: the windows of ``short_interval_discrepancy`` or the
+    ``poly_discrepancy`` of many points.  Each slab of rows from
+    ``_reduce_rows`` is sorted in place and swept.
     """
     def sweep(f):
         f.sort(axis=1)

@@ -3,9 +3,10 @@
 "Almost all" statements are probed by uniform sampling with counter-based
 per-sample streams: the master seed plus a sample id determine every random
 draw, so a run is reproducible byte for byte regardless of the worker
-count.  Evaluation happens on the dyadic schedule N_i = 2^i; the completion
-majorant is recorded next to each sum so that behaviour between schedule
-points stays controlled.
+count or of how the samples are cut into blocks.  Evaluation happens on the
+dyadic schedule N_i = 2^i, one N at a time over a block of samples; the
+completion majorant is recorded next to each sum so that behaviour between
+schedule points stays controlled.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .census import _census_cost, census, counting_bound, grid_sides
-from .discrepancy import _sweep_values, _window_discrepancies
+from .discrepancy import _window_discrepancies
 from .errors import ConfigError, check_cost
 from .expsum import (
     TorusPoint,
@@ -33,10 +34,9 @@ from .expsum import (
     _reduce_rows,
     _slab_terms,
     _sum_trace,
+    _sup_linear,
     _twisted,
     _twisted_coeffs,
-    raw_phases,
-    sup_linear_coeff,
 )
 from .polyfam import IntPolynomial, PolynomialFamily, classical_family, parse_family
 
@@ -213,7 +213,7 @@ class RunRecord:
 
 
 # ---------------------------------------------------------------------------
-# Per-sample work (pure; runs in worker processes)
+# Blocks of samples (pure; run in worker processes)
 
 
 def _sample_rng(seed: int, sample_id: int) -> np.random.Generator:
@@ -235,97 +235,111 @@ def _split_family(cfg: ExperimentConfig) -> tuple[PolynomialFamily, int]:
     return fam, cfg.k if cfg.k is not None else fam.d
 
 
-def _certified(fam: PolynomialFamily, k: int) -> bool:
-    """Whether ``sup_linear_coeff`` certifies the sup over y: one linear coefficient."""
-    return fam.d - k == 1 and fam.degrees[-1] == 1
+def _route(cfg: ExperimentConfig, fam: PolynomialFamily, k: int) -> str:
+    """How a sweep step is evaluated: "prefix" (``weyl`` at k = d), "certified" (the sup over y
+    certified by ``sup_linear_coeff``: y is one linear coefficient), "sampled" (the sup over drawn
+    y), "discrepancy" or "discrepancy_short"."""
+    if cfg.kind in ("discrepancy", "discrepancy_short"):
+        return cfg.kind
+    if k == fam.d:
+        return "prefix"
+    return "certified" if fam.d - k == 1 and fam.degrees[-1] == 1 else "sampled"
 
 
-def _run_sample(cfg: ExperimentConfig, sid: int) -> list[RunRecord]:
+def _sample_rows(cfg: ExperimentConfig, route: str) -> int:
+    """The phase rows a sample adds to a sweep step: its y draws, its windows, or its one point."""
+    return {"sampled": cfg.y_samples, "discrepancy_short": cfg.m_samples}.get(route, 1)
+
+
+def _block_size(cfg: ExperimentConfig, route: str, workers: int) -> int:
+    """Samples a block: as many whole samples as fill one slab at the first N, at least one, and
+    no more than the samples over the workers, so that every worker gets a block."""
+    terms = _sample_rows(cfg, route) * cfg.schedule()[0]
+    return min(_slab_terms(cfg.samples, terms) // terms, -(-cfg.samples // workers))
+
+
+def _run_block(cfg: ExperimentConfig, sids: range) -> list[RunRecord]:
+    """The records of samples ``sids`` in (sample, N) order.
+
+    Each sample's draws come first (``_draw``); each N is then one step
+    over every sample of the block (``_step``).  Only the ``weyl`` k = d
+    route, whose rows are n_max long, runs sample by sample.
+    """
     fam, k = _split_family(cfg)
+    route = _route(cfg, fam, k)
+    schedule = cfg.schedule()
+    if route == "prefix":
+        return [rec for sid in sids for rec in _prefix_records(cfg, fam, sid)]
+    coords, draws = zip(*(_draw(cfg, fam.d, k, route, sid) for sid in sids))
+    xraws = _quantize_array(np.array(coords))
+    draws = np.stack(draws, axis=1) if draws[0] is not None else [None] * len(schedule)  # per N, every sample's
+    bounds = _lipschitz_terms(fam.polys[k:], schedule[-1], cfg.y_samples) if route == "sampled" else None
+    steps = [_step(fam, k, route, xraws, at_n, N, bounds) for at_n, N in zip(draws, schedule)]
+    stat = {"weyl": "sup_y_T", "short": "sup_short_S", "discrepancy": "D", "discrepancy_short": "D_short"}[cfg.kind]
+    return [RunRecord(cfg.experiment_id, sid, coords[b], N, stat, values[b], extras=extras[b])
+            for b, sid in enumerate(sids) for N, (values, extras) in zip(schedule, steps)]
+
+
+def _draw(cfg: ExperimentConfig, d: int, k: int, route: str, sid: int):
+    """One sample's draws, in the order of its stream: x, then every N's y draws or window starts (or None)."""
     rng = _sample_rng(cfg.seed, sid)
     schedule = cfg.schedule()
-    records: list[RunRecord] = []
+    x = (float(rng.random()),) if cfg.kind == "short" else tuple(rng.random(d))[:k]  # weyl draws d, keeps k
+    if route == "sampled":  # one draw in the per-N, per-y order of the stream
+        return x, _quantize_array(rng.random((len(schedule), cfg.y_samples, d - k)))
+    if route == "discrepancy_short":  # scalar draws: one integers(size=m) call draws a different stream
+        m = cfg.m_samples
+        return x, np.fromiter((rng.integers(0, N) for N in schedule for _ in range(m)), dtype=np.uint64,
+                              count=len(schedule) * m).reshape(-1, m)
+    return x, None
 
-    n_max = schedule[-1]
-    if cfg.kind == "weyl" and k == fam.d:
-        coords = tuple(rng.random(fam.d))
-        c = _twisted_coeffs(fam.polys, TorusPoint.from_reals(coords).raw, None, n_max)  # unit weights
-        trace = _sum_trace(c)
-        for N in schedule:
-            prefix = trace.dyadic_prefix_max[int(math.log2(N))]
-            w = float(_majorant(c[:N]))
-            records.append(
-                RunRecord(cfg.experiment_id, sid, coords, N, "prefix_max_T", prefix,
-                          extras=(("w", w),))
-            )
-    elif cfg.kind in ("weyl", "short"):
-        if cfg.kind == "weyl":
-            x = tuple(rng.random(fam.d))[:k]  # the y block is re-drawn only in grid mode
-            stat = "sup_y_T"
-        else:
-            x = (float(rng.random()),)
-            stat = "sup_short_S"
-        c = _twisted_coeffs(fam.polys[:k], TorusPoint.from_reals(x).raw, None, n_max)
-        if _certified(fam, k):
-            for N in schedule:
-                res = sup_linear_coeff(c[:N])
-                records.append(
-                    RunRecord(cfg.experiment_id, sid, x, N, stat, res.grid_max,
-                              extras=(("certified_upper", res.certified_upper),
-                                      ("argmax_y", res.argmax_y), ("certified", 1.0)))
-                )
-        else:
-            # one draw in the per-N, per-y order of the stream
-            ys = _quantize_array(rng.random((len(schedule), cfg.y_samples, fam.d - k)))
-            lipschitz = _lipschitz_terms(fam.polys[k:], n_max, cfg.y_samples)
-            for N, yraws in zip(schedule, ys):
-                value = _grid_sup_y(fam.polys[k:], c[:N], yraws)
-                slack = min(float(lipschitz[N - 1]), max(N - value, 0.0))  # sum |a_n| = N
-                records.append(
-                    RunRecord(cfg.experiment_id, sid, x, N, stat, value,
-                              extras=(("continuity_slack", slack), ("certified", 0.0)))
-                )
-    elif cfg.kind == "discrepancy":
-        coords = tuple(rng.random(fam.d))
-        raw = raw_phases(fam.polys, TorusPoint.from_reals(coords).raw, n_max)
-        for N in schedule:
-            dv = float(_sweep_values(np.sort(raw[None, :N], axis=1))[0])
-            records.append(
-                RunRecord(cfg.experiment_id, sid, coords, N, "D", dv,
-                          extras=_disc_ratios(dv, N))
-            )
-    elif cfg.kind == "discrepancy_short":
-        coords = tuple(rng.random(fam.d))
-        raw = TorusPoint.from_reals(coords).raw
-        polys = classical_family(len(raw)).polys
-        for N in schedule:
-            # scalar draws: one integers(size=m) call draws a different stream
-            ms = [int(rng.integers(0, max(N, 1))) for _ in range(cfg.m_samples)]
-            values = _window_discrepancies(polys, raw, ms, N)
-            j = int(np.argmax(values))  # the first window of the largest value
-            best, best_m = float(values[j]), ms[j]
-            records.append(
-                RunRecord(cfg.experiment_id, sid, coords, N, "D_short", best,
-                          extras=_disc_ratios(best, N) + (("m", float(best_m)),))
-            )
-    else:  # pragma: no cover - validate() rejects earlier
-        raise ConfigError(f"unknown kind {cfg.kind!r}")
-    return records
+
+def _step(fam: PolynomialFamily, k: int, route: str, xraws: np.ndarray, draws, N: int, bounds):
+    """Every sample's value and extras at N, from one walk of ``_reduce_rows`` over the block's rows.
+
+    ``xraws`` holds each sample's x, ``draws`` its y draws or window
+    starts at this N, and ``bounds`` the sampled sup's Lipschitz slack.
+    """
+    S, d = len(xraws), fam.d
+    if route == "sampled":  # a row for each point (x, y): x is folded into the phase, not into weights
+        rows = np.concatenate((np.broadcast_to(xraws[:, None, :], draws.shape[:2] + (k,)), draws), axis=2)
+        s = _reduce_rows(*_phase_rows(fam.polys, rows.reshape(-1, d), N), _twisted(lambda c: c.sum(axis=1)),
+                         np.complex128)
+        values = np.hypot(s.real, s.imag).reshape(S, -1).max(axis=1).tolist()
+        bound = float(bounds[N - 1])
+        return values, [(("continuity_slack", min(bound, max(N - v, 0.0))), ("certified", 0.0))  # sum |a_n| = N
+                        for v in values]
+    if route == "certified":  # a row for each x, one zero-padded transform a slab of rows
+        # a subarray dtype: _reduce_rows returns (S, 3), one (grid_max, certified_upper, argmax_y) a row
+        res = _reduce_rows(*_phase_rows(fam.polys[:k], xraws, N), _twisted(lambda c: np.stack(_sup_linear(c), axis=1)),
+                           np.dtype((float, 3)))
+        return res[:, 0].tolist(), [(("certified_upper", u), ("argmax_y", a), ("certified", 1.0))
+                                    for u, a in res[:, 1:].tolist()]
+    if route == "discrepancy":  # a row for each x
+        values = _window_discrepancies(fam.polys, xraws, 0, N).tolist()
+        return values, [_disc_ratios(v, N) for v in values]
+    # discrepancy_short: a row for each window of each sample
+    D = _window_discrepancies(classical_family(d).polys, np.repeat(xraws, draws.shape[1], axis=0),
+                              draws.reshape(-1), N).reshape(S, -1)
+    j = np.argmax(D, axis=1)  # the first window of the largest value
+    values = D[np.arange(S), j].tolist()
+    return values, [_disc_ratios(v, N) + (("m", float(m)),) for v, m in zip(values, draws[np.arange(S), j])]
+
+
+def _prefix_records(cfg: ExperimentConfig, fam: PolynomialFamily, sid: int) -> list[RunRecord]:
+    """The records of one ``weyl`` k = d sample: prefix maxima and majorants of one n_max row."""
+    coords = tuple(_sample_rng(cfg.seed, sid).random(fam.d))
+    schedule = cfg.schedule()
+    c = _twisted_coeffs(fam.polys, TorusPoint.from_reals(coords).raw, None, schedule[-1])  # unit weights
+    trace = _sum_trace(c)
+    return [RunRecord(cfg.experiment_id, sid, coords, N, "prefix_max_T", trace.dyadic_prefix_max[int(math.log2(N))],
+                      extras=(("w", float(_majorant(c[:N]))),)) for N in schedule]
 
 
 def _disc_ratios(dv: float, N: int) -> tuple[tuple[str, float], ...]:
     r1 = dv / math.sqrt(N)
     r2 = r1 / math.log(N) ** 1.5 if N > 1 else r1
     return (("ratio_sqrt", r1), ("ratio_sqrt_log", r2))
-
-
-def _grid_sup_y(ypolys, c: np.ndarray, yraws: np.ndarray) -> float:
-    """max over the rows y of yraws[B, d-k] of |sum_n c_n e(sum_j y_j phi_j(n))|.
-
-    Each row is summed whole, slab by slab of rows.
-    """
-    s = _reduce_rows(*_phase_rows(ypolys, yraws, len(c)), _twisted(lambda slab: slab.sum(axis=1), c), np.complex128)
-    return float(np.hypot(s.real, s.imag).max())
 
 
 def _lipschitz_terms(ypolys, n_max: int, y_samples: int) -> np.ndarray:
@@ -346,38 +360,55 @@ def _lipschitz_terms(ypolys, n_max: int, y_samples: int) -> np.ndarray:
 def metric_sweep(cfg: ExperimentConfig) -> list[RunRecord]:
     """Run the configured experiment and return records in (sample, N) order.
 
-    The per-sample work items are independent; with threads > 1 they run in
-    a process pool of at most min(threads, samples, cpu count) workers, and
-    the deterministic per-sample streams plus ordered collection make the
-    output identical to a single-threaded run.
+    The samples are cut into blocks (``_block_size``), each run by
+    ``_run_block`` one N at a time over all its samples.  With threads > 1
+    a process pool of at most min(threads, samples, cpu count) workers
+    maps the blocks, at least one a worker; the deterministic per-sample
+    streams plus ordered collection make the output identical to a
+    single-threaded run.
     """
     cfg = cfg.validate()
     fam, k = _split_family(cfg)
+    route = _route(cfg, fam, k)
     schedule = cfg.schedule()
-    n, y, m = schedule[-1], cfg.y_samples, cfg.m_samples  # one sample's arrays at the longest N
-    if cfg.kind == "discrepancy":  # the phases, a sorted prefix, N x, an arange and one temporary
-        per, peak = 1, 52 * n
-    elif cfg.kind == "discrepancy_short":  # 32 bytes a term of a slab of whole windows, 16 a point of one, 48 a start
-        per, peak = m, 32 * _slab_terms(m, n) + 16 * n + 48 * m
-    elif k == fam.d:
-        per, peak = 1, 48 * n + _expi_bytes(n)
-    elif _certified(fam, k):  # sup_linear_coeff's default oversample of 4
-        per, peak = 4, 176 * n + _expi_bytes(n)
-    else:  # the x part, 48 bytes a term of one slab of y rows, 24 a y draw and 24 a row sum at one N
-        block = _slab_terms(y, n)
-        per, peak = y, 16 * n + 48 * block + 24 * (len(schedule) * (fam.d - k) + 1) * y + _expi_bytes(block)
-    check_cost("metric_sweep", cfg.samples * sum(schedule) * per,
-               peak + (512 * len(schedule) + 128) * cfg.samples + (1 << 14))  # and every record
-    sids = range(cfg.samples)
     workers = min(cfg.threads, cfg.samples, os.cpu_count() or 1)
-    # each sample's list is freed once its records are moved into the result
+    size = _block_size(cfg, route, workers)
+    per = 4 if route == "certified" else _sample_rows(cfg, route)  # sup_linear_coeff's default oversample of 4
+    check_cost("metric_sweep", cfg.samples * sum(schedule) * per,
+               _block_peak(cfg, fam, k, route, size) + (512 * len(schedule) + 128) * cfg.samples + (1 << 14))
+    blocks = [range(lo, min(lo + size, cfg.samples)) for lo in range(0, cfg.samples, size)]
+    # each block's list is freed once its records are moved into the result
     if workers == 1:
-        return list(chain.from_iterable(_run_sample(cfg, sid) for sid in sids))
+        return list(chain.from_iterable(_run_block(cfg, sids) for sids in blocks))
     # the pool starts every worker at once, so more than one per CPU or
     # per sample only costs start-up time and memory; its import is paid only here
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(chain.from_iterable(pool.map(_run_sample, [cfg] * cfg.samples, sids, chunksize=4)))
+        return list(chain.from_iterable(pool.map(_run_block, [cfg] * len(blocks), blocks)))
+
+
+def _block_peak(cfg: ExperimentConfig, fam: PolynomialFamily, k: int, route: str, S: int) -> int:
+    """Peak bytes of one block of S samples, records aside (tracemalloc, ``tests/test_cost.py``).
+
+    The ``weyl`` k = d route holds one sample's n_max coefficients and their majorant at a time.
+    Every other route holds its draws and, at each N, walks R = S·r rows (r = y_samples, m_samples
+    or 1) in slabs of at most T terms: 8 bytes a term each for the slab, whole rows of n and the
+    buffer numpy fills for a broadcast operand, what the reduction needs a term, and a few words a row.
+    """
+    schedule = cfg.schedule()
+    n, L = schedule[-1], len(schedule)
+    if route == "prefix":
+        return 48 * n + _expi_bytes(n)
+    R = S * _sample_rows(cfg, route)
+    T = max(_slab_terms(R, N) for N in schedule)
+    if route == "sampled":  # e(f) of a slab; a row's point, coefficients and sum; every y draw, one sample's as floats
+        return 40 * T + _expi_bytes(T) + 8 * n + (16 * L * (fam.d - k) + 8 * (fam.d + max(fam.degrees)) + 40) * R
+    if route == "certified":  # e(f_x) of a slab, its zero-padded spectrum and magnitudes, and a few small arrays
+        return 128 * T + _expi_bytes(T) + 64 * S + (1 << 14)
+    if route == "discrepancy":  # the deviations of the sorted slab and t
+        return 40 * T + 8 * n + 64 * S
+    # discrepancy_short: n + s, the deviations, t and a broadcast buffer; a window's start at every N and point
+    return 40 * T + 8 * n + (8 * L + 8 * fam.d + 24) * R
 
 
 class FitResult(NamedTuple):

@@ -11,8 +11,8 @@ table built once at import, and a short Taylor polynomial in the low 52
 bits turns it through the rest (Tang, ACM TOMS 15(2), 1989).  Every value
 is within 1e-15 of the exact one.  ``_twisted_coeffs`` returns whole rows of a_n e(f(n)).
 ``_reduce_rows`` is the one walker that cuts phase rows into slabs and reduces each row to one
-value: rows of ``_phase_rows`` (the sampled sup over y, the census and the window discrepancies)
-or the Erdős–Turán dilations g x, taken through ``_twisted`` where the reduction needs e(theta).
+value: rows of ``_phase_rows`` (the sweeps' sup over y and discrepancies, and the census) or the
+Erdős–Turán dilations g x, taken through ``_twisted`` where the reduction needs e(theta).
 """
 
 from __future__ import annotations
@@ -280,23 +280,45 @@ def raw_phases(polys: Sequence[IntPolynomial], raws, N: int, starts=0, out=None)
     is where a point is checked against the family; the entry points check
     their cost before they call it.
     """
+    cols, used = _coefficient_columns(polys, raws)
+    starts = _raw_starts(starts)
+    # out before n: in the other order glibc gives both fresh, page-faulting memory on every long row
+    out = np.empty(np.broadcast_shapes(cols.shape[1:-1], starts.shape) + (N,), dtype=np.uint64) if out is None else out
+    return _horner(cols, used, _arguments(N, starts), out)
+
+
+def _coefficient_columns(polys: Sequence[IntPolynomial], raws) -> tuple[np.ndarray, tuple[bool, ...]]:
+    """The coefficients of f for each row of ``raws``, as one contiguous uint64 column (..., 1) a
+    power of n, stacked (D+1, ..., 1), and which powers are nonzero."""
     raws = np.asarray(raws, dtype=np.uint64)
     d = raws.shape[-1] if raws.ndim else 0
     if d != len(polys):
         raise ValueError(f"point has {d} coordinates, family needs {len(polys)}")
-    starts = np.array((starts if isinstance(starts, int) else np.asarray(starts, object)) & _MASK, dtype=np.uint64)
     # from a list: tuple(genexpr) is resized off the free list, then parked on it as traced memory
     table, used = _coefficient_table(tuple([p.coeffs for p in polys]))
-    F = raws @ table
-    D = table.shape[1] - 1
-    # out before n: in the other order glibc gives both fresh, page-faulting memory on every long row
-    out = np.empty(np.broadcast_shapes(F.shape[:-1], starts.shape) + (N,), dtype=np.uint64) if out is None else out
+    return np.ascontiguousarray(np.moveaxis(raws @ table, -1, 0))[..., None], used
+
+
+def _raw_starts(starts) -> np.ndarray:
+    """Window starts, one integer or an array of any sign and size, as uint64 mod 2^64."""
+    if isinstance(starts, np.ndarray) and starts.dtype == np.uint64:
+        return starts
+    return np.array((starts if isinstance(starts, int) else np.asarray(starts, object)) & _MASK, dtype=np.uint64)
+
+
+def _arguments(N: int, starts: np.ndarray) -> np.ndarray:
+    """n = s+1, ..., s+N: (N,) for one start s, (B, N) for B of them."""
     n = np.arange(1, N + 1, dtype=np.uint64)
-    n = n + starts[..., None] if starts.ndim else np.add(n, starts, out=n) if starts else n  # one start: in place
-    np.multiply(F[..., D, None], n if D else np.uint64(1), out=out)
+    return n + starts[..., None] if starts.ndim else np.add(n, starts, out=n) if starts else n  # one start: in place
+
+
+def _horner(cols: np.ndarray, used, n: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """f(n) = sum_m cols[m] n^m into ``out`` by Horner's rule, adding only the ``used`` powers."""
+    D = len(cols) - 1
+    np.multiply(cols[D], n if D else np.uint64(1), out=out)
     for m in range(D - 1, -1, -1):
         if used[m]:
-            out += F[..., m, None]
+            out += cols[m]
         if m:
             out *= n
     return out
@@ -312,7 +334,12 @@ def _coefficient_table(coeffs: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray,
     return table, tuple(table.any(axis=0))
 
 
-def _expi(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _expi_scratch(m: int) -> tuple[np.ndarray, ...]:
+    """The five buffers of ``_expi`` for passes of up to m terms."""
+    return (np.empty(m, dtype=np.uint64), np.empty(m), np.empty(m), np.empty(m), np.empty(m, dtype=np.complex128))
+
+
+def _expi(theta: np.ndarray, out: np.ndarray | None = None, scratch: tuple | None = None) -> np.ndarray:
     """e(theta / 2^64) of uint64 raw phases theta, as complex of the same shape (into ``out``).
 
     e(theta) = r (1 + z) with r = e(hi / 2^12), hi the top 12 bits of
@@ -320,15 +347,14 @@ def _expi(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     in t = 2 pi lo / 2^64 < 2 pi / 2^12, lo the low 52 bits; the omitted
     terms are below 2e-20.  Only the small r z is rounded against r, so
     every value is within 1e-15 of the exact one.  The terms are taken in
-    slabs of _SLAB through one set of buffers, written straight into the
-    output.
+    slabs of _SLAB through one set of buffers, ``scratch`` if given (of
+    ``_expi_scratch``, at least min(_SLAB, size) terms), written straight
+    into the output.
     """
     flat = np.ascontiguousarray(theta).reshape(-1)
     out = np.empty(flat.shape, dtype=np.complex128) if out is None else out.reshape(-1)
     m = min(_SLAB, len(flat))
-    bits = np.empty(m, dtype=np.uint64)
-    t, s, x = (np.empty(m) for _ in range(3))
-    z = np.empty(m, dtype=np.complex128)
+    bits, t, s, x, z = (b[:m] for b in scratch) if scratch is not None else _expi_scratch(m)
     for lo in range(0, len(flat), _SLAB):
         th = flat[lo : lo + _SLAB]
         r = out[lo : lo + _SLAB]
@@ -416,11 +442,24 @@ def _phase_rows(polys: Sequence[IntPolynomial], raws, N: int, starts=0):
     """The row source ((B, N), fill) of ``raw_phases(polys, raws, N, starts)`` for ``_reduce_rows``.
 
     ``raws`` is one row (d,) or B, and ``starts`` one integer or B; a single one serves every row.
+    With one start, the coefficient columns and n are made once per walk, n as whole rows of
+    the first, largest slab: numpy copies an operand broadcast along rows shorter than 8192
+    through a buffer on every pass.  Per-row starts go through ``raw_phases`` slab by slab.
     """
     raws = np.atleast_2d(np.asarray(raws, dtype=np.uint64))
-    one_start = np.ndim(starts) == 0
-    return (len(raws) if one_start else len(starts), N), lambda f, lo, hi: raw_phases(
-        polys, raws[lo:hi] if len(raws) > 1 else raws, N, starts if one_start else starts[lo:hi], out=f)
+    if np.ndim(starts):
+        return (len(starts), N), lambda f, lo, hi: raw_phases(
+            polys, raws[lo:hi] if len(raws) > 1 else raws, N, starts[lo:hi], out=f)
+    cols, used = _coefficient_columns(polys, raws)
+    n = _arguments(N, _raw_starts(starts))
+
+    def fill(f, lo, hi):
+        nonlocal n
+        if n.ndim == 1:
+            n = np.tile(n, (len(f), 1)) if len(f) > 1 else n[None]
+        return _horner(cols[:, lo:hi], used, n[: hi - lo], f)
+
+    return (len(raws), N), fill
 
 
 def _reduce_rows(shape: tuple[int, int], fill, reduce, dtype) -> np.ndarray:
@@ -441,13 +480,15 @@ def _reduce_rows(shape: tuple[int, int], fill, reduce, dtype) -> np.ndarray:
 
 def _twisted(reduce, a=None):
     """The slab reduction reduce(a_n e(theta)) for ``_reduce_rows``, weights ``a`` as in
-    ``_twisted_coeffs``; e(theta) goes into one complex buffer, sized by the first, largest slab."""
-    buf = None
+    ``_twisted_coeffs``; e(theta) goes into one complex buffer through one set of ``_expi``
+    buffers, both sized by the first, largest slab."""
+    buf = scratch = None
 
     def run(theta):
-        nonlocal buf
-        buf = np.empty(theta.shape, dtype=np.complex128) if buf is None else buf
-        c = _expi(theta, buf[: len(theta)])
+        nonlocal buf, scratch
+        if buf is None:
+            buf, scratch = np.empty(theta.shape, dtype=np.complex128), _expi_scratch(min(_SLAB, theta.size))
+        c = _expi(theta, buf[: len(theta)], scratch)
         if a is not None:
             c *= a
         return reduce(c)
@@ -480,11 +521,13 @@ def _spectrum(c: np.ndarray, N: int) -> np.ndarray:
     return N * np.fft.ifft(np.roll(c, 1, axis=-1))
 
 
+@functools.lru_cache(maxsize=64)
 def _fold_weights(N: int) -> np.ndarray:
-    """w_N[k] = sum_{|h| <= N, h = k mod N} 1/(|h|+1): the majorant's weights folded onto k."""
+    """w_N[k] = sum_{|h| <= N, h = k mod N} 1/(|h|+1): the majorant's weights folded onto k, read-only."""
     k = np.arange(N, dtype=np.float64)
     w = 1.0 / (k + 1.0) + 1.0 / (N + 1.0 - k)  # h = k and h = k - N
     w[0] += 1.0 / (N + 1.0)  # h = N also folds onto k = 0
+    w.flags.writeable = False
     return w
 
 
@@ -569,16 +612,27 @@ def sup_linear_coeff(c: Sequence[complex], oversample: int = 4) -> SupLinearResu
         raise ValueError("need at least one coefficient")
     if oversample < 2:
         raise ValueError("oversample must be >= 2")
+    check_cost("sup_linear_coeff", oversample * N, 16 * N + 24 * oversample * N + (1 << 16))
+    return SupLinearResult(*(float(v[0]) for v in _sup_linear(np.asarray(c, dtype=np.complex128)[None], oversample)))
+
+
+def _sup_linear(c: np.ndarray, oversample: int = 4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(grid_max, certified_upper, argmax_y) of ``sup_linear_coeff`` for every row of c[B, N].
+
+    One zero-padded inverse transform runs in place over all rows; pocketfft
+    takes them one at a time, so each row's values are bit for bit its own.
+    """
+    B, N = c.shape
     L = oversample * N
-    check_cost("sup_linear_coeff", L, 16 * N + 40 * L + (1 << 16))
-    c = np.asarray(c, dtype=np.complex128)
-    padded = np.zeros(L, dtype=np.complex128)
-    padded[1 : N + 1] = c
-    mags = np.abs(L * np.fft.ifft(padded))
-    j = int(np.argmax(mags))
-    grid_max = float(mags[j])
-    slack = _TWO_PI * (0.5 / L) * N * float(np.sum(np.abs(c)))
-    return SupLinearResult(grid_max, grid_max + slack, j / L)
+    slack = _TWO_PI * (0.5 / L) * N * np.abs(c).sum(axis=1)
+    spectrum = np.zeros((B, L), dtype=np.complex128)
+    spectrum[:, 1 : N + 1] = c
+    np.fft.ifft(spectrum, out=spectrum)
+    spectrum *= L
+    mags = np.abs(spectrum)
+    j = np.argmax(mags, axis=1)
+    grid_max = mags[np.arange(B), j]
+    return grid_max, grid_max + slack, j / L
 
 
 # ---------------------------------------------------------------------------

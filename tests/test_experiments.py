@@ -66,13 +66,29 @@ def per_draw_reference(cfg):
             continue
         x = tuple(rng.random(fam.d))[:k] if cfg.kind == "weyl" else (float(rng.random()),)
         for N in cfg.schedule():
-            c = _twisted_coeffs(fam.polys[:k], TorusPoint.from_reals(x).raw, unit.array(N), N)
             best = 0.0
             for _ in range(cfg.y_samples):
-                raws = TorusPoint.from_reals(rng.random(fam.d - k)).raw
-                best = max(best, float(abs(np.sum(_twisted_coeffs(fam.polys[k:], raws, c, N)))))
+                raws = TorusPoint.from_reals(x + tuple(rng.random(fam.d - k))).raw  # the point (x, y)
+                best = max(best, float(abs(np.sum(_twisted_coeffs(fam.polys, raws, unit.array(N), N)))))
             out.append((x, N, best, None))
     return out
+
+
+# one config of tiny_cfg per sweep route; at the first N a block holds 8
+# samples of the one-row routes and 5 of those with 24 rows a sample
+ROUTES = {
+    "weyl_prefix": dict(log2_n_min=10, log2_n_max=11),
+    "weyl_sampled": dict(family="classical:3", k=1, y_samples=24),
+    "short": dict(kind="short", family="classical:3", k=None, y_samples=24),
+    "weyl_certified": dict(family="[[0,0,1],[0,1]]", k=1, log2_n_min=10, log2_n_max=11),
+    "discrepancy": dict(kind="discrepancy", log2_n_min=10, log2_n_max=11),
+    "discrepancy_short": dict(kind="discrepancy_short", family="classical:3", k=None, m_samples=24),
+}
+
+
+def csv_digest(records, cfg, path):
+    write_csv(records, str(path), cfg)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestConfig:
@@ -145,17 +161,29 @@ class TestSweep:
                          WeightSeq.unit(), 256)
         assert trace.prefix_max == pytest.approx(256)
 
-    def test_deterministic_across_workers(self, tmp_path):
-        cfg = tiny_cfg(samples=6)
-        r1 = metric_sweep(cfg)
-        r2 = metric_sweep(cfg.override(threads=3))
-        assert r1 == r2
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(r1, str(p1), cfg)
-        write_csv(r2, str(p2), cfg)
-        h1 = hashlib.sha256(p1.read_bytes()).hexdigest()
-        h2 = hashlib.sha256(p2.read_bytes()).hexdigest()
-        assert h1 == h2
+    @pytest.mark.parametrize("samples", [1, 7, 13])
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_deterministic_across_workers(self, route, samples, tmp_path):
+        # 7 and 13 samples are no multiple of the block size, and the pool
+        # cuts them into blocks of another size
+        cfg = tiny_cfg(samples=samples, **ROUTES[route])
+        serial = metric_sweep(cfg)
+        pooled = metric_sweep(cfg.override(threads=3))
+        assert serial == pooled
+        assert csv_digest(serial, cfg, tmp_path / "a.csv") == csv_digest(pooled, cfg, tmp_path / "b.csv")
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_blocks_of_one_sample_and_many_slabs(self, route, tmp_path, monkeypatch):
+        # with _SLAB = 16 a block is one sample, and every N from 16 on is a
+        # slab a row, so one step walks many slabs
+        cfg = tiny_cfg(samples=7, **ROUTES[route])
+        whole = csv_digest(metric_sweep(cfg), cfg, tmp_path / "a.csv")
+        monkeypatch.setattr("weylsums.expsum._SLAB", 16)
+        import weylsums.experiments as exp_mod
+
+        assert exp_mod._block_size(cfg, exp_mod._route(cfg, *exp_mod._split_family(cfg)), 1) == 1
+        for threads in (1, 3):
+            assert csv_digest(metric_sweep(cfg.override(threads=threads)), cfg, tmp_path / "b.csv") == whole
 
     def test_package_import_leaves_the_process_pool_out(self):
         # the pool's modules cost about 19 ms of every process start; only threads > 1 imports them
@@ -207,10 +235,10 @@ class TestSweep:
     def test_sweep_point_budget_rejected_before_run(self, monkeypatch):
         import weylsums.experiments as exp_mod
 
-        def never(cfg, sid):
-            raise AssertionError("a sample ran")
+        def never(cfg, sids):
+            raise AssertionError("a block ran")
 
-        monkeypatch.setattr(exp_mod, "_run_sample", never)
+        monkeypatch.setattr(exp_mod, "_run_block", never)
         # one-row sweeps of 2^22 points fit the memory budget, of 2^23 do not
         for kind in ("discrepancy", "discrepancy_short"):
             cfg = tiny_cfg(kind=kind, samples=1, m_samples=1, log2_n_min=23, log2_n_max=23)

@@ -430,7 +430,10 @@ class TestCompletion:
             hs = np.arange(-N, N + 1)
             brute = np.zeros(N)
             np.add.at(brute, hs % N, 1.0 / (np.abs(hs) + 1))
-            np.testing.assert_array_equal(_fold_weights(N), brute)
+            w = _fold_weights(N)
+            np.testing.assert_array_equal(w, brute)
+            # built once per N and shared: a caller cannot write into it
+            assert not w.flags.writeable and _fold_weights(N) is w
 
     @pytest.mark.parametrize("N", [1, 2, 3, 8, 17, 64, 4096])
     def test_folded_majorant_matches_the_gather(self, N):
