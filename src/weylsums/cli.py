@@ -130,12 +130,12 @@ def _cmd_discrepancy(args) -> int:
 
 
 def _cmd_vinogradov(args) -> int:
-    count = vinogradov_count(args.d, args.s, args.N)
-    payload = {"d": args.d, "s": args.s, "N": args.N, "count": count}
-    if args.check_moment:
+    payload = {"d": args.d, "s": args.s, "N": args.N, "count": None}
+    if args.check_moment:  # first: its cost check refuses far smaller sizes than the count's
         fam = classical_family(args.d)
         grid = exact_moment_grid(fam, args.N, 2 * args.s)
         payload["moment"] = moment_integral(fam, WeightSeq.unit(), args.N, 2 * args.s, grid)
+    payload["count"] = vinogradov_count(args.d, args.s, args.N)
     _emit(payload, args)
     return 0
 

@@ -643,58 +643,198 @@ def vinogradov_count(d: int, s: int, N: int) -> int:
     """Exact number of solutions of the power-sum system.
 
     Counts ordered 2s-tuples (n_1..n_s, m_1..m_s) in [1,N]^{2s} with
-    sum n_i^j = sum m_i^j for every j = 1..d, by keying the N^s ordered
-    s-tuples on their power-sum vector and summing squared multiplicities.
+    sum n_i^j = sum m_i^j for every j = 1..d: the sum over power-sum
+    vectors (keys) of the squared number of s-tuples sharing one.  For
+    d > s the first s power sums already fix the s numbers (Newton's
+    identities), so d counts as min(d, s).
 
-    Equal keys have equal S_1 = sum n_i, so the s-tuples are walked in
-    windows of S_1 values, each holding at most VINOGRADOV_BLOCK of them
-    (or a single S_1 value that alone holds more), and a window's count is
-    final.  A window is gathered from the (s-1)-tuple tail, sorted by S_1,
-    shifted by each head n_s that can reach it, so memory is
-    O((VINOGRADOV_BLOCK + N^(s-1)) * d) whatever the number of distinct keys.
+    The tuples are built one coordinate at a time.  Level i holds each
+    distinct key of the i-tuples once, with the number of i-tuples sharing
+    it as its weight: permuted tuples share one key, and for d = 1 so does
+    every tuple with the same sum.  Level i adds a head n to every key of
+    level i - 1 (``_walk``), merges equal keys and sums their weights;
+    level s sums the squared weights instead, so the work is N times the
+    distinct keys, not N^s.  Equal keys have equal S_1 = sum n_i, so a
+    level is walked in windows of S_1 values, each holding at most
+    VINOGRADOV_BLOCK key entries (``_level``), or a single S_1 value that
+    alone holds more, and a window's keys are final.  Memory is bounded by
+    that block plus two levels of distinct keys.
 
-    In a window of S_1 values [lo, lo + width), (S_1, S_2) is one int64 key
-    (S_1 - lo) * span + S_2, span = s N^2 + 1 > S_2, below 2^62 by a cap on
-    width: d <= 2 sorts one column and d >= 3 lexsorts d - 1.
+    After the cost check, BudgetError refuses what would leave the exact
+    int64 range: the power sums (s N^d), a window's key, or the count,
+    J <= N^s M_s, M_s the most s-tuples sharing one sum.
     """
     d, s, N = int(d), int(s), int(N)
     if d < 1 or s < 1 or N < 1:
         raise ValueError("d, s, N must all be >= 1")
-    span = s * N * N + 1 if d > 1 else 1  # the key is S_1 - lo for d = 1
-    cap = (1 << 62) // span
-    # an S_1 value holds at most N times the most tail rows sharing an S_1 (1 for s <= 2), and one
-    # tuple a tail row; a window of width values holds at most width times the most s-tuples sharing one
-    width = max(1, min(VINOGRADOV_BLOCK // min(N * _most_sharing_a_sum(max(s - 1, 1), N), N ** (s - 1)), cap))
-    rows = min(N**s, width * _most_sharing_a_sum(s, N))
-    check_cost("vinogradov_count", N**s + -(-s * N // width) * N,
-               (24 * max(d - 1, 1) + 12) * rows + (16 * d + 8) * N ** (s - 1) + (8 * d + 56) * N + 4096)
-    if s * N**d >= 1 << 62:
-        raise BudgetError("power sums exceed the exact int64 range")
-    n = np.arange(1, N + 1, dtype=np.int64)
-    powers = np.stack([n**j for j in range(1, d + 1)], axis=1)  # (N, d), exact
-    tail = np.zeros((1, d), dtype=np.int64)
-    for _ in range(s - 1):
-        tail = (tail[:, None, :] + powers[None, :, :]).reshape(-1, d)
-    tail = tail[np.argsort(tail[:, 0])]
-    t1 = tail[:, 0]
+    d = min(d, s)  # S_1, ..., S_s fix s numbers (Newton's identities), so later power sums add no condition
+    keys = [_distinct_keys(d, i, N) for i in range(s)] + [0]  # the last level merges none
+    levels = [_level(d, i, N, keys[i - 1], keys[i]) for i in range(1, s + 1)]
+    check_cost("vinogradov_count", sum(lv.terms for lv in levels), 8 * d * N + 16384 + max(lv.peak for lv in levels))
+    b, spans = levels[-1].b, levels[-1].spans  # the widest key
+    if s * N**d >= 1 << 62 or N**s * _most_sharing_a_sum(s, N) >= 1 << 63 or math.prod(spans) << b > 1 << 62:
+        raise BudgetError("power sums or the count exceed the exact int64 range")
+    powers = np.empty((d, N), dtype=np.int64)  # exact
+    powers[0] = np.arange(1, N + 1)
+    for k in range(1, d):
+        np.multiply(powers[k - 1], powers[0], out=powers[k])
+    tail, weights = np.zeros((d, 1), dtype=np.int64), np.ones(1, dtype=np.int64)
+    for i, level in enumerate(levels[:-1], 1):
+        parts = _walk(tail, weights, powers, i, level, lambda lo, key: _merged(key, lo, level))
+        tail = np.concatenate([p for p, _ in parts], axis=1)
+        weights = np.concatenate([w for _, w in parts])
+        del parts
+    return sum(_walk(tail, weights, powers, s, levels[-1], lambda lo, key: _squared_sums(key, b)))
+
+
+def _distinct_keys(d: int, i: int, N: int) -> int:
+    """A bound on the distinct power-sum vectors of i-tuples in [1, N]^i.
+
+    At most one a multiset, C(N + i - 1, i), and at most the product over
+    k = 1..d of the i (N^k - 1) + 1 values S_k can take.
+    """
+    bound, values = math.comb(N + i - 1, i), 1
+    for k in range(1, d + 1):
+        values *= i * (N**k - 1) + 1
+        if values >= bound:
+            return bound
+    return values
+
+
+class _Level(NamedTuple):
+    width: int  # S_1 values a window
+    b: int  # bits of a weight
+    spans: tuple[int, ...]  # of S_2, ..., S_m, the power sums packed into a key's first row with S_1
+    terms: int
+    peak: int  # bytes, but for the powers
+
+
+def _level(d: int, i: int, N: int, keys_in: int, keys_out: int) -> _Level:
+    """How level i is walked, given bounds on the keys it extends and the keys it merges into.
+
+    A row is a head and a key of level i - 1.  In a window [lo, lo + width)
+    its key's first row is one int64, (S_1 - lo, S_2, ..., S_m) in mixed
+    radix, span_k = i N^k + 1 > S_k, times 2^b above every weight of level
+    i - 1, plus the weight minus one; its other rows are S_(m+1), ..., S_d.
+    m is the most sums whose first row stays below 2^62 one S_1 value wide,
+    and at least min(d, 2); the width is capped to keep it there.  The
+    terms are the rows and a search for every head of every window.
+    """
+    # the most rows sharing one S_1: one a head for d = 1; for d >= 2 at most the
+    # (head, multiset of i - 1) pairs with that sum, M_i(N + i - 2) / (i - 1)! or fewer
+    per_value = min(keys_in, N if d == 1 or i == 1 else _most_sharing_a_sum(i, N + i - 2) // math.factorial(i - 1))
+    b = (_most_sharing_a_sum(max(i - 1, 1), N) - 1).bit_length()  # a weight is at most M_(i-1), M_0 = 1
+    for m in range(d, 0, -1):
+        spans = tuple(i * N**k + 1 for k in range(2, m + 1))
+        radix, columns = math.prod(spans) << b, d - m + 1
+        if m <= 2 or radix <= 1 << 62:
+            break
+    width = max(1, min(VINOGRADOV_BLOCK // (columns * per_value), (1 << 62) // radix))
+    rows = min(N * keys_in, width * per_value)
+    # a window is 16 bytes a key entry and 16 a row, and 32 a head; the keys merged into
+    # are held once as they come and once more while they are joined
+    window = 16 * (columns + 1) * rows + 32 * min(N, rows)
+    merged = (8 * d + 8) * keys_out
+    return _Level(width, b, spans, N * keys_in + -(-i * N // width) * N,
+                  (8 * d + 16) * keys_in + merged + max(window, merged))
+
+
+def _walk(tail: np.ndarray, weights: np.ndarray, powers: np.ndarray, i: int, level: _Level, reduce) -> list:
+    """Level i's rows, window by window: reduce(lo, the keys of the rows whose S_1 lies in [lo, lo + width)).
+
+    ``tail`` holds level i - 1's keys as columns sorted by S_1, and
+    ``weights`` their weights.  A window's keys are a (d - m + 1, rows)
+    array laid out as ``_level`` says; ``reduce`` may sort it in place.
+    """
+    width, b, spans = level.width, level.b, level.spans
+    d, N = powers.shape
+    m = len(spans) + 1
+    t1 = tail[0]
     # the tail part and the head part of a key may wrap in int64, but the key
     # lies in [0, 2^62), so their wrapping sum is exact
-    packed = t1 * span + (tail[:, 1] if d > 1 else 0)
+    packed = t1.copy()
+    for k, span in enumerate(spans, 1):
+        packed *= span
+        packed += tail[k]
+    packed *= 1 << b
+    packed += weights - 1
     t_min, t_max = int(t1[0]), int(t1[-1])
-    total = 0
-    for lo in range(s, s * N + 1, width):
+    out = []
+    for lo in range(i, i * N + 1, width):
         # only the heads n with t_min <= S_1 - n <= t_max for some S_1 in the window reach it
         heads = slice(max(lo - t_max, 1) - 1, min(lo + width - t_min, N + 1) - 1)
-        m, p = n[heads], powers[heads]
-        starts = np.searchsorted(t1, lo - m)
-        lengths = np.searchsorted(t1, lo + width - m) - starts
-        offsets = np.cumsum(lengths) - lengths
-        idx = np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
-        key = packed[idx] + np.repeat((m - lo) * span + (p[:, 1] if d > 1 else 0), lengths)
-        if d > 2:
-            key = np.column_stack((key, tail[idx, 2:] + np.repeat(p[:, 2:], lengths, axis=0)))
-        total += _sum_of_squared_multiplicities(key)
-    return total
+        n = powers[0, heads]
+        starts = np.searchsorted(t1, lo - n)
+        lengths = np.searchsorted(t1, lo + width - n) - starts
+        idx = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        idx += np.arange(len(idx))
+        head = n - lo
+        for k, span in enumerate(spans, 1):
+            head = head * span + powers[k, heads]
+        key = np.empty((d - m + 1, len(idx)), dtype=np.int64)
+        np.take(packed, idx, out=key[0], mode="clip")  # in range: "clip" skips the buffered bounds check
+        key[0] += np.repeat(head * (1 << b), lengths)
+        for k in range(m, d):
+            np.take(tail[k], idx, out=key[k - m + 1], mode="clip")
+            key[k - m + 1] += np.repeat(powers[k, heads], lengths)
+        del idx
+        out.append(reduce(lo, key))
+        del key  # before the next window's
+    return out
+
+
+def _grouped(keys: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sort a window's keys in place; return the last column of each distinct key and its weight sum.
+
+    Row 0 sorts first, and is left holding its mixed-radix sums with the
+    weight shifted out.  With b = 0 every weight is 1 and a sum counts
+    columns.
+    """
+    first = keys[0]
+    if len(keys) == 1:
+        first.sort()  # the weights ride in the low bits
+    if b:
+        weights = first & ((1 << b) - 1)
+        first >>= b
+    if len(keys) > 1:
+        order = np.lexsort(keys[::-1])
+        for row in keys:
+            row[:] = row[order]
+        if b:
+            weights = weights[order]
+        del order
+    last = np.empty(len(first), dtype=bool)  # whether a column is the last of its key
+    np.not_equal(first[1:], first[:-1], out=last[:-1])
+    for row in keys[1:]:
+        last[:-1] |= row[1:] != row[:-1]
+    last[-1] = True
+    ends = np.flatnonzero(last)
+    if b:
+        weights += 1
+        sums = np.cumsum(weights, out=weights)[ends]
+    else:
+        sums = ends + 1
+    sums[1:] -= sums[:-1].copy()
+    return ends, sums
+
+
+def _squared_sums(keys: np.ndarray, b: int) -> int:
+    """A window's share of the count: the sum over its distinct keys of their squared weight sums."""
+    sums = _grouped(keys, b)[1]
+    return int(np.dot(sums, sums))
+
+
+def _merged(keys: np.ndarray, lo: int, level: _Level) -> tuple[np.ndarray, np.ndarray]:
+    """A window's distinct keys as columns (S_1, ..., S_d), sorted by S_1, and their weights."""
+    ends, sums = _grouped(keys, level.b)
+    m = len(level.spans) + 1
+    out = np.empty((m + len(keys) - 1, len(ends)), dtype=np.int64)
+    first = keys[0, ends]
+    for k in range(m - 1, 0, -1):
+        np.divmod(first, level.spans[k - 1], out=(first, out[k]))
+    out[0] = first + lo
+    out[m:] = keys[1:, ends]
+    return out, sums
 
 
 def _most_sharing_a_sum(s: int, N: int) -> int:
@@ -703,31 +843,20 @@ def _most_sharing_a_sum(s: int, N: int) -> int:
     return sum((-1) ** j * math.comb(s, j) * math.comb(m - j * N + s - 1, s - 1) for j in range(m // N + 1))
 
 
-def _sum_of_squared_multiplicities(keys: np.ndarray) -> int:
-    """Sum of the squared multiplicities of the entries of a 1-D array, or the rows of a 2-D one."""
-    if keys.ndim == 1:
-        keys = np.sort(keys)
-        new_key = keys[1:] != keys[:-1]
-    else:
-        keys = keys[np.lexsort(keys.T)]
-        new_key = np.any(keys[1:] != keys[:-1], axis=1)
-    counts = np.diff(np.concatenate(([0], np.flatnonzero(new_key) + 1, [len(keys)])))
-    return int(np.dot(counts, counts))
-
-
 def exact_moment_grid(fam: PolynomialFamily, N: int, two_s: int) -> list[int]:
     """Smallest per-axis grid that integrates |T|^two_s exactly.
 
     |T|^two_s is a trigonometric polynomial whose u_j-frequencies span at
     most s*(max phi_j - min phi_j) over n <= N, so any finer uniform grid
-    kills every nonzero frequency.
+    kills every nonzero frequency.  The extremes come from the ends of
+    phi_j's monotone pieces, with no pass over n.
     """
     N, two_s = int(N), int(two_s)
     s = two_s // 2
     grid = []
     for p in fam.polys:
-        vals = [p(n) for n in range(1, N + 1)]
-        grid.append(s * (max(vals) - min(vals)) + 1)
+        low, high = p.extremes(1, N)
+        grid.append(s * (high - low) + 1)
     return grid
 
 

@@ -15,6 +15,8 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
+from .errors import check_cost
+
 __all__ = [
     "MINUS_INFINITY",
     "IntPolynomial",
@@ -44,7 +46,7 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        cs = [int(c) for c in coeffs]
+        cs = [c if type(c) is int else _integer(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[int, ...] = tuple(cs)
@@ -77,6 +79,19 @@ class IntPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * n + c
         return acc
+
+    def extremes(self, lo: int, hi: int) -> tuple[int, int]:
+        """(min, max) of p(n) over the integers lo <= n <= hi, lo <= hi.
+
+        p is monotone between the real roots of p', so its extremes lie at
+        lo, hi or next to one of those roots: O(degree^2 log(hi - lo))
+        evaluations, not hi - lo.
+        """
+        points = {lo, hi}
+        for k in _root_brackets(self.derivative(), lo, hi):
+            points.update((k, k + 1))
+        values = [self(n) for n in points]
+        return min(values), max(values)
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self.coeffs, other.coeffs
@@ -126,6 +141,41 @@ class IntPolynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _root_brackets(p: IntPolynomial, lo: int, hi: int) -> list[int]:
+    """Integers k such that every real root of p in [lo, hi] lies in some [k, k + 1] within [lo, hi].
+
+    p is strictly monotone between the brackets of the roots of p', so
+    each piece holds at most one root, bisected to a unit interval; a
+    bracket of p' is kept whole.  A constant gives none: ``extremes`` of a
+    constant pass the zero polynomial here, and need no root.
+    """
+    if p.degree < 1:
+        return []
+    inner = _root_brackets(p.derivative(), lo, hi)
+    ends = sorted({lo, hi}.union(*((k, k + 1) for k in inner)))
+    out = []
+    for a, b in zip(ends, ends[1:]):
+        if a in inner:
+            out.append(a)
+        elif p(a) * p(b) <= 0:
+            while b - a > 1:
+                mid = (a + b) // 2
+                a, b = (a, mid) if p(a) * p(mid) <= 0 else (mid, b)
+            out.append(a)
+    return out
+
+
+def _integer(c) -> int:
+    """A coefficient as an int: 2.0 is 2, but 1.7, inf and nan are refused, not truncated."""
+    try:
+        n = int(c)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"polynomial coefficients must be finite integers, got {c!r}") from exc
+    if n != c:
+        raise ValueError(f"polynomial coefficients must be integers, got {c!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class CaseLabel:
     """Which reduction applies to a (family, split) pair.
@@ -164,9 +214,11 @@ class PolynomialFamily:
         for p in polys:
             if p.is_zero or p.degree < 1:
                 raise ValueError(f"family members must be nonconstant, got {p!r}")
-        for a, b in combinations(polys, 2):
-            if a == b:
-                raise ValueError(f"family members must be pairwise distinct, got {a!r} twice")
+        seen = set()
+        for p in polys:
+            if p in seen:
+                raise ValueError(f"family members must be pairwise distinct, got {p!r} twice")
+            seen.add(p)
         self.polys = polys
         self.degrees: tuple[int, ...] = tuple(int(p.degree) for p in polys)
         self.sorted_degrees: tuple[int, ...] = tuple(sorted(self.degrees))
@@ -209,6 +261,8 @@ def classical_family(d: int, k: int | None = None) -> PolynomialFamily:
     """The family (T, T^2, ..., T^d)."""
     if d < 1:
         raise ValueError("d must be >= 1")
+    # d (d + 3) / 2 coefficients, 8 bytes each in the tuples, and about 256 bytes a polynomial
+    check_cost("classical_family", d * (d + 3) // 2, 4 * d * (d + 3) + 256 * d + 1024)
     return PolynomialFamily([IntPolynomial.monomial(j) for j in range(1, d + 1)], k=k)
 
 
@@ -395,7 +449,9 @@ def parse_family(spec, k: int | None = None) -> PolynomialFamily:
 
     Accepts ``"classical:d"``, a JSON string of coefficient lists
     (lowest degree first, e.g. ``"[[0,1],[0,0,1]]"`` for (T, T^2)),
-    or an already-parsed list of coefficient lists.
+    or an already-parsed list of coefficient lists.  Coefficients must be
+    integers, and their count is checked against the budgets before any
+    member is built.
     """
     if isinstance(spec, PolynomialFamily):
         return spec if k is None else PolynomialFamily(spec.polys, k=k)
@@ -404,6 +460,8 @@ def parse_family(spec, k: int | None = None) -> PolynomialFamily:
         if s.startswith("classical:"):
             return classical_family(int(s.split(":", 1)[1]), k=k)
         spec = json.loads(s)
-    if not isinstance(spec, (list, tuple)):
+    if not isinstance(spec, (list, tuple)) or not all(isinstance(c, (list, tuple)) for c in spec):
         raise ValueError(f"cannot parse family literal {spec!r}")
+    coefficients = sum(len(c) for c in spec)
+    check_cost("parse_family", coefficients, 8 * coefficients + 256 * len(spec) + 1024)
     return PolynomialFamily([IntPolynomial(c) for c in spec], k=k)

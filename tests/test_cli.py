@@ -75,6 +75,33 @@ class TestExitCodes:
         code, _, err = run(capsys, "exponents", "--family", "classical:x")
         assert code == 2
 
+    @pytest.mark.parametrize("family", ["[[0, 1.7]]", "[[0, 1e400]]", "[[0, 1], [0, 0, 2.9]]"])
+    def test_non_integer_coefficient_exits_2(self, capsys, family):
+        # 1.7 used to be truncated to 1, and 1e400 (inf) raised OverflowError out of main
+        code, out, err = run(capsys, "sum", "--family", family, "--u", "0.25", "--N", "4")
+        assert (code, out) == (2, "")
+        assert "integers" in err
+
+    def test_huge_classical_family_exits_3(self, capsys):
+        # d (d + 3) / 2 = 5e21 coefficients: refused before a list is built
+        code, _, err = run(capsys, "sum", "--family", "classical:99999999999", "--u", "0.5", "--N", "4")
+        assert code == 3
+        assert "classical_family" in err and "work budget" in err
+
+    def test_refused_moment_runs_no_loop(self, capsys, monkeypatch):
+        # the grid's extremes come from the ends of T's one monotone piece, and the
+        # moment's check (4e6 n times 4e6 grid points) refuses before the count runs
+        from weylsums import IntPolynomial, cli
+
+        calls = []
+        monkeypatch.setattr(IntPolynomial, "__call__", lambda p, n: calls.append(n) or sum(
+            c * n**i for i, c in enumerate(p.coeffs)))
+        monkeypatch.setattr(cli, "vinogradov_count", lambda *args: pytest.fail("the count ran"))
+        code, _, err = run(capsys, "vinogradov", "--d", "1", "--s", "1", "--N", "4000000", "--check-moment")
+        assert code == 3
+        assert "moment_integral" in err and "work budget" in err
+        assert len(calls) <= 4
+
     def test_budget_exits_3(self, capsys):
         # 6065514 boxes, all but a few hundred marked: past the memory budget
         code, _, err = run(capsys, "census", "--family", "classical:3", "--N", "8",

@@ -538,6 +538,25 @@ class TestVinogradov:
         r = np.convolve(np.convolve(ones, ones), ones).astype(np.int64)
         assert vinogradov_count(1, 3, 200) == int(np.sum(r**2))
 
+    def test_one_variable_past_the_tuple_count(self):
+        # N^s from 1.6e10 to 6.4e10 tuples, but at most s N distinct sums a
+        # level: the weighted levels count them against the convolution
+        def convolution(s, N):
+            r = np.ones(1, dtype=np.int64)
+            for _ in range(s):
+                r = np.convolve(r, np.ones(N, dtype=np.int64))
+            return sum(int(c) ** 2 for c in r)
+
+        for s, N in ((6, 50), (4, 500), (3, 4000)):
+            assert vinogradov_count(1, s, N) == convolution(s, N), (s, N)
+
+    def test_count_past_int64_refused(self):
+        # J <= N^s M_s must stay below 2^63: (1, 6, 200) and (1, 4, 2000)
+        # pass the cost check, but their counts need 84 and 77 bits
+        for s, N in ((6, 200), (4, 2000)):
+            with pytest.raises(BudgetError, match="int64 range"):
+                vinogradov_count(1, s, N)
+
     def test_matches_brute_force_oracle(self):
         # the power-sum vector of every s-tuple, counted directly
         def oracle(d, s, N):
@@ -549,6 +568,10 @@ class TestVinogradov:
             for s in range(1, 5):
                 for N in (1, 2, 3, 5, 8):
                     assert vinogradov_count(d, s, N) == oracle(d, s, N), (d, s, N)
+        # several weighted levels, where keys past S_2 pack into one column or take rows of their own
+        for d in range(2, 7):
+            for s, N in ((3, 13), (3, 20), (4, 9)):
+                assert vinogradov_count(d, s, N) == oracle(d, s, N), (d, s, N)
 
     def test_one_variable_is_one_pass(self):
         # s = 1: a window spans 2^18 values of S_1, so N tuples take a few
@@ -559,17 +582,22 @@ class TestVinogradov:
             assert time.process_time() - start < 1.0
 
     def test_budget(self, admitted):
-        # N^s tuples plus N head searches a window: (d, 3, 1289) is the last N
-        # within the work budget, and would run for minutes
-        for d in (1, 2):
-            assert admitted(vinogradov_count, d, 3, 1289)
-            assert not admitted(vinogradov_count, d, 3, 1290)
+        # every level's rows plus N head searches a window.  For d >= 2 the
+        # last level holds a head and a distinct pair, N^2 (N + 1) / 2 rows:
+        # (d, 3, 1622) is the last N within the work budget, and would run for
+        # minutes.  For d = 1 a pair's key is its sum, 2N - 1 of them.
+        for d in (2, 3):
+            assert admitted(vinogradov_count, d, 3, 1622)
+            assert not admitted(vinogradov_count, d, 3, 1623)
+        # (1, 3, 24770) passes the check, and the int64 guard refuses past N = 6576
+        assert admitted(vinogradov_count, 1, 3, 24770)
+        assert not admitted(vinogradov_count, 1, 3, 24771)
         # windows of several S_1 values: fewer head searches for s = 2, and
-        # few enough for s = 1 that the memory budget binds first
-        assert admitted(vinogradov_count, 2, 2, 40132)
-        assert not admitted(vinogradov_count, 2, 2, 40133)
-        assert admitted(vinogradov_count, 1, 1, 4046783)
-        assert not admitted(vinogradov_count, 1, 1, 4046784)
+        # for s = 1 N rows and N searches for each of the ceil(N / 2^18) windows
+        assert admitted(vinogradov_count, 2, 2, 40131)
+        assert not admitted(vinogradov_count, 2, 2, 40132)
+        assert admitted(vinogradov_count, 1, 1, 23592960)
+        assert not admitted(vinogradov_count, 1, 1, 23592961)
 
     def test_budget_refused_for_real(self):
         with pytest.raises(BudgetError, match="work budget"):
@@ -577,13 +605,20 @@ class TestVinogradov:
 
     def test_permutation_closed_forms(self):
         # for s <= d the first s power sums fix the multiset {n_i}, so the
-        # solutions are permutations; both power-sum vectors need more than
-        # 63 bits as one packed key (about 71 bits for (4, 2, 100))
+        # solutions are permutations
         N = 100
         assert vinogradov_count(4, 2, N) == 2 * N * N - N
         N = 40  # s = 3: 6 orderings of 3 distinct values, 3 of a double, 1 of a triple
         distinct, double = math.comb(N, 3), N * (N - 1)
         assert vinogradov_count(6, 3, N) == 36 * distinct + 9 * double + N == 369760
+        # s = d = 4: 24 orderings of 4 distinct values, 12 of a pair and two
+        # others, 6 of two pairs, 4 of a triple and another, 1 of a quadruple.
+        # (S_1 - lo, S_2, S_3, S_4) fits one int64 at N = 30 but not at N = 40,
+        # where S_4 takes a key row of its own and the windows lexsort
+        for N in (30, 40):
+            J = (576 * math.comb(N, 4) + 144 * N * math.comb(N - 1, 2) + 36 * math.comb(N, 2)
+                 + 16 * N * (N - 1) + N)
+            assert vinogradov_count(4, 4, N) == J
 
     def test_many_windows_match_packed_key_oracle(self):
         # (S_1, S_2) <= (3N, 3N^2) packs into one int64 for d = 2, giving an

@@ -69,6 +69,32 @@ class TestIntPolynomial:
         n = 10**6
         assert p(n) == 7 * n**3 + 1
 
+    def test_coefficients_must_be_integers(self):
+        assert IntPolynomial([2.0, 3]).coeffs == (2, 3)
+        for bad in (1.7, float("inf"), float("nan"), Fraction(1, 2), "3"):
+            with pytest.raises(ValueError, match="integers"):
+                IntPolynomial([0, bad])
+        with pytest.raises(ValueError, match="integers"):
+            parse_family("[[0, 1.7], [0, 0, 2.9]]")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-40, 40), max_size=7), st.integers(-30, 30), st.integers(0, 60))
+    def test_extremes_match_every_integer(self, coeffs, lo, length):
+        p, hi = IntPolynomial(coeffs), lo + length
+        values = [p(n) for n in range(lo, hi + 1)]
+        assert p.extremes(lo, hi) == (min(values), max(values))
+
+    def test_extremes_near_clustered_roots(self):
+        # (T - a)^e (T - a - 1)(T - a - 2): turning points within one unit of each other
+        for a in range(-3, 4):
+            for e in (1, 2, 3):
+                p = IntPolynomial([1])
+                for r in [a] * e + [a + 1, a + 2]:
+                    p = p * IntPolynomial([-r, 1])
+                for lo, hi in ((a - 5, a + 7), (a, a + 2), (a + 1, a + 1)):
+                    values = [p(n) for n in range(lo, hi + 1)]
+                    assert p.extremes(lo, hi) == (min(values), max(values))
+
 
 class TestFamilies:
     def test_classical(self):
@@ -84,6 +110,25 @@ class TestFamilies:
             PolynomialFamily([IntPolynomial([3])])
         with pytest.raises(ValueError):
             PolynomialFamily([IntPolynomial([0, 1]), IntPolynomial([0, 1])])
+
+    def test_distinct_members_found_by_hash(self, monkeypatch):
+        # a pairwise check compared d^2 / 2 pairs, each along the shorter member
+        compared = []
+        monkeypatch.setattr(IntPolynomial, "__eq__", lambda a, b: compared.append(1) or a.coeffs == b.coeffs)
+        assert classical_family(2000).d == 2000
+        assert len(compared) < 100
+        with pytest.raises(ValueError, match="T\\^7 twice"):
+            PolynomialFamily([IntPolynomial.monomial(j) for j in (1, 7, 3, 7)])
+
+    def test_family_size_checked_before_building(self, monkeypatch):
+        from weylsums import BudgetError
+
+        monkeypatch.setattr(IntPolynomial, "__init__", lambda *args: pytest.fail("a member was built"))
+        with pytest.raises(BudgetError, match="classical_family.*work budget"):
+            classical_family(99999999999)
+        monkeypatch.setattr("weylsums.errors.MEMORY_BUDGET", 1 << 16)
+        with pytest.raises(BudgetError, match="parse_family.*memory budget"):
+            parse_family([[0] * 10**4 + [1]])
 
     def test_parse_family(self):
         fam = parse_family("[[0,1],[0,0,1]]")
