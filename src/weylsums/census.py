@@ -184,6 +184,12 @@ def _census_cost(grid: BoxGrid, spb: int) -> tuple[int, int]:
     return grid.U * spb * grid.N, peak
 
 
+def _check_seed(seed) -> None:
+    """Refuse a seed outside [0, 2^64), which the Philox key cannot hold without giving two seeds one stream."""
+    if not 0 <= int(seed) < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+
+
 def census(
     fam: PolynomialFamily,
     a: WeightSeq,
@@ -204,6 +210,7 @@ def census(
     """
     if samples_per_box < 1:
         raise ValueError("samples_per_box must be >= 1")
+    _check_seed(seed)
     N = grid.N
     d = grid.d
     spb = samples_per_box
@@ -214,8 +221,7 @@ def census(
     zeta = np.array([float(z) for z in grid.sides])
     counts = grid.counts
 
-    seed = int(seed) & ((1 << 64) - 1)
-    gen = np.random.Generator(np.random.Philox(key=(seed << 64) | _STREAM_TAG))
+    gen = np.random.Generator(np.random.Philox(key=(int(seed) << 64) | _STREAM_TAG))
     peaks = np.empty(grid.U, dtype=np.float64)
     moment_sum = 0.0
     samples_ge = 0
@@ -396,6 +402,7 @@ def project_union(
     d = grid.d
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    _check_seed(seed)
     if spec.basis.shape[1] != d:
         raise ValueError(f"basis directions must have {d} components")
     k = spec.k
@@ -450,8 +457,7 @@ def project_union(
     # translates bucketed by cells of side rad, indexed by sorted packed cell keys
     rad = float(np.max(np.linalg.norm(zono - centroid, axis=1)))
     cell = max(rad, 1e-300)
-    seed = int(seed) & ((1 << 64) - 1)  # as in census
-    gen = np.random.Generator(np.random.Philox(key=(seed << 64) | 0x70726F6A))
+    gen = np.random.Generator(np.random.Philox(key=(int(seed) << 64) | 0x70726F6A))
     xs = lo + gen.random((samples, 2)) * (hi - lo)
     cells = np.floor(trans / cell).astype(np.int64)
     probes = np.floor((xs - centroid) / cell).astype(np.int64)

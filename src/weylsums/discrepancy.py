@@ -70,7 +70,7 @@ def exact_discrepancy(points: Sequence[float]) -> DiscrepancyResult:
     sweep over those candidates finds it.
     """
     pts = _validate(points)
-    check_cost("exact_discrepancy", len(pts), 120 * len(pts) + 4096)
+    check_cost("exact_discrepancy", len(pts), 48 * len(pts) + 4096)
     return _sweep_one(pts)
 
 
@@ -115,37 +115,34 @@ def _sweep_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Order, distinctness and the atom at 0 are read off the keys; only the
     deviations t - N x use the float position x.  Returns the values and
     the witness endpoints a, b, each of shape (B,).  The value is the
-    largest valid candidate minus the smallest, from ``_sweep_values``:
-    each pair of candidates is realised in both orders, by the closed
-    interval spanning them (gain) and the open gap between them (loss).
-    The prefix search below only finds the witness, which only the one-row
-    entry points ``exact_discrepancy``, ``poly_discrepancy`` and
-    ``short_interval_discrepancy`` report; the sweeps of many rows call
-    ``_sweep_values`` alone.
+    largest valid candidate minus the smallest, as in ``_sweep_values`` (by
+    the same float operations).  The witness, which only the one-row entry
+    points ``exact_discrepancy``, ``poly_discrepancy`` and
+    ``short_interval_discrepancy`` report, is a pair of slots holding them;
+    the sweeps of many rows call ``_sweep_values`` alone.
 
     Candidates sit in position order in one row of 2N + 2 slots: a = 0,
     then per sorted point t its left limit g-(x_t) and its attained value
     g+(x_t), then b = 1.  An atom's left limit sits at its first point and
     its attained value at its last; every other slot, and the left limit
     of an atom at 0, is neutral, so the valid candidates of each row are,
-    in order, those of the atom-by-atom sweep.  Slot q serves as a right
-    endpoint paired with the left endpoints at slots 0..q; the witness is
-    the first right endpoint whose gain (or, if no gain reaches the value,
-    loss) is the value, with the earliest left endpoint that realises it.
+    in order, those of the atom-by-atom sweep.  The witness is the first
+    left endpoint holding the smallest and the first right endpoint at or
+    after it holding the largest (gain) or, where there is no such pair,
+    the first left endpoint holding the largest and the first right
+    endpoint at or after it holding the smallest (loss).
     """
     B, N = keys.shape
     ks = np.sort(keys, axis=1)
-    value = _sweep_values(ks)
     xs = ks * 2.0**-SCALE_BITS if ks.dtype == np.uint64 else ks
-    t = np.arange(N)
-    nx = N * xs
-    new = ks[:, 1:] != ks[:, :-1]
     val = np.empty((B, 2 * N + 2))
     val[:, 0] = np.count_nonzero(ks == 0, axis=1)  # g+(0) of the atom at 0 (or none)
-    val[:, 1:-1:2] = t - nx  # g-, one-sided limits
-    val[:, 2:-1:2] = (t + 1) - nx  # g+, attained
+    nx = np.multiply(xs, N, out=val[:, 2:-1:2])  # N x, then g+ in place
+    np.subtract(np.arange(float(N)), nx, out=val[:, 1:-1:2])  # g-, one-sided limits
+    np.subtract(np.arange(1.0, N + 1), nx, out=nx)  # g+, attained
     val[:, -1] = 0.0
-    del t, nx  # 16 bytes a point, not held through the sweep
+    high, low = val[:, 2:-1:2].max(axis=1), val[:, 1:-1:2].min(axis=1)
+    new = ks[:, 1:] != ks[:, :-1]
     # a_ok: left-endpoint slots; b_ok: right-endpoint slots
     a_ok = np.zeros((B, 2 * N + 2), dtype=bool)
     a_ok[:, 0] = True
@@ -155,25 +152,24 @@ def _sweep_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a_ok[:, -2] = True
     b_ok = a_ok.copy()
     b_ok[:, 0], b_ok[:, -1] = False, True
-
-    run_min = np.where(a_ok, val, np.inf)
-    np.minimum.accumulate(run_min, axis=1, out=run_min)
-    run_max = np.where(a_ok, val, -np.inf)
-    np.maximum.accumulate(run_max, axis=1, out=run_max)
     rows = np.arange(B)
-    j_gain = np.argmax(np.where(b_ok, val - run_min, -np.inf), axis=1)  # interval holds more than its share
-    j_loss = np.argmax(np.where(b_ok, run_max - val, -np.inf), axis=1)  # interval holds less than its share
-    use_gain = val[rows, j_gain] - run_min[rows, j_gain] == value
-    j = np.where(use_gain, j_gain, j_loss)
-    # a is the earliest left endpoint holding b's extreme: where the running extreme first reaches it
-    extreme = np.where(use_gain, run_min[rows, j], run_max[rows, j])
-    i = np.argmax(np.where(use_gain[:, None], run_min, run_max) == extreme[:, None], axis=1)
+
+    def first(ok, extreme, after):  # the first ok slot at or after ``after`` holding the extreme, and if one is
+        hit = np.zeros_like(ok)
+        hit[rows, after] = True
+        hit = np.logical_or.accumulate(hit, axis=1, out=hit) & ok & (val == extreme[:, None])
+        return hit.argmax(axis=1), hit.any(axis=1)
+
+    (i, has_low), (i_loss, _) = first(a_ok, low, 0), first(a_ok, high, 0)
+    (j, has_high), (j_loss, _) = first(b_ok, high, i), first(b_ok, low, i_loss)
+    gain = has_low & has_high
+    i, j = np.where(gain, i, i_loss), np.where(gain, j, j_loss)
 
     def position(q):  # slot 0 sits at 0, slot 2N + 1 at 1, slots 2t + 1 and 2t + 2 at x_t
         inner = xs[rows, np.clip((q + 1) // 2 - 1, 0, N - 1)]
         return np.where(q == 0, 0.0, np.where(q == 2 * N + 1, 1.0, inner))
 
-    return value, position(i), position(j)
+    return high - low, position(i), position(j)
 
 
 def brute_force_discrepancy(points: Sequence[float]) -> float:
@@ -259,7 +255,7 @@ def poly_discrepancy(fam: PolynomialFamily, u: TorusPoint, N: int) -> Discrepanc
     """Discrepancy of the fractional parts {f(n)}, n = 1..N, at exact phases."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    check_cost("poly_discrepancy", N, 128 * N + 4096)
+    check_cost("poly_discrepancy", N, 56 * N + 4096)
     return _sweep_one(raw_phases(fam.polys, u.raw, N))
 
 
@@ -272,7 +268,7 @@ def short_interval_discrepancy(u: Sequence, M: int, N: int) -> DiscrepancyResult
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    check_cost("short_interval_discrepancy", N, 128 * N + 4096)
+    check_cost("short_interval_discrepancy", N, 56 * N + 4096)
     pt = TorusPoint.from_reals(u)
     return _sweep_one(raw_phases(classical_family(pt.d).polys, pt.raw, N, M))
 
@@ -281,8 +277,8 @@ def _window_discrepancies(polys: Sequence[IntPolynomial], raw, starts, N: int) -
     """The discrepancy of {f(n)}, n = s+1..s+N, for every row of ``_phase_rows(polys, raw, N, starts)``.
 
     ``raw`` is one quantized point or one a row, and ``starts`` one start
-    or one a row: the windows of ``short_interval_discrepancy`` or the
-    ``poly_discrepancy`` of many points.  Each slab of rows from
+    or one a row, on any family: ``discrepancy_short``'s drawn windows, or
+    ``discrepancy``'s one window at start 0.  Each slab of rows from
     ``_reduce_rows`` is sorted in place and swept.
     """
     def sweep(f):

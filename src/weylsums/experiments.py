@@ -105,6 +105,8 @@ class ExperimentConfig:
             raise ConfigError("schedule must be strictly increasing (log2_n_min <= log2_n_max)")
         if self.samples < 1:
             raise ConfigError("sample count must be >= 1")
+        if not 0 <= self.seed < 1 << 64:  # the Philox key holds it in 64 bits
+            raise ConfigError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.m_samples < 1 or self.y_samples < 1:
             raise ConfigError("m_samples and y_samples must be >= 1")
         if self.threads < 1:
@@ -217,7 +219,7 @@ class RunRecord:
 
 
 def _sample_rng(seed: int, sample_id: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=((int(seed) & ((1 << 64) - 1)) << 64) | sample_id))
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | sample_id))
 
 
 def _split_family(cfg: ExperimentConfig) -> tuple[PolynomialFamily, int]:
@@ -238,9 +240,10 @@ def _split_family(cfg: ExperimentConfig) -> tuple[PolynomialFamily, int]:
 def _route(cfg: ExperimentConfig, fam: PolynomialFamily, k: int) -> str:
     """How a sweep step is evaluated: "prefix" (``weyl`` at k = d), "certified" (the sup over y
     certified by ``sup_linear_coeff``: y is one linear coefficient), "sampled" (the sup over drawn
-    y), "discrepancy" or "discrepancy_short"."""
+    y) or "window" (the largest discrepancy over windows: ``discrepancy_short``'s drawn starts, or
+    ``discrepancy``'s one window at start 0)."""
     if cfg.kind in ("discrepancy", "discrepancy_short"):
-        return cfg.kind
+        return "window"
     if k == fam.d:
         return "prefix"
     return "certified" if fam.d - k == 1 and fam.degrees[-1] == 1 else "sampled"
@@ -248,7 +251,7 @@ def _route(cfg: ExperimentConfig, fam: PolynomialFamily, k: int) -> str:
 
 def _sample_rows(cfg: ExperimentConfig, route: str) -> int:
     """The phase rows a sample adds to a sweep step: its y draws, its windows, or its one point."""
-    return {"sampled": cfg.y_samples, "discrepancy_short": cfg.m_samples}.get(route, 1)
+    return cfg.y_samples if route == "sampled" else cfg.m_samples if cfg.kind == "discrepancy_short" else 1
 
 
 def _block_size(cfg: ExperimentConfig, route: str, workers: int) -> int:
@@ -287,7 +290,7 @@ def _draw(cfg: ExperimentConfig, d: int, k: int, route: str, sid: int):
     x = (float(rng.random()),) if cfg.kind == "short" else tuple(rng.random(d))[:k]  # weyl draws d, keeps k
     if route == "sampled":  # one draw in the per-N, per-y order of the stream
         return x, _quantize_array(rng.random((len(schedule), cfg.y_samples, d - k)))
-    if route == "discrepancy_short":  # scalar draws: one integers(size=m) call draws a different stream
+    if cfg.kind == "discrepancy_short":  # scalar draws: one integers(size=m) call draws a different stream
         m = cfg.m_samples
         return x, np.fromiter((rng.integers(0, N) for N in schedule for _ in range(m)), dtype=np.uint64,
                               count=len(schedule) * m).reshape(-1, m)
@@ -315,15 +318,13 @@ def _step(fam: PolynomialFamily, k: int, route: str, xraws: np.ndarray, draws, N
                            np.dtype((float, 3)))
         return res[:, 0].tolist(), [(("certified_upper", u), ("argmax_y", a), ("certified", 1.0))
                                     for u, a in res[:, 1:].tolist()]
-    if route == "discrepancy":  # a row for each x
-        values = _window_discrepancies(fam.polys, xraws, 0, N).tolist()
-        return values, [_disc_ratios(v, N) for v in values]
-    # discrepancy_short: a row for each window of each sample
-    D = _window_discrepancies(classical_family(d).polys, np.repeat(xraws, draws.shape[1], axis=0),
-                              draws.reshape(-1), N).reshape(S, -1)
+    # window: a row for each window of each sample; discrepancy's one window starts at 0
+    rows, starts = (xraws, 0) if draws is None else (np.repeat(xraws, draws.shape[1], axis=0), draws.reshape(-1))
+    D = _window_discrepancies(fam.polys, rows, starts, N).reshape(S, -1)
     j = np.argmax(D, axis=1)  # the first window of the largest value
     values = D[np.arange(S), j].tolist()
-    return values, [_disc_ratios(v, N) + (("m", float(m)),) for v, m in zip(values, draws[np.arange(S), j])]
+    ms = [()] * S if draws is None else [(("m", float(m)),) for m in draws[np.arange(S), j]]
+    return values, [_disc_ratios(v, N) + m for v, m in zip(values, ms)]
 
 
 def _prefix_records(cfg: ExperimentConfig, fam: PolynomialFamily, sid: int) -> list[RunRecord]:
@@ -392,8 +393,8 @@ def _block_peak(cfg: ExperimentConfig, fam: PolynomialFamily, k: int, route: str
 
     The ``weyl`` k = d route holds one sample's n_max coefficients and their majorant at a time.
     Every other route holds its draws and, at each N, walks R = S·r rows (r = y_samples, m_samples
-    or 1) in slabs of at most T terms: 8 bytes a term each for the slab, whole rows of n and the
-    buffer numpy fills for a broadcast operand, what the reduction needs a term, and a few words a row.
+    or 1) in slabs of at most T terms: 8 bytes a term each for the slab and whole rows of n, what
+    the reduction needs a term, and a few words a row.
     """
     schedule = cfg.schedule()
     n, L = schedule[-1], len(schedule)
@@ -405,9 +406,7 @@ def _block_peak(cfg: ExperimentConfig, fam: PolynomialFamily, k: int, route: str
         return 40 * T + _expi_bytes(T) + 8 * n + (16 * L * (fam.d - k) + 8 * (fam.d + max(fam.degrees)) + 40) * R
     if route == "certified":  # e(f_x) of a slab, its zero-padded spectrum and magnitudes, and a few small arrays
         return 128 * T + _expi_bytes(T) + 64 * S + (1 << 14)
-    if route == "discrepancy":  # the deviations of the sorted slab and t
-        return 40 * T + 8 * n + 64 * S
-    # discrepancy_short: n + s, the deviations, t and a broadcast buffer; a window's start at every N and point
+    # window: n, the deviations of the sorted slab and t; a row's point, coefficients and value, and its start at every N
     return 40 * T + 8 * n + (8 * L + 8 * fam.d + 24) * R
 
 

@@ -9,7 +9,9 @@ No float phase of f(n) is ever formed.  ``_expi`` maps a raw phase theta
 straight to e(theta / 2^64): the top 12 bits pick a root of unity from a
 table built once at import, and a short Taylor polynomial in the low 52
 bits turns it through the rest (Tang, ACM TOMS 15(2), 1989).  Every value
-is within 1e-15 of the exact one.  ``_twisted_coeffs`` returns whole rows of a_n e(f(n)).
+is within 1e-15 of the exact one.  A window start s is folded into the
+coefficients of f(n + s), so every phase row is one Horner pass over n = 1..N:
+``raw_phases`` makes whole arrays, and ``_twisted_coeffs`` whole rows of a_n e(f(n)).
 ``_reduce_rows`` is the one walker that cuts phase rows into slabs and reduces each row to one
 value: rows of ``_phase_rows`` (the sweeps' sup over y and discrepancies, and the census) or the
 Erdős–Turán dilations g x, taken through ``_twisted`` where the reduction needs e(theta).
@@ -266,37 +268,44 @@ class PhaseTable:
         return sum(r * p(n) for r, p in zip(raws, polys)) & _MASK
 
 
-def raw_phases(polys: Sequence[IntPolynomial], raws, N: int, starts=0, out=None) -> np.ndarray:
+def raw_phases(polys: Sequence[IntPolynomial], raws, N: int, starts=0) -> np.ndarray:
     """Raw phases of f(n) = sum_j raws[..., j] phi_j(n) at n = s+1, ..., s+N.
 
     ``raws`` holds one row of d raw coordinates per sum and ``starts`` one
     integer offset s per row (any sign and size); the two broadcast, and
-    the result is uint64 (..., N), into ``out`` if given.  A single row is the case raws[d].
+    the result is uint64 (..., N).  A single row is the case raws[d].
 
-    Each row is folded into the coefficients of f, which is evaluated by
-    Horner's rule in place, skipping the powers of n that no phi_j has.
+    Each row is folded into the coefficients of f(n + s), which is evaluated
+    by Horner's rule in place, skipping the powers of n that no phi_j has.
     Reduction mod 2^64 is a ring map and numpy's uint64 products and sums
     wrap, so every phase is exact.  Every phase comes through here, so this
     is where a point is checked against the family; the entry points check
     their cost before they call it.
     """
-    cols, used = _coefficient_columns(polys, raws)
-    starts = _raw_starts(starts)
+    cols, used = _coefficient_columns(polys, raws, starts)
     # out before n: in the other order glibc gives both fresh, page-faulting memory on every long row
-    out = np.empty(np.broadcast_shapes(cols.shape[1:-1], starts.shape) + (N,), dtype=np.uint64) if out is None else out
-    return _horner(cols, used, _arguments(N, starts), out)
+    out = np.empty(cols.shape[1:-1] + (N,), dtype=np.uint64)
+    return _horner(cols, used, np.arange(1, N + 1, dtype=np.uint64), out)
 
 
-def _coefficient_columns(polys: Sequence[IntPolynomial], raws) -> tuple[np.ndarray, tuple[bool, ...]]:
-    """The coefficients of f for each row of ``raws``, as one contiguous uint64 column (..., 1) a
-    power of n, stacked (D+1, ..., 1), and which powers are nonzero."""
+def _coefficient_columns(polys: Sequence[IntPolynomial], raws, starts=0) -> tuple[np.ndarray, tuple[bool, ...]]:
+    """The coefficients of f(n + s) for each row of ``raws`` and of ``starts``, broadcast, as one
+    contiguous uint64 column (..., 1) a power of n, stacked (D+1, ..., 1), and which powers may be
+    nonzero.  s is folded in by Taylor shift, ring operations only, so exactly mod 2^64."""
     raws = np.asarray(raws, dtype=np.uint64)
     d = raws.shape[-1] if raws.ndim else 0
     if d != len(polys):
         raise ValueError(f"point has {d} coordinates, family needs {len(polys)}")
     # from a list: tuple(genexpr) is resized off the free list, then parked on it as traced memory
     table, used = _coefficient_table(tuple([p.coeffs for p in polys]))
-    return np.ascontiguousarray(np.moveaxis(raws @ table, -1, 0))[..., None], used
+    coeffs, s, D = raws @ table, _raw_starts(starts)[..., None], len(used) - 1
+    if s.any():
+        coeffs = coeffs + np.zeros_like(s)  # a copy, rows and starts broadcast
+        for i in range(D):  # Horner's scheme: D passes, each adding s times a coefficient into the one below
+            for m in range(D - 1, i - 1, -1):  # slices: uint64 scalar products would warn as they wrap
+                coeffs[..., m : m + 1] += s * coeffs[..., m + 1 : m + 2]
+        used = tuple(any(used[m:]) for m in range(D + 1))
+    return np.ascontiguousarray(np.moveaxis(coeffs, -1, 0))[..., None], used
 
 
 def _raw_starts(starts) -> np.ndarray:
@@ -304,12 +313,6 @@ def _raw_starts(starts) -> np.ndarray:
     if isinstance(starts, np.ndarray) and starts.dtype == np.uint64:
         return starts
     return np.array((starts if isinstance(starts, int) else np.asarray(starts, object)) & _MASK, dtype=np.uint64)
-
-
-def _arguments(N: int, starts: np.ndarray) -> np.ndarray:
-    """n = s+1, ..., s+N: (N,) for one start s, (B, N) for B of them."""
-    n = np.arange(1, N + 1, dtype=np.uint64)
-    return n + starts[..., None] if starts.ndim else np.add(n, starts, out=n) if starts else n  # one start: in place
 
 
 def _horner(cols: np.ndarray, used, n: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -442,24 +445,20 @@ def _phase_rows(polys: Sequence[IntPolynomial], raws, N: int, starts=0):
     """The row source ((B, N), fill) of ``raw_phases(polys, raws, N, starts)`` for ``_reduce_rows``.
 
     ``raws`` is one row (d,) or B, and ``starts`` one integer or B; a single one serves every row.
-    With one start, the coefficient columns and n are made once per walk, n as whole rows of
-    the first, largest slab: numpy copies an operand broadcast along rows shorter than 8192
-    through a buffer on every pass.  Per-row starts go through ``raw_phases`` slab by slab.
+    Each row's coefficients of f(n + s) are folded once per walk, so every slab is filled from one
+    n = 1..N: whole rows of the first, largest slab (numpy copies an operand broadcast along rows
+    shorter than 8192 through a buffer on every pass), or the (N,) row itself for slabs of one row.
     """
-    raws = np.atleast_2d(np.asarray(raws, dtype=np.uint64))
-    if np.ndim(starts):
-        return (len(starts), N), lambda f, lo, hi: raw_phases(
-            polys, raws[lo:hi] if len(raws) > 1 else raws, N, starts[lo:hi], out=f)
-    cols, used = _coefficient_columns(polys, raws)
-    n = _arguments(N, _raw_starts(starts))
+    cols, used = _coefficient_columns(polys, np.atleast_2d(np.asarray(raws, dtype=np.uint64)), starts)
+    n = np.arange(1, N + 1, dtype=np.uint64)
 
     def fill(f, lo, hi):
         nonlocal n
-        if n.ndim == 1:
+        if n.ndim == 1:  # the first slab
             n = np.tile(n, (len(f), 1)) if len(f) > 1 else n[None]
         return _horner(cols[:, lo:hi], used, n[: hi - lo], f)
 
-    return (len(raws), N), fill
+    return (cols.shape[1], N), fill
 
 
 def _reduce_rows(shape: tuple[int, int], fill, reduce, dtype) -> np.ndarray:

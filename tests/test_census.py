@@ -332,20 +332,6 @@ class TestProjections:
         assert mc.std_error is not None
         assert abs(mc.measure - axis.measure) <= max(5 * mc.std_error, 0.02)
 
-    def test_monte_carlo_seed_masked_to_64_bits(self):
-        # the same seeds census accepts: seed mod 2^64 picks the stream
-        g = unit_box_grid([Fraction(1, 4)] * 3)
-        rot = ProjectionSpec(np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]) / math.sqrt(2))
-        marked = [(0, 0, 0), (1, 2, 3), (3, 1, 0)]
-
-        def mc(seed):
-            res = project_union(g, marked, rot, samples=256, seed=seed)
-            assert res.method == "monte_carlo"
-            return res
-
-        assert mc(-1) == mc((1 << 64) - 1)
-        assert mc((1 << 64) + 5) == mc(5)
-
     def test_orthonormality_enforced(self):
         with pytest.raises(ValueError):
             ProjectionSpec([[1.0, 1.0]])
@@ -367,6 +353,22 @@ class TestProjections:
         for spec in (rot, ProjectionSpec.coordinate(3, 1)):
             with pytest.raises(ValueError, match="samples"):
                 project_union(g, [(0, 0, 0)], spec, samples=samples)
+
+    def test_seed_outside_64_bits_refused(self):
+        # a seed is not reduced mod 2^64, where -1 and 2^64 - 1, or 5 and
+        # 2^64 + 5, would pick one stream: the Monte Carlo route, an exact
+        # one and the census refuse it, and take the last 64-bit seed
+        g = unit_box_grid([Fraction(1, 4)] * 3)
+        rot = ProjectionSpec(np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]) / math.sqrt(2))
+        marked = [(0, 0, 0), (1, 2, 3), (3, 1, 0)]
+        for seed in (-1, 1 << 64, (1 << 64) + 5):
+            for spec in (rot, ProjectionSpec.coordinate(3, 1)):
+                with pytest.raises(ValueError, match="seed"):
+                    project_union(g, marked, spec, samples=256, seed=seed)
+            with pytest.raises(ValueError, match="seed"):
+                census(classical_family(2), UNIT, small_grid(), 1, seed=seed)
+        assert project_union(g, marked, rot, samples=256, seed=(1 << 64) - 1).method == "monte_carlo"
+        assert census(classical_family(2), UNIT, small_grid(), 1, seed=(1 << 64) - 1).U == small_grid().U
 
     def test_per_box_bound_needs_line(self):
         g = small_grid()

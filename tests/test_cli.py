@@ -135,9 +135,9 @@ class TestExitCodes:
         assert "memory budget" in err
 
     def test_discrepancy_sweep_budget_exits_3(self, capsys):
-        # 128 bytes a point: N = 2097120 is the last admitted
+        # 56 bytes a point: N = 4793417 is the last admitted
         for window in ((), ("--M", "7")):
-            code, _, err = run(capsys, "discrepancy", "--u", "0.1,0.2", "--N", "2097121", *window)
+            code, _, err = run(capsys, "discrepancy", "--u", "0.1,0.2", "--N", "4793418", *window)
             assert code == 3
             assert "memory budget" in err
 
@@ -155,6 +155,18 @@ class TestExitCodes:
         code, _, _ = run(capsys, "discrepancy", "--family", "classical:2", "--u", "0.1,0.2",
                          "--N", "8", "--M", "3")
         assert code == 0
+
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64), str((1 << 64) + 5)])
+    def test_seed_outside_64_bits_exits_2(self, capsys, seed):
+        # a seed is not reduced mod 2^64: -1 and 2^64 - 1, or 5 and 2^64 + 5, would draw one stream
+        sweep = ("sweep", "--kind", "discrepancy", "--samples", "1", "--log2-n-min", "3", "--log2-n-max", "3")
+        census = ("--family", "classical:2", "--N", "4", "--alpha", "0.5", "--eps", "0.25")
+        for argv in (sweep, ("census",) + census, ("project",) + census + ("--direction", "1,0")):
+            code, _, err = run(capsys, *argv, "--seed", seed)
+            assert code == 2, argv
+            assert "seed" in err
+        for argv in (sweep, ("census",) + census):
+            assert run(capsys, *argv, "--seed", str((1 << 64) - 1))[0] == 0
 
     @pytest.mark.parametrize("window", [(), ("--M", "3")])
     @pytest.mark.parametrize("N", ["0", "-3"])

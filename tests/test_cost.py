@@ -192,22 +192,21 @@ def test_budgets_live_in_errors_only():
 
 
 def test_one_walker_slabs_phase_rows():
-    # raw_phases writes into a slab buffer only in the phase-row source of the
-    # one walker, expsum._reduce_rows, and the only module-level block sizes
-    # are its slab, the Vinogradov window, the census draw chunk and the
-    # projection pair block
-    into, blocks = [], []
+    # Horner's pass runs only in the kernel raw_phases and in the phase-row
+    # source of the one walker, expsum._reduce_rows, and the only module-level
+    # block sizes are its slab, the Vinogradov window, the census draw chunk
+    # and the projection pair block
+    horner, blocks = [], []
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
-                if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "raw_phases"
-                        and any(kw.arg == "out" for kw in node.keywords)):
-                    into.append((path.name, getattr(top, "name", None)))
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_horner":
+                    horner.append((path.name, getattr(top, "name", None)))
             for target in getattr(top, "targets", [getattr(top, "target", None)]):
                 name = getattr(target, "id", "")
                 if name.isupper() and any(word in name for word in ("BLOCK", "SLAB", "CHUNK")):
                     blocks.append((path.name, name))
-    assert into == [("expsum.py", "_phase_rows")]
+    assert sorted(horner) == [("expsum.py", "_phase_rows"), ("expsum.py", "raw_phases")]
     assert sorted(blocks) == [("census.py", "PAIR_BLOCK"), ("census.py", "_CHUNK"),
                               ("expsum.py", "VINOGRADOV_BLOCK"), ("expsum.py", "_SLAB")]
 

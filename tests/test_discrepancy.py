@@ -222,8 +222,8 @@ class TestBatchedSweep:
         N = 1 << 18
         pts = np.random.default_rng(23).random(N)
         u = TorusPoint.from_reals([0.1, 0.2, 0.3])
-        for run, bound in ((lambda: exact_discrepancy(pts), 120),
-                           (lambda: poly_discrepancy(classical_family(3), u, N), 140)):
+        for run, bound in ((lambda: exact_discrepancy(pts), 48),
+                           (lambda: poly_discrepancy(classical_family(3), u, N), 56)):
             tracemalloc.start()
             try:
                 run()
@@ -233,19 +233,19 @@ class TestBatchedSweep:
             assert peak / N <= bound
 
     def test_sweep_point_budget(self, monkeypatch, admitted):
-        # 128 bytes a point, phases included: N = 2097120 is the last
+        # 56 bytes a point, phases included: N = 4793417 is the last
         # admitted, and one point past it fails before phases are built
         def never(*args):
             raise AssertionError("phases were built")
 
         monkeypatch.setattr("weylsums.discrepancy.raw_phases", never)
         u = TorusPoint.from_reals([0.1, 0.2])
-        assert admitted(poly_discrepancy, classical_family(2), u, 2097120)
-        assert admitted(short_interval_discrepancy, [0.1, 0.2], 5, 2097120)
+        assert admitted(poly_discrepancy, classical_family(2), u, 4793417)
+        assert admitted(short_interval_discrepancy, [0.1, 0.2], 5, 4793417)
         with pytest.raises(BudgetError):
-            poly_discrepancy(classical_family(2), u, 2097121)
+            poly_discrepancy(classical_family(2), u, 4793418)
         with pytest.raises(BudgetError):
-            short_interval_discrepancy([0.1, 0.2], 5, 2097121)
+            short_interval_discrepancy([0.1, 0.2], 5, 4793418)
 
 
 def per_g_reference(fam, u, N, G):

@@ -16,6 +16,7 @@ from weylsums import (
     RunRecord,
     TorusPoint,
     WeightSeq,
+    brute_force_discrepancy,
     classical_family,
     completion_fft,
     dimension_scan,
@@ -300,6 +301,31 @@ class TestSweep:
         assert abs(block - exact) <= 1e-9 * abs(exact)
 
 
+# the CSV of one small sweep per route, six samples at N = 4..512 and seed
+# 11, frozen: any change to phases, draws, reductions or formatting shows
+FROZEN = {
+    "weyl": (dict(kind="weyl", family="classical:3"),
+             "6344d9ca0629c95ce964028840151c3e09b20f1479e8855f7e59d46501fcc360"),
+    "sampled": (dict(kind="weyl", family="classical:3", k=1, y_samples=5),
+                "f20cca73f7a8b0e16f57acac5299ec229033b4b4bc590c61d67f5e382626ccdf"),
+    "short": (dict(kind="short", family="classical:3"),
+              "64e1d9722402301f070521ad20f95688fa1973f740608c9ecfe3ae19980a1cc9"),
+    "certified": (dict(kind="weyl", family="[[0,0,1],[0,1]]", k=1),
+                  "e1b42d5e1e7f1f3e833431c036ac3153efcf448d511432707d35a70f118eced5"),
+    "discrepancy": (dict(kind="discrepancy", family="classical:3"),
+                    "a3991c3b6e25debf65869a1e7b6620be266d332d07a87dff4794f829c01804cd"),
+    "discrepancy_short": (dict(kind="discrepancy_short", family="classical:3", m_samples=5),
+                          "373df3e860b8b2901e73bb7b986bc5a6707c58d7d80aceed52f7395ea6ec2699"),
+}
+
+
+@pytest.mark.parametrize("route", sorted(FROZEN))
+def test_csv_frozen(route, tmp_path):
+    kw, digest = FROZEN[route]
+    cfg = ExperimentConfig(**kw, log2_n_min=2, log2_n_max=9, samples=6, seed=11, experiment_id=route)
+    assert csv_digest(metric_sweep(cfg), cfg, tmp_path / "out.csv") == digest
+
+
 class TestBatchedBlocks:
     @pytest.mark.parametrize("blocks", ["declared", "small"])
     @pytest.mark.parametrize("kind", ["short", "weyl_grid", "discrepancy_short"])
@@ -406,6 +432,18 @@ class TestDiscrepancyGrowth:
         recs = metric_sweep(cfg)
         assert recs[0].stat == "D_short"
         assert "m" in dict(recs[0].extras)
+
+    @pytest.mark.parametrize("family", ["[[0,0,1],[0,1]]", "[[1,1],[0,0,1]]"])
+    def test_short_window_runs_on_the_configured_family(self, family):
+        # each value is the discrepancy of the configured family's own phases
+        # over the recorded window n = m+1..m+N, not of classical:d's
+        cfg = tiny_cfg(kind="discrepancy_short", family=family, k=None, samples=3, log2_n_min=2, log2_n_max=6,
+                       m_samples=4)
+        fam = cfg.family_obj()
+        for rec in metric_sweep(cfg):
+            raws = TorusPoint.from_reals(rec.coords).raw
+            pts = raw_phases(fam.polys, raws, rec.N, int(dict(rec.extras)["m"])).astype(np.float64) * 2.0**-64
+            assert rec.value == pytest.approx(brute_force_discrepancy(pts), rel=1e-12)
 
 
 class TestDimensionScan:
