@@ -13,8 +13,9 @@ is within 1e-15 of the exact one.  A window start s is folded into the
 coefficients of f(n + s), so every phase row is one Horner pass over n = 1..N:
 ``raw_phases`` makes whole arrays, and ``_twisted_coeffs`` whole rows of a_n e(f(n)).
 ``_reduce_rows`` is the one walker that cuts phase rows into slabs and reduces each row to one
-value: rows of ``_phase_rows`` (the sweeps' sup over y and discrepancies, and the census) or the
-Erdős–Turán dilations g x, taken through ``_twisted`` where the reduction needs e(theta).
+value: rows of ``_phase_rows`` (the sweeps' sup over y and discrepancies, the census, and the
+windows of a ``weyl`` k = d sweep's row) or the Erdős–Turán dilations g x, taken through
+``_twisted`` where the reduction needs e(theta).
 """
 
 from __future__ import annotations
@@ -530,7 +531,7 @@ def _fold_weights(N: int) -> np.ndarray:
     return w
 
 
-def _majorant(c: np.ndarray) -> np.ndarray:
+def _majorant(c: np.ndarray, work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """W = sum_{h=-N}^{N} |X_h| / (|h| + 1) over the last axis: (..., N) -> (...).
 
     X_h is N-periodic in h, so W = sum_k |X_k| w_N[k] with the weights
@@ -538,9 +539,13 @@ def _majorant(c: np.ndarray) -> np.ndarray:
     ``_spectrum`` only twists phases) and w_N[k] = w_N[-k mod N], so the
     forward transform's magnitudes are weighted as they are.  einsum, not
     a BLAS dot, reduces them: an unpinned BLAS pool was slower at B = 1.
+    ``work``, two arrays of c's shape, takes the transform (complex; c
+    itself transforms in place) and its magnitudes (float) instead of
+    fresh arrays, with the same values.
     """
     w = _fold_weights(c.shape[-1])
-    return np.einsum("...n,n->...", np.abs(np.fft.fft(c, axis=-1)), w)
+    spectrum, mags = (None, None) if work is None else work
+    return np.einsum("...n,n->...", np.abs(np.fft.fft(c, axis=-1, out=spectrum), out=mags), w)
 
 
 def completion_fft(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> CompletionResult:

@@ -101,6 +101,9 @@ CASES = {
                                  ((3, 165), (4, 300))),
     # S_4 takes a key row of its own, and the windows lexsort two rows
     "vinogradov_count_key_rows": ("vinogradov_count", lambda N: lambda: w.vinogradov_count(4, 4, N), (40, 50)),
+    # windows that cover much of a level's S_1 range: the loosest declarations, 1.94-1.96
+    "vinogradov_count_wide_windows": ("vinogradov_count", lambda dsN: lambda: w.vinogradov_count(*dsN),
+                                      ((2, 5, 12), (2, 4, 40))),
     "moment_integral": ("moment_integral", _moment, (16, 24)),
     "classical_family": ("classical_family", lambda d: lambda: w.classical_family(d), (100, 3000)),
     "parse_family": ("parse_family", _on(w.parse_family, lambda d: [[j, 2 * j + 1, 7, 1] for j in range(d)]),
@@ -120,12 +123,18 @@ CASES = {
     "project_union_axes": ("project_union", _project(w.ProjectionSpec.coordinate(3, 3)), (10**4, 10**5)),
     # every Monte Carlo pair block full: the model declares full blocks
     "project_union_monte_carlo": ("project_union", _project(PLANE), (5 * 10**4, 10**5)),
-    "metric_sweep_weyl": ("metric_sweep", _sweep(kind="weyl", k=3), (12, 14)),
+    # n = 2^14 and 2^16 walk their rows in two and eight windows of 8192 terms
+    "metric_sweep_weyl": ("metric_sweep", _sweep(kind="weyl", k=3), (12, 14, 16)),
     "metric_sweep_certified": ("metric_sweep", _sweep(kind="weyl", family="[[0,0,1],[0,1]]", k=1), (12, 14)),
     "metric_sweep_sampled": ("metric_sweep", _sweep(kind="weyl", k=1), (12, 14)),
     "metric_sweep_short": ("metric_sweep", _sweep(kind="short"), (12, 14)),
     "metric_sweep_discrepancy": ("metric_sweep", _sweep(kind="discrepancy"), (12, 14)),
     "metric_sweep_discrepancy_short": ("metric_sweep", _sweep(kind="discrepancy_short", m_samples=300), (4, 13)),
+    # the records of many blocks: 50 blocks of four samples at N = 2^8, 200 of one at 2^12
+    "metric_sweep_discrepancy_short_samples": ("metric_sweep", _sweep(kind="discrepancy_short", samples=200,
+                                                                      m_samples=8), (8, 12)),
+    # a block of many windows, each with its own shifted coefficients
+    "metric_sweep_discrepancy_short_wide": ("metric_sweep", _sweep(kind="discrepancy_short", m_samples=5000), (2, 8)),
     "metric_sweep_records": ("metric_sweep", lambda s: _sweep(kind="discrepancy", samples=s)(2), (250, 1000)),
     "dimension_scan": ("dimension_scan", _dimscan, (3, 4)),
 }

@@ -29,7 +29,7 @@ from weylsums import (
     write_jsonl,
 )
 from weylsums.experiments import _sample_rng, _split_family, fit_by_sample
-from weylsums.expsum import PhaseTable, _twisted_coeffs, raw_phases
+from weylsums.expsum import PhaseTable, _majorant, _sum_trace, _twisted_coeffs, raw_phases
 from weylsums.polyfam import IntPolynomial, shift_coefficients
 
 
@@ -223,10 +223,10 @@ class TestSweep:
         assert seen == [3, 2]  # one CPU: the samples run serially
 
     def test_budget_rejected_before_run(self, admitted):
-        # the records of 123329 samples, four each, are the last to fit the
+        # the records of 149575 samples, four each, are the last to fit the
         # memory budget; 2^17 sampled y at N = 2^14 the last within the work budget
-        assert admitted(metric_sweep, tiny_cfg(samples=123329))
-        assert not admitted(metric_sweep, tiny_cfg(samples=123330))
+        assert admitted(metric_sweep, tiny_cfg(samples=149575))
+        assert not admitted(metric_sweep, tiny_cfg(samples=149576))
         sampled = dict(k=1, samples=1, log2_n_min=14, log2_n_max=14)
         assert admitted(metric_sweep, tiny_cfg(y_samples=1 << 17, **sampled))
         assert not admitted(metric_sweep, tiny_cfg(y_samples=(1 << 17) + 1, **sampled))
@@ -360,6 +360,19 @@ class TestBatchedBlocks:
             assert dict(rec.extras)["w"] == completion_fft(fam, u, unit, rec.N).W
         for rec in metric_sweep(tiny_cfg(kind="discrepancy", samples=2)):
             assert rec.value == poly_discrepancy(fam, TorusPoint.from_reals(rec.coords), rec.N).value
+
+    @pytest.mark.parametrize("family", ["classical:3", "[[0,1],[1,1,1]]"])
+    def test_windowed_prefix_route_matches_the_whole_row(self, family):
+        # N = 2^15 is four windows of _SLAB = 8192 terms, each start folded
+        # into its coefficients and the running sum carried across them
+        cfg = tiny_cfg(family=family, k=None, samples=2, log2_n_min=0, log2_n_max=15)
+        fam = cfg.family_obj()
+        recs = metric_sweep(cfg)
+        for sid in range(2):
+            mine = [r for r in recs if r.sample_id == sid]
+            c = _twisted_coeffs(fam.polys, TorusPoint.from_reals(mine[0].coords).raw, None, 1 << 15)
+            assert [r.value for r in mine] == list(_sum_trace(c).dyadic_prefix_max)
+            assert [dict(r.extras)["w"] for r in mine] == [float(_majorant(c[: r.N])) for r in mine]
 
     def test_continuity_slack_is_a_bound(self):
         # sup_y |T| <= sum |a_n| = N, so value + slack may not pass N
