@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import Inapplicable
 from .polyfam import (
@@ -50,20 +51,99 @@ def s_of(q: int) -> Fraction:
     return Fraction(q * (q + 1), 2)
 
 
-def _sigma(fam: PolynomialFamily, k: int) -> int:
-    return degree_stats(fam, k)[0]
+class _Profile(NamedTuple):
+    """What the exponents of one (family, k) read, built once by ``_profile``."""
+
+    d: int
+    k: int
+    sigma: int
+    sigma_tilde: int
+    case: CaseLabel
+    wronskian_ok: bool
+    augmented_wronskian_ok: bool | None  # None outside case C
 
 
-def _require_wronskian(fam: PolynomialFamily) -> None:
-    if not fam.wronskian_nonvanishing():
+def _profile(fam: PolynomialFamily, k: int) -> _Profile:
+    sigma, sigma_tilde = degree_stats(fam, k)
+    case = classify_case(fam, k)
+    aug_ok = augmented_family(fam).wronskian_nonvanishing() if case.label == "C" else None
+    return _Profile(fam.d, k, sigma, sigma_tilde, case, fam.wronskian_nonvanishing(), aug_ok)
+
+
+def _require_wronskian(p: _Profile) -> None:
+    if not p.wronskian_ok:
         raise Inapplicable("Wronskian of the family vanishes identically")
+
+
+def _require_linear_y(p: _Profile, missing: str) -> None:
+    """gamma_YL's hypotheses: a nonvanishing Wronskian and, unless the y block is empty (k = d), case A."""
+    _require_wronskian(p)
+    if p.k != p.d and p.case.label != "A":
+        raise Inapplicable(f"{missing} (case {p.case.label})")
+
+
+# Each formula below reads only the profile; the public function of the same
+# name builds the profile of its (family, k) and calls it.
+
+
+def _gamma_star(p: _Profile) -> Fraction:
+    return HALF + Fraction(2 * p.sigma + p.d - p.k + 1, 2 * p.d * p.d + 4 * p.d - 2 * p.k + 2)
+
+
+def _gamma_general(p: _Profile) -> Fraction:
+    _require_wronskian(p)
+    return HALF + Fraction(2 * p.sigma + p.d - p.k, 2 * p.d * p.d + 4 * p.d - 2 * p.k)
+
+
+def _gamma_yl(p: _Profile) -> Fraction:
+    _require_linear_y(p, "no linear polynomial in the y block")
+    return HALF + Fraction(p.sigma, 1) / (2 * s_of(p.d))
+
+
+def _gamma_xl(p: _Profile) -> Fraction:
+    _require_wronskian(p)
+    if p.case.label != "B":
+        raise Inapplicable(f"no linear polynomial confined to the x block (case {p.case.label})")
+    if p.k < 2:
+        raise Inapplicable("moving the linear member to y needs k >= 2")
+    return HALF + Fraction(p.sigma + 1, 1) / (2 * s_of(p.d))
+
+
+def _gamma_nl(p: _Profile) -> Fraction:
+    if p.case.label != "C":
+        raise Inapplicable(f"family already contains a linear polynomial (case {p.case.label})")
+    if not p.augmented_wronskian_ok:
+        raise Inapplicable("Wronskian of the augmented family vanishes identically")
+    return HALF + Fraction(p.sigma + 1, 1) / (2 * s_of(p.d + 1))
+
+
+def _gamma_tilde(p: _Profile) -> Fraction:
+    _require_wronskian(p)
+    if not 2 * p.sigma_tilde < p.d * (p.d + 1):
+        raise Inapplicable(f"sigma~_k = {p.sigma_tilde} >= d(d+1)/2")
+    return HALF + Fraction(2 * p.sigma_tilde + p.d - p.k, 2 * p.d * p.d + 4 * p.d - 2 * p.k)
+
+
+def _disc_gamma(p: _Profile) -> Fraction:
+    _require_wronskian(p)
+    if not 2 * p.sigma < p.d * (p.d + 1):
+        raise Inapplicable(f"sigma_k = {p.sigma} >= d(d+1)/2")
+    return HALF + Fraction(p.d - p.k + 2 * p.sigma + 1, 2 * p.d * p.d + 4 * p.d - 2 * p.k + 2)
+
+
+def _disc_gamma_star(p: _Profile) -> Fraction:
+    return HALF + Fraction(p.d - p.k + 2 * p.sigma + 2, 2 * p.d * p.d + 4 * p.d - 2 * p.k + 4)
+
+
+def _self_improve(p: _Profile, t: Fraction) -> Fraction:
+    _require_linear_y(p, "self-improvement needs a linear polynomial in y")
+    sd = s_of(p.d)
+    return (sd + p.sigma + (p.d - p.k) * t) / (2 * sd + p.d - p.k)
 
 
 def gamma_star(fam: PolynomialFamily, k: int) -> Fraction:
     """The earlier benchmark exponent 1/2 + (2 sigma_k + d - k + 1)/(2d^2 + 4d - 2k + 2)."""
-    d = fam.d
-    sigma = _sigma(fam, k)
-    return HALF + Fraction(2 * sigma + d - k + 1, 2 * d * d + 4 * d - 2 * k + 2)
+    return _gamma_star(_profile(fam, k))
 
 
 def gamma_general(fam: PolynomialFamily, k: int) -> Fraction:
@@ -72,10 +152,7 @@ def gamma_general(fam: PolynomialFamily, k: int) -> Fraction:
     Nontrivial (< 1) exactly when sigma_k < s(d); requires a nonvanishing
     Wronskian.
     """
-    _require_wronskian(fam)
-    d = fam.d
-    sigma = _sigma(fam, k)
-    return HALF + Fraction(2 * sigma + d - k, 2 * d * d + 4 * d - 2 * k)
+    return _gamma_general(_profile(fam, k))
 
 
 def gamma_YL(fam: PolynomialFamily, k: int) -> Fraction:
@@ -84,24 +161,12 @@ def gamma_YL(fam: PolynomialFamily, k: int) -> Fraction:
     At k = d the y block is empty, sigma_d = 0, and the value 1/2 holds
     without any case hypothesis (it coincides with the general bound).
     """
-    _require_wronskian(fam)
-    if k == fam.d:
-        return HALF
-    case = classify_case(fam, k)
-    if case.label != "A":
-        raise Inapplicable(f"no linear polynomial in the y block (case {case.label})")
-    return HALF + Fraction(_sigma(fam, k), 1) / (2 * s_of(fam.d))
+    return _gamma_yl(_profile(fam, k))
 
 
 def gamma_XL(fam: PolynomialFamily, k: int) -> Fraction:
     """The linear-in-x bound 1/2 + (sigma_k + 1)/(2 s(d)); needs case B and k >= 2."""
-    _require_wronskian(fam)
-    case = classify_case(fam, k)
-    if case.label != "B":
-        raise Inapplicable(f"no linear polynomial confined to the x block (case {case.label})")
-    if k < 2:
-        raise Inapplicable("moving the linear member to y needs k >= 2")
-    return HALF + Fraction(_sigma(fam, k) + 1, 1) / (2 * s_of(fam.d))
+    return _gamma_xl(_profile(fam, k))
 
 
 def gamma_NL(fam: PolynomialFamily, k: int) -> Fraction:
@@ -110,12 +175,7 @@ def gamma_NL(fam: PolynomialFamily, k: int) -> Fraction:
     Needs case C and a nonvanishing Wronskian of the augmented family
     (the original family with T appended).
     """
-    case = classify_case(fam, k)
-    if case.label != "C":
-        raise Inapplicable(f"family already contains a linear polynomial (case {case.label})")
-    if not augmented_family(fam).wronskian_nonvanishing():
-        raise Inapplicable("Wronskian of the augmented family vanishes identically")
-    return HALF + Fraction(_sigma(fam, k) + 1, 1) / (2 * s_of(fam.d + 1))
+    return _gamma_nl(_profile(fam, k))
 
 
 def gamma_tilde(fam: PolynomialFamily, k: int) -> Fraction:
@@ -124,12 +184,7 @@ def gamma_tilde(fam: PolynomialFamily, k: int) -> Fraction:
     Uses the sorted-degree statistic, so it holds for arbitrary orthogonal
     projections; applicable only when sigma~_k < d(d+1)/2.
     """
-    _require_wronskian(fam)
-    d = fam.d
-    _, sigma_tilde = degree_stats(fam, k)
-    if not 2 * sigma_tilde < d * (d + 1):
-        raise Inapplicable(f"sigma~_k = {sigma_tilde} >= d(d+1)/2")
-    return HALF + Fraction(2 * sigma_tilde + d - k, 2 * d * d + 4 * d - 2 * k)
+    return _gamma_tilde(_profile(fam, k))
 
 
 def gamma_tilde_classical(d: int, k: int) -> Fraction:
@@ -141,19 +196,12 @@ def gamma_tilde_classical(d: int, k: int) -> Fraction:
 
 def disc_gamma(fam: PolynomialFamily, k: int) -> Fraction:
     """Discrepancy exponent 1/2 + (d - k + 2 sigma_k + 1)/(2d^2 + 4d - 2k + 2)."""
-    _require_wronskian(fam)
-    d = fam.d
-    sigma = _sigma(fam, k)
-    if not 2 * sigma < d * (d + 1):
-        raise Inapplicable(f"sigma_k = {sigma} >= d(d+1)/2")
-    return HALF + Fraction(d - k + 2 * sigma + 1, 2 * d * d + 4 * d - 2 * k + 2)
+    return _disc_gamma(_profile(fam, k))
 
 
 def disc_gamma_star(fam: PolynomialFamily, k: int) -> Fraction:
     """The earlier discrepancy benchmark 1/2 + (d - k + 2 sigma_k + 2)/(2d^2 + 4d - 2k + 4)."""
-    d = fam.d
-    sigma = _sigma(fam, k)
-    return HALF + Fraction(d - k + 2 * sigma + 2, 2 * d * d + 4 * d - 2 * k + 4)
+    return _disc_gamma_star(_profile(fam, k))
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +213,10 @@ def self_improve_map(fam: PolynomialFamily, k: int, t) -> Fraction:
 
     f is affine with slope (d-k)/(2 s(d) + d - k) < 1 and fixes gamma_YL,
     so iterating from any t above the fixed point walks down to it.
-    Applicable in case A.
+    Applicable where gamma_YL is: in case A, and at k = d, where f is the
+    constant 1/2.
     """
-    case = classify_case(fam, k)
-    if case.label != "A":
-        raise Inapplicable(f"self-improvement needs a linear polynomial in y (case {case.label})")
-    d = fam.d
-    sd = s_of(d)
-    t = Fraction(t)
-    return (sd + _sigma(fam, k) + (d - k) * t) / (2 * sd + d - k)
+    return _self_improve(_profile(fam, k), Fraction(t))
 
 
 def fixed_point(
@@ -190,15 +233,15 @@ def fixed_point(
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    target = gamma_YL(fam, k)
+    p = _profile(fam, k)
+    target = _gamma_yl(p)
     if not target <= t0 <= 1:
         raise ValueError(f"t0 must lie in [{target}, 1], got {t0}")
-    d = fam.d
-    slope = Fraction(d - k, 1) / (2 * s_of(d) + d - k)
+    slope = Fraction(p.d - k, 1) / (2 * s_of(p.d) + p.d - k)
     assert slope < 1, "the bootstrap map must be a contraction"
     trace = [t0]
     while True:
-        nxt = self_improve_map(fam, k, trace[-1])
+        nxt = _self_improve(p, trace[-1])
         step = abs(nxt - trace[-1])
         trace.append(nxt)
         if step <= tol:
@@ -209,7 +252,24 @@ def fixed_point(
 # Report assembly
 
 
-_TAG_PRECEDENCE = {"linear-y": 0, "linear-x-moved": 1, "append-linear": 2, "general": 3}
+# every bound a report holds, in the order its values and reasons are listed
+_BOUNDS = (
+    ("gamma_star", _gamma_star),
+    ("gamma", _gamma_general),
+    ("gamma_yl", _gamma_yl),
+    ("gamma_xl", _gamma_xl),
+    ("gamma_nl", _gamma_nl),
+    ("gamma_tilde", _gamma_tilde),
+    ("disc_gamma", _disc_gamma),
+    ("disc_gamma_star", _disc_gamma_star),
+)
+# the sum bounds a report selects from and their tags, in tie-break precedence
+_SELECTED = (
+    ("gamma_yl", "linear-y"),
+    ("gamma_xl", "linear-x-moved"),
+    ("gamma_nl", "append-linear"),
+    ("gamma", "general"),
+)
 
 
 @dataclass(frozen=True)
@@ -265,31 +325,14 @@ def best_bound(fam: PolynomialFamily, k: int) -> ExponentReport:
     case C) the report falls back to the general bound.  Bounds that come
     out above 1 are recorded as trivial rather than selected.
     """
-    sigma, sigma_tilde = degree_stats(fam, k)
-    case = classify_case(fam, k)
-    d = fam.d
-    wr_ok = fam.wronskian_nonvanishing()
-    aug_ok: bool | None = None
-    if case.label == "C":
-        aug_ok = augmented_family(fam).wronskian_nonvanishing()
-
+    p = _profile(fam, k)
     values: dict[str, Fraction] = {}
     reasons: dict[str, str] = {}
-
-    def attempt(name: str, fn, *args):
+    for name, formula in _BOUNDS:
         try:
-            values[name] = fn(*args)
+            values[name] = formula(p)
         except Inapplicable as exc:
             reasons[name] = str(exc)
-
-    attempt("gamma_star", gamma_star, fam, k)
-    attempt("gamma", gamma_general, fam, k)
-    attempt("gamma_yl", gamma_YL, fam, k)
-    attempt("gamma_xl", gamma_XL, fam, k)
-    attempt("gamma_nl", gamma_NL, fam, k)
-    attempt("gamma_tilde", gamma_tilde, fam, k)
-    attempt("disc_gamma", disc_gamma, fam, k)
-    attempt("disc_gamma_star", disc_gamma_star, fam, k)
 
     # A bound above 1 is weaker than the trivial |T| <= N and is not selected.
     for name in list(values):
@@ -297,32 +340,24 @@ def best_bound(fam: PolynomialFamily, k: int) -> ExponentReport:
             reasons[name] = f"exceeds 1 ({values[name]}); trivial"
             del values[name]
 
-    candidates = []
-    if "gamma_yl" in values:
-        candidates.append((values["gamma_yl"], "linear-y"))
-    if "gamma_xl" in values:
-        candidates.append((values["gamma_xl"], "linear-x-moved"))
-    if "gamma_nl" in values:
-        candidates.append((values["gamma_nl"], "append-linear"))
-    if "gamma" in values:
-        candidates.append((values["gamma"], "general"))
-
+    candidates = sorted(
+        (values[name], rank, tag) for rank, (name, tag) in enumerate(_SELECTED) if name in values
+    )
     if candidates:
-        candidates.sort(key=lambda vt: (vt[0], _TAG_PRECEDENCE[vt[1]]))
-        best_val, best_tag = candidates[0]
-        tied = tuple(tag for val, tag in candidates if val == best_val)
+        best_val, _, best_tag = candidates[0]
+        tied = tuple(tag for val, _, tag in candidates if val == best_val)
     else:
         best_val, best_tag, tied = Fraction(1), "trivial", ()
 
     return ExponentReport(
-        d=d,
+        d=p.d,
         k=k,
-        case=case,
-        sigma=sigma,
-        sigma_tilde=sigma_tilde,
-        wronskian_ok=wr_ok,
-        augmented_wronskian_ok=aug_ok,
-        nontrivial=sigma < s_of(d),
+        case=p.case,
+        sigma=p.sigma,
+        sigma_tilde=p.sigma_tilde,
+        wronskian_ok=p.wronskian_ok,
+        augmented_wronskian_ok=p.augmented_wronskian_ok,
+        nontrivial=p.sigma < s_of(p.d),
         values=values,
         reasons=reasons,
         best=best_val,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -847,6 +848,24 @@ def _most_sharing_a_sum(s: int, N: int) -> int:
     return sum((-1) ** j * math.comb(s, j) * math.comb(m - j * N + s - 1, s - 1) for j in range(m // N + 1))
 
 
+def _moment_args(N, two_s) -> tuple[int, int]:
+    """N and 2s as ints, refused unless N >= 1 and 2s is a positive even integer."""
+    N, two_s = _whole("N", N), _whole("two_s", two_s)
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    if two_s < 2 or two_s % 2:
+        raise ValueError(f"two_s must be a positive even integer, got {two_s}")
+    return N, two_s
+
+
+def _whole(name: str, value) -> int:
+    """An integer argument as an int: 7.9 and "7" are refused, not truncated or parsed."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def exact_moment_grid(fam: PolynomialFamily, N: int, two_s: int) -> list[int]:
     """Smallest per-axis grid that integrates |T|^two_s exactly.
 
@@ -855,13 +874,31 @@ def exact_moment_grid(fam: PolynomialFamily, N: int, two_s: int) -> list[int]:
     kills every nonzero frequency.  The extremes come from the ends of
     phi_j's monotone pieces, with no pass over n.
     """
-    N, two_s = int(N), int(two_s)
+    N, two_s = _moment_args(N, two_s)
     s = two_s // 2
     grid = []
     for p in fam.polys:
         low, high = p.extremes(1, N)
         grid.append(s * (high - low) + 1)
     return grid
+
+
+def _residues(polys: Sequence[IntPolynomial], N: int, grid: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """phi_j(n) mod G_j for n = 1..N, one int64 row per axis, by Horner's rule mod G_j.
+
+    A residue and n mod G_j are below G_j <= 2^24, which the memory budget
+    bounds, so no product leaves int64.
+    """
+    n = np.arange(1, N + 1, dtype=np.int64)
+    out = []
+    for p, g in zip(polys, grid):
+        m, r = n % g, np.zeros(N, dtype=np.int64)
+        for c in reversed(p.coeffs):
+            r *= m
+            r += c % g
+            r %= g
+        out.append(r)
+    return tuple(out)
 
 
 def moment_integral(
@@ -877,28 +914,32 @@ def moment_integral(
     for the trigonometric polynomial |T|^two_s, so it reproduces the
     solution count of the corresponding power-sum system.  A too-coarse
     grid raises instead of silently returning an aliased value.
+
+    On a grid G, T(g / G) = sum_r H[r] e(g . r / G), where H[r] sums the a_n
+    with phi(n) = r mod G: one d-dimensional DFT of that histogram gives T
+    at -g for every g, and g -> -g permutes the grid, so the mean is unchanged.
     """
-    N, two_s = int(N), int(two_s)
-    grid = [int(g) for g in grid]
-    if two_s < 2 or two_s % 2:
-        raise ValueError("two_s must be a positive even integer")
+    N, two_s = _moment_args(N, two_s)
+    grid = [_whole("grid entry", g) for g in grid]
     if len(grid) != fam.d:
         raise ValueError(f"grid needs {fam.d} axis sizes")
-    points = math.prod(grid)  # summed over n = 1..N, after N values of each phi_j in Python
-    check_cost("moment_integral", N * (points + fam.d),
-               32 * points + 32 * N * sum(grid) + 64 * N * fam.d + 4096)
+    points = math.prod(grid)
+    # the transform, and a residue per n and axis.  The histogram is 16 bytes a point;
+    # n, n mod G_j and the residues, then the residues and the weights, 8 (d + 2) an n
+    check_cost("moment_integral", points * (points - 1).bit_length() + N * fam.d,
+               16 * points + 8 * N * (fam.d + 2) + 16384)
     required = exact_moment_grid(fam, N, two_s)
     for g, r, p in zip(grid, required, fam.polys):
         if g < r:
             raise ValueError(
                 f"grid axis for {p!r} has {g} points; {r} needed for exactness"
             )
-    weights = a.array(N)
-    operands = []
-    for j, (g, p) in enumerate(zip(grid, fam.polys)):
-        vals = np.array([p(n) % g for n in range(1, N + 1)], dtype=np.float64)
-        js = np.arange(g, dtype=np.float64)
-        operands += [np.exp(2j * np.pi * np.outer(js, vals) / g), [j, fam.d]]
-    # sublist form: axis j of t is grid axis j, axis d runs over n = 1..N
-    t = np.einsum(*operands, weights, [fam.d], list(range(fam.d)))
-    return float(np.mean(np.abs(t) ** two_s))
+    hist = np.zeros(grid, dtype=np.complex128)
+    np.add.at(hist, _residues(fam.polys, N, grid), a.array(N))
+    np.fft.fftn(hist, out=hist)
+    re, im = hist.real, hist.imag  # |T|^2 and its powers in place: no array beyond the histogram
+    np.square(re, out=re)
+    np.square(im, out=im)
+    re += im
+    re **= two_s // 2
+    return float(re.mean())

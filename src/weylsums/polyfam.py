@@ -68,7 +68,7 @@ class IntPolynomial:
 
     @property
     def is_monomial(self) -> bool:
-        return bool(self.coeffs) and all(c == 0 for c in self.coeffs[:-1])
+        return not any(self.coeffs[:-1])
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -241,6 +241,9 @@ class PolynomialFamily:
         return _wronskian_det(self.polys)
 
     def wronskian_nonvanishing(self) -> bool:
+        if all(p.is_monomial for p in self.polys):
+            # the constant of _wronskian_monomial is nonzero exactly when the degrees are distinct
+            return len(set(self.degrees)) == self.d
         return not self._wronskian.is_zero
 
     def __eq__(self, other: object) -> bool:

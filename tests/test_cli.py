@@ -90,14 +90,14 @@ class TestExitCodes:
 
     def test_refused_moment_runs_no_loop(self, capsys, monkeypatch):
         # the grid's extremes come from the ends of T's one monotone piece, and the
-        # moment's check (4e6 n times 4e6 grid points) refuses before the count runs
+        # moment's check (a transform of 1e8 grid points, 27 terms each) refuses before the count runs
         from weylsums import IntPolynomial, cli
 
         calls = []
         monkeypatch.setattr(IntPolynomial, "__call__", lambda p, n: calls.append(n) or sum(
             c * n**i for i, c in enumerate(p.coeffs)))
         monkeypatch.setattr(cli, "vinogradov_count", lambda *args: pytest.fail("the count ran"))
-        code, _, err = run(capsys, "vinogradov", "--d", "1", "--s", "1", "--N", "4000000", "--check-moment")
+        code, _, err = run(capsys, "vinogradov", "--d", "1", "--s", "1", "--N", "100000000", "--check-moment")
         assert code == 3
         assert "moment_integral" in err and "work budget" in err
         assert len(calls) <= 4

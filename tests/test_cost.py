@@ -25,9 +25,11 @@ U3 = w.TorusPoint.from_reals([0.1, 0.2, 0.3])
 SRC = pathlib.Path(w.__file__).parent
 
 
-def _moment(N):
-    grid = w.exact_moment_grid(FAM2, N, 6)
-    return lambda: w.moment_integral(FAM2, UNIT, N, 6, grid)
+def _moment(fam, two_s):
+    def prepare(N):
+        grid = w.exact_moment_grid(fam, N, two_s)
+        return lambda: w.moment_integral(fam, UNIT, N, two_s, grid)
+    return prepare
 
 
 def _census(N):
@@ -104,7 +106,9 @@ CASES = {
     # windows that cover much of a level's S_1 range: the loosest declarations, 1.94-1.96
     "vinogradov_count_wide_windows": ("vinogradov_count", lambda dsN: lambda: w.vinogradov_count(*dsN),
                                       ((2, 5, 12), (2, 4, 40))),
-    "moment_integral": ("moment_integral", _moment, (16, 24)),
+    "moment_integral": ("moment_integral", _moment(FAM2, 6), (16, 24)),
+    # one axis of N points: the residues and the weights outweigh the grid
+    "moment_integral_one_axis": ("moment_integral", _moment(w.classical_family(1), 2), (1000, 10**5)),
     "classical_family": ("classical_family", lambda d: lambda: w.classical_family(d), (100, 3000)),
     "parse_family": ("parse_family", _on(w.parse_family, lambda d: [[j, 2 * j + 1, 7, 1] for j in range(d)]),
                      (100, 1000)),
@@ -232,6 +236,12 @@ class TestRefusedBeforeWork:
     def test_moment_grid_of_2_pow_24_points(self):
         with pytest.raises(BudgetError, match="moment_integral.*memory"):
             w.moment_integral(FAM2, UNIT, 16, 6, [4096, 4096])
+
+    def test_moment_of_four_million_points_admitted(self, admitted):
+        # classical:1 at N = 4e6, 2s = 2: 9.2e7 terms and 160 MB; at 1e8 the transform is past the work budget
+        fam = w.classical_family(1)
+        assert admitted(w.moment_integral, fam, UNIT, 4 * 10**6, 2, [4 * 10**6])
+        assert not admitted(w.moment_integral, fam, UNIT, 10**8, 2, [10**8])
 
     def test_sweep_draws(self):
         # 16 GB of y draws; 3e8 window starts, declared at 48 bytes each

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from weylsums import (
     s_of,
     self_improve_map,
 )
-from weylsums.polyfam import IntPolynomial
+from weylsums.polyfam import IntPolynomial, augmented_family, classify_case, degree_stats, wronskian
 
 HALF = Fraction(1, 2)
 
@@ -245,3 +246,158 @@ class TestBestBound:
         assert js["values"]["gamma"] == {"num": 6, "den": 7, "decimal": 6 / 7}
         assert js["best_tag"] == rep.best_tag
         assert js["case"].startswith("B")
+
+
+# ---------------------------------------------------------------------------
+# Each exponent computed on its own, straight from the family, as a reference
+# for the shared degree profile: every statistic and hypothesis is re-derived
+# per function, and the Wronskian flags come from the determinant polynomial.
+
+
+def _ref_bounds(fam, k):
+    """name -> the value of each exponent at (fam, k), or the reason it does not apply."""
+    d = fam.d
+    sigma, sigma_tilde = degree_stats(fam, k)
+    case = classify_case(fam, k).label
+    wr = not wronskian(fam).is_zero
+    out = {"gamma_star": HALF + Fraction(2 * sigma + d - k + 1, 2 * d * d + 4 * d - 2 * k + 2)}
+    no_wr = "Wronskian of the family vanishes identically"
+    out["gamma"] = HALF + Fraction(2 * sigma + d - k, 2 * d * d + 4 * d - 2 * k) if wr else no_wr
+    if not wr:
+        out["gamma_yl"] = no_wr
+    elif k == d:
+        out["gamma_yl"] = HALF
+    elif case != "A":
+        out["gamma_yl"] = f"no linear polynomial in the y block (case {case})"
+    else:
+        out["gamma_yl"] = HALF + Fraction(sigma, d * (d + 1))
+    if not wr:
+        out["gamma_xl"] = no_wr
+    elif case != "B":
+        out["gamma_xl"] = f"no linear polynomial confined to the x block (case {case})"
+    elif k < 2:
+        out["gamma_xl"] = "moving the linear member to y needs k >= 2"
+    else:
+        out["gamma_xl"] = HALF + Fraction(sigma + 1, d * (d + 1))
+    if case != "C":
+        out["gamma_nl"] = f"family already contains a linear polynomial (case {case})"
+    elif wronskian(augmented_family(fam)).is_zero:
+        out["gamma_nl"] = "Wronskian of the augmented family vanishes identically"
+    else:
+        out["gamma_nl"] = HALF + Fraction(sigma + 1, (d + 1) * (d + 2))
+    if not wr:
+        out["gamma_tilde"] = no_wr
+    elif 2 * sigma_tilde >= d * (d + 1):
+        out["gamma_tilde"] = f"sigma~_k = {sigma_tilde} >= d(d+1)/2"
+    else:
+        out["gamma_tilde"] = HALF + Fraction(2 * sigma_tilde + d - k, 2 * d * d + 4 * d - 2 * k)
+    if not wr:
+        out["disc_gamma"] = no_wr
+    elif 2 * sigma >= d * (d + 1):
+        out["disc_gamma"] = f"sigma_k = {sigma} >= d(d+1)/2"
+    else:
+        out["disc_gamma"] = HALF + Fraction(d - k + 2 * sigma + 1, 2 * d * d + 4 * d - 2 * k + 2)
+    out["disc_gamma_star"] = HALF + Fraction(d - k + 2 * sigma + 2, 2 * d * d + 4 * d - 2 * k + 4)
+    return out
+
+
+def _ref_report(fam, k):
+    """best_bound(fam, k).to_json(), assembled from _ref_bounds."""
+    def enc(fr):
+        return {"num": fr.numerator, "den": fr.denominator, "decimal": float(fr)}
+
+    bounds = _ref_bounds(fam, k)
+    values = {n: v for n, v in bounds.items() if isinstance(v, Fraction) and v <= 1}
+    reasons = {n: v for n, v in bounds.items() if isinstance(v, str)}
+    reasons.update({n: f"exceeds 1 ({v}); trivial" for n, v in bounds.items() if isinstance(v, Fraction) and v > 1})
+    tags = [("gamma_yl", "linear-y"), ("gamma_xl", "linear-x-moved"), ("gamma_nl", "append-linear"),
+            ("gamma", "general")]
+    candidates = sorted((values[n], rank, tag) for rank, (n, tag) in enumerate(tags) if n in values)
+    best = candidates[0][0] if candidates else Fraction(1)
+    case = classify_case(fam, k)
+    sigma, sigma_tilde = degree_stats(fam, k)
+    return {
+        "d": fam.d,
+        "k": k,
+        "case": str(case),
+        "sigma": sigma,
+        "sigma_tilde": sigma_tilde,
+        "wronskian_ok": not wronskian(fam).is_zero,
+        "augmented_wronskian_ok": not wronskian(augmented_family(fam)).is_zero if case.label == "C" else None,
+        "nontrivial": sigma < s_of(fam.d),
+        "values": {n: enc(v) for n, v in values.items()},
+        "reasons": reasons,
+        "best": enc(best),
+        "best_tag": candidates[0][2] if candidates else "trivial",
+        "best_tied": [tag for v, _, tag in candidates if v == best],
+    }
+
+
+PUBLIC = {
+    "gamma_star": gamma_star,
+    "gamma": gamma_general,
+    "gamma_yl": gamma_YL,
+    "gamma_xl": gamma_XL,
+    "gamma_nl": gamma_NL,
+    "gamma_tilde": gamma_tilde,
+    "disc_gamma": disc_gamma,
+    "disc_gamma_star": disc_gamma_star,
+}
+
+PROFILE_CASES = [(classical_family(d), k) for d in range(1, 9) for k in range(1, d + 1)] + [
+    (parse_family([[0, 0, 1], [0, 0, 0, 0, 1], [0, 1]]), 1),  # case A
+    (yl_family(5), 2),  # case A
+    (parse_family([[0, 0, 1], [0, 0, 0, 1]]), 1),  # case C, the augmented Wronskian nonvanishing
+    (parse_family([[0, 0, 1], [0, 0, 0, 1]]), 2),
+    (parse_family([[0, 0, 1], [0, 1, 1]]), 1),  # case C, the augmented Wronskian vanishing
+    (parse_family([[0, 0, 1], [0, 0, 2]]), 1),  # (T^2, 2T^2): every Wronskian vanishes
+    (parse_family([[0, 0, 1], [0, 0, 2]]), 2),
+    (parse_family([[0, 1], [0, 2]]), 1),  # (T, 2T): case A, Wronskian vanishing
+]
+
+
+class TestProfileAgreesWithReference:
+    def test_every_public_exponent(self):
+        for fam, k in PROFILE_CASES:
+            for name, expect in _ref_bounds(fam, k).items():
+                if isinstance(expect, Fraction):
+                    assert PUBLIC[name](fam, k) == expect, (fam, k, name)
+                else:
+                    with pytest.raises(Inapplicable) as exc:
+                        PUBLIC[name](fam, k)
+                    assert str(exc.value) == expect, (fam, k, name)
+
+    def test_best_bound_report(self):
+        for fam, k in PROFILE_CASES:
+            got = best_bound(fam, k).to_json()
+            assert json.dumps(got) == json.dumps(_ref_report(fam, k)), (fam, k)
+
+    def test_self_improvement_applies_where_gamma_yl_does(self):
+        for fam, k in PROFILE_CASES:
+            yl = _ref_bounds(fam, k)["gamma_yl"]
+            if isinstance(yl, str):
+                with pytest.raises(Inapplicable):
+                    self_improve_map(fam, k, 1)
+                with pytest.raises(Inapplicable):
+                    fixed_point(fam, k, 1, Fraction(1, 100))
+                continue
+            d = fam.d
+            sd = s_of(d)
+            sigma = degree_stats(fam, k)[0]
+            for t in (yl, Fraction(3, 4), 1):
+                assert self_improve_map(fam, k, t) == (sd + sigma + (d - k) * t) / (2 * sd + d - k)
+            value, trace = fixed_point(fam, k, 1, Fraction(1, 10**9))
+            assert abs(value - yl) <= Fraction(1, 10**9) and trace[0] == 1
+
+
+def test_self_improvement_at_k_d_is_constant_half():
+    # sigma_d = 0 and the slope (d - k)/(2 s(d) + d - k) is 0: the map is gamma_YL's 1/2, in any case
+    fam = classical_family(3)
+    assert best_bound(fam, 3).best_tag == "linear-y"
+    for t in (0, Fraction(3, 4), 1):
+        assert self_improve_map(fam, 3, t) == HALF
+    value, trace = fixed_point(fam, 3, Fraction(3, 4), Fraction(1, 100))
+    assert value == gamma_YL(fam, 3) == HALF
+    assert trace == [Fraction(3, 4), HALF, HALF]
+    with pytest.raises(Inapplicable, match="case B"):
+        self_improve_map(fam, 2, 1)

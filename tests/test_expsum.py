@@ -690,6 +690,59 @@ class TestMoments:
         assert moment_integral(fam, UNIT, 3, 4, grid) == pytest.approx(15, rel=1e-9)
 
 
+def _moment_oracle(fam, a, N, two_s, grid):
+    """The mean of |T|^two_s over the grid, T contracted directly from the exp tables: O(P N)."""
+    operands = []
+    for j, (g, p) in enumerate(zip(grid, fam.polys)):
+        vals = np.array([p(n) % g for n in range(1, N + 1)], dtype=np.float64)
+        operands += [np.exp(2j * np.pi * np.outer(np.arange(g), vals) / g), [j, fam.d]]
+    t = np.einsum(*operands, a.array(N), [fam.d], list(range(fam.d)))
+    return float(np.mean(np.abs(t) ** two_s))
+
+
+class TestMomentByTransform:
+    def test_equals_the_count(self):
+        # on the exact grid the quadrature is J_{s,d}(N), for d <= 3 and s <= 3
+        for d, s, N in itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 3, 4)):
+            fam = classical_family(d)
+            moment = moment_integral(fam, UNIT, N, 2 * s, exact_moment_grid(fam, N, 2 * s))
+            assert moment == pytest.approx(vinogradov_count(d, s, N), rel=1e-12, abs=0), (d, s, N)
+        for N in (10, 20):
+            fam = classical_family(1)
+            assert moment_integral(fam, UNIT, N, 6, exact_moment_grid(fam, N, 6)) == pytest.approx(
+                vinogradov_count(1, 3, N), rel=1e-12, abs=0)
+
+    def test_matches_the_direct_contraction(self):
+        rng = np.random.default_rng(20261019)
+        weights = WeightSeq.explicit(rng.normal(size=12) + 1j * rng.normal(size=12), C=10.0)
+        for spec, N, two_s, pad in (
+            ("classical:2", 6, 4, (0, 0)),
+            ("classical:2", 5, 2, (3, 11)),
+            ([[0, 1], [0, 0, 0, 1]], 5, 4, (0, 0)),
+            ([[0, 1], [0, 0, 0, 1]], 4, 2, (7, 2)),
+            ([[1, 2, 3], [0, 0, 0, 1]], 4, 2, (0, 0)),
+            ([[1, 2, 3], [0, 0, 0, 1]], 3, 4, (5, 9)),
+            ([[0, -3, 1]], 12, 6, (4,)),
+        ):
+            fam = parse_family(spec)
+            grid = [g + extra for g, extra in zip(exact_moment_grid(fam, N, two_s), pad)]
+            for a in (UNIT, weights):
+                expect = _moment_oracle(fam, a, N, two_s, grid)
+                assert moment_integral(fam, a, N, two_s, grid) == pytest.approx(expect, rel=1e-12, abs=0), spec
+
+    def test_inputs_refused_before_work(self):
+        fam = classical_family(1)
+        for N, two_s, grid, word in ((0, 2, [5], "N"), (-3, 2, [9], "N"), (4, 2, [7.9], "grid"),
+                                     (4, 2, ["7"], "grid"), (4.0, 2, [7], "N"), (4, 3, [7], "two_s"),
+                                     (4, 0, [7], "two_s")):
+            with pytest.raises(ValueError, match=word):
+                moment_integral(fam, UNIT, N, two_s, grid)
+        for N, two_s, word in ((3, -4, "two_s"), (3, 3, "two_s"), (0, 2, "N"), (-2, 2, "N")):
+            with pytest.raises(ValueError, match=word):
+                exact_moment_grid(fam, N, two_s)
+        assert exact_moment_grid(fam, 3, 4) == [5]
+
+
 class TestBudgets:
     # the last admitted size and the first refused one, pinned without
     # running either; one real refusal each, far past the boundary

@@ -179,6 +179,27 @@ class TestWronskian:
                 assert w == det(_derivative_rows(polys))
                 assert w.is_zero == repeat
 
+    def test_nonvanishing_flag_matches_the_determinant(self):
+        # monomial families answer from their degrees; every flag agrees with
+        # the determinant polynomial and with the cofactor expansion
+        from weylsums.polyfam import _det_cofactor
+
+        specs = [
+            [[0, 1], [0, 0, 1]], [[0, 1], [0, 2]], [[0, 0, 1], [0, 0, 2]], [[0, 0, 0, 3], [0, -2], [0, 0, 0, 0, 5]],
+            [[0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 7]], [[0, 0, 0, 1], [0, 0, 0, -1], [0, 1]],
+            [[9, -6, 1], [81, -108, 54, -12, 1]], [[0, 0, 1], [0, 1, 1]], [[0, 0, 1], [0, 1, 1], [0, 1]],
+            [[1, 2, 3], [0, 0, 0, 1]], [[0, 1, 1], [0, 2, 2, 1], [5, 0, 0, 1]],
+        ]
+        families = [parse_family(s) for s in specs] + [classical_family(d) for d in range(1, 7)]
+        families.append(augmented_family(parse_family([[0, 0, 1], [0, 0, 0, 1]])))
+        seen = set()
+        for fam in families:
+            flag = fam.wronskian_nonvanishing()
+            assert flag == (not wronskian(fam).is_zero)
+            assert flag == (not _det_cofactor(_derivative_rows(list(fam.polys))).is_zero)
+            seen.add((all(p.is_monomial for p in fam.polys), flag))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
     def test_nonmonomial_family(self):
         # ((T-3)^2, (T-3)^4) has a nonvanishing Wronskian
         fam = parse_family([[9, -6, 1], [81, -108, 54, -12, 1]])
