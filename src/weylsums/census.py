@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvariantViolation, check_cost
 from .expsum import (WeightSeq, _expi_bytes, _majorant, _phase_rows, _quantize_array, _reduce_rows, _slab_terms,
-                     _twisted)
+                     _twisted, _whole)
 from .polyfam import PolynomialFamily
 
 __all__ = [
@@ -93,9 +93,10 @@ def grid_sides(fam: PolynomialFamily, N: int, alpha, eps) -> BoxGrid:
 
     alpha and eps may be Fractions, strings ("0.05") or floats; they are
     converted to exact rationals so the per-axis ceilings are computed with
-    integer root extraction rather than rounded float powers.
+    integer root extraction rather than rounded float powers.  N must be an
+    integer: 4.7 and "8" are refused, not truncated or parsed.
     """
-    N = int(N)
+    N = _whole("N", N)
     try:
         alpha, eps = Fraction(alpha), Fraction(eps)
     except ZeroDivisionError as exc:  # "1/0"
@@ -208,7 +209,7 @@ def census(
     asserted on every run; when ``alphas`` is given the same peaks are
     re-thresholded per alpha and the marked counts are checked to be monotone.
     """
-    if samples_per_box < 1:
+    if _whole("samples_per_box", samples_per_box) < 1:
         raise ValueError("samples_per_box must be >= 1")
     _check_seed(seed)
     N = grid.N
@@ -390,16 +391,19 @@ def project_union(
 ) -> ProjectionResult:
     """Measure of the projection of the marked-box union onto the subspace.
 
-    k = 1 merges the support intervals of the boxes exactly; an axis-aligned
-    basis reduces to counting distinct coordinate prefixes (also exact);
-    k = d is a rotation, so the measure is the exact union volume.  The
-    remaining case k = 2 < d runs Monte Carlo over the projected bounding
-    box with a reported standard error, using the fact that all projected
-    boxes are translates of one convex polygon.  Samples are tested against
-    the polygons of their own cell first, and those that missed against each
-    neighbouring cell in turn, in blocks of PAIR_BLOCK (sample, polygon) pairs.
+    ``marked_boxes`` holds one row of d box indices per marked box; an index
+    outside its axis's count is refused.  k = 1 merges the support intervals
+    of the boxes exactly.  An axis-aligned basis counts the distinct index
+    prefixes on its axes, and k = d, a rotation, counts the distinct boxes:
+    both exact, so a repeated box counts once.  The remaining case k = 2 < d
+    runs Monte Carlo over the projected bounding box with a reported standard
+    error, using the fact that all projected boxes are translates of one
+    convex polygon.  Each sample tests the next 1, 2, 4, ... translates of
+    its own cell, then of the cells around it, and stops at its first hit;
+    each round of tests runs in blocks of PAIR_BLOCK (sample, polygon) pairs.
     """
     d = grid.d
+    samples = _whole("samples", samples)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     _check_seed(seed)
@@ -408,10 +412,18 @@ def project_union(
     k = spec.k
     if (m := len(marked_boxes)) == 0:
         return ProjectionResult(0.0, "exact_1d" if k == 1 else "exact_axis", None)
-    idx = np.asarray(marked_boxes, dtype=np.int64)
+    idx = np.asarray(marked_boxes)
+    if idx.ndim != 2 or idx.shape[1] != d or idx.dtype.kind not in "iu":
+        raise ValueError(f"marked_boxes must be an (m, {d}) array of integer box indices, "
+                         f"got shape {idx.shape} of {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False)
+    for ax, (col, n) in enumerate(zip(idx.T, grid.counts)):  # column by column: an axis-0 pass is slow
+        if col.min() < 0 or col.max() >= n:
+            row = int(np.argmax((col < 0) | (col >= n)))
+            raise ValueError(f"marked box at row {row} has index {col[row]} on axis {ax}, outside 0..{n - 1}")
     zeta = np.array([float(z) for z in grid.sides])
 
-    if k == 1:  # every route but the rotation declares the peak measured on it
+    if k == 1:
         check_cost("project_union", m, (16 * d + 56) * m + 4096)
         e = spec.basis[0]
         centers = (idx + 0.5) * zeta
@@ -420,23 +432,28 @@ def project_union(
         return ProjectionResult(_union_length(mid - hw, mid + hw), "exact_1d", None)
 
     axes = [_axis_of(row) for row in spec.basis]
-    if all(ax is not None for ax in axes):
-        check_cost("project_union", m, (8 * k + 104) * m + 4096)  # a Python set of up to m keys
-        # a set of packed keys, not np.unique, which imports numpy.ma (about 1.7 MiB)
-        keys = np.ravel_multi_index(tuple(idx[:, axes].T), [grid.counts[ax] for ax in axes])
-        measure = len(set(keys.tolist())) * math.prod(float(grid.sides[ax]) for ax in axes)
-        return ProjectionResult(measure, "exact_axis", None)
-
-    if k == d:
-        # Full-rank orthonormal projection is a rotation: measure preserved,
-        # and grid boxes are disjoint.
-        return ProjectionResult(m * math.prod(map(float, grid.sides)), "exact_full", None)
+    if None not in axes or k == d:
+        # a rotation keeps volume, and distinct grid boxes are disjoint: count them
+        axes, method = (axes, "exact_axis") if None not in axes else (list(range(d)), "exact_full")
+        check_cost("project_union", m, (16 * k + 10) * m + 4096)  # the k index rows, sorted, and two flags a box
+        # distinct index rows by one lexicographic sort: not np.unique, which imports numpy.ma
+        # (about 1.7 MiB), nor packed keys, whose range passes 2^63 on a grid of as many boxes
+        cols = idx.T[axes]
+        cols = cols[:, np.lexsort(cols)]
+        new = np.zeros(m, dtype=bool)
+        new[0] = True
+        for col in cols:
+            new[1:] |= col[1:] != col[:-1]
+        return ProjectionResult(int(new.sum()) * math.prod(float(grid.sides[ax]) for ax in axes), method, None)
 
     if k != 2:
         raise NotImplementedError("general Monte Carlo projection is implemented for k in {1, 2, d}")
-    # a pair block holds at most PAIR_BLOCK pairs, or the m translates of one crowded cell
+    # 56 bytes a box: its translate and cell, its key, the sort order and the sorted key.  104 a
+    # sample: its point, cell and key, then a round's cursors.  32 + 18 d a pair of one block
+    # (at most PAIR_BLOCK pairs, or one sample's translates of a crowded cell): its sample and
+    # translate, their offset, and one test on each of the hull's up to 2 d edges
     check_cost("project_union", m + samples,
-               56 * m + 88 * samples + 88 * max(PAIR_BLOCK, m) + ((8 * d + 32) << d) + 4096)
+               56 * m + 104 * samples + (32 + 18 * d) * max(PAIR_BLOCK, m) + ((8 * d + 32) << d) + 4096)
     B = spec.basis  # (2, d)
     corners = np.array(
         [[(b >> j) & 1 for j in range(d)] for b in range(1 << d)], dtype=np.float64
@@ -449,35 +466,51 @@ def project_union(
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     offsets = np.einsum("ij,ij->i", normals, hull)
 
-    trans = (idx * zeta) @ B.T  # translate of each marked box's zonotope
-    lo = trans.min(axis=0) + zono.min(axis=0)
-    hi = trans.max(axis=0) + zono.max(axis=0)
+    # each marked box's corner (scaled in place: idx * zeta casts in a slow broadcast loop), then
+    # the translate of its zonotope and the samples, one row an axis
+    trans = idx.astype(np.float64)
+    trans *= zeta
+    trans = np.ascontiguousarray((trans @ B.T).T)
+    lo = trans.min(axis=1) + zono.min(axis=0)
+    hi = trans.max(axis=1) + zono.max(axis=0)
     area_box = float(np.prod(hi - lo))
+    gen = np.random.Generator(np.random.Philox(key=(int(seed) << 64) | 0x70726F6A))
+    xs = np.ascontiguousarray((lo + gen.random((samples, 2)) * (hi - lo)).T)
 
     # translates bucketed by cells of side rad, indexed by sorted packed cell keys
     rad = float(np.max(np.linalg.norm(zono - centroid, axis=1)))
     cell = max(rad, 1e-300)
-    gen = np.random.Generator(np.random.Philox(key=(int(seed) << 64) | 0x70726F6A))
-    xs = lo + gen.random((samples, 2)) * (hi - lo)
     cells = np.floor(trans / cell).astype(np.int64)
-    probes = np.floor((xs - centroid) / cell).astype(np.int64)
-    base = np.minimum(cells.min(axis=0), probes.min(axis=0)) - 1  # neighbour cells stay >= base
-    width = int(np.max(np.maximum(cells.max(axis=0), probes.max(axis=0)) - base)) + 2
-    pack = [width, 1]  # cell (x, y) -> key (x - base_x) * width + (y - base_y), one-to-one
-    keys = (cells - base) @ pack
+    probes = np.floor((xs - centroid[:, None]) / cell).astype(np.int64)
+    base = np.minimum(cells.min(axis=1), probes.min(axis=1))[:, None] - 1  # neighbour cells stay >= base
+    cells -= base
+    probes -= base
+    width = int(max(cells.max(), probes.max())) + 2
+    keys = cells[0] * width + cells[1]  # cell (x, y) -> (x - base_x) * width + (y - base_y), one-to-one
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
+    probe_keys = probes[0] * width + probes[1]
 
     hit = np.zeros(samples, dtype=bool)
-    live = np.arange(samples)
-    for shift in [(0, 0), (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]:
-        probe_keys = (probes[live] - base + shift) @ pack
-        first = np.searchsorted(keys, probe_keys)
-        for rows, pos in _pair_blocks(first, np.searchsorted(keys, probe_keys, side="right") - first):
-            rel = xs[live[rows]] - trans[order[pos]]
-            # einsum, not a BLAS product: nothing pins BLAS's thread pool
-            inside = np.all(np.einsum("pi,ei->pe", rel, normals) <= offsets + 1e-12, axis=1)
-            hit[live[rows[inside]]] = True
+    live = np.argsort(probe_keys, kind="stable")  # samples in key order: sorted needles search faster
+    # a sample's own cell, the two beside it, then the three cells of the row on either side:
+    # each a run of consecutive keys, so one pair of searches finds its translates
+    for first, last in [(0, 0), (-1, -1), (1, 1), (-width - 1, 1 - width), (width - 1, width + 1)]:
+        rows, step = live, 1
+        pos = np.searchsorted(keys, probe_keys[live] + first)
+        end = np.searchsorted(keys, probe_keys[live] + last, side="right")
+        more = pos < end
+        while more.any():  # the next 1, 2, 4, ... translates of each sample still out
+            rows, pos, end = rows[more], pos[more], end[more]
+            count = np.minimum(end - pos, step)
+            for r, at in _pair_blocks(pos, count):
+                rel = xs.take(rows[r], axis=1) - trans.take(order[at], axis=1)
+                # einsum, not a BLAS product: nothing pins BLAS's thread pool
+                inside = np.all(np.einsum("ip,ei->ep", rel, normals) <= offsets[:, None] + 1e-12, axis=0)
+                hit[rows[r[inside]]] = True
+            pos = np.where(hit[rows], end, pos + count)  # a hit ends the sample's search
+            more = pos < end
+            step *= 2
         live = live[~hit[live]]  # own cell first: most hits leave before the neighbours
     hits = int(hit.sum())
     p = hits / samples

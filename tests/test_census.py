@@ -72,6 +72,13 @@ class TestGridSides:
         with pytest.raises(ValueError):
             grid_sides(fam, 16, Fraction(3, 4), Fraction(0))
 
+    @pytest.mark.parametrize("N", [4.7, 4.0, "8"])
+    def test_non_integer_N_refused(self, N):
+        # refused, not truncated to 4 or parsed to 8
+        with pytest.raises(ValueError, match="N must be an integer"):
+            grid_sides(classical_family(2), N, Fraction(3, 4), Fraction(1, 4))
+        assert grid_sides(classical_family(2), np.int64(4), Fraction(3, 4), Fraction(1, 4)).counts == (8, 32)
+
     def test_budget(self):
         # a grid allocates nothing, so any size is built; the census on it
         # checks its own cost
@@ -206,6 +213,11 @@ class TestCensus:
             g = grid_sides(fam, N, Fraction(1, 2), Fraction(1, 4))
             assert admitted(census, fam, UNIT, g, samples_per_box=1) is fits
 
+    @pytest.mark.parametrize("spb", [2.5, 2.0, "2"])
+    def test_non_integer_samples_per_box_refused(self, spb):
+        with pytest.raises(ValueError, match="samples_per_box must be an integer"):
+            census(classical_family(2), UNIT, small_grid(), samples_per_box=spb)
+
     def test_moment_accumulates(self):
         g = small_grid()
         res = census(classical_family(2), UNIT, g, samples_per_box=2, seed=5)
@@ -258,6 +270,16 @@ def unit_box_grid(sides):
         sides=tuple(Fraction(s).limit_denominator() for s in sides),
         counts=counts, U=math.prod(counts), degrees=tuple(range(1, len(sides) + 1)),
     )
+
+
+GRID_8_32 = grid_sides(classical_family(2), 4, Fraction(3, 4), Fraction(1, 4))  # 8 x 32 boxes
+GRID_8_32_64 = unit_box_grid([Fraction(1, 8), Fraction(1, 32), Fraction(1, 64)])
+ROUTES = {  # a grid and a basis for each route of project_union
+    "line": (GRID_8_32, ProjectionSpec([[0.6, 0.8]])),
+    "axis": (GRID_8_32, ProjectionSpec.coordinate(2, 2)),
+    "full": (GRID_8_32, ProjectionSpec(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2))),
+    "monte_carlo": (GRID_8_32_64, ProjectionSpec(np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]) / math.sqrt(2))),
+}
 
 
 class TestProjections:
@@ -370,6 +392,61 @@ class TestProjections:
         assert project_union(g, marked, rot, samples=256, seed=(1 << 64) - 1).method == "monte_carlo"
         assert census(classical_family(2), UNIT, small_grid(), 1, seed=(1 << 64) - 1).U == small_grid().U
 
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_non_integer_samples_refused(self, route):
+        # on the exact routes too, where samples is not used
+        g, spec = ROUTES[route]
+        for samples in (10.5, 16.0, "16"):
+            with pytest.raises(ValueError, match="samples must be an integer"):
+                project_union(g, [(0,) * g.d], spec, samples=samples)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_repeated_box_counts_once(self, route):
+        # every route measures the union of the marked boxes, so a repeated box counts once
+        g, spec = ROUTES[route]
+        boxes = [(1,) * g.d, (2,) * g.d]
+        once = project_union(g, boxes, spec, seed=1)
+        assert project_union(g, boxes + boxes[:1], spec, seed=1) == once
+        assert project_union(g, boxes[:1] * 3, spec, seed=1) == project_union(g, boxes[:1], spec, seed=1)
+
+    def test_rotation_counts_distinct_boxes(self):
+        g, rot = ROUTES["full"]
+        assert project_union(g, [(0, 0)], rot) == (0.00390625, "exact_full", None)
+        assert project_union(g, [(0, 0), (0, 0)], rot) == (0.00390625, "exact_full", None)
+        assert project_union(g, [(0, 0), (7, 31), (0, 0), (7, 31), (3, 3)], rot).measure == 3 / 256
+
+    def test_exact_routes_past_2_pow_63_boxes(self):
+        # classical:6 at N = 64 has about 2^180 boxes: no packed key of all six indices fits
+        g = grid_sides(classical_family(6), 64, Fraction(1, 2), Fraction(1, 4))
+        assert g.U > 1 << 63
+        boxes = [(0,) * 6, (1, 2, 3, 4, 5, 6), (0,) * 6]
+        volume = math.prod(float(z) for z in g.sides)
+        rotation = ProjectionSpec(np.linalg.qr(np.random.default_rng(0).normal(size=(6, 6)))[0])
+        for spec in (ProjectionSpec.coordinate(6, 6), rotation):
+            assert project_union(g, boxes, spec).measure == 2 * volume
+        plane = project_union(g, boxes, ProjectionSpec.coordinate(6, 2)).measure
+        assert plane == 2 * float(g.sides[0]) * float(g.sides[1])
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("box, row, axis", [((99, 0), 1, 0), ((-1, 0), 1, 0), ((0, 32), 1, 1), ((0, -5), 1, 1)])
+    def test_box_outside_grid_refused(self, route, box, row, axis):
+        # on the 8 x 32 grid: was a line measure of 0.25 for (99, 0), 0.125 for (-1, 0), and
+        # numpy's "invalid entry in coordinates array" on the axis route
+        g, spec = ROUTES[route]
+        boxes = [(0,) * g.d, box + (0,) * (g.d - 2), (1,) * g.d]
+        with pytest.raises(ValueError, match=f"row {row} has index {box[axis]} on axis {axis}"):
+            project_union(g, boxes, spec, samples=64)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_marked_boxes_shape_refused(self, route):
+        # a flat list (was IndexError), one index too many (was accepted by the axis route),
+        # and box indices that are not integers
+        g, spec = ROUTES[route]
+        for boxes in ([0] * g.d, np.zeros((3, g.d + 1), dtype=np.int64), [(0,) * (g.d - 1)],
+                      np.full((2, g.d), 0.5)):
+            with pytest.raises(ValueError, match="marked_boxes must be an"):
+                project_union(g, boxes, spec, samples=64)
+
     def test_per_box_bound_needs_line(self):
         g = small_grid()
         with pytest.raises(ValueError):
@@ -465,6 +542,24 @@ class TestPrunedProjection:
         g, marked, _ = self.subset(seed=3, share=0.2)
         spec = ProjectionSpec(np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]) / math.sqrt(2))
         assert project_union(g, marked, spec, seed=3) == per_sample_reference(g, marked, spec, seed=3)
+
+    def test_first_hits_test_few_pairs(self, monkeypatch):
+        # testing every sample against every translate of its nine cells is 260707
+        # (sample, polygon) pairs here; stopping at each sample's first hit tests under a third
+        mod = sys.modules["weylsums.census"]
+        g, res, spec = self.scan_census(1)
+        pairs = []
+        real = mod._pair_blocks
+
+        def spy(first, count):
+            for rows, pos in real(first, count):
+                pairs.append(len(rows))
+                yield rows, pos
+
+        monkeypatch.setattr(mod, "_pair_blocks", spy)
+        project_union(g, res.marked_boxes, spec, seed=1)  # its result is test_scan_census's
+        assert 4096 <= sum(pairs) <= 260707 // 3
+        assert max(pairs) <= mod.PAIR_BLOCK
 
     def test_blocks_split_and_overflow(self, monkeypatch):
         mod = sys.modules["weylsums.census"]

@@ -1,9 +1,8 @@
 """The one cost model: each entry point's declared (terms, peak bytes).
 
 Every public entry point calls ``errors.check_cost`` once before its
-work (``project_union``'s O(1) rotation route has none to check).  Each
-declared peak is checked here against the peak tracemalloc measures
-when the call runs, at two sizes or more each.
+work.  Each declared peak is checked here against the peak tracemalloc
+measures when the call runs, at two sizes or more each.
 """
 
 import ast
@@ -42,6 +41,7 @@ def _census(N):
 BIG_GRID = w.grid_sides(FAM3, 8, Fraction(3, 4), Fraction(1, 4))
 LINE = w.ProjectionSpec([0.48, 0.6, 0.64])
 PLANE = w.ProjectionSpec(np.linalg.qr(np.random.default_rng(5).normal(size=(3, 2)))[0].T)  # not axis aligned
+ROTATION = w.ProjectionSpec(np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))[0])
 
 
 def _project(spec):
@@ -125,6 +125,7 @@ CASES = {
     "census": ("census", _census, (8, 12)),
     "project_union_line": ("project_union", _project(LINE), (10**4, 10**5)),
     "project_union_axes": ("project_union", _project(w.ProjectionSpec.coordinate(3, 3)), (10**4, 10**5)),
+    "project_union_rotation": ("project_union", _project(ROTATION), (10**4, 10**5)),
     # every Monte Carlo pair block full: the model declares full blocks
     "project_union_monte_carlo": ("project_union", _project(PLANE), (5 * 10**4, 10**5)),
     # n = 2^14 and 2^16 walk their rows in two and eight windows of 8192 terms
