@@ -185,10 +185,13 @@ def _census_cost(grid: BoxGrid, spb: int) -> tuple[int, int]:
     return grid.U * spb * grid.N, peak
 
 
-def _check_seed(seed) -> None:
-    """Refuse a seed outside [0, 2^64), which the Philox key cannot hold without giving two seeds one stream."""
-    if not 0 <= int(seed) < 1 << 64:
+def _check_seed(seed) -> int:
+    """The seed as an int.  A non-integer is refused, not truncated (2.5 would run seed 2's stream), and so
+    is a seed outside [0, 2^64), which the Philox key cannot hold without giving two seeds one stream."""
+    seed = _whole("seed", seed)
+    if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    return seed
 
 
 def census(
@@ -211,7 +214,7 @@ def census(
     """
     if _whole("samples_per_box", samples_per_box) < 1:
         raise ValueError("samples_per_box must be >= 1")
-    _check_seed(seed)
+    seed = _check_seed(seed)
     N = grid.N
     d = grid.d
     spb = samples_per_box
@@ -222,7 +225,7 @@ def census(
     zeta = np.array([float(z) for z in grid.sides])
     counts = grid.counts
 
-    gen = np.random.Generator(np.random.Philox(key=(int(seed) << 64) | _STREAM_TAG))
+    gen = np.random.Generator(np.random.Philox(key=(seed << 64) | _STREAM_TAG))
     peaks = np.empty(grid.U, dtype=np.float64)
     moment_sum = 0.0
     samples_ge = 0
@@ -406,7 +409,7 @@ def project_union(
     samples = _whole("samples", samples)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    _check_seed(seed)
+    seed = _check_seed(seed)
     if spec.basis.shape[1] != d:
         raise ValueError(f"basis directions must have {d} components")
     k = spec.k
@@ -474,7 +477,7 @@ def project_union(
     lo = trans.min(axis=1) + zono.min(axis=0)
     hi = trans.max(axis=1) + zono.max(axis=0)
     area_box = float(np.prod(hi - lo))
-    gen = np.random.Generator(np.random.Philox(key=(int(seed) << 64) | 0x70726F6A))
+    gen = np.random.Generator(np.random.Philox(key=(seed << 64) | 0x70726F6A))
     xs = np.ascontiguousarray((lo + gen.random((samples, 2)) * (hi - lo)).T)
 
     # translates bucketed by cells of side rad, indexed by sorted packed cell keys

@@ -106,6 +106,8 @@ class ExperimentConfig:
             raise ConfigError("schedule must be strictly increasing (log2_n_min <= log2_n_max)")
         if self.samples < 1:
             raise ConfigError("sample count must be >= 1")
+        if self.samples_per_box < 1:
+            raise ConfigError(f"samples_per_box must be >= 1, got {self.samples_per_box}")
         if not 0 <= self.seed < 1 << 64:  # the Philox key holds it in 64 bits
             raise ConfigError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.m_samples < 1 or self.y_samples < 1:

@@ -41,7 +41,13 @@ __all__ = [
 # Exact rationals are the stdlib Fraction: always reduced, positive denominator.
 Rational = Fraction
 
-HALF = Fraction(1, 2)
+
+def _half_plus(a: int, b: int) -> Fraction:
+    """1/2 + a/b as the one Fraction (b + 2a)/(2b): a single normalisation.
+
+    1/2 + sigma/(2 s(q)) is ``_half_plus(sigma, q (q + 1))``, since 2 s(q) = q (q + 1).
+    """
+    return Fraction(b + 2 * a, 2 * b)
 
 
 def s_of(q: int) -> Fraction:
@@ -87,17 +93,17 @@ def _require_linear_y(p: _Profile, missing: str) -> None:
 
 
 def _gamma_star(p: _Profile) -> Fraction:
-    return HALF + Fraction(2 * p.sigma + p.d - p.k + 1, 2 * p.d * p.d + 4 * p.d - 2 * p.k + 2)
+    return _half_plus(2 * p.sigma + p.d - p.k + 1, 2 * p.d * p.d + 4 * p.d - 2 * p.k + 2)
 
 
 def _gamma_general(p: _Profile) -> Fraction:
     _require_wronskian(p)
-    return HALF + Fraction(2 * p.sigma + p.d - p.k, 2 * p.d * p.d + 4 * p.d - 2 * p.k)
+    return _half_plus(2 * p.sigma + p.d - p.k, 2 * p.d * p.d + 4 * p.d - 2 * p.k)
 
 
 def _gamma_yl(p: _Profile) -> Fraction:
     _require_linear_y(p, "no linear polynomial in the y block")
-    return HALF + Fraction(p.sigma, 1) / (2 * s_of(p.d))
+    return _half_plus(p.sigma, p.d * (p.d + 1))
 
 
 def _gamma_xl(p: _Profile) -> Fraction:
@@ -106,7 +112,7 @@ def _gamma_xl(p: _Profile) -> Fraction:
         raise Inapplicable(f"no linear polynomial confined to the x block (case {p.case.label})")
     if p.k < 2:
         raise Inapplicable("moving the linear member to y needs k >= 2")
-    return HALF + Fraction(p.sigma + 1, 1) / (2 * s_of(p.d))
+    return _half_plus(p.sigma + 1, p.d * (p.d + 1))
 
 
 def _gamma_nl(p: _Profile) -> Fraction:
@@ -114,31 +120,33 @@ def _gamma_nl(p: _Profile) -> Fraction:
         raise Inapplicable(f"family already contains a linear polynomial (case {p.case.label})")
     if not p.augmented_wronskian_ok:
         raise Inapplicable("Wronskian of the augmented family vanishes identically")
-    return HALF + Fraction(p.sigma + 1, 1) / (2 * s_of(p.d + 1))
+    return _half_plus(p.sigma + 1, (p.d + 1) * (p.d + 2))
 
 
 def _gamma_tilde(p: _Profile) -> Fraction:
     _require_wronskian(p)
     if not 2 * p.sigma_tilde < p.d * (p.d + 1):
         raise Inapplicable(f"sigma~_k = {p.sigma_tilde} >= d(d+1)/2")
-    return HALF + Fraction(2 * p.sigma_tilde + p.d - p.k, 2 * p.d * p.d + 4 * p.d - 2 * p.k)
+    return _half_plus(2 * p.sigma_tilde + p.d - p.k, 2 * p.d * p.d + 4 * p.d - 2 * p.k)
 
 
 def _disc_gamma(p: _Profile) -> Fraction:
     _require_wronskian(p)
     if not 2 * p.sigma < p.d * (p.d + 1):
         raise Inapplicable(f"sigma_k = {p.sigma} >= d(d+1)/2")
-    return HALF + Fraction(p.d - p.k + 2 * p.sigma + 1, 2 * p.d * p.d + 4 * p.d - 2 * p.k + 2)
+    return _half_plus(p.d - p.k + 2 * p.sigma + 1, 2 * p.d * p.d + 4 * p.d - 2 * p.k + 2)
 
 
 def _disc_gamma_star(p: _Profile) -> Fraction:
-    return HALF + Fraction(p.d - p.k + 2 * p.sigma + 2, 2 * p.d * p.d + 4 * p.d - 2 * p.k + 4)
+    return _half_plus(p.d - p.k + 2 * p.sigma + 2, 2 * p.d * p.d + 4 * p.d - 2 * p.k + 4)
 
 
 def _self_improve(p: _Profile, t: Fraction) -> Fraction:
     _require_linear_y(p, "self-improvement needs a linear polynomial in y")
-    sd = s_of(p.d)
-    return (sd + p.sigma + (p.d - p.k) * t) / (2 * sd + p.d - p.k)
+    dd = p.d * (p.d + 1)  # 2 s(d)
+    # (s(d) + sigma_k + (d-k) t) / (2 s(d) + d - k), times 2 t.den above and below: one Fraction
+    return Fraction((dd + 2 * p.sigma) * t.denominator + 2 * (p.d - p.k) * t.numerator,
+                    2 * (dd + p.d - p.k) * t.denominator)
 
 
 def gamma_star(fam: PolynomialFamily, k: int) -> Fraction:
@@ -191,7 +199,7 @@ def gamma_tilde_classical(d: int, k: int) -> Fraction:
     """Closed form of gamma_tilde for the family (T, ..., T^d)."""
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
-    return HALF + Fraction((d - k) * (d + k + 2), 2 * d * d + 4 * d - 2 * k)
+    return _half_plus((d - k) * (d + k + 2), 2 * d * d + 4 * d - 2 * k)
 
 
 def disc_gamma(fam: PolynomialFamily, k: int) -> Fraction:
@@ -237,7 +245,7 @@ def fixed_point(
     target = _gamma_yl(p)
     if not target <= t0 <= 1:
         raise ValueError(f"t0 must lie in [{target}, 1], got {t0}")
-    slope = Fraction(p.d - k, 1) / (2 * s_of(p.d) + p.d - k)
+    slope = Fraction(p.d - k, p.d * (p.d + 1) + p.d - k)
     assert slope < 1, "the bootstrap map must be a contraction"
     trace = [t0]
     while True:
@@ -357,7 +365,7 @@ def best_bound(fam: PolynomialFamily, k: int) -> ExponentReport:
         sigma_tilde=p.sigma_tilde,
         wronskian_ok=p.wronskian_ok,
         augmented_wronskian_ok=p.augmented_wronskian_ok,
-        nontrivial=p.sigma < s_of(p.d),
+        nontrivial=2 * p.sigma < p.d * (p.d + 1),
         values=values,
         reasons=reasons,
         best=best_val,

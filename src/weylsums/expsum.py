@@ -866,21 +866,40 @@ def _whole(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def exact_moment_grid(fam: PolynomialFamily, N: int, two_s: int) -> list[int]:
-    """Smallest per-axis grid that integrates |T|^two_s exactly.
+def _five_smooth_at_least(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n >= 1: a size pocketfft transforms without Bluestein's algorithm."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p = p5  # 3^b 5^c, times the least power of two that reaches n
+        while p < best:
+            best = min(best, p << (-(-n // p) - 1).bit_length())
+            p *= 3
+        p5 *= 5
+    return best
 
-    |T|^two_s is a trigonometric polynomial whose u_j-frequencies span at
-    most s*(max phi_j - min phi_j) over n <= N, so any finer uniform grid
-    kills every nonzero frequency.  The extremes come from the ends of
-    phi_j's monotone pieces, with no pass over n.
-    """
-    N, two_s = _moment_args(N, two_s)
-    s = two_s // 2
-    grid = []
+
+def _moment_bounds(fam: PolynomialFamily, N: int, s: int) -> list[int]:
+    """s (max phi_j - min phi_j) + 1 per axis: the fewest points that integrate |T|^2s exactly."""
+    bounds = []
     for p in fam.polys:
         low, high = p.extremes(1, N)
-        grid.append(s * (high - low) + 1)
-    return grid
+        bounds.append(s * (high - low) + 1)
+    return bounds
+
+
+def exact_moment_grid(fam: PolynomialFamily, N: int, two_s: int) -> list[int]:
+    """Smallest 5-smooth sizes at least the exact bound: a grid that integrates |T|^two_s exactly.
+
+    |T|^two_s is a trigonometric polynomial whose u_j-frequencies span at
+    most s*(max phi_j - min phi_j) over n <= N, so any uniform grid with
+    more points per axis than that kills every nonzero frequency.  Each
+    axis is rounded up to 2^a 3^b 5^c, which the FFT transforms fast.  The
+    extremes come from the ends of phi_j's monotone pieces, with no pass
+    over n.
+    """
+    N, two_s = _moment_args(N, two_s)
+    return [_five_smooth_at_least(b) for b in _moment_bounds(fam, N, two_s // 2)]
 
 
 def _residues(polys: Sequence[IntPolynomial], N: int, grid: Sequence[int]) -> tuple[np.ndarray, ...]:
@@ -901,6 +920,32 @@ def _residues(polys: Sequence[IntPolynomial], N: int, grid: Sequence[int]) -> tu
     return tuple(out)
 
 
+def _occupied_lines(residues: tuple[np.ndarray, ...], tails: Sequence[int]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Each n's linear index in the grid, and for each axis j but the last the
+    distinct linear indices of n's residues on the axes after j, in increasing
+    order: found by a mask, not a sort."""
+    key, occupied = residues[-1], []
+    for j in range(len(residues) - 2, -1, -1):
+        mask = np.zeros(tails[j + 1], dtype=bool)
+        mask[key] = True
+        occupied.append(np.flatnonzero(mask))
+        key = residues[j] * tails[j + 1] + key
+    return key, occupied[::-1]
+
+
+def _power_in_place(x: np.ndarray, s: int, scratch: np.ndarray) -> None:
+    """x **= s by squaring and multiplying, scratch holding x^(2^i); np.power calls pow() per element."""
+    if s > 1:
+        np.copyto(scratch, x)
+    s -= 1  # x holds one factor already
+    while s:
+        if s & 1:
+            x *= scratch
+        s >>= 1
+        if s:
+            scratch *= scratch
+
+
 def moment_integral(
     fam: PolynomialFamily,
     a: WeightSeq,
@@ -916,30 +961,54 @@ def moment_integral(
     grid raises instead of silently returning an aliased value.
 
     On a grid G, T(g / G) = sum_r H[r] e(g . r / G), where H[r] sums the a_n
-    with phi(n) = r mod G: one d-dimensional DFT of that histogram gives T
-    at -g for every g, and g -> -g permutes the grid, so the mean is unchanged.
+    with phi(n) = r mod G: a d-dimensional DFT of that histogram gives T at
+    -g for every g, and g -> -g permutes the grid, so the mean is unchanged.
+    The DFT runs line by line.  Each axis but the last is transformed only
+    along the lines whose later-axis indices some residue occupies, since
+    every other line is still zero; the last axis is then transformed in
+    place along every row.
     """
     N, two_s = _moment_args(N, two_s)
     grid = [_whole("grid entry", g) for g in grid]
     if len(grid) != fam.d:
         raise ValueError(f"grid needs {fam.d} axis sizes")
     points = math.prod(grid)
-    # the transform, and a residue per n and axis.  The histogram is 16 bytes a point;
-    # n, n mod G_j and the residues, then the residues and the weights, 8 (d + 2) an n
+    # tails[j]: the points of the axes j.. .  Axis j < d - 1 is transformed along the lines of at most
+    # N later-axis indices, in blocks of whole indices of about _SLAB points: 16 bytes a point of a
+    # block and, for the transform's strided pass, 16 bytes a line
+    tails = [math.prod(grid[j:]) for j in range(fam.d + 1)]
+    block_points = [_slab_terms(min(N, tails[j + 1]), points // tails[j + 1]) for j in range(fam.d - 1)]
+    block_bytes = max((16 * (b + b // g) for b, g in zip(block_points, grid)), default=0)
+    # the transform, and a residue per n and axis.  Before the histogram: n, n mod G_j, the residues,
+    # their linear keys and the occupied lines, 8 (2d + 2) bytes an n, and a mask of a byte a point
+    # of the axes 1..; then the histogram, 16 bytes a point, with the keys and the occupied lines,
+    # 8d bytes an n, and either the weights, 16 bytes an n, or the largest line block.  32 KiB hold
+    # the small objects numpy's FFT wrappers keep, up to about 17 KiB after some 40 calls
+    mask = tails[1] if fam.d > 1 else 0
     check_cost("moment_integral", points * (points - 1).bit_length() + N * fam.d,
-               16 * points + 8 * N * (fam.d + 2) + 16384)
-    required = exact_moment_grid(fam, N, two_s)
-    for g, r, p in zip(grid, required, fam.polys):
+               max(8 * N * (2 * fam.d + 2) + mask, 16 * points + 8 * N * fam.d + max(16 * N, block_bytes)) + 32768)
+    for g, r, p in zip(grid, _moment_bounds(fam, N, two_s // 2), fam.polys):
         if g < r:
             raise ValueError(
                 f"grid axis for {p!r} has {g} points; {r} needed for exactness"
             )
-    hist = np.zeros(grid, dtype=np.complex128)
-    np.add.at(hist, _residues(fam.polys, N, grid), a.array(N))
-    np.fft.fftn(hist, out=hist)
+    key, occupied = _occupied_lines(_residues(fam.polys, N, grid), tails)
+    hist = np.zeros(points, dtype=np.complex128)
+    np.add.at(hist, key, a.array(N))
+    for j, cols in enumerate(occupied):
+        view = hist.reshape(points // tails[j], grid[j], tails[j + 1])
+        step = max(1, _SLAB // (points // tails[j + 1]))
+        for lo in range(0, len(cols), step):
+            block = view[:, :, cols[lo : lo + step]]
+            np.fft.fftn(block, axes=(1,), out=block)
+            view[:, :, cols[lo : lo + step]] = block
+            del block  # before the next block's gather
+    rows = hist.reshape(-1, grid[-1])
+    np.fft.fftn(rows, axes=(1,), out=rows)
     re, im = hist.real, hist.imag  # |T|^2 and its powers in place: no array beyond the histogram
     np.square(re, out=re)
     np.square(im, out=im)
     re += im
-    re **= two_s // 2
+    _power_in_place(re, two_s // 2, im)
     return float(re.mean())
+

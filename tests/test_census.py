@@ -392,6 +392,25 @@ class TestProjections:
         assert project_union(g, marked, rot, samples=256, seed=(1 << 64) - 1).method == "monte_carlo"
         assert census(classical_family(2), UNIT, small_grid(), 1, seed=(1 << 64) - 1).U == small_grid().U
 
+    def test_non_integer_seed_refused(self):
+        # 2.5 is not truncated to seed 2's stream, nor "3" parsed: the census,
+        # the Monte Carlo route and an exact one refuse them, naming the seed
+        g = unit_box_grid([Fraction(1, 4)] * 3)
+        rot = ProjectionSpec(np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]) / math.sqrt(2))
+        marked = [(0, 0, 0), (1, 2, 3), (3, 1, 0)]
+        for seed in (2.5, "3", 2.0):
+            for spec in (rot, ProjectionSpec.coordinate(3, 1)):
+                with pytest.raises(ValueError, match="seed must be an integer"):
+                    project_union(g, marked, spec, samples=256, seed=seed)
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                census(classical_family(2), UNIT, small_grid(), 1, seed=seed)
+        # an integer of another type runs the same stream as the int
+        assert project_union(g, marked, rot, samples=256, seed=np.uint64(2)) == project_union(
+            g, marked, rot, samples=256, seed=2)
+        ref = census(classical_family(2), UNIT, small_grid(), 2, seed=2)
+        res = census(classical_family(2), UNIT, small_grid(), 2, seed=np.int64(2))
+        assert np.array_equal(res.marked_boxes, ref.marked_boxes)
+
     @pytest.mark.parametrize("route", sorted(ROUTES))
     def test_non_integer_samples_refused(self, route):
         # on the exact routes too, where samples is not used

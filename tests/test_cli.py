@@ -236,6 +236,19 @@ class TestExitCodes:
         assert code == 2
         assert "components" in err
 
+    def test_dimscan_zero_samples_per_box_exits_2_before_census(self, capsys, monkeypatch, tmp_path):
+        def never(*args, **kwargs):
+            raise AssertionError("a census ran with samples_per_box = 0")
+
+        # dimension_scan's census, and the one the census and project commands call
+        monkeypatch.setattr("weylsums.experiments.census", never)
+        monkeypatch.setattr("weylsums.cli.run_census", never)
+        cfg = tmp_path / "spb.toml"
+        cfg.write_text('family = "classical:2"\nlog2_n_min = 2\nlog2_n_max = 3\nsamples_per_box = 0\n')
+        code, _, err = run(capsys, "dimscan", "--config", str(cfg))
+        assert code == 2
+        assert "samples_per_box" in err
+
     def test_zero_direction_exits_2(self, capsys):
         code, _, err = run(capsys, "project", "--family", "classical:2", "--N", "4", "--direction", "0,0")
         assert code == 2

@@ -109,6 +109,8 @@ CASES = {
     "moment_integral": ("moment_integral", _moment(FAM2, 6), (16, 24)),
     # one axis of N points: the residues and the weights outweigh the grid
     "moment_integral_one_axis": ("moment_integral", _moment(w.classical_family(1), 2), (1000, 10**5)),
+    # (T^2, T): the occupied lines along axis 0 take 8 and 80 blocks
+    "moment_integral_blocks": ("moment_integral", _moment(w.parse_family([[0, 0, 1], [0, 1]]), 2), (40, 80)),
     "classical_family": ("classical_family", lambda d: lambda: w.classical_family(d), (100, 3000)),
     "parse_family": ("parse_family", _on(w.parse_family, lambda d: [[j, 2 * j + 1, 7, 1] for j in range(d)]),
                      (100, 1000)),

@@ -102,6 +102,8 @@ class TestConfig:
             tiny_cfg(kind="nope").validate()
         with pytest.raises(ConfigError):
             tiny_cfg(samples=0).validate()
+        with pytest.raises(ConfigError, match="samples_per_box"):  # not a ValueError from inside a census
+            tiny_cfg(samples_per_box=0).validate()
         with pytest.raises(ConfigError):  # a sup or max over no draws
             tiny_cfg(kind="discrepancy_short", m_samples=0).validate()
         with pytest.raises(ConfigError):

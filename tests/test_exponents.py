@@ -252,6 +252,8 @@ class TestBestBound:
 # Each exponent computed on its own, straight from the family, as a reference
 # for the shared degree profile: every statistic and hypothesis is re-derived
 # per function, and the Wronskian flags come from the determinant polynomial.
+# The values are written as 1/2 plus a Fraction, or 1/2 + x / (2 s(q)), each
+# step normalised on its own: a second spelling of the one-Fraction formulas.
 
 
 def _ref_bounds(fam, k):
@@ -270,7 +272,7 @@ def _ref_bounds(fam, k):
     elif case != "A":
         out["gamma_yl"] = f"no linear polynomial in the y block (case {case})"
     else:
-        out["gamma_yl"] = HALF + Fraction(sigma, d * (d + 1))
+        out["gamma_yl"] = HALF + Fraction(sigma, 1) / (2 * s_of(d))
     if not wr:
         out["gamma_xl"] = no_wr
     elif case != "B":
@@ -278,13 +280,13 @@ def _ref_bounds(fam, k):
     elif k < 2:
         out["gamma_xl"] = "moving the linear member to y needs k >= 2"
     else:
-        out["gamma_xl"] = HALF + Fraction(sigma + 1, d * (d + 1))
+        out["gamma_xl"] = HALF + Fraction(sigma + 1, 1) / (2 * s_of(d))
     if case != "C":
         out["gamma_nl"] = f"family already contains a linear polynomial (case {case})"
     elif wronskian(augmented_family(fam)).is_zero:
         out["gamma_nl"] = "Wronskian of the augmented family vanishes identically"
     else:
-        out["gamma_nl"] = HALF + Fraction(sigma + 1, (d + 1) * (d + 2))
+        out["gamma_nl"] = HALF + Fraction(sigma + 1, 1) / (2 * s_of(d + 1))
     if not wr:
         out["gamma_tilde"] = no_wr
     elif 2 * sigma_tilde >= d * (d + 1):
@@ -344,7 +346,7 @@ PUBLIC = {
     "disc_gamma_star": disc_gamma_star,
 }
 
-PROFILE_CASES = [(classical_family(d), k) for d in range(1, 9) for k in range(1, d + 1)] + [
+PROFILE_CASES = [(classical_family(d), k) for d in range(1, 21) for k in range(1, d + 1)] + [
     (parse_family([[0, 0, 1], [0, 0, 0, 0, 1], [0, 1]]), 1),  # case A
     (yl_family(5), 2),  # case A
     (parse_family([[0, 0, 1], [0, 0, 0, 1]]), 1),  # case C, the augmented Wronskian nonvanishing
@@ -384,10 +386,14 @@ class TestProfileAgreesWithReference:
             d = fam.d
             sd = s_of(d)
             sigma = degree_stats(fam, k)[0]
+            def step(t):
+                return (sd + sigma + (d - k) * t) / (2 * sd + d - k)
+
             for t in (yl, Fraction(3, 4), 1):
-                assert self_improve_map(fam, k, t) == (sd + sigma + (d - k) * t) / (2 * sd + d - k)
+                assert self_improve_map(fam, k, t) == step(Fraction(t))
             value, trace = fixed_point(fam, k, 1, Fraction(1, 10**9))
             assert abs(value - yl) <= Fraction(1, 10**9) and trace[0] == 1
+            assert all(b == step(a) for a, b in zip(trace, trace[1:]))
 
 
 def test_self_improvement_at_k_d_is_constant_half():

@@ -673,10 +673,18 @@ class TestMoments:
         assert moment_integral(fam, UNIT, 8, 6, grid) == pytest.approx(2744, rel=1e-9)
 
     def test_coarse_grid_flagged(self):
+        # the exact bounds at N = 8, 2s = 6: 3 (8 - 1) + 1 = 22 and 3 (64 - 1) + 1 = 190 points
         fam = classical_family(2)
-        grid = exact_moment_grid(fam, 8, 6)
-        with pytest.raises(ValueError):
-            moment_integral(fam, UNIT, 8, 6, [grid[0] - 1, grid[1]])
+        for grid in ([21, 190], [22, 189]):
+            with pytest.raises(ValueError, match="needed for exactness"):
+                moment_integral(fam, UNIT, 8, 6, grid)
+
+    def test_unrounded_bound_accepted(self):
+        # the exact grid rounds 22 and 190 up to 5-smooth sizes, but the
+        # refusal compares against the bounds themselves
+        fam = classical_family(2)
+        assert exact_moment_grid(fam, 8, 6) == [24, 192]
+        assert moment_integral(fam, UNIT, 8, 6, [22, 190]) == pytest.approx(2744, rel=1e-12, abs=0)
 
     def test_nonclassical_family(self):
         fam = parse_family([[0, 2], [0, 0, 1]])
@@ -688,6 +696,21 @@ class TestMoments:
         grid = exact_moment_grid(fam, 3, 4)
         assert vinogradov_count(4, 2, 3) == 15
         assert moment_integral(fam, UNIT, 3, 4, grid) == pytest.approx(15, rel=1e-9)
+
+
+def _is_five_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def _moment_by_fftn(fam, a, N, two_s, grid):
+    """The mean of |T|^two_s over the grid, T from one np.fft.fftn of the residue histogram."""
+    hist = np.zeros(grid, dtype=np.complex128)
+    residues = tuple(np.array([p(n) % g for n in range(1, N + 1)]) for p, g in zip(fam.polys, grid))
+    np.add.at(hist, residues, a.array(N))
+    return float(np.mean(np.abs(np.fft.fftn(hist)) ** two_s))
 
 
 def _moment_oracle(fam, a, N, two_s, grid):
@@ -712,10 +735,28 @@ class TestMomentByTransform:
             assert moment_integral(fam, UNIT, N, 6, exact_moment_grid(fam, N, 6)) == pytest.approx(
                 vinogradov_count(1, 3, N), rel=1e-12, abs=0)
 
+    def test_exact_grid_is_the_least_five_smooth_cover(self):
+        # each axis: the least 2^a 3^b 5^c at least s (max phi_j - min phi_j) + 1, by brute force
+        for spec in ("classical:1", "classical:2", "classical:3", "classical:4", [[0, 2], [0, 0, 1]]):
+            fam = parse_family(spec)
+            for N, two_s in ((1, 2), (3, 4), (7, 2), (12, 6), (24, 6)):
+                grid = exact_moment_grid(fam, N, two_s)
+                for p, g in zip(fam.polys, grid):
+                    values = [p(n) for n in range(1, N + 1)]
+                    bound = two_s // 2 * (max(values) - min(values)) + 1
+                    assert g == next(m for m in itertools.count(bound) if _is_five_smooth(m)), (spec, N, two_s)
+
     def test_matches_the_direct_contraction(self):
         rng = np.random.default_rng(20261019)
         weights = WeightSeq.explicit(rng.normal(size=12) + 1j * rng.normal(size=12), C=10.0)
         for spec, N, two_s, pad in (
+            ("classical:1", 12, 4, (0,)),
+            ("classical:1", 9, 6, (5,)),
+            ("classical:3", 4, 2, (0, 0, 0)),
+            ("classical:3", 3, 4, (1, 2, 3)),
+            ("classical:4", 2, 2, (0, 0, 0, 0)),
+            ("classical:4", 2, 4, (1, 0, 3, 2)),
+            ([[2, 0, 1], [0, 1], [0, 0, 0, 1], [0, 0, 1]], 3, 2, (2, 1, 0, 3)),
             ("classical:2", 6, 4, (0, 0)),
             ("classical:2", 5, 2, (3, 11)),
             ([[0, 1], [0, 0, 0, 1]], 5, 4, (0, 0)),
@@ -727,8 +768,9 @@ class TestMomentByTransform:
             fam = parse_family(spec)
             grid = [g + extra for g, extra in zip(exact_moment_grid(fam, N, two_s), pad)]
             for a in (UNIT, weights):
-                expect = _moment_oracle(fam, a, N, two_s, grid)
-                assert moment_integral(fam, a, N, two_s, grid) == pytest.approx(expect, rel=1e-12, abs=0), spec
+                got = moment_integral(fam, a, N, two_s, grid)
+                assert got == pytest.approx(_moment_oracle(fam, a, N, two_s, grid), rel=1e-12, abs=0), spec
+                assert got == pytest.approx(_moment_by_fftn(fam, a, N, two_s, grid), rel=1e-12, abs=0), spec
 
     def test_inputs_refused_before_work(self):
         fam = classical_family(1)
