@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Sums with exact phase bookkeeping, and the completion majorant.
 
-Phases accumulate in wrapping 64-bit fixed point, so the difference-table
-recurrence is exact: what you see below is floating point only at the very
-last cos/sin step.  The completion majorant W dominates every prefix of the
+Phases are evaluated in wrapping 64-bit fixed point, so they are exact:
+what you see below is floating point only from the last step, e(phase), on.  The completion majorant W dominates every prefix of the
 sum, and a dual orthogonality identity reconstructs each prefix from the
 twisted full-length sums.
 """
@@ -11,7 +10,13 @@ twisted full-length sums.
 import numpy as np
 
 import weylsums as w
-from weylsums.expsum import _twisted_coeffs, reconstruct_all_prefixes
+from weylsums.expsum import raw_phases, reconstruct_all_prefixes
+
+
+def direct_terms(polys, raw, N):
+    """e(f(n)), n = 1..N, straight from the exact raw phases: an oracle independent of the sums' walker."""
+    return np.exp(2j * np.pi * raw_phases(polys, raw, N) * 2.0**-64)
+
 
 fam = w.classical_family(2)
 unit = w.WeightSeq.unit()
@@ -37,14 +42,14 @@ print(f"  measured ratio prefix_max / W = {trace.prefix_max / fast.W:.4f}")
 print()
 print("prefix reconstruction from the twisted spectrum (an exact identity):")
 rec = reconstruct_all_prefixes(fam, u, unit, N)
-direct = np.cumsum(_twisted_coeffs(fam.polys, u.raw, unit.array(N), N))
+direct = np.cumsum(direct_terms(fam.polys, u.raw, N))
 worst = np.abs(rec - direct).max()
 print(f"  max |reconstructed - direct| over all M <= {N}: {worst:.2e}")
 
 print()
 print("certified supremum over a linear coefficient:")
 u1 = w.TorusPoint.from_reals([rng.random()])
-c = _twisted_coeffs(w.classical_family(1).polys, u1.raw, unit.array(128), 128)
+c = direct_terms(w.classical_family(1).polys, u1.raw, 128)
 res = w.sup_linear_coeff(c, oversample=8)
 print(f"  grid max {res.grid_max:.6f} at y = {res.argmax_y:.6f}")
 print(f"  certified upper bound {res.certified_upper:.6f} "

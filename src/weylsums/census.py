@@ -18,8 +18,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvariantViolation, check_cost
-from .expsum import (WeightSeq, _expi_bytes, _majorant, _phase_rows, _quantize_array, _reduce_rows, _slab_terms,
-                     _twisted, _whole)
+from .expsum import (WeightSeq, _majorant, _phase_rows, _quantize_array, _reduce_rows, _slab_terms, _twisted,
+                     _walk_bytes, _weights, _whole)
 from .polyfam import PolynomialFamily
 
 __all__ = [
@@ -181,7 +181,7 @@ def _census_cost(grid: BoxGrid, spb: int) -> tuple[int, int]:
     boxes = min(grid.U, _CHUNK)
     slab = _slab_terms(boxes * spb, grid.N)
     peak = ((17 + 16 * grid.d) * grid.U + (32 * grid.d + 8 + 24 * (grid.d + 1) * spb) * boxes
-            + 48 * slab + _expi_bytes(slab) + 16 * grid.N)
+            + _walk_bytes(slab, 16) + 16 * grid.N)
     return grid.U * spb * grid.N, peak
 
 
@@ -221,7 +221,7 @@ def census(
     check_cost("census", *_census_cost(grid, spb))
     two_s = d * (d + 1)  # 2 s(d)
     tau = grid.threshold
-    weights = None if a.kind == "unit" else a.array(N)
+    weights = _weights(a, N)
     zeta = np.array([float(z) for z in grid.sides])
     counts = grid.counts
 

@@ -27,17 +27,17 @@ from .errors import ConfigError, check_cost
 from .expsum import (
     TorusPoint,
     WeightSeq,
-    _expi,
-    _expi_bytes,
-    _expi_scratch,
     _fold_weights,
     _majorant,
     _phase_rows,
+    _prefix_scan,
     _quantize_array,
     _reduce_rows,
+    _scan_bytes,
     _slab_terms,
     _sup_linear,
     _twisted,
+    _walk_bytes,
 )
 from .polyfam import IntPolynomial, PolynomialFamily, classical_family, parse_family
 
@@ -270,18 +270,26 @@ def _run_block(cfg: ExperimentConfig, sids: range) -> list[RunRecord]:
 
     Each sample's draws come first (``_draw``); each N is then one step
     over every sample of the block (``_step``).  Only the ``weyl`` k = d
-    route, whose rows are n_max long, runs sample by sample, every N from
-    one walk of its row (``_prefix_walk``).
+    route, whose rows are n_max long, runs sample by sample: every N from
+    one prefix scan (``expsum._prefix_scan``) of its row c, which the scan
+    fills for the majorant of each c[:N], taken into one spectrum of n_max/2
+    terms and its magnitudes, or c itself at n_max, magnitudes in the spectrum.
     """
     fam, k = _split_family(cfg)
     route = _route(cfg, fam, k)
     schedule = cfg.schedule()
     if route == "prefix":
-        walk, records = _prefix_walk(fam.polys, schedule), []
+        n, records = schedule[-1], []
+        for N in schedule:  # the cached fold weights first: building one takes 32 B a term, 4 times what it keeps
+            _fold_weights(N)
+        c, spectrum, mags = np.empty(n, dtype=np.complex128), np.empty((n + 1) // 2, dtype=np.complex128), np.empty(n // 2)
         for sid in sids:
             x = tuple(_sample_rng(cfg.seed, sid).random(fam.d))
-            records += [RunRecord(cfg.experiment_id, sid, x, N, "prefix_max_T", v, extras=(("w", W),))
-                        for N, v, W in zip(schedule, *walk(x))]
+            peaks = _prefix_scan(fam.polys, TorusPoint.from_reals(x).raw, n, row=c).dyadic_prefix_max
+            W = [_majorant(c[:N], (spectrum[:N], mags[:N])) for N in schedule[:-1]]
+            W.append(_majorant(c, (c, spectrum.view(np.float64)[:n])))  # c is not read again
+            records += [RunRecord(cfg.experiment_id, sid, x, N, "prefix_max_T", peaks[N.bit_length() - 1],
+                                  extras=(("w", float(w)),)) for N, w in zip(schedule, W)]
         return records
     coords, draws = zip(*(_draw(cfg, fam.d, k, route, sid) for sid in sids))
     xraws = _quantize_array(np.array(coords))
@@ -335,49 +343,6 @@ def _step(fam: PolynomialFamily, k: int, route: str, xraws: np.ndarray, draws, N
     values = D[np.arange(S), j].tolist()
     ms = [()] * S if draws is None else [(("m", float(m)),) for m in draws[np.arange(S), j]]
     return values, [_disc_ratios(v, N) + m for v, m in zip(values, ms)]
-
-
-def _prefix_walk(polys, schedule: list[int]):
-    """The ``weyl`` k = d step of one sample, as a function of its point x: max_{M <= N} |S_M| and
-    the majorant W of its one n_max row, as two lists over the schedule.
-
-    ``_reduce_rows`` walks the row in windows of m = min(n_max, _SLAB) terms, each start folded
-    into its window's coefficients (``_phase_rows``).  Each window's e(theta) goes into the next m
-    terms of one held row c, and the running sum S, carried into the window's first term, is taken
-    by ``np.cumsum`` in a slab buffer: the additions of the whole row's cumsum, so bit for bit its
-    values.  A window gives max |S| over each of its dyadic segments [0, 1), [1, 2), ..., [m/2, m),
-    and their running max ends at every N.  Each c[:N] is transformed into one held spectrum of
-    n_max/2 terms, c itself at n_max, where the spectrum's bytes take the magnitudes.  The buffers
-    serve every sample of the block.
-    """
-    n = schedule[-1]
-    for N in schedule:  # the cached fold weights first: building one takes 32 B a term, 4 times what it keeps
-        _fold_weights(N)
-    m = _slab_terms(n, 1)  # min(n, _SLAB)
-    c, spectrum, mags = np.empty(n, dtype=np.complex128), np.empty((n + 1) // 2, dtype=np.complex128), np.empty(n // 2)
-    cum, cum_mags, scratch = np.empty(m, dtype=np.complex128), np.empty(m), _expi_scratch(m)
-    edges = np.array([0] + [1 << i for i in range(m.bit_length() - 1)])
-    ends = [N.bit_length() - 1 if N <= m else N // m * len(edges) - 1 for N in schedule]  # the last segment of [0, N)
-    lo = 0
-
-    def scan(theta):  # one window; the row wraps to its start after its last
-        nonlocal lo
-        carry, window = cum[-1], c[lo : lo + m]
-        np.copyto(cum, _expi(theta, window, scratch).reshape(-1))
-        if lo:
-            cum[0] += carry
-        np.cumsum(cum, out=cum)
-        lo = (lo + m) % n
-        return np.maximum.reduceat(np.abs(cum, out=cum_mags), edges)
-
-    def walk(x):
-        segments = _reduce_rows(*_phase_rows(polys, TorusPoint.from_reals(x).raw, m, range(0, n, m)), scan,
-                                np.dtype((float, len(edges))))
-        W = [_majorant(c[:N], (spectrum[:N], mags[:N])) for N in schedule[:-1]]
-        W.append(_majorant(c, (c, spectrum.view(np.float64)[:n])))  # c is not read again
-        return np.maximum.accumulate(segments.reshape(-1))[ends].tolist(), [float(w) for w in W]
-
-    return walk
 
 
 def _disc_ratios(dv: float, N: int) -> tuple[tuple[str, float], ...]:
@@ -444,21 +409,21 @@ def _block_peak(cfg: ExperimentConfig, fam: PolynomialFamily, k: int, route: str
 
     The ``weyl`` k = d route holds, a sample at a time, e(f(n)) of its n_max terms, a spectrum of
     n_max/2 terms and its magnitudes (28 B a term in all), the cached fold weights of every N (up
-    to 16 B a term), and the walker's slab, within twice ``_expi``'s (``_prefix_walk``).  Every
-    other route holds its draws and, at each N, walks R = S·r rows (r = y_samples, m_samples or 1)
-    in slabs of at most T terms: 8 bytes a term each for the slab and whole rows of n, what the
-    reduction needs a term, and a few words a row.
+    to 16 B a term), and the prefix scan's window (``expsum._scan_bytes``).  Every other route
+    holds its draws and, at each N, walks R = S·r rows (r = y_samples, m_samples or 1) in slabs of
+    at most T terms: the walker's bytes a term (``expsum._walk_bytes``, with what the reduction
+    makes a term) or, for the windows, the slab and whole rows of n, and a few words a row.
     """
     schedule = cfg.schedule()
     n, L = schedule[-1], len(schedule)
     if route == "prefix":
-        return 44 * n + 2 * _expi_bytes(n)
+        return 44 * n + _scan_bytes(n, max(fam.degrees))
     R = S * _sample_rows(cfg, route)
     T = max(_slab_terms(R, N) for N in schedule)
-    if route == "sampled":  # e(f) of a slab; a row's point, coefficients and sum; every y draw, one sample's as floats
-        return 40 * T + _expi_bytes(T) + 8 * n + (16 * L * (fam.d - k) + 8 * (fam.d + max(fam.degrees)) + 40) * R
-    if route == "certified":  # e(f_x) of a slab, its zero-padded spectrum and magnitudes, and a few small arrays
-        return 128 * T + _expi_bytes(T) + 64 * S + (1 << 14)
+    if route == "sampled":  # the row sums; a row's point, coefficients and sum; every y draw, one sample's as floats
+        return _walk_bytes(T, 8) + 8 * n + (16 * L * (fam.d - k) + 8 * (fam.d + max(fam.degrees)) + 40) * R
+    if route == "certified":  # e(f_x) zero-padded, its spectrum and magnitudes, and a few small arrays
+        return _walk_bytes(T, 96) + 64 * S + (1 << 14)
     # window: n, the deviations of the sorted slab and t; a row's point, coefficients (twice while a start
     # is folded in) and value, and discrepancy_short's start at every N
     starts = 8 * L if cfg.kind == "discrepancy_short" else 0

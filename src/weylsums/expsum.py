@@ -10,12 +10,14 @@ straight to e(theta / 2^64): the top 12 bits pick a root of unity from a
 table built once at import, and a short Taylor polynomial in the low 52
 bits turns it through the rest (Tang, ACM TOMS 15(2), 1989).  Every value
 is within 1e-15 of the exact one.  A window start s is folded into the
-coefficients of f(n + s), so every phase row is one Horner pass over n = 1..N:
-``raw_phases`` makes whole arrays, and ``_twisted_coeffs`` whole rows of a_n e(f(n)).
+coefficients of f(n + s), so every phase row is one Horner pass over n = 1..N.
+``raw_phases`` makes whole arrays of phases.
 ``_reduce_rows`` is the one walker that cuts phase rows into slabs and reduces each row to one
-value: rows of ``_phase_rows`` (the sweeps' sup over y and discrepancies, the census, and the
-windows of a ``weyl`` k = d sweep's row) or the Erdős–Turán dilations g x, taken through
-``_twisted`` where the reduction needs e(theta).
+value: rows of ``_phase_rows`` (the sweeps' sup over y and discrepancies, the census,
+``short_interval_sum`` and ``completion_fft``) or the Erdős–Turán dilations g x, taken through
+``_twisted`` where the reduction needs e(theta).  Its one-row case in windows, ``_prefix_scan``,
+carries the running sum T(u; M) from window to window: ``weyl_sum``, the ``weyl`` k = d sweep, and
+every entry point that holds the row a_n e(f(n)) whole take it from there.
 """
 
 from __future__ import annotations
@@ -71,8 +73,23 @@ def _slab_terms(B: int, N: int) -> int:
 
 
 def _expi_bytes(n: int) -> int:
-    """Peak bytes of ``_expi``'s slab buffers on n terms, plus 4 KiB of small arrays."""
-    return 48 * min(n, _SLAB) + 4096
+    """Peak bytes of ``_expi``'s slab buffers on n terms, plus 4 KiB of small arrays, or 16 KiB over the many
+    passes of a longer row: numpy and CPython keep some of each pass's small objects."""
+    return 48 * min(n, _SLAB) + (4096 if n <= _SLAB else 1 << 14)
+
+
+def _walk_bytes(T: int, reduce_bytes: int) -> int:
+    """Peak bytes of a walk of ``_reduce_rows`` through ``_twisted`` in slabs of T terms: 32 a term (phases,
+    n, e(theta)), ``reduce_bytes`` a term for what the reduction makes, and ``_expi``'s buffers."""
+    return (32 + reduce_bytes) * T + _expi_bytes(T)
+
+
+def _scan_bytes(N: int, D: int) -> int:
+    """Peak bytes of ``_prefix_scan`` on N terms of degree D, a held row aside: a window of m terms takes 32
+    a term (phases, n, sums) and ``_expi``'s buffers, which then hold the magnitudes; a window, its D + 1
+    coefficients twice, its start and value; the records 4 KiB, or 16 KiB kept over many windows."""
+    m, windows = min(N, _SLAB), -(-N // _SLAB)
+    return 32 * m + _expi_bytes(m) + (16 * D + 32) * windows + (1 << 14 if windows > 1 else 1 << 12)
 
 
 def _root_table() -> np.ndarray:
@@ -392,55 +409,81 @@ def weyl_sum(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> SumT
     """T(u; N) = sum_{n<=N} a_n e(f(n)) with exact phase bookkeeping.
 
     The prefix maximum max_{M<=N} |T(u; M)| is tracked in the same pass,
-    together with the prefix magnitudes at dyadic M.
+    together with the prefix magnitudes at dyadic M.  No row is held.
     """
-    N = int(N)
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    check_cost("weyl_sum", N, 48 * N + _expi_bytes(N))
-    return _sum_trace(_twisted_coeffs(fam.polys, u.raw, a.array(N), N))
+    N = _terms("N", N)
+    check_cost("weyl_sum", N, _scan_bytes(N, max(fam.degrees)))
+    return _prefix_scan(fam.polys, u.raw, N, _weights(a, N))
 
 
-def _sum_trace(c: np.ndarray) -> SumTrace:
-    """The value and the prefix record of sum_n c_n, for weyl_sum."""
-    N = len(c)
-    cum = np.cumsum(c)
-    mags = np.abs(cum)
-    running = np.maximum.accumulate(mags)
-    powers = [(1 << i) - 1 for i in range(N.bit_length()) if (1 << i) <= N]
-    return SumTrace(
-        value=complex(cum[-1]),
-        N=N,
-        prefix_max=float(running[-1]),
-        dyadic_prefixes=tuple(float(mags[p]) for p in powers),
-        dyadic_prefix_max=tuple(float(running[p]) for p in powers),
-    )
+def _weights(a: WeightSeq, N: int):
+    """a_1..a_N for ``_twisted`` and ``_prefix_scan``, or None for unit weights, which they skip."""
+    return None if a.kind == "unit" else a.array(N)
+
+
+def _prefix_scan(polys: Sequence[IntPolynomial], raws, N: int, a=None, row=None) -> SumTrace:
+    """The prefix sums T(u; M) = sum_{n<=M} a_n e(f(n)), M = 1..N, of one point ``raws``, in one walk.
+
+    ``_reduce_rows`` walks the row in windows of m = min(N, _SLAB) terms, each start folded into its
+    coefficients (``_phase_rows``); a last window may use fewer.  Each window's a_n e(theta) (weights as
+    in ``_twisted``) goes into one buffer and, if given, the next terms of ``row``.  The running sum,
+    carried into the window's first term, is taken by ``np.cumsum`` in place: the additions of the whole
+    row's cumsum, so its bits.  |T| and the running maximum at each M = 2^i come from segment maxima.
+    """
+    m = min(N, _SLAB)
+    cum, scratch = np.empty(m, dtype=np.complex128), _expi_scratch(m)
+    lo, value, best, prefixes, maxima = 0, 0j, 0.0, [], []
+
+    def scan(theta):  # one window
+        nonlocal lo, value, best
+        k = min(m, N - lo)
+        _expi(theta, cum, scratch)
+        s, mags = cum[:k], scratch[1][:k]  # _expi is done with its buffers
+        if a is not None:  # in place, as on a whole row, but for a lone last term of a longer row: numpy
+            # takes a one-term product in place as a reduction, rounded apart from the row's kernel
+            s = np.multiply(s, a[lo : lo + k], out=s if k > 1 or N == 1 else scratch[4][:1])
+        if row is not None:
+            row[lo : lo + k] = s
+        if lo:
+            s[0] += value
+        np.cumsum(s, out=s)
+        np.abs(s, out=mags)
+        ends = [(1 << i) - 1 - lo for i in range(lo.bit_length(), (lo + k).bit_length())]  # M = 2^i, from lo
+        if ends:
+            segments = np.maximum.reduceat(mags[: ends[-1] + 1], [0] + [e + 1 for e in ends[:-1]])
+            prefixes.extend(mags[ends].tolist())
+            maxima.extend(np.maximum.accumulate(np.maximum(segments, best)).tolist())
+        value, best, lo = s[-1], max(best, float(mags.max())), lo + m
+        return best
+
+    _reduce_rows(*_phase_rows(polys, raws, m, np.arange(0, N, m, dtype=np.uint64)), scan, np.float64)
+    return SumTrace(complex(value), N, best, tuple(prefixes), tuple(maxima))
+
+
+def _held_row(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> np.ndarray:
+    """The row a_n e(f(n)), n = 1..N, held whole, as ``_prefix_scan`` writes it."""
+    c = np.empty(N, dtype=np.complex128)
+    _prefix_scan(fam.polys, u.raw, N, _weights(a, N), c)
+    return c
+
+
+def _row_bytes(fam: PolynomialFamily, N: int) -> int:
+    """Peak bytes of ``_held_row``: the row, 16 bytes a term, and the scan."""
+    return 16 * N + _scan_bytes(N, max(fam.degrees))
 
 
 def short_interval_sum(u: Sequence, M: int, N: int) -> complex:
     """sum_{n=M+1}^{M+N} e(u_1 n + ... + u_d n^d).
 
     ``u`` is quantized once; the phases f(M+n) come from the offset kernel,
-    so the window start, the constant term included, is exact.
+    so the window start, the constant term included, is exact.  The sum is
+    one row of the walker, summed whole.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    check_cost("short_interval_sum", N, 32 * N + _expi_bytes(N))
+    M, N = _whole("M", M), _terms("N", N)
+    check_cost("short_interval_sum", N, _walk_bytes(N, 8))
     pt = TorusPoint.from_reals(u)
-    return complex(np.sum(_twisted_coeffs(classical_family(pt.d).polys, pt.raw, 1.0, N, M)))
-
-
-def _twisted_coeffs(polys: Sequence[IntPolynomial], raws, a, N: int, starts=0) -> np.ndarray:
-    """a_n e(f(n)) at n = s+1, ..., s+N: complex (..., N).
-
-    The exact phases of ``raw_phases`` go through ``_expi``.  ``raws`` and
-    ``starts`` broadcast as in ``raw_phases``, and the weights ``a`` (an array, a scalar, or
-    None for unit weights, which are skipped) against the phases, which they multiply in place.
-    """
-    c = _expi(raw_phases(polys, raws, N, starts))
-    if a is not None:
-        c *= a
-    return c
+    return complex(_reduce_rows(*_phase_rows(classical_family(pt.d).polys, pt.raw, N, M),
+                                _twisted(lambda c: c.sum(axis=1)), np.complex128)[0])
 
 
 def _phase_rows(polys: Sequence[IntPolynomial], raws, N: int, starts=0):
@@ -480,9 +523,9 @@ def _reduce_rows(shape: tuple[int, int], fill, reduce, dtype) -> np.ndarray:
 
 
 def _twisted(reduce, a=None):
-    """The slab reduction reduce(a_n e(theta)) for ``_reduce_rows``, weights ``a`` as in
-    ``_twisted_coeffs``; e(theta) goes into one complex buffer through one set of ``_expi``
-    buffers, both sized by the first, largest slab."""
+    """The slab reduction reduce(a_n e(theta)) for ``_reduce_rows``, weights ``a`` an array, a scalar, or
+    None for unit weights, which are skipped; e(theta) goes into one complex buffer through one set of
+    ``_expi`` buffers, both sized by the first, largest slab."""
     buf = scratch = None
 
     def run(theta):
@@ -504,10 +547,9 @@ def completion_naive(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int)
     The h = 0 term is the plain sum, so W >= |T(u; N)|; the full weighted
     family dominates every prefix T(u; M), M <= N.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    check_cost("completion_naive", (2 * N + 1) * N, 96 * N + _expi_bytes(N))
-    c = _twisted_coeffs(fam.polys, u.raw, a.array(N), N)
+    N = _terms("N", N)
+    check_cost("completion_naive", (2 * N + 1) * N, _row_bytes(fam, N) + 80 * N)
+    c = _held_row(fam, u, a, N)
     n = np.arange(1, N + 1)
     total = 0.0
     for h in range(-N, N + 1):
@@ -555,13 +597,14 @@ def completion_fft(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -
     The twist e(hn/N) is N-periodic in h, so the 2N+1 inner sums collapse
     onto the N spectrum values X_k, each weighted by the sum of
     1/(|h|+1) over the h that fold onto it (see ``_majorant``); agrees
-    with completion_naive to floating-point tolerance.
+    with completion_naive to floating-point tolerance.  The row is one row
+    of the walker, reduced as the census's are, after the fold weights.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    check_cost("completion_fft", N, 48 * N + _expi_bytes(N))
-    c = _twisted_coeffs(fam.polys, u.raw, a.array(N), N)
-    return CompletionResult(W=float(_majorant(c)), N=N)
+    N = _terms("N", N)
+    check_cost("completion_fft", N, _walk_bytes(N, 16) + 16 * N)
+    _fold_weights(N)
+    W = _reduce_rows(*_phase_rows(fam.polys, u.raw, N), _twisted(_majorant, _weights(a, N)), np.float64)[0]
+    return CompletionResult(W=float(W), N=N)
 
 
 def reconstruct_prefix(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int, M: int) -> complex:
@@ -571,11 +614,11 @@ def reconstruct_prefix(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: in
     sum exactly (orthogonality of the h-twist); this is the module's
     strongest self-test.
     """
-    N, M = int(N), int(M)
+    N, M = _terms("N", N), _whole("M", M)
     if not 1 <= M <= N:
         raise ValueError(f"need 1 <= M <= N, got M={M}, N={N}")
-    check_cost("reconstruct_prefix", N, 121 * N + _expi_bytes(N))
-    c = _twisted_coeffs(fam.polys, u.raw, a.array(N), N)
+    check_cost("reconstruct_prefix", N, _row_bytes(fam, N) + 105 * N)
+    c = _held_row(fam, u, a, N)
     X = _spectrum(c, N)
     h = np.arange(1, N + 1)
     w = np.exp(-2j * np.pi * h / N)
@@ -589,8 +632,9 @@ def reconstruct_prefix(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: in
 
 def reconstruct_all_prefixes(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> np.ndarray:
     """All reconstructed prefixes T(u; 1..N) in one O(N^2) pass (test helper)."""
-    check_cost("reconstruct_all_prefixes", N * N, 32 * N * N + 128 * N + _expi_bytes(N))
-    c = _twisted_coeffs(fam.polys, u.raw, a.array(N), N)
+    N = _terms("N", N)
+    check_cost("reconstruct_all_prefixes", N * N, _row_bytes(fam, N) + 32 * N * N + 112 * N)
+    c = _held_row(fam, u, a, N)
     X = _spectrum(c, N)
     h = np.arange(1, N + 1)
     kernel = np.exp(-2j * np.pi * np.outer(h, np.arange(1, N + 1)) / N)
@@ -850,9 +894,7 @@ def _most_sharing_a_sum(s: int, N: int) -> int:
 
 def _moment_args(N, two_s) -> tuple[int, int]:
     """N and 2s as ints, refused unless N >= 1 and 2s is a positive even integer."""
-    N, two_s = _whole("N", N), _whole("two_s", two_s)
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    N, two_s = _terms("N", N), _whole("two_s", two_s)
     if two_s < 2 or two_s % 2:
         raise ValueError(f"two_s must be a positive even integer, got {two_s}")
     return N, two_s
@@ -864,6 +906,14 @@ def _whole(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _terms(name: str, value) -> int:
+    """A count of terms as an int, refused unless it is an integer >= 1."""
+    value = _whole(name, value)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
 
 
 def _five_smooth_at_least(n: int) -> int:

@@ -295,21 +295,6 @@ def _wronskian_monomial(polys: Sequence[IntPolynomial]) -> IntPolynomial:
     return IntPolynomial.monomial(sum(es) - d * (d - 1) // 2, c)
 
 
-def _det_cofactor(rows: list[list[IntPolynomial]]) -> IntPolynomial:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = IntPolynomial([])
-    for j in range(n):
-        a = rows[0][j]
-        if a.is_zero:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = a * _det_cofactor(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
-
 def _poly_divexact(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Quotient a/b when the division is exact in Z[T] (Bareiss guarantees it)."""
     if b.is_zero:
@@ -365,8 +350,6 @@ def _wronskian_det(polys: Sequence[IntPolynomial]) -> IntPolynomial:
         for _ in range(len(polys) - 1):
             row.append(row[-1].derivative())
         rows.append(row)
-    if len(polys) <= 6:
-        return _det_cofactor(rows)
     return _det_bareiss_poly(rows)
 
 

@@ -1,8 +1,10 @@
 import importlib
 
+import numpy as np
 import pytest
 
 from weylsums import errors
+from weylsums.expsum import SumTrace, _expi, raw_phases
 
 # every module whose entry points call errors.check_cost
 COST_MODULES = [importlib.import_module(f"weylsums.{name}")
@@ -57,3 +59,25 @@ def admitted(monkeypatch):
         raise AssertionError(f"{fn.__name__} returned without a cost check")
 
     return run
+
+
+def whole_row(polys, raws, N, a=None, start=0):
+    """a_n e(f(n)) at n = s+1..s+N, the whole row at once: every phase from ``raw_phases``, e(theta) from
+    ``_expi``, times the weights ``a`` (an array or a scalar; None for unit weights).  The oracle of the
+    one-point sums, which take their rows from the walker instead."""
+    c = _expi(raw_phases(polys, raws, N, start))
+    if a is not None:
+        c *= a
+    return c
+
+
+def whole_row_trace(c) -> SumTrace:
+    """The value and prefix record of sum_n c_n from one cumsum of the whole row, the oracle of ``weyl_sum``."""
+    N = len(c)
+    cum = np.cumsum(c)
+    mags = np.abs(cum)
+    running = np.maximum.accumulate(mags)
+    powers = [(1 << i) - 1 for i in range(N.bit_length()) if (1 << i) <= N]
+    return SumTrace(value=complex(cum[-1]), N=N, prefix_max=float(running[-1]),
+                    dyadic_prefixes=tuple(float(mags[p]) for p in powers),
+                    dyadic_prefix_max=tuple(float(running[p]) for p in powers))

@@ -15,7 +15,9 @@ import pytest
 
 import weylsums as w
 from weylsums.experiments import fit_by_sample
-from weylsums.expsum import _twisted_coeffs, reconstruct_all_prefixes
+from weylsums.expsum import reconstruct_all_prefixes
+
+from conftest import whole_row
 
 UNIT = w.WeightSeq.unit()
 
@@ -43,7 +45,7 @@ def test_c01_completion_identity():
             fam = w.classical_family(d)
             u = w.TorusPoint.from_reals(rng.random(d))
             rec = reconstruct_all_prefixes(fam, u, UNIT, N)
-            direct = np.cumsum(_twisted_coeffs(fam.polys, u.raw, UNIT.array(N), N))
+            direct = np.cumsum(whole_row(fam.polys, u.raw, N))
             assert np.abs(rec - direct).max() <= 1e-8 * N
 
 

@@ -128,11 +128,11 @@ class TestExitCodes:
         assert "work budget" in err
 
     def test_sum_term_budget_exits_3(self, capsys):
-        # 48 bytes a term: N = 5584128 is the last admitted
+        # a sum holds no row: N = 2^31 terms is the last admitted
         code, _, err = run(capsys, "sum", "--family", "classical:2", "--u", "0.1,0.2",
-                           "--N", "5584129")
+                           "--N", "2147483649")
         assert code == 3
-        assert "memory budget" in err
+        assert "work budget" in err
 
     def test_discrepancy_sweep_budget_exits_3(self, capsys):
         # 56 bytes a point: N = 4793417 is the last admitted

@@ -81,7 +81,8 @@ def _points(N):
 
 # case: (the checked entry point, size -> the call to measure, its sizes)
 CASES = {
-    "weyl_sum": ("weyl_sum", lambda N: lambda: w.weyl_sum(FAM3, U3, UNIT, N), (1 << 12, 1 << 16)),
+    # 2^20 is 128 windows of the prefix scan: the peak is one window's, and a few words a window
+    "weyl_sum": ("weyl_sum", lambda N: lambda: w.weyl_sum(FAM3, U3, UNIT, N), (1 << 12, 1 << 16, 1 << 20)),
     "completion_fft": ("completion_fft", lambda N: lambda: w.completion_fft(FAM3, U3, UNIT, N), (1 << 12, 1 << 16)),
     "completion_naive": ("completion_naive", lambda N: lambda: w.completion_naive(FAM3, U3, UNIT, N), (256, 1024)),
     "reconstruct_prefix": ("reconstruct_prefix", lambda N: lambda: w.reconstruct_prefix(FAM3, U3, UNIT, N, N // 3),
@@ -170,6 +171,24 @@ def test_declared_peak_within_2x_of_measured(case, declared):
         peak = _peak(call)
         [declared_peak] = [bytes_ for name, _, bytes_ in declared if name == what]
         assert peak <= declared_peak <= 2 * peak, f"{case} at {size}: declared {declared_peak}, measured {peak}"
+
+
+def test_weyl_sum_peak_grows_only_by_the_declared_window_bytes(declared):
+    # no row is held: from one window of 2^13 terms to 512, the peak grows by no
+    # more than the declared bytes of the added windows, a few words each, where
+    # a row of 2^22 terms alone would take 64 MiB
+    prepare = CASES["weyl_sum"][1]
+    prepare(1 << 13)()
+    peaks, declared_peaks = [], []
+    for N in (1 << 13, 1 << 16, 1 << 19, 1 << 22):
+        declared.clear()
+        peaks.append(_peak(prepare(N)))
+        [(_, terms, bytes_)] = declared
+        assert terms == N and peaks[-1] <= bytes_
+        declared_peaks.append(bytes_)
+    for peak, bytes_ in zip(peaks[1:], declared_peaks[1:]):
+        assert peak - peaks[0] <= bytes_ - declared_peaks[0]
+    assert declared_peaks[-1] - declared_peaks[0] < 64 * 1024
 
 
 def test_back_to_back_measurements_agree():

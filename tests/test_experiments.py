@@ -29,8 +29,10 @@ from weylsums import (
     write_jsonl,
 )
 from weylsums.experiments import _sample_rng, _split_family, fit_by_sample
-from weylsums.expsum import PhaseTable, _majorant, _sum_trace, _twisted_coeffs, raw_phases
+from weylsums.expsum import PhaseTable, _majorant, raw_phases
 from weylsums.polyfam import IntPolynomial, shift_coefficients
+
+from conftest import whole_row, whole_row_trace
 
 
 def tiny_cfg(**kw):
@@ -70,7 +72,7 @@ def per_draw_reference(cfg):
             best = 0.0
             for _ in range(cfg.y_samples):
                 raws = TorusPoint.from_reals(x + tuple(rng.random(fam.d - k))).raw  # the point (x, y)
-                best = max(best, float(abs(np.sum(_twisted_coeffs(fam.polys, raws, unit.array(N), N)))))
+                best = max(best, float(abs(np.sum(whole_row(fam.polys, raws, N, unit.array(N))))))
             out.append((x, N, best, None))
     return out
 
@@ -225,10 +227,10 @@ class TestSweep:
         assert seen == [3, 2]  # one CPU: the samples run serially
 
     def test_budget_rejected_before_run(self, admitted):
-        # the records of 149575 samples, four each, are the last to fit the
+        # the records of 149580 samples, four each, are the last to fit the
         # memory budget; 2^17 sampled y at N = 2^14 the last within the work budget
-        assert admitted(metric_sweep, tiny_cfg(samples=149575))
-        assert not admitted(metric_sweep, tiny_cfg(samples=149576))
+        assert admitted(metric_sweep, tiny_cfg(samples=149580))
+        assert not admitted(metric_sweep, tiny_cfg(samples=149581))
         sampled = dict(k=1, samples=1, log2_n_min=14, log2_n_max=14)
         assert admitted(metric_sweep, tiny_cfg(y_samples=1 << 17, **sampled))
         assert not admitted(metric_sweep, tiny_cfg(y_samples=(1 << 17) + 1, **sampled))
@@ -291,13 +293,15 @@ class TestSweep:
         assert [r.coords for r in short] == [r.coords for r in weyl]
 
     def test_twisted_block_exact_for_high_degree(self):
-        # float x * n^d phases lose every bit of n^4 x mod 1 at N = 2^14; the
-        # sweep's coefficient block must match direct integer phases
+        # float x * n^d phases lose every bit of n^4 x mod 1 at N = 2^14; a
+        # row of the walker, summed whole, must match direct integer phases
+        from weylsums import short_interval_sum
+
         fam = classical_family(4)
         x = np.random.default_rng(4).random(4)
         N = 1 << 14
         raws = TorusPoint.from_reals(x).raw
-        block = complex(np.sum(_twisted_coeffs(fam.polys, raws, 1.0, N)))
+        block = short_interval_sum(x, 0, N)
         exact = sum(cmath.exp(2j * cmath.pi * (PhaseTable.raw_at(fam.polys, raws, n) / 2**64))
                     for n in range(1, N + 1))
         assert abs(block - exact) <= 1e-9 * abs(exact)
@@ -372,8 +376,8 @@ class TestBatchedBlocks:
         recs = metric_sweep(cfg)
         for sid in range(2):
             mine = [r for r in recs if r.sample_id == sid]
-            c = _twisted_coeffs(fam.polys, TorusPoint.from_reals(mine[0].coords).raw, None, 1 << 15)
-            assert [r.value for r in mine] == list(_sum_trace(c).dyadic_prefix_max)
+            c = whole_row(fam.polys, TorusPoint.from_reals(mine[0].coords).raw, 1 << 15)
+            assert [r.value for r in mine] == list(whole_row_trace(c).dyadic_prefix_max)
             assert [dict(r.extras)["w"] for r in mine] == [float(_majorant(c[: r.N])) for r in mine]
 
     def test_continuity_slack_is_a_bound(self):

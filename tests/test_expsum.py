@@ -36,11 +36,12 @@ from weylsums.expsum import (
     _reduce_rows,
     _spectrum,
     _twisted,
-    _twisted_coeffs,
     raw_phases,
     reconstruct_all_prefixes,
 )
 from weylsums.polyfam import IntPolynomial
+
+from conftest import whole_row, whole_row_trace
 
 UNIT = WeightSeq.unit()
 
@@ -232,23 +233,6 @@ class TestExpKernel:
         assert np.array_equal(np.stack([_expi(row) for row in theta]), ref)
         assert _expi(np.uint64(1 << 62)) == pytest.approx(1j, abs=1e-16)
 
-    def test_twisted_coeffs_bytes_per_term(self):
-        import tracemalloc
-
-        # one uint64 phase block and the complex result, plus fixed slab
-        # buffers: a float phase and a complex exponent would add 24 more
-        fam = classical_family(2)
-        B, N = 64, 1 << 12
-        raws = _quantize_array(np.random.default_rng(33).random((B, 2)))
-        a = UNIT.array(N)
-        tracemalloc.start()
-        try:
-            _twisted_coeffs(fam.polys, raws, a, N)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / (B * N) <= 32.5
-
     @pytest.mark.parametrize("slab", ["declared", 64])
     def test_row_reductions_match_the_whole_block(self, slab, monkeypatch):
         # each row is reduced whole, so the slab kernel's row sums and
@@ -271,13 +255,13 @@ class TestExpKernel:
                 starts = rng.integers(-(10**12), 10**12, size=B)
                 a = np.exp(2j * np.pi * rng.random(N)) * rng.random(N)
                 sums = _reduce_rows(*_phase_rows(fam.polys, raws, N, starts), _twisted(row_sums, a), np.complex128)
-                assert np.array_equal(sums, row_sums(_twisted_coeffs(fam.polys, raws, a, N, starts)))
+                assert np.array_equal(sums, row_sums(whole_row(fam.polys, raws, N, a, starts)))
                 one_point = _reduce_rows(*_phase_rows(fam.polys, raws[0], N, starts), _twisted(row_sums, a),
                                          np.complex128)
-                assert np.array_equal(one_point, row_sums(_twisted_coeffs(fam.polys, raws[0], a, N, starts)))
+                assert np.array_equal(one_point, row_sums(whole_row(fam.polys, raws[0], N, a, starts)))
                 w = _reduce_rows(*_phase_rows(fam.polys, raws, N), _twisted(_majorant), np.float64)
                 for weights in (None, UNIT.array(N)):  # unit weights are skipped: only zeros' signs can differ
-                    c = _twisted_coeffs(fam.polys, raws, weights, N)
+                    c = whole_row(fam.polys, raws, N, weights)
                     assert np.array_equal(w, _majorant(c) if N <= size else [_majorant(row[None])[0] for row in c])
 
 
@@ -461,7 +445,7 @@ class TestReconstruction:
         fam = classical_family(2)
         u = random_point(2)
         val = reconstruct_prefix(fam, u, UNIT, 32, 1)
-        direct = _twisted_coeffs(fam.polys, u.raw, UNIT.array(32), 32)[0]
+        direct = whole_row(fam.polys, u.raw, 32)[0]
         assert val == pytest.approx(direct, abs=1e-9)
 
     def test_every_prefix(self):
@@ -469,13 +453,95 @@ class TestReconstruction:
         u = random_point(2)
         N = 64
         rec = reconstruct_all_prefixes(fam, u, UNIT, N)
-        direct = np.cumsum(_twisted_coeffs(fam.polys, u.raw, UNIT.array(N), N))
+        direct = np.cumsum(whole_row(fam.polys, u.raw, N))
         assert np.abs(rec - direct).max() < 1e-8
 
     def test_range_checked(self):
         fam = classical_family(1)
         with pytest.raises(ValueError):
             reconstruct_prefix(fam, TorusPoint.from_reals([0]), UNIT, 8, 9)
+
+
+ONE_POINT = {  # each one-point entry point as a call on (N, M); M is ignored where there is none
+    "weyl_sum": lambda N, M: weyl_sum(classical_family(2), TorusPoint.from_reals([0.1, 0.2]), UNIT, N),
+    "short_interval_sum": lambda N, M: short_interval_sum([0.1, 0.2], M, N),
+    "completion_naive": lambda N, M: completion_naive(classical_family(2), TorusPoint.from_reals([0.1, 0.2]), UNIT, N),
+    "completion_fft": lambda N, M: completion_fft(classical_family(2), TorusPoint.from_reals([0.1, 0.2]), UNIT, N),
+    "reconstruct_prefix": lambda N, M: reconstruct_prefix(classical_family(2), TorusPoint.from_reals([0.1, 0.2]),
+                                                          UNIT, N, M),
+    "reconstruct_all_prefixes": lambda N, M: reconstruct_all_prefixes(classical_family(2),
+                                                                      TorusPoint.from_reals([0.1, 0.2]), UNIT, N),
+}
+
+
+def _same(x, y) -> bool:
+    return np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+
+
+class TestOnePointEntries:
+    @pytest.mark.parametrize("name", sorted(ONE_POINT))
+    def test_counts_must_be_whole(self, name):
+        # 2.5 is refused, not truncated to 2, and numpy integers are integers
+        call = ONE_POINT[name]
+        assert _same(call(np.int64(5), np.int64(2)), call(5, 2))
+        for N, word in ((2.5, "N must be an integer"), (5.0, "N must be an integer"), ("5", "N must be an integer"),
+                        (0, "N must be >= 1"), (-3, "N must be >= 1")):
+            with pytest.raises(ValueError, match=word):
+                call(N, 2)
+        if name in ("short_interval_sum", "reconstruct_prefix"):
+            for M in (2.7, "2", 2.0):
+                with pytest.raises(ValueError, match="M must be an integer"):
+                    call(5, M)
+
+    @pytest.mark.parametrize("weights", ["unit", "explicit"])
+    @pytest.mark.parametrize("spec", ["classical:1", "classical:2", "classical:3", "classical:4", [[0, 1], [1, 1, 1]]],
+                             ids=str)
+    def test_bit_identical_to_the_whole_row(self, spec, weights, monkeypatch):
+        # every one-point sum against the same formula on the whole-row oracle: one window, one
+        # window short and past it, and 128 windows and a partial one.  At 2^20 + 3, whose
+        # transforms take seconds, the transforms are checked through the rows they are given
+        import weylsums.expsum as expsum
+
+        fam = parse_family(spec)
+        rng = np.random.default_rng(len(str(spec)) + len(weights))
+        u = TorusPoint.from_reals(rng.random(fam.d))
+        held_row, majorant = expsum._held_row, expsum._majorant
+
+        def oracle_row(fam, u, a, N):
+            return whole_row(fam.polys, u.raw, N, None if a.kind == "unit" else a.array(N))
+
+        def through_the_oracle(fn, *args):
+            monkeypatch.setattr(expsum, "_held_row", oracle_row)
+            try:
+                return fn(*args)
+            finally:
+                monkeypatch.setattr(expsum, "_held_row", held_row)
+
+        for N in (1, 7, 64, 512, 8191, 8192, 8193, (1 << 20) + 3):
+            vals = np.exp(2j * np.pi * rng.random(N)) * rng.random(N) if weights == "explicit" else None
+            a = UNIT if vals is None else WeightSeq.explicit(vals, C=1.0)
+            c = whole_row(fam.polys, u.raw, N, vals)
+            if N <= 512:  # the O(N^2) entries, at N = 1, 7, 64 and 512
+                for fn in (completion_naive, reconstruct_all_prefixes):
+                    assert _same(fn(fam, u, a, N), through_the_oracle(fn, fam, u, a, N)), (fn.__name__, N)
+            if N in (7, 64, 512):
+                continue
+            assert weyl_sum(fam, u, a, N) == whole_row_trace(c)
+            if weights == "unit" and str(spec).startswith("classical"):
+                for M in (0, -(10**12) - 7, 1 << 70):
+                    c_M = whole_row(fam.polys, u.raw, N, None, M)
+                    assert short_interval_sum(u.fractions(), M, N) == complex(np.sum(c_M)), (M, N)
+            if N < 1 << 20:
+                assert completion_fft(fam, u, a, N).W == float(_majorant(c))
+                for M in (1, N // 3 + 1, N):
+                    assert reconstruct_prefix(fam, u, a, N, M) == through_the_oracle(reconstruct_prefix, fam, u, a, N, M)
+                continue
+            assert np.array_equal(held_row(fam, u, a, N), c)
+            given = []
+            monkeypatch.setattr(expsum, "_majorant", lambda row: given.append(row.copy()) or np.zeros(len(row)))
+            completion_fft(fam, u, a, N)
+            monkeypatch.setattr(expsum, "_majorant", majorant)
+            assert len(given) == 1 and np.array_equal(given[0], c[None])
 
 
 class TestSupLinear:
@@ -803,12 +869,16 @@ class TestBudgets:
             reconstruct_all_prefixes(classical_family(2), random_point(2), UNIT, 1 << 20)
 
     def test_sum_terms(self, admitted):
-        # 48 bytes a term for a sum, 32 for a short-interval sum
-        for fn in (weyl_sum, completion_fft):
-            assert admitted(fn, classical_family(2), random_point(2), UNIT, 5584128)
-            assert not admitted(fn, classical_family(2), random_point(2), UNIT, 5584129)
-        assert admitted(short_interval_sum, [0.1, 0.2], 3, 8376192)
-        assert not admitted(short_interval_sum, [0.1, 0.2], 3, 8376193)
+        # a sum holds no row: the work budget binds.  A completion walks its row
+        # as one slab with the census's 64 bytes a term, fold weights included,
+        # and a short-interval sum with the sampled sup's 40; each also takes
+        # _expi's 48 bytes a term of 8192 and 16 KiB
+        assert admitted(weyl_sum, classical_family(2), random_point(2), UNIT, 1 << 31)
+        assert not admitted(weyl_sum, classical_family(2), random_point(2), UNIT, (1 << 31) + 1)
+        assert admitted(completion_fft, classical_family(2), random_point(2), UNIT, 4187904)
+        assert not admitted(completion_fft, classical_family(2), random_point(2), UNIT, 4187905)
+        assert admitted(short_interval_sum, [0.1, 0.2], 3, 6700646)
+        assert not admitted(short_interval_sum, [0.1, 0.2], 3, 6700647)
 
     def test_sum_terms_refused_for_real(self):
         # 2^40 unit weights would take 16 TiB: the check comes before them

@@ -44,6 +44,19 @@ def _derivative_rows(polys):
     return rows
 
 
+def _det_cofactor(rows):
+    """The determinant by cofactor expansion along the first row: the oracle of the Bareiss route."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = IntPolynomial([])
+    for j, a in enumerate(rows[0]):
+        if a.is_zero:
+            continue
+        term = a * _det_cofactor([r[:j] + r[j + 1 :] for r in rows[1:]])
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
 class TestIntPolynomial:
     def test_degree_and_zero_marker(self):
         assert IntPolynomial([0, 0, 1]).degree == 2
@@ -163,7 +176,7 @@ class TestWronskian:
         # the closed form against the determinant of the derivative rows, on
         # random a_i T^(e_i) with leading coefficients of either sign and any
         # size: distinct exponents, and a repeated one, which gives zero
-        from weylsums.polyfam import _det_bareiss_poly, _det_cofactor, _wronskian_monomial
+        from weylsums.polyfam import _det_bareiss_poly, _wronskian_monomial
 
         rng = random.Random(20261018)
         polys = [IntPolynomial.monomial(1, 2), IntPolynomial.monomial(3), IntPolynomial.monomial(4, -1)]
@@ -182,8 +195,6 @@ class TestWronskian:
     def test_nonvanishing_flag_matches_the_determinant(self):
         # monomial families answer from their degrees; every flag agrees with
         # the determinant polynomial and with the cofactor expansion
-        from weylsums.polyfam import _det_cofactor
-
         specs = [
             [[0, 1], [0, 0, 1]], [[0, 1], [0, 2]], [[0, 0, 1], [0, 0, 2]], [[0, 0, 0, 3], [0, -2], [0, 0, 0, 0, 5]],
             [[0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 7]], [[0, 0, 0, 1], [0, 0, 0, -1], [0, 1]],
@@ -209,7 +220,6 @@ class TestWronskian:
         # force the generic Bareiss path with 7 non-monomial members
         polys = [IntPolynomial([j + 1] + [0] * j + [1]) for j in range(7)]
         fam = PolynomialFamily(polys)
-        from weylsums.polyfam import _det_cofactor
 
         assert wronskian(fam) == _det_cofactor(_derivative_rows(polys))
 
