@@ -18,8 +18,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvariantViolation, check_cost
-from .expsum import (WeightSeq, _majorant, _phase_rows, _quantize_array, _reduce_rows, _slab_terms, _twisted,
-                     _walk_bytes, _weights, _whole)
+from .expsum import (WeightSeq, _fft_split, _majorant, _phase_rows, _quantize_array, _reduce_rows, _slab_terms,
+                     _twisted, _walk_bytes, _weights, _whole)
 from .polyfam import PolynomialFamily
 
 __all__ = [
@@ -177,11 +177,11 @@ def markov_check(sampled_values: Sequence[float], threshold: float, two_s: int) 
 
 def _census_cost(grid: BoxGrid, spb: int) -> tuple[int, int]:
     """(terms, peak bytes) of a census: 17 + 16 d bytes a box, all marked; 32 d + 8 a box and
-    24 (d + 1) a sample of one chunk of boxes; 48 a term of one slab of whole rows."""
+    24 (d + 1) a sample of one chunk of boxes; 48 a term of one slab of whole rows; split twiddles."""
     boxes = min(grid.U, _CHUNK)
     slab = _slab_terms(boxes * spb, grid.N)
     peak = ((17 + 16 * grid.d) * grid.U + (32 * grid.d + 8 + 24 * (grid.d + 1) * spb) * boxes
-            + _walk_bytes(slab, 16) + 16 * grid.N)
+            + _walk_bytes(slab, 16) + 16 * grid.N + _fft_split(grid.N)[2])
     return grid.U * spb * grid.N, peak
 
 

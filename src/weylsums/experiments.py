@@ -27,6 +27,7 @@ from .errors import ConfigError, check_cost
 from .expsum import (
     TorusPoint,
     WeightSeq,
+    _fft_split,
     _fold_weights,
     _majorant,
     _phase_rows,
@@ -409,7 +410,7 @@ def _block_peak(cfg: ExperimentConfig, fam: PolynomialFamily, k: int, route: str
 
     The ``weyl`` k = d route holds, a sample at a time, e(f(n)) of its n_max terms, a spectrum of
     n_max/2 terms and its magnitudes (28 B a term in all), the cached fold weights of every N (up
-    to 16 B a term), and the prefix scan's window (``expsum._scan_bytes``).  Every other route
+    to 16 B a term) and twiddles, and the prefix scan's window (``expsum._scan_bytes``).  Every other route
     holds its draws and, at each N, walks R = S·r rows (r = y_samples, m_samples or 1) in slabs of
     at most T terms: the walker's bytes a term (``expsum._walk_bytes``, with what the reduction
     makes a term) or, for the windows, the slab and whole rows of n, and a few words a row.
@@ -417,7 +418,7 @@ def _block_peak(cfg: ExperimentConfig, fam: PolynomialFamily, k: int, route: str
     schedule = cfg.schedule()
     n, L = schedule[-1], len(schedule)
     if route == "prefix":
-        return 44 * n + _scan_bytes(n, max(fam.degrees))
+        return 44 * n + sum(_fft_split(N)[2] for N in schedule) + _scan_bytes(n, max(fam.degrees))
     R = S * _sample_rows(cfg, route)
     T = max(_slab_terms(R, N) for N in schedule)
     if route == "sampled":  # the row sums; a row's point, coefficients and sum; every y draw, one sample's as floats

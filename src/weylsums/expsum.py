@@ -11,7 +11,9 @@ table built once at import, and a short Taylor polynomial in the low 52
 bits turns it through the rest (Tang, ACM TOMS 15(2), 1989).  Every value
 is within 1e-15 of the exact one.  A window start s is folded into the
 coefficients of f(n + s), so every phase row is one Horner pass over n = 1..N.
-``raw_phases`` makes whole arrays of phases.
+``raw_phases`` makes whole arrays of phases.  ``_majorant`` transforms a row longer than _FFT_LEN
+points as short batched transforms and twiddles (Bailey's four-step FFT, J. Supercomputing 4, 1990):
+pocketfft would take a one-call transform's N-point scratch from the OS and give it back every time.
 ``_reduce_rows`` is the one walker that cuts phase rows into slabs and reduces each row to one
 value: rows of ``_phase_rows`` (the sweeps' sup over y and discrepancies, the census,
 ``short_interval_sum`` and ``completion_fft``) or the Erdős–Turán dilations g x, taken through
@@ -65,6 +67,7 @@ VINOGRADOV_BLOCK = 1 << 18
 _TABLE_BITS = 12  # e(k / 2^12) per value k of a phase's top bits
 _LOW_BITS = SCALE_BITS - _TABLE_BITS
 _SLAB = 1 << 13  # terms per pass of _expi and per slab of _reduce_rows: the buffers stay in cache
+_FFT_LEN = 1 << 13  # the longest row _majorant transforms in one np.fft.fft call; longer ones split
 
 
 def _slab_terms(B: int, N: int) -> int:
@@ -570,8 +573,30 @@ def _fold_weights(N: int) -> np.ndarray:
     k = np.arange(N, dtype=np.float64)
     w = 1.0 / (k + 1.0) + 1.0 / (N + 1.0 - k)  # h = k and h = k - N
     w[0] += 1.0 / (N + 1.0)  # h = N also folds onto k = 0
+    w = w.reshape(-1, _fft_split(N)[0]).T.ravel()  # in _majorant's order: k = k1 + n1 k2 at k1 n2 + k2
     w.flags.writeable = False
     return w
+
+
+@functools.lru_cache(maxsize=64)
+def _fft_split(N: int) -> tuple[int, int, int]:
+    """(n1, A, bytes) splitting N = n1 n2: n1 the largest factor in [4, sqrt(N)] with n2 <= _FFT_LEN, or 1 (N <=
+    _FFT_LEN, 8209, 2 x 4099), A about sqrt(n1); ``_four_step``'s A + ceil(n1/A) rows of n2 take <= 16 B a term."""
+    lo = -(-N // _FFT_LEN)  # the least n1 that leaves n2 <= _FFT_LEN
+    n1 = next((f for f in range(math.isqrt(N), max(lo, 4) - 1, -1) if N % f == 0), 1) if lo > 1 else 1
+    A = 1 << (n1.bit_length() // 2)
+    return n1, A, 16 * (A + -(-n1 // A)) * (N // n1) if n1 > 1 else 0
+
+
+@functools.lru_cache(maxsize=64)
+def _four_step(N: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n1, t1, t2) of ``_fft_split``: the twiddles e(-k1 j/N), j < n2, of k1 = a + A b as e(-a j/N) (t1, A rows)
+    times e(-A b j/N) (t2), read-only; one (n1, n2) table would take 16 bytes a term."""
+    n1, A, _ = _fft_split(N)
+    j = np.arange(N // n1)
+    t1, t2 = (np.exp(np.outer(k1, j) * (-_TWO_PI * 1j / N)) for k1 in (np.arange(A), np.arange(0, n1, A)))
+    t1.flags.writeable = t2.flags.writeable = False
+    return n1, t1, t2
 
 
 def _majorant(c: np.ndarray, work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
@@ -582,13 +607,28 @@ def _majorant(c: np.ndarray, work: tuple[np.ndarray, np.ndarray] | None = None) 
     ``_spectrum`` only twists phases) and w_N[k] = w_N[-k mod N], so the
     forward transform's magnitudes are weighted as they are.  einsum, not
     a BLAS dot, reduces them: an unpinned BLAS pool was slower at B = 1.
+    A row that ``_fft_split`` splits, N = n1 n2, is an (n1, n2) view: its
+    n1-point transforms along axis -2, the twiddles e(-k1 j2/N), and the
+    n2-point transforms along axis -1 leave X_{k1 + n1 k2} at (k1, k2).
     ``work``, two arrays of c's shape, takes the transform (complex; c
     itself transforms in place) and its magnitudes (float) instead of
     fresh arrays, with the same values.
     """
-    w = _fold_weights(c.shape[-1])
+    N, lead = c.shape[-1], c.shape[:-1]
     spectrum, mags = (None, None) if work is None else work
-    return np.einsum("...n,n->...", np.abs(np.fft.fft(c, axis=-1, out=spectrum), out=mags), w)
+    if _fft_split(N)[0] == 1:
+        X = np.fft.fft(c, axis=-1, out=spectrum)
+    else:
+        n1, t1, t2 = _four_step(N)
+        A, view = len(t1), lead + (n1, N // n1)
+        X = np.fft.fft(c.reshape(view), axis=-2, out=None if spectrum is None else spectrum.reshape(view))
+        q = n1 - n1 % A  # rows k1 = a + A b of whole blocks; any rest is block b = q / A
+        head = X[..., :q, :].reshape(lead + (q // A, A, N // n1))
+        head *= t2[: q // A, None]
+        head *= t1
+        X[..., q:, :] *= t2[-1] * t1[: n1 - q]
+        X = np.fft.fft(X, axis=-1, out=X).reshape(c.shape)
+    return np.einsum("...n,n->...", np.abs(X, out=mags), _fold_weights(N))
 
 
 def completion_fft(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> CompletionResult:
@@ -598,12 +638,15 @@ def completion_fft(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -
     onto the N spectrum values X_k, each weighted by the sum of
     1/(|h|+1) over the h that fold onto it (see ``_majorant``); agrees
     with completion_naive to floating-point tolerance.  The row is one row
-    of the walker, reduced as the census's are, after the fold weights.
+    of the walker, transformed in its e(theta) buffer after the fold
+    weights are built: 16 bytes a term for those and the magnitudes, and
+    at most 16 for the twiddles of a split transform.
     """
     N = _terms("N", N)
     check_cost("completion_fft", N, _walk_bytes(N, 16) + 16 * N)
     _fold_weights(N)
-    W = _reduce_rows(*_phase_rows(fam.polys, u.raw, N), _twisted(_majorant, _weights(a, N)), np.float64)[0]
+    majorant = _twisted(lambda c: _majorant(c, (c, None)), _weights(a, N))
+    W = _reduce_rows(*_phase_rows(fam.polys, u.raw, N), majorant, np.float64)[0]
     return CompletionResult(W=float(W), N=N)
 
 
@@ -713,9 +756,7 @@ def vinogradov_count(d: int, s: int, N: int) -> int:
     int64 range: the power sums (s N^d), a window's key, or the count,
     J <= N^s M_s, M_s the most s-tuples sharing one sum.
     """
-    d, s, N = int(d), int(s), int(N)
-    if d < 1 or s < 1 or N < 1:
-        raise ValueError("d, s, N must all be >= 1")
+    d, s, N = _terms("d", d), _terms("s", s), _terms("N", N)
     d = min(d, s)  # S_1, ..., S_s fix s numbers (Newton's identities), so later power sums add no condition
     keys = [_distinct_keys(d, i, N) for i in range(s)] + [0]  # the last level merges none
     levels = [_level(d, i, N, keys[i - 1], keys[i]) for i in range(1, s + 1)]
@@ -901,11 +942,13 @@ def _moment_args(N, two_s) -> tuple[int, int]:
 
 
 def _whole(name: str, value) -> int:
-    """An integer argument as an int: 7.9 and "7" are refused, not truncated or parsed."""
+    """An integer argument as an int: 7.9, "7" and True are refused, not truncated, parsed or read as 1."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _terms(name: str, value) -> int:

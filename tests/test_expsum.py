@@ -15,10 +15,14 @@ from weylsums import (
     classical_family,
     completion_fft,
     completion_naive,
+    erdos_turan_bound,
+    erdos_turan_bound_poly,
     exact_moment_grid,
     moment_integral,
     parse_family,
+    poly_discrepancy,
     reconstruct_prefix,
+    short_interval_discrepancy,
     short_interval_sum,
     sup_linear_coeff,
     vinogradov_count,
@@ -26,7 +30,9 @@ from weylsums import (
 )
 from weylsums.expsum import (
     PhaseTable,
+    _fft_split,
     _fold_weights,
+    _four_step,
     _majorant,
     _most_sharing_a_sum,
     _phase_rows,
@@ -419,7 +425,7 @@ class TestCompletion:
             # built once per N and shared: a caller cannot write into it
             assert not w.flags.writeable and _fold_weights(N) is w
 
-    @pytest.mark.parametrize("N", [1, 2, 3, 8, 17, 64, 4096])
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 17, 64, 4096, 3 << 13])
     def test_folded_majorant_matches_the_gather(self, N):
         def gathered(c):
             # the 2N+1 gather of |X_h| the folded weights replace
@@ -433,7 +439,42 @@ class TestCompletion:
             c = np.exp(2j * np.pi * rng.random(shape)) * rng.random(shape)
             got, ref = _majorant(c), gathered(c)
             assert got.shape == ref.shape == shape[:-1]
-            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+            # past 8192 points the two sums' rounding alone reaches 1.5e-14, one transform or four steps
+            np.testing.assert_allclose(got, ref, rtol=1e-14 if N <= 8192 else 1e-13, atol=0)
+
+    @pytest.mark.parametrize("N", [8193, 1 << 14, 3 << 13, 1 << 15, 1 << 16, 8209, 97 * 101])
+    def test_split_majorant_matches_one_transform(self, N):
+        # past _FFT_LEN = 8192 points a row is cut into n1 x n2 transforms: 128 x 192
+        # at 3 * 2^13, 97 x 101 (whose twiddle blocks of 8 rows leave one over); 8209
+        # is prime and 8193 = 3 x 2731 has no factor from 4 on, so each is one call
+        n1 = _fft_split(N)[0]
+        assert (n1 == 1) == (N in (8193, 8209))
+        if n1 > 1:
+            _, t1, t2 = _four_step(N)
+            assert t1.size + t2.size < N // 4  # two short tables, not one of N entries
+        k = np.arange(N)
+        w = 1.0 / (k + 1.0) + 1.0 / (N + 1.0 - k)
+        w[0] += 1.0 / (N + 1.0)
+        rng = np.random.default_rng(N)
+        for shape in ((N,), (3, N)):
+            c = np.exp(2j * np.pi * rng.random(shape)) * rng.random(shape)
+            ref = np.abs(np.fft.fft(c, axis=-1)) @ w
+            got = _majorant(c)
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+            # into given arrays, or c itself transformed in place, with the same bits
+            assert np.array_equal(_majorant(c, (np.empty_like(c), np.empty(shape))), got)
+            held = c.copy()
+            assert np.array_equal(_majorant(held, (held, np.empty(shape))), got)
+        # a row alone and as a block of one (a row of a longer block may move in the last bit: einsum
+        # cuts a row past its 8192-element buffer where the block's layout puts it)
+        assert np.array_equal(_majorant(c[1][None]), _majorant(c[1])[None])
+
+    def test_split_decided_by_the_row_not_the_slab(self, monkeypatch):
+        fam, u = classical_family(3), random_point(3)
+        declared = completion_fft(fam, u, UNIT, 1 << 14).W
+        monkeypatch.setattr("weylsums.expsum._SLAB", 16)
+        assert completion_fft(fam, u, UNIT, 1 << 14).W == declared
+
 
 class TestReconstruction:
     def test_full_prefix_at_zero(self):
@@ -476,6 +517,29 @@ ONE_POINT = {  # each one-point entry point as a call on (N, M); M is ignored wh
 
 def _same(x, y) -> bool:
     return np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+
+
+FAM2, U2 = classical_family(2), TorusPoint.from_reals([0.1, 0.2])
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: vinogradov_count(2, 3, 4.7), "N"),  # not J_{3,2}(4)
+    (lambda: vinogradov_count(2.9, 3, 4), "d"),
+    (lambda: vinogradov_count(2, True, 4), "s"),  # not J_{1,2}(4)
+    (lambda: weyl_sum(FAM2, U2, UNIT, True), "N"),  # not N = 1
+    (lambda: poly_discrepancy(FAM2, U2, 4.5), "N"),
+    (lambda: short_interval_discrepancy([0.1, 0.2], 3, 4.5), "N"),
+    (lambda: short_interval_discrepancy([0.1, 0.2], 2.5, 4), "M"),
+    (lambda: erdos_turan_bound_poly(FAM2, U2, 8, 2.5), "G"),
+    (lambda: erdos_turan_bound([0.1, 0.2], np.True_), "G"),
+], ids=["vinogradov N", "vinogradov d", "vinogradov s", "weyl_sum N", "poly_discrepancy N",
+        "short_interval_discrepancy N", "short_interval_discrepancy M", "erdos_turan_bound_poly G",
+        "erdos_turan_bound G"])
+def test_integer_arguments_refused_by_name(call, name):
+    # a float, a bool or numpy bool is refused with a ValueError naming the
+    # argument, before any work: not truncated, read as 1, or left to numpy
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call()
 
 
 class TestOnePointEntries:
@@ -538,7 +602,8 @@ class TestOnePointEntries:
                 continue
             assert np.array_equal(held_row(fam, u, a, N), c)
             given = []
-            monkeypatch.setattr(expsum, "_majorant", lambda row: given.append(row.copy()) or np.zeros(len(row)))
+            monkeypatch.setattr(expsum, "_majorant",
+                                lambda row, work=None: given.append(row.copy()) or np.zeros(len(row)))
             completion_fft(fam, u, a, N)
             monkeypatch.setattr(expsum, "_majorant", majorant)
             assert len(given) == 1 and np.array_equal(given[0], c[None])
