@@ -10,6 +10,7 @@ asserted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,9 +18,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation, check_cost
+from .errors import InvariantViolation, _whole, check_cost
 from .expsum import (WeightSeq, _fft_split, _majorant, _phase_rows, _quantize_array, _reduce_rows, _slab_terms,
-                     _twisted, _walk_bytes, _weights, _whole)
+                     _twisted, _walk_bytes, _weights)
 from .polyfam import PolynomialFamily
 
 __all__ = [
@@ -176,11 +177,12 @@ def markov_check(sampled_values: Sequence[float], threshold: float, two_s: int) 
 
 
 def _census_cost(grid: BoxGrid, spb: int) -> tuple[int, int]:
-    """(terms, peak bytes) of a census: 17 + 16 d bytes a box, all marked; 32 d + 8 a box and
-    24 (d + 1) a sample of one chunk of boxes; 48 a term of one slab of whole rows; split twiddles."""
+    """(terms, peak bytes) of a census: 17 + 16 d bytes a box, all marked; of one chunk of boxes, 32 a box and
+    8 (2 d + D + 3) a sample, D the top degree (its probe and quantised probe, f's D + 1 coefficients, and its
+    value in this chunk and the last); 48 a term of one slab of whole rows, magnitudes included; split twiddles."""
     boxes = min(grid.U, _CHUNK)
     slab = _slab_terms(boxes * spb, grid.N)
-    peak = ((17 + 16 * grid.d) * grid.U + (32 * grid.d + 8 + 24 * (grid.d + 1) * spb) * boxes
+    peak = ((17 + 16 * grid.d) * grid.U + (32 + 8 * (2 * grid.d + max(grid.degrees) + 3) * spb) * boxes
             + _walk_bytes(slab, 16) + 16 * grid.N + _fft_split(grid.N)[2])
     return grid.U * spb * grid.N, peak
 
@@ -208,6 +210,8 @@ def census(
     box order from one Philox stream per call: draw j of box b on axis i is
     output (b*(spb-1) + j)*d + i, so no result depends on the chunking.
     Each sample is quantised to the 2^-64 grid, so its phases are exact.
+    A chunk of boxes holds its samples one row an axis, (d, boxes, spb), read
+    by the walker as a (samples, d) view: byte for byte the results of one row a sample.
     ``marked_boxes`` is an int64 (marked, d) array.  The Markov identity is
     asserted on every run; when ``alphas`` is given the same peaks are
     re-thresholded per alpha and the marked counts are checked to be monotone.
@@ -227,21 +231,25 @@ def census(
 
     gen = np.random.Generator(np.random.Philox(key=(seed << 64) | _STREAM_TAG))
     peaks = np.empty(grid.U, dtype=np.float64)
-    moment_sum = 0.0
-    samples_ge = 0
+    moment_sum, samples_ge = 0.0, 0
+    mags = np.empty((_slab_terms(min(grid.U, _CHUNK) * spb, N) // N, N))  # |X| of a slab; X replaces e(theta)
+    majorant = _twisted(lambda c: _majorant(c, (c, mags[: len(c)])), weights)
     for start in range(0, grid.U, _CHUNK):
         stop = min(start + _CHUNK, grid.U)
-        lin = np.arange(start, stop)
-        idx = np.stack(np.unravel_index(lin, counts), axis=1).astype(np.float64)
-        corners = idx * zeta
-        pts = np.empty((stop - start, spb, d))
-        pts[:, 0, :] = corners + 0.5 * zeta
-        pts[:, 1:, :] = corners[:, None, :] + gen.random((stop - start, spb - 1, d)) * zeta
-        raws = _quantize_array(pts.reshape(-1, d))
-        w = _reduce_rows(*_phase_rows(fam.polys, raws, N), _twisted(_majorant, weights), np.float64).reshape(-1, spb)
-        peaks[start:stop] = w.max(axis=1)
-        moment_sum += float(np.sum(w**two_s))
-        samples_ge += int(np.sum(w >= tau))
+        pts = np.empty((d, stop - start, spb))  # one row an axis: axis i of box b's sample j at [i, b, j]
+        draws = gen.random((stop - start, spb - 1, d))
+        for i, idx in enumerate(np.unravel_index(np.arange(start, stop), counts)):
+            corner = idx * zeta[i]
+            pts[i, :, 0] = corner + 0.5 * zeta[i]
+            for j in range(1, spb):  # column by column: numpy is slow on short inner loops
+                pts[i, :, j] = corner + draws[:, j - 1, i] * zeta[i]
+        del draws  # before the quantised copy, which sets the chunk's peak
+        w = _reduce_rows(*_phase_rows(fam.polys, _quantize_array(pts).reshape(d, -1).T, N),  # a (samples, d) view
+                         majorant, np.float64).reshape(-1, spb)
+        peaks[start:stop] = functools.reduce(np.maximum, w.T)
+        samples_ge += int(np.count_nonzero(w >= tau))
+        moment_sum += float(np.sum(np.power(w, two_s, out=w)))
+    del majorant, mags  # the slab buffers, before the marked boxes are built
 
     marked_mask = peaks >= tau
     marked_lin = np.nonzero(marked_mask)[0]

@@ -14,9 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import check_cost
+from .errors import _terms, _whole, check_cost
 from .expsum import (SCALE_BITS, TorusPoint, _expi_bytes, _phase_rows, _quantize_array, _reduce_rows, _slab_terms,
-                     _terms, _twisted, _whole, raw_phases)
+                     _twisted, raw_phases)
 from .polyfam import IntPolynomial, PolynomialFamily, classical_family
 
 __all__ = [

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, check_cost
+from .errors import BudgetError, _terms, _whole, check_cost
 from .polyfam import IntPolynomial, PolynomialFamily, classical_family
 
 __all__ = [
@@ -313,21 +312,25 @@ def raw_phases(polys: Sequence[IntPolynomial], raws, N: int, starts=0) -> np.nda
 def _coefficient_columns(polys: Sequence[IntPolynomial], raws, starts=0) -> tuple[np.ndarray, tuple[bool, ...]]:
     """The coefficients of f(n + s) for each row of ``raws`` and of ``starts``, broadcast, as one
     contiguous uint64 column (..., 1) a power of n, stacked (D+1, ..., 1), and which powers may be
-    nonzero.  s is folded in by Taylor shift, ring operations only, so exactly mod 2^64."""
+    nonzero.  The rows are folded by one integer product of the (D+1, d) table and the (d, rows)
+    transpose, whose rows are contiguous when ``raws`` is a view of one row an axis (the census's
+    samples).  s is folded in by Taylor shift, ring operations only, so exactly mod 2^64."""
     raws = np.asarray(raws, dtype=np.uint64)
     d = raws.shape[-1] if raws.ndim else 0
     if d != len(polys):
         raise ValueError(f"point has {d} coordinates, family needs {len(polys)}")
     # from a list: tuple(genexpr) is resized off the free list, then parked on it as traced memory
     table, used = _coefficient_table(tuple([p.coeffs for p in polys]))
-    coeffs, s, D = raws @ table, _raw_starts(starts)[..., None], len(used) - 1
+    s, D = _raw_starts(starts), len(used) - 1
+    # the product, then room for any axes that only the starts have
+    coeffs = (table.T @ raws.reshape(-1, d).T).reshape((D + 1,) + (1,) * (s.ndim + 1 - raws.ndim) + raws.shape[:-1])
     if s.any():
         coeffs = coeffs + np.zeros_like(s)  # a copy, rows and starts broadcast
         for i in range(D):  # Horner's scheme: D passes, each adding s times a coefficient into the one below
             for m in range(D - 1, i - 1, -1):  # slices: uint64 scalar products would warn as they wrap
-                coeffs[..., m : m + 1] += s * coeffs[..., m + 1 : m + 2]
+                coeffs[m : m + 1] += s * coeffs[m + 1 : m + 2]
         used = tuple(any(used[m:]) for m in range(D + 1))
-    return np.ascontiguousarray(np.moveaxis(coeffs, -1, 0))[..., None], used
+    return coeffs[..., None], used
 
 
 def _raw_starts(starts) -> np.ndarray:
@@ -939,24 +942,6 @@ def _moment_args(N, two_s) -> tuple[int, int]:
     if two_s < 2 or two_s % 2:
         raise ValueError(f"two_s must be a positive even integer, got {two_s}")
     return N, two_s
-
-
-def _whole(name: str, value) -> int:
-    """An integer argument as an int: 7.9, "7" and True are refused, not truncated, parsed or read as 1."""
-    try:
-        if not isinstance(value, bool):
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _terms(name: str, value) -> int:
-    """A count of terms as an int, refused unless it is an integer >= 1."""
-    value = _whole(name, value)
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return value
 
 
 def _five_smooth_at_least(n: int) -> int:

@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import check_cost
+from .errors import _whole, check_cost
 
 __all__ = [
     "MINUS_INFINITY",
@@ -411,9 +411,10 @@ def shift_coefficients(u: Sequence, M: int) -> list[Fraction]:
     Returns the d+1 fractional parts [v_0, ..., v_{d-1}, u_d] as exact
     Fractions: v_j = sum_{i >= max(j,1)} u_i C(i,j) M^{i-j} mod 1.  Floats
     in ``u`` are converted exactly, so shifting by M and then by -M gives
-    back the original coefficients mod 1 with no drift.
+    back the original coefficients mod 1 with no drift.  M must be an
+    integer: 2.5, "2" and True are refused, not truncated, parsed or read as 1.
     """
-    M = int(M)
+    M = _whole("M", M)
     us = [Fraction(x) % 1 for x in u]
     d = len(us)
     out: list[Fraction] = []

@@ -224,6 +224,32 @@ class TestCensus:
         assert res.empirical_moment == pytest.approx(res.moment_sum / res.n_samples)
         assert res.two_s == 6
 
+    @pytest.mark.parametrize("spb", [1, 3])
+    @pytest.mark.parametrize("d,N,c", [(1, 16, None), (2, 4, 0.42), (3, 2, 0.45)])
+    def test_every_box_peak_matches_completion_fft(self, d, N, c, spb):
+        # the whole census against probes rebuilt apart from it: box b's centre, then its draws, output
+        # (b (spb - 1) + j) d + i of the seed's stream; each peak the largest completion_fft W over its
+        # probes.  The weights c put the threshold among the peaks, so a peak too low shows in the marks
+        fam = classical_family(d)
+        g = grid_sides(fam, N, Fraction(3, 4), Fraction(1, 4))
+        a = UNIT if c is None else WeightSeq.explicit([c] * N, C=c)
+        seed = 7
+        res = census(fam, a, g, samples_per_box=spb, seed=seed)
+        zeta = np.array([float(z) for z in g.sides])
+        stream = np.random.Generator(np.random.Philox(key=(seed << 64) | 0x63656E73))
+        draws = stream.random(g.U * (spb - 1) * d).reshape(g.U, spb - 1, d)
+        peaks, marked = [], []
+        for b in range(g.U):
+            index = np.unravel_index(b, g.counts)
+            corner = np.array(index, dtype=np.float64) * zeta
+            probes = [corner + 0.5 * zeta] + [corner + r * zeta for r in draws[b]]
+            peaks.append(max(completion_fft(fam, TorusPoint.from_reals(p), a, N).W for p in probes))
+            if peaks[-1] >= g.threshold:
+                marked.append([int(i) for i in index])
+        assert 0 < res.marked < g.U
+        np.testing.assert_allclose(res.box_peaks, peaks, rtol=1e-12, atol=0)
+        assert res.marked_boxes.tolist() == marked
+
 
 class TestMarkov:
     def test_always_passes_on_random_data(self):

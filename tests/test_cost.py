@@ -37,6 +37,14 @@ def _census(N):
     return lambda: w.census(FAM2, UNIT, grid, 1, seed=3)
 
 
+def _census_samples(fam, spb):
+    # several samples a box: the per-sample bytes of a chunk of 4096 boxes, every box marked
+    def prepare(N):
+        grid = w.grid_sides(fam, N, Fraction(1, 2), Fraction(1, 4))
+        return lambda: w.census(fam, UNIT, grid, spb, seed=3)
+    return prepare
+
+
 # a classical:3 grid of 6065514 boxes, and m distinct ones spread over it
 BIG_GRID = w.grid_sides(FAM3, 8, Fraction(3, 4), Fraction(1, 4))
 LINE = w.ProjectionSpec([0.48, 0.6, 0.64])
@@ -126,6 +134,8 @@ CASES = {
                                    lambda N: lambda: w.short_interval_discrepancy([0.1, 0.2, 0.3], 7, N),
                                    (1 << 12, 1 << 16)),
     "census": ("census", _census, (8, 12)),
+    "census_four_samples": ("census", _census_samples(FAM2, 4), (8, 12)),
+    "census_two_samples_d3": ("census", _census_samples(FAM3, 2), (3, 4)),
     "project_union_line": ("project_union", _project(LINE), (10**4, 10**5)),
     "project_union_axes": ("project_union", _project(w.ProjectionSpec.coordinate(3, 3)), (10**4, 10**5)),
     "project_union_rotation": ("project_union", _project(ROTATION), (10**4, 10**5)),

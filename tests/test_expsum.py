@@ -177,6 +177,38 @@ class TestPhaseTable:
                 for b, m in enumerate(starts):
                     assert got[b].tolist() == [PhaseTable.raw_at(polys, row, m + n) for n in (1, 2, 3)]
 
+    @pytest.mark.parametrize("layout", ["row_major", "axis_rows"])
+    def test_fold_keeps_its_values(self, layout):
+        # sum_j r_j phi_j(s + n) mod 2^64 in Python integers, against raw_phases and the walker's phase
+        # rows: families with constant terms, points stored row by row or one row an axis (the census's
+        # transposed view), starts of either sign and past 2^64
+        rng = np.random.default_rng(27)
+        families = [[[3, -5, 0, 2], [-1, 0, -7], [0, 4, -1, 0, 0, -3]], [[7, 1], [-2, 0, 1, 1]], [[5, 0, 0, 1]]]
+        starts = [0, -3, (1 << 64) + 5, -(1 << 70) - 1, (1 << 63) + 11, 1 << 64]
+        for coeffs in families:
+            polys = parse_family(coeffs).polys
+            B, N = len(starts), 9
+            axes = rng.integers(0, 1 << 64, size=(len(polys), B), dtype=np.uint64, endpoint=False)
+            raws = axes.T if layout == "axis_rows" else np.ascontiguousarray(axes.T)
+
+            def oracle(b, s):
+                return [sum(int(r) * sum(c * (s + n) ** k for k, c in enumerate(cs))
+                            for r, cs in zip(raws[b], coeffs)) % (1 << 64) for n in range(1, N + 1)]
+
+            for s in ([0] * B, starts, [starts[3]] * B):
+                want = [oracle(b, s[b]) for b in range(B)]
+                assert raw_phases(polys, raws, N, s).tolist() == want
+                if len(set(s)) == 1:  # one start for every row
+                    assert raw_phases(polys, raws, N, s[0]).tolist() == want
+                slabs = []
+
+                def keep(f):
+                    slabs.extend(f.tolist())
+                    return np.zeros(len(f))
+
+                _reduce_rows(*_phase_rows(polys, raws, N, s), keep, np.float64)
+                assert slabs == want
+
     def test_kernel_bytes_per_term(self):
         import tracemalloc
 

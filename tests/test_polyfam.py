@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -314,6 +315,15 @@ class TestShift:
         # direct expansion of u1 (T-3) + u2 (T-3)^2
         assert v[0] == (Fraction(1, 2) * -3 + Fraction(1, 8) * 9) % 1
         assert v[1] == (Fraction(1, 2) + Fraction(1, 8) * -6) % 1
+
+    @pytest.mark.parametrize("M", [2.5, "2", True])
+    def test_non_integer_shift_refused(self, M):
+        # refused, not truncated to 2, parsed or read as 1
+        with pytest.raises(ValueError, match="M must be an integer"):
+            shift_coefficients([0.5, 0.125], M)
+
+    def test_numpy_integer_shift_accepted(self):
+        assert shift_coefficients([0.5, 0.125], np.int64(2)) == shift_coefficients([0.5, 0.125], 2)
 
 
 def test_augmented_family():
