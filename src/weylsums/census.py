@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation, _whole, check_cost
+from .errors import InvariantViolation, check_cost, whole
 from .expsum import (WeightSeq, _fft_split, _majorant, _phase_rows, _quantize_array, _reduce_rows, _slab_terms,
                      _twisted, _walk_bytes, _weights)
 from .polyfam import PolynomialFamily
@@ -34,11 +34,13 @@ __all__ = [
     "markov_check",
     "project_union",
     "per_box_projection_bound",
+    "projection_reference",
 ]
 
 _CHUNK = 4096  # boxes per chunk of sample draws
 _STREAM_TAG = 0x63656E73  # "cens": keeps the census stream apart from project_union's
 PAIR_BLOCK = 1 << 16  # (sample, polygon) pairs per inside test of the Monte Carlo projection
+_SEED_MAX = (1 << 64) - 1  # a Philox key holds a seed in 64 bits: a larger one would share a stream
 
 
 def _iroot(x: int, r: int) -> int:
@@ -94,10 +96,9 @@ def grid_sides(fam: PolynomialFamily, N: int, alpha, eps) -> BoxGrid:
 
     alpha and eps may be Fractions, strings ("0.05") or floats; they are
     converted to exact rationals so the per-axis ceilings are computed with
-    integer root extraction rather than rounded float powers.  N must be an
-    integer: 4.7 and "8" are refused, not truncated or parsed.
+    integer root extraction rather than rounded float powers.
     """
-    N = _whole("N", N)
+    N = whole("N", N, 2)
     try:
         alpha, eps = Fraction(alpha), Fraction(eps)
     except ZeroDivisionError as exc:  # "1/0"
@@ -106,8 +107,6 @@ def grid_sides(fam: PolynomialFamily, N: int, alpha, eps) -> BoxGrid:
         raise ValueError("alpha must lie in (0, 1)")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if N < 2:
-        raise ValueError("N must be >= 2")
     counts = []
     for e in fam.degrees:
         q = Fraction(e + 1) + eps - alpha
@@ -169,6 +168,7 @@ def markov_check(sampled_values: Sequence[float], threshold: float, two_s: int) 
     This holds for any sample set; a failure raises InvariantViolation and
     indicates an implementation bug.  The empty sample passes vacuously.
     """
+    two_s = whole("two_s", two_s, 1)
     vals = np.asarray(sampled_values, dtype=np.float64)
     count = int(np.sum(vals >= threshold))
     moment = float(np.sum(vals**two_s))
@@ -185,15 +185,6 @@ def _census_cost(grid: BoxGrid, spb: int) -> tuple[int, int]:
     peak = ((17 + 16 * grid.d) * grid.U + (32 + 8 * (2 * grid.d + max(grid.degrees) + 3) * spb) * boxes
             + _walk_bytes(slab, 16) + 16 * grid.N + _fft_split(grid.N)[2])
     return grid.U * spb * grid.N, peak
-
-
-def _check_seed(seed) -> int:
-    """The seed as an int.  A non-integer is refused, not truncated (2.5 would run seed 2's stream), and so
-    is a seed outside [0, 2^64), which the Philox key cannot hold without giving two seeds one stream."""
-    seed = _whole("seed", seed)
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
-    return seed
 
 
 def census(
@@ -216,12 +207,10 @@ def census(
     asserted on every run; when ``alphas`` is given the same peaks are
     re-thresholded per alpha and the marked counts are checked to be monotone.
     """
-    if _whole("samples_per_box", samples_per_box) < 1:
-        raise ValueError("samples_per_box must be >= 1")
-    seed = _check_seed(seed)
+    spb = whole("samples_per_box", samples_per_box, 1)
+    seed = whole("seed", seed, 0, _SEED_MAX)
     N = grid.N
     d = grid.d
-    spb = samples_per_box
     check_cost("census", *_census_cost(grid, spb))
     two_s = d * (d + 1)  # 2 s(d)
     tau = grid.threshold
@@ -298,6 +287,7 @@ def projection_reference(grid: BoxGrid, sigma_tilde: int, k: int, alpha) -> floa
     The measure of the projected large-value set is expected at this scale
     up to N^o(1); emitted next to measured projections, never asserted.
     """
+    sigma_tilde, k = whole("sigma_tilde", sigma_tilde, 0), whole("k", k, 1, grid.d)
     a = float(alpha)
     sd = grid.d * (grid.d + 1) / 2
     expo = sd * (1.0 - 2.0 * a) + sigma_tilde + (grid.d - k) * (1.0 - a)
@@ -327,9 +317,8 @@ class ProjectionSpec:
 
     @classmethod
     def coordinate(cls, d: int, k: int) -> "ProjectionSpec":
-        if not 1 <= k <= d:
-            raise ValueError(f"coordinate projection needs 1 <= k <= d = {d}, got k = {k}")
-        return cls(np.eye(d)[:k])
+        d = whole("d", d, 1)
+        return cls(np.eye(d)[: whole("k", k, 1, d)])
 
 
 class ProjectionResult(NamedTuple):
@@ -414,10 +403,8 @@ def project_union(
     each round of tests runs in blocks of PAIR_BLOCK (sample, polygon) pairs.
     """
     d = grid.d
-    samples = _whole("samples", samples)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    seed = _check_seed(seed)
+    samples = whole("samples", samples, 1)
+    seed = whole("seed", seed, 0, _SEED_MAX)
     if spec.basis.shape[1] != d:
         raise ValueError(f"basis directions must have {d} components")
     k = spec.k

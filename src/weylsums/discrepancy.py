@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import _terms, _whole, check_cost
+from .errors import check_cost, whole
 from .expsum import (SCALE_BITS, TorusPoint, _expi_bytes, _phase_rows, _quantize_array, _reduce_rows, _slab_terms,
                      _twisted, raw_phases)
 from .polyfam import IntPolynomial, PolynomialFamily, classical_family
@@ -215,14 +215,14 @@ def brute_force_discrepancy(points: Sequence[float]) -> float:
 def erdos_turan_bound(points: Sequence[float], G: int) -> float:
     """The upper bound 3 (N/(G+1) + sum_{g<=G} |sum_n e(g x_n)| / g) for D_N."""
     pts = _validate(points)
-    G = _terms("G", G)
+    G = whole("G", G, 1)
     check_cost("erdos_turan_bound", G * len(pts), _erdos_turan_bytes(len(pts), G))
     return _erdos_turan(_quantize_array(pts), G)
 
 
 def erdos_turan_bound_poly(fam: PolynomialFamily, u: TorusPoint, N: int, G: int) -> float:
     """Same bound for the polynomial sequence {f(n)}, from its exact raw phases."""
-    N, G = _terms("N", N), _terms("G", G)
+    N, G = whole("N", N, 1), whole("G", G, 1)
     check_cost("erdos_turan_bound_poly", G * N, _erdos_turan_bytes(N, G))
     return _erdos_turan(raw_phases(fam.polys, u.raw, N), G)
 
@@ -251,7 +251,7 @@ def _erdos_turan(raw: np.ndarray, G: int) -> float:
 
 def poly_discrepancy(fam: PolynomialFamily, u: TorusPoint, N: int) -> DiscrepancyResult:
     """Discrepancy of the fractional parts {f(n)}, n = 1..N, at exact phases."""
-    N = _terms("N", N)
+    N = whole("N", N, 1)
     check_cost("poly_discrepancy", N, 56 * N + 4096)
     return _sweep_one(raw_phases(fam.polys, u.raw, N))
 
@@ -263,7 +263,7 @@ def short_interval_discrepancy(u: Sequence, M: int, N: int) -> DiscrepancyResult
     kernel, exact mod 1, so the points are bit for bit those of direct
     evaluation over the window and need no translation-sandwich slack.
     """
-    M, N = _whole("M", M), _terms("N", N)
+    M, N = whole("M", M), whole("N", N, 1)
     check_cost("short_interval_discrepancy", N, 56 * N + 4096)
     pt = TorusPoint.from_reals(u)
     return _sweep_one(raw_phases(classical_family(pt.d).polys, pt.raw, N, M))

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, the one cost check, and the checks of integer arguments."""
+"""Exception types shared across the package, the one cost check, and the one gate of integer arguments."""
 
 import operator
 
@@ -38,19 +38,20 @@ class InvariantViolation(AssertionError):
     """
 
 
-def _whole(name: str, value) -> int:
-    """An integer argument as an int: 7.9, "7" and True are refused, not truncated, parsed or read as 1."""
+def whole(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """The one gate of an integer argument: ``value`` as an int in [lo, hi], ``ValueError`` naming it otherwise.
+
+    2.5, 2.0, "2" and True are refused, not truncated, parsed or read as 1; a numpy integer comes back as an int.
+    """
     try:
         if not isinstance(value, bool):
-            return operator.index(value)
+            value = operator.index(value)
     except TypeError:
         pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _terms(name: str, value) -> int:
-    """A count of terms as an int, refused unless it is an integer >= 1."""
-    value = _whole(name, value)
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ValueError(f"{name} must be <= {hi}, got {value}")
     return value

@@ -11,14 +11,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import Inapplicable
-from .polyfam import (
-    CaseLabel,
-    PolynomialFamily,
-    augmented_family,
-    classify_case,
-    degree_stats,
-)
+from .errors import Inapplicable, whole
+from .polyfam import CaseLabel, PolynomialFamily, _case, augmented_family
 
 __all__ = [
     "Rational",
@@ -52,8 +46,7 @@ def _half_plus(a: int, b: int) -> Fraction:
 
 def s_of(q: int) -> Fraction:
     """s(q) = q(q+1)/2, the critical moment exponent."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    q = whole("q", q, 1)
     return Fraction(q * (q + 1), 2)
 
 
@@ -70,10 +63,12 @@ class _Profile(NamedTuple):
 
 
 def _profile(fam: PolynomialFamily, k: int) -> _Profile:
-    sigma, sigma_tilde = degree_stats(fam, k)
-    case = classify_case(fam, k)
+    """The profile of (fam, k): the one place an exponent's split index is gated."""
+    k = whole("k", k, 1, fam.d)
+    case = _case(fam.degrees, k)
     aug_ok = augmented_family(fam).wronskian_nonvanishing() if case.label == "C" else None
-    return _Profile(fam.d, k, sigma, sigma_tilde, case, fam.wronskian_nonvanishing(), aug_ok)
+    return _Profile(fam.d, k, sum(fam.degrees[k:]), sum(fam.sorted_degrees[k:]), case,
+                    fam.wronskian_nonvanishing(), aug_ok)
 
 
 def _require_wronskian(p: _Profile) -> None:
@@ -197,8 +192,8 @@ def gamma_tilde(fam: PolynomialFamily, k: int) -> Fraction:
 
 def gamma_tilde_classical(d: int, k: int) -> Fraction:
     """Closed form of gamma_tilde for the family (T, ..., T^d)."""
-    if not 1 <= k <= d:
-        raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
+    d = whole("d", d, 1)
+    k = whole("k", k, 1, d)
     return _half_plus((d - k) * (d + k + 2), 2 * d * d + 4 * d - 2 * k)
 
 
@@ -245,7 +240,7 @@ def fixed_point(
     target = _gamma_yl(p)
     if not target <= t0 <= 1:
         raise ValueError(f"t0 must lie in [{target}, 1], got {t0}")
-    slope = Fraction(p.d - k, p.d * (p.d + 1) + p.d - k)
+    slope = Fraction(p.d - p.k, p.d * (p.d + 1) + p.d - p.k)
     assert slope < 1, "the bootstrap map must be a contraction"
     trace = [t0]
     while True:
@@ -359,7 +354,7 @@ def best_bound(fam: PolynomialFamily, k: int) -> ExponentReport:
 
     return ExponentReport(
         d=p.d,
-        k=k,
+        k=p.k,
         case=p.case,
         sigma=p.sigma,
         sigma_tilde=p.sigma_tilde,

@@ -15,11 +15,11 @@ coefficients of f(n + s), so every phase row is one Horner pass over n = 1..N.
 points as short batched transforms and twiddles (Bailey's four-step FFT, J. Supercomputing 4, 1990):
 pocketfft would take a one-call transform's N-point scratch from the OS and give it back every time.
 ``_reduce_rows`` is the one walker that cuts phase rows into slabs and reduces each row to one
-value: rows of ``_phase_rows`` (the sweeps' sup over y and discrepancies, the census,
-``short_interval_sum`` and ``completion_fft``) or the Erdős–Turán dilations g x, taken through
-``_twisted`` where the reduction needs e(theta).  Its one-row case in windows, ``_prefix_scan``,
-carries the running sum T(u; M) from window to window: ``weyl_sum``, the ``weyl`` k = d sweep, and
-every entry point that holds the row a_n e(f(n)) whole take it from there.
+value: rows of ``_phase_rows`` (the sweeps' sup over y and discrepancies, the census and
+``short_interval_sum``) or the Erdős–Turán dilations g x, taken through ``_twisted`` where the
+reduction needs e(theta).  Its one-row case in windows, ``_prefix_scan``, carries the running sum
+T(u; M) from window to window: ``weyl_sum``, the ``weyl`` k = d sweep, and every entry point that
+holds the row a_n e(f(n)) whole (``completion_fft`` among them) take it from there.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, _terms, _whole, check_cost
+from .errors import BudgetError, check_cost, whole
 from .polyfam import IntPolynomial, PolynomialFamily, classical_family
 
 __all__ = [
@@ -139,11 +139,7 @@ class TorusPoint:
     __slots__ = ("raw",)
 
     def __init__(self, raw: Sequence[int]):
-        raw = tuple(int(r) for r in raw)
-        for r in raw:
-            if not 0 <= r < _SCALE:
-                raise ValueError(f"raw coordinate {r} outside [0, 2^64)")
-        self.raw = raw
+        self.raw = tuple([whole("raw coordinate", r, 0, _MASK) for r in raw])
 
     @classmethod
     def from_reals(cls, xs: Sequence) -> "TorusPoint":
@@ -273,7 +269,7 @@ class PhaseTable:
 
     def __init__(self, polys: Sequence[IntPolynomial], raws: Sequence[int]):
         self.polys = tuple(polys)
-        self.raws = tuple(int(r) for r in raws)
+        self.raws = tuple([whole("raw coordinate", r, 0, _MASK) for r in raws])
         f = raw_phases(self.polys, self.raws, max([1] + [len(p.coeffs) for p in polys]), starts=-1)
         for m in range(1, len(f)):
             f[m:] -= f[m - 1 : -1]  # numpy buffers the overlap: Delta of the old values
@@ -286,7 +282,8 @@ class PhaseTable:
     @staticmethod
     def raw_at(polys: Sequence[IntPolynomial], raws: Sequence[int], n: int) -> int:
         """Raw phase at n in Python integer arithmetic, for exactness cross-checks."""
-        return sum(r * p(n) for r, p in zip(raws, polys)) & _MASK
+        n = whole("n", n)
+        return sum(whole("raw coordinate", r, 0, _MASK) * p(n) for r, p in zip(raws, polys)) & _MASK
 
 
 def raw_phases(polys: Sequence[IntPolynomial], raws, N: int, starts=0) -> np.ndarray:
@@ -303,7 +300,8 @@ def raw_phases(polys: Sequence[IntPolynomial], raws, N: int, starts=0) -> np.nda
     is where a point is checked against the family; the entry points check
     their cost before they call it.
     """
-    cols, used = _coefficient_columns(polys, raws, starts)
+    N = whole("N", N, 0)
+    cols, used = _coefficient_columns(polys, raws, whole("starts", starts) if np.ndim(starts) == 0 else starts)
     # out before n: in the other order glibc gives both fresh, page-faulting memory on every long row
     out = np.empty(cols.shape[1:-1] + (N,), dtype=np.uint64)
     return _horner(cols, used, np.arange(1, N + 1, dtype=np.uint64), out)
@@ -417,7 +415,7 @@ def weyl_sum(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> SumT
     The prefix maximum max_{M<=N} |T(u; M)| is tracked in the same pass,
     together with the prefix magnitudes at dyadic M.  No row is held.
     """
-    N = _terms("N", N)
+    N = whole("N", N, 1)
     check_cost("weyl_sum", N, _scan_bytes(N, max(fam.degrees)))
     return _prefix_scan(fam.polys, u.raw, N, _weights(a, N))
 
@@ -485,7 +483,7 @@ def short_interval_sum(u: Sequence, M: int, N: int) -> complex:
     so the window start, the constant term included, is exact.  The sum is
     one row of the walker, summed whole.
     """
-    M, N = _whole("M", M), _terms("N", N)
+    M, N = whole("M", M), whole("N", N, 1)
     check_cost("short_interval_sum", N, _walk_bytes(N, 8))
     pt = TorusPoint.from_reals(u)
     return complex(_reduce_rows(*_phase_rows(classical_family(pt.d).polys, pt.raw, N, M),
@@ -553,7 +551,7 @@ def completion_naive(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int)
     The h = 0 term is the plain sum, so W >= |T(u; N)|; the full weighted
     family dominates every prefix T(u; M), M <= N.
     """
-    N = _terms("N", N)
+    N = whole("N", N, 1)
     check_cost("completion_naive", (2 * N + 1) * N, _row_bytes(fam, N) + 80 * N)
     c = _held_row(fam, u, a, N)
     n = np.arange(1, N + 1)
@@ -640,17 +638,17 @@ def completion_fft(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -
     The twist e(hn/N) is N-periodic in h, so the 2N+1 inner sums collapse
     onto the N spectrum values X_k, each weighted by the sum of
     1/(|h|+1) over the h that fold onto it (see ``_majorant``); agrees
-    with completion_naive to floating-point tolerance.  The row is one row
-    of the walker, transformed in its e(theta) buffer after the fold
-    weights are built: 16 bytes a term for those and the magnitudes, and
-    at most 16 for the twiddles of a split transform.
+    with completion_naive to floating-point tolerance.  The fold weights
+    are built first (their build takes 32 bytes a term, four times what
+    they keep); then the row is held as the ``weyl`` k = d sweep holds it
+    and transformed in place: 16 bytes a term for the weights and the
+    magnitudes, and at most 16 for the twiddles of a split transform.
     """
-    N = _terms("N", N)
-    check_cost("completion_fft", N, _walk_bytes(N, 16) + 16 * N)
+    N = whole("N", N, 1)
+    check_cost("completion_fft", N, _row_bytes(fam, N) + 16 * N + _fft_split(N)[2])
     _fold_weights(N)
-    majorant = _twisted(lambda c: _majorant(c, (c, None)), _weights(a, N))
-    W = _reduce_rows(*_phase_rows(fam.polys, u.raw, N), majorant, np.float64)[0]
-    return CompletionResult(W=float(W), N=N)
+    c = _held_row(fam, u, a, N)[None]
+    return CompletionResult(W=float(_majorant(c, (c, None))[0]), N=N)
 
 
 def reconstruct_prefix(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int, M: int) -> complex:
@@ -660,9 +658,8 @@ def reconstruct_prefix(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: in
     sum exactly (orthogonality of the h-twist); this is the module's
     strongest self-test.
     """
-    N, M = _terms("N", N), _whole("M", M)
-    if not 1 <= M <= N:
-        raise ValueError(f"need 1 <= M <= N, got M={M}, N={N}")
+    N = whole("N", N, 1)
+    M = whole("M", M, 1, N)
     check_cost("reconstruct_prefix", N, _row_bytes(fam, N) + 105 * N)
     c = _held_row(fam, u, a, N)
     X = _spectrum(c, N)
@@ -678,7 +675,7 @@ def reconstruct_prefix(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: in
 
 def reconstruct_all_prefixes(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> np.ndarray:
     """All reconstructed prefixes T(u; 1..N) in one O(N^2) pass (test helper)."""
-    N = _terms("N", N)
+    N = whole("N", N, 1)
     check_cost("reconstruct_all_prefixes", N * N, _row_bytes(fam, N) + 32 * N * N + 112 * N)
     c = _held_row(fam, u, a, N)
     X = _spectrum(c, N)
@@ -705,8 +702,7 @@ def sup_linear_coeff(c: Sequence[complex], oversample: int = 4) -> SupLinearResu
     N = len(c)
     if N < 1:
         raise ValueError("need at least one coefficient")
-    if oversample < 2:
-        raise ValueError("oversample must be >= 2")
+    oversample = whole("oversample", oversample, 2)
     check_cost("sup_linear_coeff", oversample * N, 16 * N + 24 * oversample * N + (1 << 16))
     return SupLinearResult(*(float(v[0]) for v in _sup_linear(np.asarray(c, dtype=np.complex128)[None], oversample)))
 
@@ -759,7 +755,7 @@ def vinogradov_count(d: int, s: int, N: int) -> int:
     int64 range: the power sums (s N^d), a window's key, or the count,
     J <= N^s M_s, M_s the most s-tuples sharing one sum.
     """
-    d, s, N = _terms("d", d), _terms("s", s), _terms("N", N)
+    d, s, N = whole("d", d, 1), whole("s", s, 1), whole("N", N, 1)
     d = min(d, s)  # S_1, ..., S_s fix s numbers (Newton's identities), so later power sums add no condition
     keys = [_distinct_keys(d, i, N) for i in range(s)] + [0]  # the last level merges none
     levels = [_level(d, i, N, keys[i - 1], keys[i]) for i in range(1, s + 1)]
@@ -936,14 +932,6 @@ def _most_sharing_a_sum(s: int, N: int) -> int:
     return sum((-1) ** j * math.comb(s, j) * math.comb(m - j * N + s - 1, s - 1) for j in range(m // N + 1))
 
 
-def _moment_args(N, two_s) -> tuple[int, int]:
-    """N and 2s as ints, refused unless N >= 1 and 2s is a positive even integer."""
-    N, two_s = _terms("N", N), _whole("two_s", two_s)
-    if two_s < 2 or two_s % 2:
-        raise ValueError(f"two_s must be a positive even integer, got {two_s}")
-    return N, two_s
-
-
 def _five_smooth_at_least(n: int) -> int:
     """The least 2^a 3^b 5^c >= n >= 1: a size pocketfft transforms without Bluestein's algorithm."""
     best = 1 << (n - 1).bit_length()
@@ -976,7 +964,9 @@ def exact_moment_grid(fam: PolynomialFamily, N: int, two_s: int) -> list[int]:
     extremes come from the ends of phi_j's monotone pieces, with no pass
     over n.
     """
-    N, two_s = _moment_args(N, two_s)
+    N, two_s = whole("N", N, 1), whole("two_s", two_s, 2)
+    if two_s % 2:
+        raise ValueError(f"two_s must be even, got {two_s}")
     return [_five_smooth_at_least(b) for b in _moment_bounds(fam, N, two_s // 2)]
 
 
@@ -1046,8 +1036,9 @@ def moment_integral(
     every other line is still zero; the last axis is then transformed in
     place along every row.
     """
-    N, two_s = _moment_args(N, two_s)
-    grid = [_whole("grid entry", g) for g in grid]
+    N, two_s, grid = whole("N", N, 1), whole("two_s", two_s, 2), [whole("grid entry", g, 1) for g in grid]
+    if two_s % 2:
+        raise ValueError(f"two_s must be even, got {two_s}")
     if len(grid) != fam.d:
         raise ValueError(f"grid needs {fam.d} axis sizes")
     points = math.prod(grid)

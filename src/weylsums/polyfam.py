@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import _whole, check_cost
+from .errors import check_cost, whole
 
 __all__ = [
     "MINUS_INFINITY",
@@ -53,9 +53,7 @@ class IntPolynomial:
 
     @classmethod
     def monomial(cls, power: int, coeff: int = 1) -> "IntPolynomial":
-        if power < 0:
-            raise ValueError("monomial power must be >= 0")
-        return cls([0] * power + [coeff])
+        return cls([0] * whole("power", power, 0) + [coeff])
 
     @property
     def is_zero(self) -> bool:
@@ -222,11 +220,7 @@ class PolynomialFamily:
         self.polys = polys
         self.degrees: tuple[int, ...] = tuple(int(p.degree) for p in polys)
         self.sorted_degrees: tuple[int, ...] = tuple(sorted(self.degrees))
-        if k is None:
-            k = len(polys)
-        if not 1 <= k <= len(polys):
-            raise ValueError(f"split index k={k} out of range 1..{len(polys)}")
-        self.k = k
+        self.k = len(polys) if k is None else whole("k", k, 1, len(polys))
 
     @property
     def d(self) -> int:
@@ -262,8 +256,7 @@ class PolynomialFamily:
 
 def classical_family(d: int, k: int | None = None) -> PolynomialFamily:
     """The family (T, T^2, ..., T^d)."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    d = whole("d", d, 1)
     # d (d + 3) / 2 coefficients, 8 bytes each in the tuples, and about 256 bytes a polynomial
     check_cost("classical_family", d * (d + 3) // 2, 4 * d * (d + 3) + 256 * d + 1024)
     return PolynomialFamily([IntPolynomial.monomial(j) for j in range(1, d + 1)], k=k)
@@ -373,10 +366,8 @@ def degree_stats(fam: PolynomialFamily, k: int) -> tuple[int, int]:
     sigma_k sums the degrees of members k+1..d in the given order;
     sigma~_k sums the d-k largest degrees (the top of the sorted list).
     """
-    _check_split(fam, k)
-    sigma = sum(fam.degrees[k:])
-    sigma_tilde = sum(fam.sorted_degrees[k:])
-    return sigma, sigma_tilde
+    k = whole("k", k, 1, fam.d)
+    return sum(fam.degrees[k:]), sum(fam.sorted_degrees[k:])
 
 
 def classify_case(fam: PolynomialFamily, k: int) -> CaseLabel:
@@ -387,18 +378,16 @@ def classify_case(fam: PolynomialFamily, k: int) -> CaseLabel:
        moves that member into y.
     C: every member has degree >= 2; the recipe appends the polynomial T.
     """
-    _check_split(fam, k)
-    if any(fam.degrees[j] == 1 for j in range(k, fam.d)):
+    return _case(fam.degrees, whole("k", k, 1, fam.d))
+
+
+def _case(degrees: Sequence[int], k: int) -> CaseLabel:
+    """``classify_case`` of a family of these degrees at a gated split index k."""
+    if 1 in degrees[k:]:
         return CaseLabel("A")
-    for j in range(k):
-        if fam.degrees[j] == 1:
-            return CaseLabel("B", move_index=j + 1)
+    if 1 in degrees[:k]:
+        return CaseLabel("B", move_index=degrees.index(1) + 1)
     return CaseLabel("C", append_linear=True)
-
-
-def _check_split(fam: PolynomialFamily, k: int) -> None:
-    if not 1 <= k <= fam.d:
-        raise ValueError(f"split index k={k} out of range 1..{fam.d}")
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +400,10 @@ def shift_coefficients(u: Sequence, M: int) -> list[Fraction]:
     Returns the d+1 fractional parts [v_0, ..., v_{d-1}, u_d] as exact
     Fractions: v_j = sum_{i >= max(j,1)} u_i C(i,j) M^{i-j} mod 1.  Floats
     in ``u`` are converted exactly, so shifting by M and then by -M gives
-    back the original coefficients mod 1 with no drift.  M must be an
-    integer: 2.5, "2" and True are refused, not truncated, parsed or read as 1.
+    back the original coefficients mod 1 with no drift.  M is an integer
+    (README, "Integer arguments").
     """
-    M = _whole("M", M)
+    M = whole("M", M)
     us = [Fraction(x) % 1 for x in u]
     d = len(us)
     out: list[Fraction] = []

@@ -1,13 +1,20 @@
 import cmath
+import importlib
+import inspect
 import itertools
 import math
+import pkgutil
+import re
 import time
 import warnings
 from collections import Counter
+from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
+import weylsums as w
 from weylsums import (
     BudgetError,
     TorusPoint,
@@ -552,26 +559,163 @@ def _same(x, y) -> bool:
 
 
 FAM2, U2 = classical_family(2), TorusPoint.from_reals([0.1, 0.2])
+FAM1 = classical_family(1)
+NL2 = parse_family([[0, 0, 1], [0, 0, 0, 1]])  # (T^2, T^3): no linear member, case C
+GRID2 = w.grid_sides(FAM2, 4, "3/4", "1/4")  # 256 boxes
+LINE2 = w.ProjectionSpec([0.6, 0.8])
+BITS64 = dict(lo=0, hi=(1 << 64) - 1)  # a raw coordinate, or a seed, which a Philox key holds in 64 bits
 
 
-@pytest.mark.parametrize("call, name", [
-    (lambda: vinogradov_count(2, 3, 4.7), "N"),  # not J_{3,2}(4)
-    (lambda: vinogradov_count(2.9, 3, 4), "d"),
-    (lambda: vinogradov_count(2, True, 4), "s"),  # not J_{1,2}(4)
-    (lambda: weyl_sum(FAM2, U2, UNIT, True), "N"),  # not N = 1
-    (lambda: poly_discrepancy(FAM2, U2, 4.5), "N"),
-    (lambda: short_interval_discrepancy([0.1, 0.2], 3, 4.5), "N"),
-    (lambda: short_interval_discrepancy([0.1, 0.2], 2.5, 4), "M"),
-    (lambda: erdos_turan_bound_poly(FAM2, U2, 8, 2.5), "G"),
-    (lambda: erdos_turan_bound([0.1, 0.2], np.True_), "G"),
-], ids=["vinogradov N", "vinogradov d", "vinogradov s", "weyl_sum N", "poly_discrepancy N",
-        "short_interval_discrepancy N", "short_interval_discrepancy M", "erdos_turan_bound_poly G",
-        "erdos_turan_bound G"])
-def test_integer_arguments_refused_by_name(call, name):
-    # a float, a bool or numpy bool is refused with a ValueError naming the
-    # argument, before any work: not truncated, read as 1, or left to numpy
-    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-        call()
+class Arg(NamedTuple):
+    """An integer argument: ``call(v)`` calls its callable with it set to v and every other argument valid."""
+
+    call: Callable
+    valid: int
+    lo: int | None = None
+    hi: int | None = None
+    kept: Callable | None = None  # reads the argument back from the result that keeps it
+
+
+def _split(fn, fam=FAM2, valid=2, kept=None):
+    """The split index k of fn(fam, k): 1 <= k <= d."""
+    return {"k": Arg(lambda v: fn(fam, v), valid, 1, fam.d, kept)}
+
+
+def _one_point(fn, **kept):
+    """The N of a one-point sum fn(fam, u, a, N)."""
+    return {"N": Arg(lambda v: fn(FAM2, U2, UNIT, v), 4, 1, **kept)}
+
+
+# every public callable (``_public_callables``) and its integer arguments, an empty row where it has none
+INTEGER_ARGUMENTS = {
+    # errors, cli
+    "BudgetError": {}, "ConfigError": {}, "Inapplicable": {}, "InvariantViolation": {}, "main": {},
+    # polyfam
+    "IntPolynomial.monomial": {"power": Arg(lambda v: IntPolynomial.monomial(v), 2, 0)},
+    "PolynomialFamily": {"k": Arg(lambda v: w.PolynomialFamily(FAM2.polys, k=v), 1, 1, 2, lambda f: f.k)},
+    "classical_family": {"d": Arg(classical_family, 2, 1),
+                         "k": Arg(lambda v: classical_family(2, k=v), 1, 1, 2, lambda f: f.k)},
+    "parse_family": {"k": Arg(lambda v: parse_family("classical:2", k=v), 1, 1, 2, lambda f: f.k)},
+    "augmented_family": {}, "wronskian": {},
+    "degree_stats": _split(w.degree_stats), "classify_case": _split(w.classify_case),
+    "shift_coefficients": {"M": Arg(lambda v: w.shift_coefficients([0.5, 0.125], v), -3)},
+    # expsum
+    "TorusPoint": {"raw coordinate": Arg(lambda v: TorusPoint([v, 1]), 5, **BITS64, kept=lambda p: p.raw[0])},
+    "TorusPoint.from_reals": {}, "WeightSeq": {}, "WeightSeq.unit": {}, "WeightSeq.explicit": {},
+    "PhaseTable": {"raw coordinate": Arg(lambda v: PhaseTable(FAM2.polys, [v, 1]), 5, **BITS64,
+                                         kept=lambda t: t.raws[0])},
+    "PhaseTable.raw_at": {"raw coordinate": Arg(lambda v: PhaseTable.raw_at(FAM2.polys, [v, 1], 3), 5, **BITS64),
+                          "n": Arg(lambda v: PhaseTable.raw_at(FAM2.polys, [5, 1], v), -3)},
+    "raw_phases": {"N": Arg(lambda v: raw_phases(FAM2.polys, U2.raw, v), 4, 0),
+                   "starts": Arg(lambda v: raw_phases(FAM2.polys, U2.raw, 4, v), -3)},
+    "weyl_sum": _one_point(weyl_sum, kept=lambda t: t.N),
+    "completion_naive": _one_point(completion_naive, kept=lambda r: r.N),
+    "completion_fft": _one_point(completion_fft, kept=lambda r: r.N),
+    "reconstruct_all_prefixes": _one_point(reconstruct_all_prefixes),
+    "reconstruct_prefix": {"N": Arg(lambda v: reconstruct_prefix(FAM2, U2, UNIT, v, 1), 4, 1),
+                           "M": Arg(lambda v: reconstruct_prefix(FAM2, U2, UNIT, 4, v), 2, 1, 4)},
+    "short_interval_sum": {"M": Arg(lambda v: short_interval_sum([0.1, 0.2], v, 4), -3),
+                           "N": Arg(lambda v: short_interval_sum([0.1, 0.2], 3, v), 4, 1)},
+    "sup_linear_coeff": {"oversample": Arg(lambda v: sup_linear_coeff([1, 1j], v), 4, 2)},
+    "vinogradov_count": {"d": Arg(lambda v: vinogradov_count(v, 3, 4), 2, 1),
+                         "s": Arg(lambda v: vinogradov_count(2, v, 4), 3, 1),
+                         "N": Arg(lambda v: vinogradov_count(2, 3, v), 4, 1)},
+    "moment_integral": {"N": Arg(lambda v: moment_integral(FAM1, UNIT, v, 2, [9]), 4, 1),
+                        "two_s": Arg(lambda v: moment_integral(FAM1, UNIT, 4, v, [9]), 2, 2),
+                        "grid entry": Arg(lambda v: moment_integral(FAM1, UNIT, 4, 2, [v]), 9, 1)},
+    "exact_moment_grid": {"N": Arg(lambda v: exact_moment_grid(FAM1, v, 2), 4, 1),
+                          "two_s": Arg(lambda v: exact_moment_grid(FAM1, 4, v), 2, 2)},
+    # exponents
+    "Rational": {}, "s_of": {"q": Arg(w.s_of, 2, 1)},
+    "gamma_star": _split(w.gamma_star), "gamma_general": _split(w.gamma_general), "gamma_YL": _split(w.gamma_YL),
+    "gamma_XL": _split(w.gamma_XL), "gamma_NL": _split(w.gamma_NL, NL2, 1), "gamma_tilde": _split(w.gamma_tilde),
+    "gamma_tilde_classical": {"d": Arg(lambda v: w.gamma_tilde_classical(v, 1), 2, 1),
+                              "k": Arg(lambda v: w.gamma_tilde_classical(2, v), 1, 1, 2)},
+    "disc_gamma": _split(w.disc_gamma), "disc_gamma_star": _split(w.disc_gamma_star),
+    "self_improve_map": _split(lambda fam, k: w.self_improve_map(fam, k, 1)),
+    "fixed_point": _split(lambda fam, k: w.fixed_point(fam, k, 1, Fraction(1, 100))),
+    "best_bound": _split(w.best_bound, valid=1, kept=lambda r: r.to_json()["k"]),
+    # discrepancy
+    "exact_discrepancy": {}, "brute_force_discrepancy": {},
+    "erdos_turan_bound": {"G": Arg(lambda v: erdos_turan_bound([0.1, 0.2], v), 4, 1)},
+    "erdos_turan_bound_poly": {"N": Arg(lambda v: erdos_turan_bound_poly(FAM2, U2, v, 4), 4, 1),
+                               "G": Arg(lambda v: erdos_turan_bound_poly(FAM2, U2, 4, v), 4, 1)},
+    "poly_discrepancy": {"N": Arg(lambda v: poly_discrepancy(FAM2, U2, v), 4, 1, kept=lambda r: r.N)},
+    "short_interval_discrepancy": {"M": Arg(lambda v: short_interval_discrepancy([0.1, 0.2], v, 4), -3),
+                                   "N": Arg(lambda v: short_interval_discrepancy([0.1, 0.2], 3, v), 4, 1,
+                                            kept=lambda r: r.N)},
+    # census
+    "grid_sides": {"N": Arg(lambda v: w.grid_sides(FAM2, v, "3/4", "1/4"), 4, 2, kept=lambda g: g.N)},
+    "census": {"samples_per_box": Arg(lambda v: w.census(FAM2, UNIT, GRID2, v), 2, 1,
+                                      kept=lambda r: r.samples_per_box),
+               "seed": Arg(lambda v: w.census(FAM2, UNIT, GRID2, 1, v), 3, **BITS64)},
+    "counting_bound": {}, "per_box_projection_bound": {}, "ProjectionSpec": {},
+    "ProjectionSpec.coordinate": {"d": Arg(lambda v: w.ProjectionSpec.coordinate(v, 1), 2, 1),
+                                  "k": Arg(lambda v: w.ProjectionSpec.coordinate(2, v), 1, 1, 2)},
+    "markov_check": {"two_s": Arg(lambda v: w.markov_check([1.0, 2.0], 1.5, v), 2, 1)},
+    "project_union": {"samples": Arg(lambda v: w.project_union(GRID2, [(0, 0)], LINE2, v), 16, 1),
+                      "seed": Arg(lambda v: w.project_union(GRID2, [(0, 0)], LINE2, 16, v), 3, **BITS64)},
+    "projection_reference": {"sigma_tilde": Arg(lambda v: w.projection_reference(GRID2, v, 1, 0.75), 2, 0),
+                             "k": Arg(lambda v: w.projection_reference(GRID2, 2, v, 0.75), 1, 1, 2)},
+    # experiments
+    "exponent_fit": {}, "write_csv": {}, "write_jsonl": {},
+}
+# public callables whose integers are not arguments for the gate: those read by the two other rules (README,
+# "Integer arguments") and the records of results, which hold what the package computed
+NOT_GATED = {
+    "IntPolynomial": "coefficients: 2.0 reads as 2",
+    **dict.fromkeys(["ExperimentConfig", "ExperimentConfig.from_dict", "ExperimentConfig.from_file", "metric_sweep",
+                     "dimension_scan"], "a config: ExperimentConfig.validate holds each key to its exact type"),
+    **dict.fromkeys(["SumTrace", "CompletionResult", "SupLinearResult", "DiscrepancyResult", "BoxGrid",
+                     "CensusResult", "ProjectionResult", "CaseLabel", "ExponentReport", "RunRecord", "FitResult"],
+                    "a record of results"),
+}
+
+
+def _public_callables() -> set[str]:
+    """The package namespace and each module's __all__, with the classmethods and staticmethods of their classes."""
+    spaces = [(w, [n for n in dir(w) if not n.startswith("_")])]
+    for info in pkgutil.iter_modules(w.__path__):
+        module = importlib.import_module(f"weylsums.{info.name}")
+        spaces.append((module, getattr(module, "__all__", ())))
+    names = set()
+    for space, public in spaces:
+        for name in public:
+            obj = getattr(space, name)
+            if inspect.ismodule(obj) or not callable(obj):
+                continue
+            names.add(name)
+            if inspect.isclass(obj) and obj.__module__.startswith("weylsums"):
+                names.update(f"{name}.{attr}" for attr, v in vars(obj).items()
+                             if not attr.startswith("_") and isinstance(v, (classmethod, staticmethod)))
+    return names
+
+
+def test_integer_argument_table_is_complete():
+    assert not set(INTEGER_ARGUMENTS) & set(NOT_GATED)
+    assert _public_callables() == set(INTEGER_ARGUMENTS) | set(NOT_GATED)
+
+
+@pytest.mark.parametrize("fn, name", [(fn, name) for fn, args in INTEGER_ARGUMENTS.items() for name in args],
+                         ids=[f"{'vinogradov' if fn == 'vinogradov_count' else fn} {name}"  # ids older than the table
+                              for fn, args in INTEGER_ARGUMENTS.items() for name in args])
+def test_integer_arguments_refused_by_name(fn, name):
+    # a float, a string, a bool or numpy bool is refused with a ValueError naming the argument, before any
+    # work: not truncated, parsed, read as 1 or left to numpy; so is a value outside its range.  A numpy
+    # integer is an integer, and a result that keeps it keeps a Python int
+    arg = INTEGER_ARGUMENTS[fn][name]
+    for bad in (2.5, 2.0, "2", True, np.True_):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+            arg.call(bad)
+    if arg.lo is not None:
+        with pytest.raises(ValueError, match=f"^{name} must be >= {arg.lo}, got {arg.lo - 1}$"):
+            arg.call(arg.lo - 1)
+    if arg.hi is not None:
+        with pytest.raises(ValueError, match=f"^{name} must be <= {arg.hi}, got {arg.hi + 1}$"):
+            arg.call(arg.hi + 1)
+    result = arg.call(np.int64(arg.valid))
+    if arg.kept is not None:
+        assert type(arg.kept(result)) is int and arg.kept(result) == arg.valid
 
 
 class TestOnePointEntries:
@@ -966,14 +1110,15 @@ class TestBudgets:
             reconstruct_all_prefixes(classical_family(2), random_point(2), UNIT, 1 << 20)
 
     def test_sum_terms(self, admitted):
-        # a sum holds no row: the work budget binds.  A completion walks its row
-        # as one slab with the census's 64 bytes a term, fold weights included,
-        # and a short-interval sum with the sampled sup's 40; each also takes
-        # _expi's 48 bytes a term of 8192 and 16 KiB
+        # a sum holds no row: the work budget binds.  A completion holds its row,
+        # 16 bytes a term, with the fold weights and magnitudes, 16 more, the
+        # twiddles of its split transform and the prefix scan's window; a
+        # short-interval sum walks its row as one slab with the sampled sup's 40
+        # bytes a term and _expi's 48 bytes a term of 8192 and 16 KiB
         assert admitted(weyl_sum, classical_family(2), random_point(2), UNIT, 1 << 31)
         assert not admitted(weyl_sum, classical_family(2), random_point(2), UNIT, (1 << 31) + 1)
-        assert admitted(completion_fft, classical_family(2), random_point(2), UNIT, 4187904)
-        assert not admitted(completion_fft, classical_family(2), random_point(2), UNIT, 4187905)
+        assert admitted(completion_fft, classical_family(2), random_point(2), UNIT, 8365444)
+        assert not admitted(completion_fft, classical_family(2), random_point(2), UNIT, 8365445)
         assert admitted(short_interval_sum, [0.1, 0.2], 3, 6700646)
         assert not admitted(short_interval_sum, [0.1, 0.2], 3, 6700647)
 
