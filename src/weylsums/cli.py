@@ -7,6 +7,7 @@ budget exceeded, 4 hard-invariant failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -255,7 +256,10 @@ def _cmd_dimscan(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once a process: each parse fills a fresh namespace, so a
+    later ``main`` call sees nothing of an earlier one."""
     top = argparse.ArgumentParser(prog="weylsums", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -2,6 +2,8 @@
 
 import operator
 
+import numpy as np
+
 WORK_BUDGET = 1 << 31  # terms: a term costs from about 1 ns to about 100 ns, by route
 MEMORY_BUDGET = 1 << 28  # bytes of peak memory, as tracemalloc counts them
 
@@ -55,3 +57,13 @@ def whole(name: str, value, lo: int | None = None, hi: int | None = None) -> int
     if hi is not None and value > hi:
         raise ValueError(f"{name} must be <= {hi}, got {value}")
     return value
+
+
+def whole_array(name: str, values, lo: int | None = None, hi: int | None = None) -> np.ndarray:
+    """The gate of an array of integers: a numpy integer array as it is (unchecked, the fast path), anything
+    else entry by entry through ``whole``, as an object array of ints, so that an array of floats, strings
+    or bools is refused by name as one such scalar is, not truncated or cast."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values
+    values = np.asarray(values, dtype=object)
+    return np.array([whole(name, value, lo, hi) for value in values.flat], dtype=object).reshape(values.shape)

@@ -119,9 +119,7 @@ class ExperimentConfig:
             fam = self.family_obj()
         except (ValueError, json.JSONDecodeError) as exc:
             raise ConfigError(f"bad family spec {self.family!r}: {exc}") from exc
-        k = self.k if self.k is not None else fam.d
-        if not 1 <= k <= fam.d:
-            raise ConfigError(f"k={k} out of range 1..{fam.d}")
+        k = self.k if self.k is not None else fam.d  # family_obj refused any other k
         if self.kind == "short" and fam.d < 2:
             raise ConfigError("kind 'short' needs d >= 2: its supremum runs over the lower coefficients")
         if self.kind == "short" and fam.polys != classical_family(fam.d).polys:
@@ -309,10 +307,8 @@ def _draw(cfg: ExperimentConfig, d: int, k: int, route: str, sid: int):
     x = (float(rng.random()),) if cfg.kind == "short" else tuple(rng.random(d))[:k]  # weyl draws d, keeps k
     if route == "sampled":  # one draw in the per-N, per-y order of the stream
         return x, _quantize_array(rng.random((len(schedule), cfg.y_samples, d - k)))
-    if cfg.kind == "discrepancy_short":  # scalar draws: one integers(size=m) call draws a different stream
-        m = cfg.m_samples
-        return x, np.fromiter((rng.integers(0, N) for N in schedule for _ in range(m)), dtype=np.uint64,
-                              count=len(schedule) * m).reshape(-1, m)
+    if cfg.kind == "discrepancy_short":  # m starts an N, the stream of m scalar integers(0, N) draws
+        return x, np.array([rng.integers(0, N, size=cfg.m_samples) for N in schedule], dtype=np.uint64)
     return x, None
 
 
@@ -438,35 +434,60 @@ class FitResult(NamedTuple):
 
 
 def exponent_fit(records: Iterable[RunRecord]) -> FitResult:
-    """Least squares of log2(value) against log2(N) for one sample's records."""
-    pts = [(r.log2_n, r.log2_value) for r in records]
-    if len(pts) < 3:
-        raise ValueError("need at least 3 records to fit")
-    if any(not math.isfinite(y) for _, y in pts):
-        raise ValueError("all values must be positive")
-    xs, ys = np.array(pts).T
-    if np.ptp(xs) == 0:
-        raise ValueError("records share a single N; fit is degenerate")
-    slope = _slope(xs, ys)
-    xm, ym = xs.mean(), ys.mean()
-    intercept = float(ym - slope * xm)
-    ss_res = float(np.sum((ys - intercept - slope * xs) ** 2))
-    ss_tot = float(np.sum((ys - ym) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return FitResult(slope, intercept, r2)
-
-
-def _slope(xs: np.ndarray, ys: np.ndarray) -> float:
-    """The least-squares slope of ys against xs."""
-    xm, ym = xs.mean(), ys.mean()
-    return float(np.sum((xs - xm) * (ys - ym)) / np.sum((xs - xm) ** 2))
+    """Least squares of log2(value) against log2(N) for one sample's records: ``_fits`` of one row."""
+    return _fitted(_fits(np.array([(r.log2_n, r.log2_value) for r in records]).reshape(1, -1, 2)))[0]
 
 
 def fit_by_sample(records: Sequence[RunRecord]) -> dict[int, FitResult]:
-    by_sample: dict[int, list[RunRecord]] = {}
+    """``exponent_fit`` of each sample's records, by sample id in order: one ``_fits`` pass over every sample
+    with the same number of records, and the first sample's refusal if any is refused."""
+    pts: dict[int, list[tuple[float, float]]] = {}
     for rec in records:
-        by_sample.setdefault(rec.sample_id, []).append(rec)
-    return {sid: exponent_fit(recs) for sid, recs in sorted(by_sample.items())}
+        pts.setdefault(rec.sample_id, []).append((rec.log2_n, rec.log2_value))
+    by_len: dict[int, list[int]] = {}
+    for sid in sorted(pts):
+        by_len.setdefault(len(pts[sid]), []).append(sid)
+    fits = {}
+    for sids in by_len.values():
+        fits.update(zip(sids, _fits(np.array([pts[sid] for sid in sids]))))
+    order = sorted(fits)
+    return dict(zip(order, _fitted([fits[sid] for sid in order])))
+
+
+def _fits(pts: np.ndarray) -> list[FitResult | str]:
+    """The least-squares line through each row of ``pts``, (samples, L, 2) pairs (log2 N, log2 value), or the
+    reason it has none."""
+    if pts.shape[1] < 3:
+        return ["need at least 3 records to fit"] * len(pts)
+    xs, ys = pts[..., 0], pts[..., 1]
+    refused = np.where(~np.isfinite(ys).all(axis=1), 1, np.where(np.ptp(xs, axis=1) == 0, 2, 0)).tolist()
+    reasons = (None, "all values must be positive", "records share a single N; fit is degenerate")
+    lines = zip(*(a.tolist() for a in _lines(xs, ys)))
+    return [reasons[r] or FitResult(*line) for r, line in zip(refused, lines)]
+
+
+def _fitted(fits: list[FitResult | str]) -> list[FitResult]:
+    """``fits``, or ``ValueError`` with the first refusal in it."""
+    for fit in fits:
+        if isinstance(fit, str):
+            raise ValueError(fit)
+    return fits  # type: ignore[return-value]
+
+
+def _lines(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slope, intercept and r² of the least-squares line of each row of ys against the same row of xs, (samples, L).
+
+    Every sum runs along one row, as the sums of a single row do, so a row's line is the same to the bit
+    whatever rows share its batch.  A row with one x, or a non-finite y, has no line: its figures are nan.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        xm, ym = xs.mean(axis=1), ys.mean(axis=1)
+        dx, dy = xs - xm[:, None], ys - ym[:, None]
+        slope = np.sum(dx * dy, axis=1) / np.sum(dx**2, axis=1)
+        intercept = ym - slope * xm
+        ss_res = np.sum((ys - intercept[:, None] - slope[:, None] * xs) ** 2, axis=1)
+        ss_tot = np.sum(dy**2, axis=1)
+        return slope, intercept, np.where(ss_tot == 0, 1.0, 1.0 - ss_res / ss_tot)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +531,7 @@ def dimension_scan(cfg: ExperimentConfig) -> dict:
             )
             if res.marked > 0:
                 pts.append((math.log2(1.0 / delta), math.log2(res.marked)))
-        fits[alpha] = _slope(*np.array(pts).T) if len(pts) >= 2 else None
+        fits[alpha] = _lines(*np.array(pts).T[:, None])[0].item() if len(pts) >= 2 else None
     return {"rows": rows, "dimension_proxy": fits, "threshold_k": k}
 
 
@@ -553,15 +574,12 @@ def csv_lines(records: Sequence[RunRecord], cfg: ExperimentConfig):
 def write_csv(records: Sequence[RunRecord], path: str, cfg: ExperimentConfig) -> None:
     """CSV with a seed-echoing header comment; floats at 17 significant digits."""
     with open(path, "w") as fh:
-        for line in csv_lines(records, cfg):
-            fh.write(line + "\n")
+        fh.writelines(line + "\n" for line in csv_lines(records, cfg))
 
 
 def write_jsonl(records: Sequence[RunRecord], path: str, cfg: ExperimentConfig) -> None:
-    """JSON-lines: one header object, then one object per record."""
+    """JSON-lines: one header object, then one object per record, all through one encoder."""
+    encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps(obj, sort_keys=True) builds a call
+    header = {"header": True, "schema": SCHEMA_VERSION, "experiment": cfg.experiment_id, "seed": cfg.seed}
     with open(path, "w") as fh:
-        header = {"header": True, "schema": SCHEMA_VERSION,
-                  "experiment": cfg.experiment_id, "seed": cfg.seed}
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for rec in records:
-            fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
+        fh.writelines(encode(obj) + "\n" for obj in chain([header], (rec.to_json() for rec in records)))

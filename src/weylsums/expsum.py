@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, check_cost, whole
+from .errors import BudgetError, check_cost, whole, whole_array
 from .polyfam import IntPolynomial, PolynomialFamily, classical_family
 
 __all__ = [
@@ -124,13 +124,14 @@ def _quantize_array(x: np.ndarray) -> np.ndarray:
     """``_quantize`` of every float of an array in [0, 1], as uint64.
 
     x * 2^64 is exact in binary floating point and rint rounds half to
-    even, as ``round`` does; the largest float below 1 maps to
-    2^64 - 2^11.  1.0 is the same point of the circle as 0 and maps to 0,
-    so the cast never overflows.
+    even, as ``round`` does.  From x = 1/2 on, x - 1 is exact, and
+    (x - 1) * 2^64, in [-2^63, 0], is the same point of the circle (1.0
+    is 0), cast through int64: numpy's cast of a float to uint64 is
+    several times slower.  The largest float below 1 maps to 2^64 - 2^11.
     """
-    y = np.rint(x * 2.0**SCALE_BITS)
-    y[y == 2.0**SCALE_BITS] = 0.0
-    return y.astype(np.uint64)
+    y = x - (x >= 0.5)
+    y *= 2.0**SCALE_BITS
+    return np.rint(y, out=y).astype(np.int64).view(np.uint64)
 
 
 class TorusPoint:
@@ -291,7 +292,8 @@ def raw_phases(polys: Sequence[IntPolynomial], raws, N: int, starts=0) -> np.nda
 
     ``raws`` holds one row of d raw coordinates per sum and ``starts`` one
     integer offset s per row (any sign and size); the two broadcast, and
-    the result is uint64 (..., N).  A single row is the case raws[d].
+    the result is uint64 (..., N).  A single row is the case raws[d].  Both
+    are integers: a float, string or bool entry is refused by name.
 
     Each row is folded into the coefficients of f(n + s), which is evaluated
     by Horner's rule in place, skipping the powers of n that no phi_j has.
@@ -301,7 +303,8 @@ def raw_phases(polys: Sequence[IntPolynomial], raws, N: int, starts=0) -> np.nda
     their cost before they call it.
     """
     N = whole("N", N, 0)
-    cols, used = _coefficient_columns(polys, raws, whole("starts", starts) if np.ndim(starts) == 0 else starts)
+    starts = whole("starts", starts) if np.ndim(starts) == 0 else whole_array("starts", starts)
+    cols, used = _coefficient_columns(polys, whole_array("raws", raws, 0, _MASK), starts)
     # out before n: in the other order glibc gives both fresh, page-faulting memory on every long row
     out = np.empty(cols.shape[1:-1] + (N,), dtype=np.uint64)
     return _horner(cols, used, np.arange(1, N + 1, dtype=np.uint64), out)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from weylsums.cli import main
+from weylsums.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -220,6 +220,11 @@ class TestExitCodes:
         assert code == 2
         assert "k must be 3" in err
 
+    def test_split_out_of_range_exits_2(self, capsys):
+        code, _, err = run(capsys, "sweep", "--k", "5")
+        assert code == 2
+        assert err == "config error: bad family spec 'classical:2': k must be <= 2, got 5\n"
+
     def test_negative_log2_n_min_exits_2(self, capsys):
         code, _, err = run(capsys, "sweep", "--family", "classical:2", "--samples", "1",
                            "--log2-n-min", "-1", "--log2-n-max", "3")
@@ -315,6 +320,30 @@ class TestSweepCommand:
         assert code == 0
         lines = out.strip().splitlines()
         assert json.loads(lines[0])["stat"] == "prefix_max_T"
+
+
+class TestOneParser:
+    def test_calls_share_a_parser_and_nothing_else(self, capsys):
+        # a process builds the parser once; a usage error, then JSON, then the default text output,
+        # each as a fresh parser gives it
+        argvs = [["sweep", "--samples", "two"],
+                 ["sweep", "--family", "classical:2", "--samples", "2", "--log2-n-min", "3", "--log2-n-max", "5",
+                  "--seed", "4", "--out", "json"],
+                 ["sweep", "--family", "classical:2", "--samples", "2", "--log2-n-min", "3", "--log2-n-max", "5",
+                  "--seed", "4"],
+                 ["exponents", "--family", "classical:2"]]
+        shared = [run(capsys, *argv) for argv in argvs]
+        assert _build_parser() is _build_parser()
+        assert [code for code, _, _ in shared] == [2, 0, 0, 0]
+        assert "invalid int value: 'two'" in shared[0][2]
+        assert json.loads(shared[1][1].splitlines()[-1])["records"] == 6
+        assert shared[2][1].splitlines()[-1].startswith("max_slope")
+        _build_parser.cache_clear()  # a fresh parser for every call
+        fresh = []
+        for argv in argvs:
+            fresh.append(run(capsys, *argv))
+            _build_parser.cache_clear()
+        assert shared == fresh
 
 
 class TestCensusCommands:

@@ -3,8 +3,10 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from weylsums import (
     write_csv,
     write_jsonl,
 )
-from weylsums.experiments import _sample_rng, _split_family, fit_by_sample
+from weylsums.experiments import _draw, _sample_rng, _split_family, csv_lines, fit_by_sample
 from weylsums.expsum import PhaseTable, _majorant, raw_phases
 from weylsums.polyfam import IntPolynomial, shift_coefficients
 
@@ -89,6 +91,17 @@ ROUTES = {
 }
 
 
+def reference_fit(records):
+    """Least squares of log2(value) against log2(N) on one sample, one record list at a time."""
+    xs, ys = np.array([(r.log2_n, r.log2_value) for r in records]).T
+    xm, ym = xs.mean(), ys.mean()
+    slope = float(np.sum((xs - xm) * (ys - ym)) / np.sum((xs - xm) ** 2))
+    intercept = float(ym - slope * xm)
+    ss_res = float(np.sum((ys - intercept - slope * xs) ** 2))
+    ss_tot = float(np.sum((ys - ym) ** 2))
+    return (slope, intercept, 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot)
+
+
 def csv_digest(records, cfg, path):
     write_csv(records, str(path), cfg)
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -146,6 +159,13 @@ class TestConfig:
     def test_override(self):
         cfg = tiny_cfg().override(seed=99, threads=None)
         assert cfg.seed == 99 and cfg.threads == 1
+
+    def test_split_out_of_range_named_by_the_family(self):
+        # the family refuses k, and validate says which spec it was reading
+        with pytest.raises(ConfigError, match=r"^bad family spec 'classical:2': k must be <= 2, got 5$"):
+            tiny_cfg(k=5).validate()
+        with pytest.raises(ConfigError, match=r"^bad family spec 'classical:2': k must be >= 1, got 0$"):
+            tiny_cfg(k=0).validate()
 
 
 class TestSweep:
@@ -355,6 +375,26 @@ class TestBatchedBlocks:
         if kind == "discrepancy_short":
             assert [dict(r.extras)["m"] for r in recs] == [row[3] for row in ref]
 
+    @pytest.mark.parametrize("seed", [0, 13, (1 << 63) + 5])
+    def test_window_starts_are_the_scalar_stream(self, seed):
+        # one integers(0, N, size=m) call an N draws what m scalar calls draw, on bounds past 2^32 and not
+        # powers of two too, and leaves the stream where they leave it
+        for sid in range(3):
+            for bounds in ([3, 100, 4097, 65535], [5, 1000003, 3 * 10**9, (1 << 40) + 3]):
+                one, many = _sample_rng(seed, sid), _sample_rng(seed, sid)
+                for N in bounds:
+                    assert one.integers(0, N, size=7).tolist() == [int(many.integers(0, N)) for _ in range(7)]
+                assert one.random() == many.random()
+        # a discrepancy_short sample's draws are x, then the scalar stream of m starts an N
+        cfg = tiny_cfg(kind="discrepancy_short", family="classical:3", k=None, seed=seed, m_samples=5,
+                       log2_n_min=0, log2_n_max=9)
+        for sid in range(3):
+            x, starts = _draw(cfg, 3, 3, "window", sid)
+            rng = _sample_rng(seed, sid)
+            assert x == tuple(rng.random(3))
+            assert starts.dtype == np.uint64
+            assert starts.tolist() == [[int(rng.integers(0, N)) for _ in range(5)] for N in cfg.schedule()]
+
     def test_prefix_routes_match_per_n_calls(self):
         # the k = d sweep and the discrepancy sweep build one n_max block per sample
         unit = WeightSeq.unit()
@@ -428,6 +468,51 @@ class TestFit:
         fits = fit_by_sample(recs)
         assert set(fits) == {0, 1}
         assert fits[1].slope == pytest.approx(1.0, abs=1e-9)
+
+    def test_array_fit_is_the_per_sample_reference(self):
+        # every sample of every record count L = 3..23 (ragged: the samples of one call differ in L, and come in
+        # no order), fitted one at a time by the reference below, the same to the bit
+        rng = np.random.default_rng(29)
+        recs = []
+        for sid in rng.permutation(60):
+            first = int(rng.integers(0, 8))
+            L = 3 + int(sid) % 21
+            scale = 2.0 ** (rng.random() * 4 - 2)
+            recs += [RunRecord("s", int(sid), (0.0,), 1 << i, "v", scale * 2.0 ** (rng.random() * i))
+                     for i in range(first, first + L)]
+        fits = fit_by_sample(recs)
+        assert list(fits) == sorted(fits) == list(range(60))
+        for sid, fit in fits.items():
+            mine = [r for r in recs if r.sample_id == sid]
+            want = reference_fit(mine)
+            assert fit == want and exponent_fit(mine) == want
+            assert all(type(v) is float for v in fit)
+
+    def test_every_refusal(self):
+        fine = self.synth(0.5)
+        short = fine[:2]
+        flat = [RunRecord("s", 0, (0.0,), 8, "v", 1.0 + i) for i in range(4)]
+        zero = fine[:-1] + [RunRecord("s", 0, (0.0,), 1 << 20, "v", 0.0)]
+        refusals = {"need at least 3 records to fit": short, "all values must be positive": zero,
+                    "records share a single N; fit is degenerate": flat}
+        for message, recs in refusals.items():
+            for fit in (exponent_fit, fit_by_sample):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    fit(recs)
+        with pytest.raises(ValueError, match="^need at least 3 records to fit$"):
+            exponent_fit([])
+
+        def sample(sid, recs):
+            return [replace(r, sample_id=sid) for r in recs]
+
+        # the first refused sample speaks, whichever record count it shares with the others
+        mixed = sample(0, fine) + sample(3, short) + sample(1, flat) + sample(2, zero)
+        with pytest.raises(ValueError, match="^records share a single N"):
+            fit_by_sample(mixed)
+        with pytest.raises(ValueError, match="^all values must be positive$"):
+            fit_by_sample(sample(0, fine) + sample(5, flat) + sample(4, zero))
+        with pytest.raises(ValueError, match="^need at least 3 records to fit$"):
+            fit_by_sample(sample(0, fine) + sample(2, flat) + sample(1, short))
 
 
 class TestDiscrepancyGrowth:
@@ -509,6 +594,17 @@ class TestWriters:
         # 17 significant digits survive a round trip
         value = float(lines[2].split(",")[5])
         assert value == recs[0].value
+
+    def test_files_are_their_lines(self, tmp_path):
+        # one writelines of the CSV lines; every JSON line as json.dumps(obj, sort_keys=True) writes it
+        cfg = tiny_cfg(kind="discrepancy_short", family="classical:3", k=None, samples=3)
+        recs = metric_sweep(cfg)
+        write_csv(recs, str(tmp_path / "out.csv"), cfg)
+        write_jsonl(recs, str(tmp_path / "out.jsonl"), cfg)
+        assert (tmp_path / "out.csv").read_text() == "".join(line + "\n" for line in csv_lines(recs, cfg))
+        header = {"header": True, "schema": 1, "experiment": "tiny", "seed": 13}
+        objs = [header] + [r.to_json() for r in recs]
+        assert (tmp_path / "out.jsonl").read_text() == "".join(json.dumps(o, sort_keys=True) + "\n" for o in objs)
 
     def test_jsonl_layout(self, tmp_path):
         cfg = tiny_cfg(samples=1)

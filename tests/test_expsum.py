@@ -88,6 +88,21 @@ class TestTorusPoint:
         assert got.dtype == np.uint64
         assert got.tolist() == [_quantize(float(x)) for x in xs]
 
+    def test_array_quantization_through_int64(self):
+        # from 1/2 on, x - 1 is quantised and read mod 2^64: the same bits, in any shape, the edges included
+        half, one = 0.5, 1.0
+        edges = [0.0, 2.0**-70, np.nextafter(half, 0.0), half, np.nextafter(half, one), 0.75,
+                 np.nextafter(one, 0.0), one]
+        xs = np.concatenate((edges, np.random.default_rng(11).random(5000), np.random.default_rng(12).random(500) ** 9))
+        want = [_quantize(float(x)) for x in xs]
+        assert want[:4] == [0, 0, (1 << 63) - (1 << 10), 1 << 63] and want[len(edges) - 1] == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _quantize_array(xs).tolist() == want
+            grid = _quantize_array(xs[:5508].reshape(3, 1836, 1).transpose(1, 0, 2))  # a strided view
+        assert grid.dtype == np.uint64 and grid.shape == (1836, 3, 1)
+        assert grid.transpose(1, 0, 2).ravel().tolist() == want[:5508]
+
     def test_array_quantization_of_one_is_zero(self):
         # 1.0 is the point 0 of the circle; 2^64 must not reach the uint64 cast
         with warnings.catch_warnings():
@@ -670,6 +685,33 @@ NOT_GATED = {
                      "CensusResult", "ProjectionResult", "CaseLabel", "ExponentReport", "RunRecord", "FitResult"],
                     "a record of results"),
 }
+
+
+# the array arguments of the phase kernel: an entry is read as a scalar argument is, so 2.5 is refused, not
+# truncated (raws) or left to a numpy TypeError (starts); a numpy integer array takes the fast path unread
+INTEGER_ARRAYS = {
+    "raws": lambda v: raw_phases(FAM2.polys, v, 3),
+    "starts": lambda v: raw_phases(FAM2.polys, [[2, 3], [5, 7]], 3, v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ARRAYS))
+def test_integer_arrays_refused_by_name(name):
+    call = INTEGER_ARRAYS[name]
+    for bad in (2.5, 2.0, "2", True, np.True_):
+        for values in ([bad, 3], np.array([bad, bad]), np.array([3, bad], dtype=object)):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                call(values)
+    want = call([2, 3]).tolist()
+    for dtype in (np.int64, np.uint64, np.int32, object):
+        assert call(np.array([2, 3], dtype=dtype)).tolist() == want
+    assert call([np.int64(2), 3]).tolist() == want
+    if name == "raws":  # a raw coordinate is in [0, 2^64), as PhaseTable's
+        for out in (-1, 1 << 64):
+            with pytest.raises(ValueError, match=f"^raws must be (>= 0|<= {(1 << 64) - 1}), got {out}$"):
+                call([out, 3])
+    else:  # a start has any sign and size
+        assert call([2 + (1 << 70), 3 - (1 << 64)]).tolist() == want
 
 
 def _public_callables() -> set[str]:
