@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, check_cost, whole, whole_array
+from .errors import BudgetError, InvariantViolation, check_cost, whole, whole_array
 from .polyfam import IntPolynomial, PolynomialFamily, classical_family
 
 __all__ = [
@@ -742,17 +742,24 @@ def vinogradov_count(d: int, s: int, N: int) -> int:
     d > s the first s power sums already fix the s numbers (Newton's
     identities), so d counts as min(d, s).
 
-    The tuples are built one coordinate at a time.  Level i holds each
-    distinct key of the i-tuples once, with the number of i-tuples sharing
-    it as its weight: permuted tuples share one key, and for d = 1 so does
-    every tuple with the same sum.  Level i adds a head n to every key of
-    level i - 1 (``_walk``), merges equal keys and sums their weights;
-    level s sums the squared weights instead, so the work is N times the
-    distinct keys, not N^s.  Equal keys have equal S_1 = sum n_i, so a
-    level is walked in windows of S_1 values, each holding at most
-    VINOGRADOV_BLOCK key entries (``_level``), or a single S_1 value that
-    alone holds more, and a window's keys are final.  Memory is bounded by
-    that block plus two levels of distinct keys.
+    The tuples are built one coordinate at a time, and level i weighs what
+    it holds by the number of i-tuples it stands for.  Up to level d the
+    power sums of an i-multiset fix it, so level i holds each multiset
+    {n_1 <= ... <= n_i} once (``_multisets``): a multiset of level i - 1
+    and a head n no less than its largest element, weighted by its
+    orderings, i! / prod m_k!.  For s <= d the count is the sum of the
+    squared orderings of the s-multisets, taken per multiset of level s - 1
+    (``_squared_orderings``).  Otherwise level d + 1 is the first whose
+    multisets can share a key: it still makes each multiset once
+    (``_first_shared``), then merges equal keys and sums their weights.
+    Each later level adds a head n to every key of the level before
+    (``_walk``) and merges likewise, and level s sums the squared weights
+    instead.  Equal keys have equal S_1 = sum n_i, so these levels are
+    walked in windows of S_1 values, each holding at most VINOGRADOV_BLOCK
+    key entries, or a single S_1 value that alone holds more
+    (``_windows``), and a window's keys are final.  Memory is bounded by
+    that block plus two levels of keys.  At every level the weights sum to
+    N^i, one for each i-tuple, or InvariantViolation is raised.
 
     After the cost check, BudgetError refuses what would leave the exact
     int64 range: the power sums (s N^d), a window's key, or the count,
@@ -760,23 +767,47 @@ def vinogradov_count(d: int, s: int, N: int) -> int:
     """
     d, s, N = whole("d", d, 1), whole("s", s, 1), whole("N", N, 1)
     d = min(d, s)  # S_1, ..., S_s fix s numbers (Newton's identities), so later power sums add no condition
-    keys = [_distinct_keys(d, i, N) for i in range(s)] + [0]  # the last level merges none
-    levels = [_level(d, i, N, keys[i - 1], keys[i]) for i in range(1, s + 1)]
-    check_cost("vinogradov_count", sum(lv.terms for lv in levels), 8 * d * N + 16384 + max(lv.peak for lv in levels))
+    levels = [_level(d, i, s, N) for i in range(1, s + 1)]
+    # n^k, d passes over 8 (N + 1) bytes, and n 8 (N + 1) more while it is made
+    check_cost("vinogradov_count", d * N + sum(lv.terms for lv in levels),
+               8 * d * N + 16384 + max(8 * N, *(lv.peak for lv in levels)))
     b, spans = levels[-1].b, levels[-1].spans  # the widest key
     if s * N**d >= 1 << 62 or N**s * _most_sharing_a_sum(s, N) >= 1 << 63 or math.prod(spans) << b > 1 << 62:
         raise BudgetError("power sums or the count exceed the exact int64 range")
-    powers = np.empty((d, N), dtype=np.int64)  # exact
-    powers[0] = np.arange(1, N + 1)
+    powers = np.empty((d, N + 1), dtype=np.int64)  # n^k at column n, exact
+    powers[0] = np.arange(N + 1)
     for k in range(1, d):
         np.multiply(powers[k - 1], powers[0], out=powers[k])
-    tail, weights = np.zeros((d, 1), dtype=np.int64), np.ones(1, dtype=np.int64)
-    for i, level in enumerate(levels[:-1], 1):
-        parts = _walk(tail, weights, powers, i, level, lambda lo, key: _merged(key, lo, level))
+    # level 0, the empty multiset: no sums, one ordering, and 1 for its largest element, of multiplicity 0
+    tail = np.zeros((d + 3, 1), dtype=np.int64)
+    tail[d : d + 2] = 1
+    for i in range(1, min(d + 1, s)):
+        tail = _multisets(tail, powers, i)
+        _every_tuple_once(i, N, int(tail[d].sum()))
+    if s <= d:
+        return _squared_orderings(tail, s, N)
+
+    def reduce(i):
+        level = levels[i - 1]
+        if i == s:
+            return lambda lo, keys: _squared_sums(keys, level.b)
+        return lambda lo, keys: _merged(keys, lo, level)
+
+    parts = _first_shared(tail, powers, levels[d], reduce(d + 1))
+    for i in range(d + 2, s + 1):
         tail = np.concatenate([p for p, _ in parts], axis=1)
         weights = np.concatenate([w for _, w in parts])
         del parts
-    return sum(_walk(tail, weights, powers, s, levels[-1], lambda lo, key: _squared_sums(key, b)))
+        _every_tuple_once(i - 1, N, int(weights.sum()))
+        parts = _walk(tail, weights, powers, i, levels[i - 1], reduce(i))
+    _every_tuple_once(s, N, sum(tuples for tuples, _ in parts))
+    return sum(count for _, count in parts)
+
+
+def _every_tuple_once(i: int, N: int, weights: int) -> None:
+    """The hard identity of every level of ``vinogradov_count``: its weights count each of the N^i i-tuples once."""
+    if weights != N**i:
+        raise InvariantViolation(f"vinogradov_count: the weights of level {i} sum to {weights}, not N^{i} = {N**i}")
 
 
 def _distinct_keys(d: int, i: int, N: int) -> int:
@@ -794,52 +825,204 @@ def _distinct_keys(d: int, i: int, N: int) -> int:
 
 
 class _Level(NamedTuple):
-    width: int  # S_1 values a window
+    cap: int  # rows a window: VINOGRADOV_BLOCK key entries
+    widest: int  # S_1 values a window, which keep its first key row below 2^62
     b: int  # bits of a weight
     spans: tuple[int, ...]  # of S_2, ..., S_m, the power sums packed into a key's first row with S_1
     terms: int
     peak: int  # bytes, but for the powers
 
 
-def _level(d: int, i: int, N: int, keys_in: int, keys_out: int) -> _Level:
-    """How level i is walked, given bounds on the keys it extends and the keys it merges into.
+def _level(d: int, i: int, s: int, N: int) -> _Level:
+    """How level i of ``vinogradov_count`` is walked, and what it costs.
 
-    A row is a head and a key of level i - 1.  In a window [lo, lo + width)
-    its key's first row is one int64, (S_1 - lo, S_2, ..., S_m) in mixed
-    radix, span_k = i N^k + 1 > S_k, times 2^b above every weight of level
-    i - 1, plus the weight minus one; its other rows are S_(m+1), ..., S_d.
+    Up to level d a row is an i-multiset, C(N + i - 1, i) of them, made in
+    one pass, and level s <= d is one pass over the multisets of level s - 1.
+    From level d + 1 the rows are walked in windows of S_1 values.  Level
+    d + 1 makes its C(N + d, d + 1) multisets, each weighted by its
+    orderings, at most (d + 1)!; a later level adds each head to each key of
+    level i - 1, N K_(i-1) rows, weighted by up to M_(i-1) i-tuples.  In a
+    window [lo, hi) a key's first row is one int64, (S_1 - lo, S_2, ...,
+    S_m) in mixed radix, span_k = i N^k + 1 > S_k, times 2^b above every
+    weight, plus the weight minus one; its other rows are S_(m+1), ..., S_d.
     m is the most sums whose first row stays below 2^62 one S_1 value wide,
-    and at least min(d, 2); the width is capped to keep it there.  The
-    terms are the rows and a search for every head of every window.
+    and at least min(d, 2); a window spans at most the S_1 values that keep
+    it there.  The terms are the rows, a pass over the keys of level i - 1
+    and over the S_1 values, and for a later level a search for every head
+    of every window.
     """
-    # the most rows sharing one S_1: one a head for d = 1; for d >= 2 at most the
-    # (head, multiset of i - 1) pairs with that sum, M_i(N + i - 2) / (i - 1)! or fewer
-    per_value = min(keys_in, N if d == 1 or i == 1 else _most_sharing_a_sum(i, N + i - 2) // math.factorial(i - 1))
-    b = (_most_sharing_a_sum(max(i - 1, 1), N) - 1).bit_length()  # a weight is at most M_(i-1), M_0 = 1
+    keys_in = _distinct_keys(d, i - 1, N)
+    if i <= d:  # a multiset is 8 (d + 3) bytes, and a pass over them 8 more
+        if i == s:  # level s - 1's and three passes over them
+            return _Level(0, 0, 0, (), keys_in, 8 * (d + 6) * keys_in)
+        rows = math.comb(N + i - 1, i)  # level i - 1's with four passes, level i's with one
+        return _Level(0, 0, 0, (), rows, 8 * (d + 7) * keys_in + 8 * (d + 4) * rows)
+    shared = i == d + 1
+    rows = math.comb(N + d, i) if shared else N * keys_in
+    b = ((math.factorial(i) if shared else _most_sharing_a_sum(i - 1, N)) - 1).bit_length()
     for m in range(d, 0, -1):
         spans = tuple(i * N**k + 1 for k in range(2, m + 1))
         radix, columns = math.prod(spans) << b, d - m + 1
         if m <= 2 or radix <= 1 << 62:
             break
-    width = max(1, min(VINOGRADOV_BLOCK // (columns * per_value), (1 << 62) // radix))
-    rows = min(N * keys_in, width * per_value)
-    # a window is 16 bytes a key entry and 16 a row, and 32 a head; the keys merged into
-    # are held once as they come and once more while they are joined
-    window = 16 * (columns + 1) * rows + 32 * min(N, rows)
-    merged = (8 * d + 8) * keys_out
-    return _Level(width, b, spans, N * keys_in + -(-i * N // width) * N,
-                  (8 * d + 16) * keys_in + merged + max(window, merged))
+    cap, widest = max(1, VINOGRADOV_BLOCK // columns), max(1, (1 << 62) // radix)
+    # the most rows sharing one S_1: one a head for d = 1; for d >= 2 at most the
+    # (head, multiset of i - 1) pairs with that sum, M_i(N + i - 2) / (i - 1)! or fewer,
+    # and at level d + 1 at most the i-multisets with that sum
+    per_value = min(keys_in, N if d == 1 else _most_sharing_a_sum(i, N + i - 2) // math.factorial(i - 1),
+                    _most_multisets_sharing_a_sum(i, N) if shared else keys_in)
+    window = min(rows, max(cap, per_value), widest * per_value)
+    # a window but the last ends at its widest or where the next S_1 value would take it past
+    # cap rows, so of two neighbours the first is at its widest or the two hold more than cap
+    windows = min(i * N, 2 * rows // cap + i * N // widest + 1)
+    keys_out = _distinct_keys(d, i, N)
+    merged = (8 * d + 8) * keys_out if i < s else 0
+    # a window is 8 (c + 2) bytes a row while its keys are made, from 48 bytes a tail key it
+    # visits or 32 a head, and 8 c + 9 while they are sorted, 16 more to lexsort c > 1 rows,
+    # with 16 bytes a distinct key, 8 d more if they are merged.  The keys merged into are
+    # held once as they come and once more while they are joined, and cutting the windows
+    # takes 24 bytes an S_1 value
+    grouped = ((8 * columns + 9 + (16 if columns > 1 else 0)) * window
+               + (16 + (8 * d if i < s else 0)) * min(window, keys_out))
+    visits = 48 * min(keys_in, window) if shared else 32 * min(N, window)
+    window_bytes = max(8 * (columns + 2) * window, grouped) + visits
+    held = 8 * (d + 8) * keys_in if shared else (8 * d + 16) * keys_in
+    return _Level(cap, widest, b, spans, rows + keys_in + i * N + (0 if shared else windows * N),
+                  held + 24 * i * N + merged + max(window_bytes, merged))
+
+
+def _multisets(tail: np.ndarray, powers: np.ndarray, i: int) -> np.ndarray:
+    """Level i <= d: every i-multiset once, a multiset of level i - 1 and a head n no less than its largest element.
+
+    A column is (S_1, ..., S_d, orderings, largest element, its multiplicity).
+    A head n multiplies the orderings by i / (n's multiplicity after it):
+    i! / prod m_k! stays an integer at every step.
+    """
+    d = len(tail) - 3
+    count = powers.shape[1] - tail[d + 1]  # heads from the largest element to N
+    starts = np.cumsum(count) - count
+    out = np.empty((d + 3, int(count.sum())), dtype=np.int64)
+    n = out[d + 1]
+    n[:] = np.repeat(tail[d + 1] - starts, count)
+    n += np.arange(len(n))
+    for k in range(d):
+        np.take(powers[k], n, out=out[k])
+        out[k] += np.repeat(tail[k], count)
+    out[d] = np.repeat(tail[d] * i, count)
+    out[d + 2] = 1
+    out[d + 2, starts] = tail[d + 2] + 1  # the first head is the largest element again
+    out[d, starts] //= out[d + 2, starts]
+    return out
+
+
+def _squared_orderings(tail: np.ndarray, s: int, N: int) -> int:
+    """Level s <= d: the sum of the squared orderings of the s-multisets, per multiset of level s - 1.
+
+    A multiset of w orderings whose largest element L has multiplicity m
+    makes, with the head L, one of w s / (m + 1) orderings, and with each of
+    the N - L larger heads one of w s.
+    """
+    d = len(tail) - 3
+    w = tail[d] * s
+    first, larger = w // (tail[d + 2] + 1), N - tail[d + 1]
+    _every_tuple_once(s, N, int(first.sum()) + int(larger @ w))
+    w *= w
+    return int(first @ first) + int(larger @ w)
+
+
+def _windows(reach: np.ndarray, last: np.ndarray, level: _Level) -> list[tuple[int, int]]:
+    """The windows [lo, hi) that cut the S_1 values from min(reach) to max(last) in order: each holds at most
+    ``level.cap`` rows, or a single S_1 value that alone holds more, and at most ``level.widest`` values.
+
+    Tail key t makes one row at each S_1 in [reach[t], last[t]].
+    """
+    end = int(last.max()) + 1
+    rows = np.bincount(reach, minlength=end + 1)
+    rows -= np.bincount(last + 1, minlength=end + 1)
+    np.cumsum(rows, out=rows)  # the rows at each S_1
+    np.cumsum(rows, out=rows)  # the rows up to each S_1
+    windows, lo = [], int(reach.min())
+    while lo < end:
+        hi = int(np.searchsorted(rows, rows[lo - 1] + level.cap, side="right"))
+        hi = min(max(hi, lo + 1), lo + level.widest, end)
+        windows.append((lo, hi))
+        lo = hi
+    return windows
+
+
+def _first_shared(tail: np.ndarray, powers: np.ndarray, level: _Level, reduce) -> list:
+    """Level d + 1, window by window: reduce(lo, the keys of its multisets whose S_1 lies in [lo, hi)).
+
+    ``tail`` holds the d-multisets as ``_multisets`` makes them, and is
+    reordered in place.  One of sum S and largest element L makes a row for
+    each head n in [L, N], at S_1 = S + n, so in a window n runs over
+    [max(L, lo - S), min(N, hi - 1 - S)].  The tail is taken in order of
+    S + L, so each window adds the multisets that first reach it as a slice
+    and keeps those that still reach it, and each it visits makes a row.  A
+    key is laid out as ``_level`` says, its weight the orderings of its
+    multiset.
+    """
+    d = len(tail) - 3
+    N = powers.shape[1] - 1
+    b, spans = level.b, level.spans
+    m = len(spans) + 1
+    order = np.argsort(tail[0] + tail[d + 1])
+    for row in tail:
+        row[:] = row[order]
+    del order
+    S, L = tail[0], tail[d + 1]
+    reach = S + L  # the least S_1 a multiset makes, in order
+    weight = tail[d] * (d + 1)  # with a head past L
+    fall = weight - weight // (tail[d + 2] + 1)  # how much less with the head L
+    # the tail's part of the first key row, (S_1, ..., S_m) in mixed radix times 2^b plus the
+    # weight minus one, and the head's, (n - lo, n^2, ..., n^m) times 2^b, may wrap in int64,
+    # but the key lies in [0, 2^62), so their wrapping sum is exact
+    packed = S.copy()
+    for k, span in enumerate(spans, 1):
+        packed *= span
+        packed += tail[k]
+    packed <<= b
+    packed += weight - 1
+    active, added, out = np.empty(0, dtype=np.intp), 0, []
+    for lo, hi in _windows(reach, S + N, level):
+        upto = int(np.searchsorted(reach, hi))
+        active = np.concatenate((active[S[active] >= lo - N], np.arange(added, upto)))
+        added = upto
+        t = S[active]
+        first = np.maximum(L[active], lo - t)
+        count = np.minimum(hi - 1 - t, N) - first + 1
+        starts = np.cumsum(count) - count
+        n = np.repeat(first - starts, count)
+        n += np.arange(len(n))
+        head = powers[0] - lo
+        for k, span in enumerate(spans, 1):
+            head *= span
+            head += powers[k]
+        head <<= b
+        key = np.empty((d - m + 1, len(n)), dtype=np.int64)
+        np.take(head, n, out=key[0], mode="clip")  # in range: "clip" skips the buffered bounds check
+        key[0] += np.repeat(packed[active], count)
+        at_largest = first == L[active]
+        key[0, starts[at_largest]] -= fall[active[at_largest]]
+        for k in range(m, d):
+            np.take(powers[k], n, out=key[k - m + 1], mode="clip")
+            key[k - m + 1] += np.repeat(tail[k, active], count)
+        del n
+        out.append(reduce(lo, key))
+        del key  # before the next window's
+    return out
 
 
 def _walk(tail: np.ndarray, weights: np.ndarray, powers: np.ndarray, i: int, level: _Level, reduce) -> list:
-    """Level i's rows, window by window: reduce(lo, the keys of the rows whose S_1 lies in [lo, lo + width)).
+    """Level i > d + 1, window by window: reduce(lo, the keys of the rows whose S_1 lies in [lo, hi)).
 
     ``tail`` holds level i - 1's keys as columns sorted by S_1, and
-    ``weights`` their weights.  A window's keys are a (d - m + 1, rows)
-    array laid out as ``_level`` says; ``reduce`` may sort it in place.
+    ``weights`` their weights.  A row is a head and a key; a window's keys
+    are a (d - m + 1, rows) array laid out as ``_level`` says, and
+    ``reduce`` may sort it in place.
     """
-    width, b, spans = level.width, level.b, level.spans
-    d, N = powers.shape
+    b, spans = level.b, level.spans
+    d, N = powers.shape[0], powers.shape[1] - 1
     m = len(spans) + 1
     t1 = tail[0]
     # the tail part and the head part of a key may wrap in int64, but the key
@@ -852,12 +1035,12 @@ def _walk(tail: np.ndarray, weights: np.ndarray, powers: np.ndarray, i: int, lev
     packed += weights - 1
     t_min, t_max = int(t1[0]), int(t1[-1])
     out = []
-    for lo in range(i, i * N + 1, width):
+    for lo, hi in _windows(t1 + 1, t1 + N, level):
         # only the heads n with t_min <= S_1 - n <= t_max for some S_1 in the window reach it
-        heads = slice(max(lo - t_max, 1) - 1, min(lo + width - t_min, N + 1) - 1)
+        heads = slice(max(lo - t_max, 1), min(hi - t_min, N + 1))
         n = powers[0, heads]
         starts = np.searchsorted(t1, lo - n)
-        lengths = np.searchsorted(t1, lo + width - n) - starts
+        lengths = np.searchsorted(t1, hi - n) - starts
         idx = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
         idx += np.arange(len(idx))
         head = n - lo
@@ -901,19 +1084,21 @@ def _grouped(keys: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
         last[:-1] |= row[1:] != row[:-1]
     last[-1] = True
     ends = np.flatnonzero(last)
+    del last  # each array a window no longer needs goes before the next is made
     if b:
         weights += 1
         sums = np.cumsum(weights, out=weights)[ends]
+        del weights
     else:
         sums = ends + 1
     sums[1:] -= sums[:-1].copy()
     return ends, sums
 
 
-def _squared_sums(keys: np.ndarray, b: int) -> int:
-    """A window's share of the count: the sum over its distinct keys of their squared weight sums."""
+def _squared_sums(keys: np.ndarray, b: int) -> tuple[int, int]:
+    """A window's share of the last level: its tuples, and the sum over its distinct keys of their squared weights."""
     sums = _grouped(keys, b)[1]
-    return int(np.dot(sums, sums))
+    return int(sums.sum()), int(np.dot(sums, sums))
 
 
 def _merged(keys: np.ndarray, lo: int, level: _Level) -> tuple[np.ndarray, np.ndarray]:
@@ -933,6 +1118,14 @@ def _most_sharing_a_sum(s: int, N: int) -> int:
     """The most s-tuples in [1, N]^s sharing one sum: the middle coefficient of (1 + ... + x^(N-1))^s."""
     m = s * (N - 1) // 2  # the coefficients are symmetric and unimodal; inclusion-exclusion gives this one
     return sum((-1) ** j * math.comb(s, j) * math.comb(m - j * N + s - 1, s - 1) for j in range(m // N + 1))
+
+
+def _most_multisets_sharing_a_sum(i: int, N: int) -> int:
+    """A bound on the i-multisets of [1, N] sharing one sum: at most M_i / i! of distinct elements, M_i the most
+    i-tuples sharing it, and with a repeated element x, at most N times the bound for the (i - 2)-multisets."""
+    if i < 2:
+        return 1
+    return _most_sharing_a_sum(i, N) // math.factorial(i) + N * _most_multisets_sharing_a_sum(i - 2, N)
 
 
 def _five_smooth_at_least(n: int) -> int:

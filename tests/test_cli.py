@@ -1,8 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from weylsums.cli import _build_parser, main
+from weylsums.cli import _build_parser, _median, main
+from weylsums.experiments import ExperimentConfig, fit_by_sample, metric_sweep
 
 
 def run(capsys, *argv):
@@ -313,6 +319,35 @@ class TestSweepCommand:
         assert len(lines) == 5
         assert lines[-1]["records"] == 4
         assert lines[-1]["median_slope"] is None and lines[-1]["max_slope"] is None
+
+    def test_median_slope_is_numpys_median(self, capsys):
+        # the median of the slopes is taken without numpy, to the bit what np.median gives
+        rng = np.random.default_rng(8)
+        for size in [*range(1, 40), 100, 101]:
+            slopes = rng.normal(0.5, 0.3, size).tolist()
+            assert _median(slopes) == float(np.median(slopes))
+        for samples in (4, 5):
+            args = ["sweep", "--family", "classical:2", "--samples", str(samples), "--seed", "3",
+                    "--log2-n-min", "4", "--log2-n-max", "7", "--out", "json"]
+            code, out, _ = run(capsys, *args)
+            assert code == 0
+            cfg = ExperimentConfig(family="classical:2", samples=samples, seed=3, log2_n_min=4, log2_n_max=7)
+            slopes = [fit.slope for fit in fit_by_sample(metric_sweep(cfg)).values()]
+            assert len(slopes) == samples
+            assert json.loads(out.splitlines()[-1])["median_slope"] == float(np.median(slopes))
+
+    def test_sweep_does_not_import_numpy_ma(self):
+        # np.median imports numpy.ma, about 11 ms of a one-shot sweep process
+        code = ("import io, sys, contextlib\n"
+                "from weylsums.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert main(['sweep', '--family', 'classical:2', '--samples', '3',\n"
+                "                 '--log2-n-min', '4', '--log2-n-max', '7', '--out', 'json']) == 0\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_stdout_records_without_files(self, capsys):
         code, out, _ = run(capsys, "sweep", "--family", "classical:2", "--samples", "1",

@@ -110,9 +110,11 @@ CASES = {
     # d = 1: a key is its sum, and each level holds at most (s - 1) N of them
     "vinogradov_count_one_sum": ("vinogradov_count", lambda sN: lambda: w.vinogradov_count(1, *sN),
                                  ((3, 165), (4, 300))),
-    # S_4 takes a key row of its own, and the windows lexsort two rows
+    # s = d: the triples held, and the count summed in closed form over them
     "vinogradov_count_key_rows": ("vinogradov_count", lambda N: lambda: w.vinogradov_count(4, 4, N), (40, 50)),
-    # windows that cover much of a level's S_1 range: the loosest declarations, 1.94-1.96
+    # S_5 takes a key row of its own at level d + 1 = 6, and the windows lexsort two rows
+    "vinogradov_count_two_key_rows": ("vinogradov_count", lambda N: lambda: w.vinogradov_count(5, 6, N), (8, 12)),
+    # windows that cover much of a level's S_1 range: 1.50 and 1.05, the keys of d = 2 fewer than their bound
     "vinogradov_count_wide_windows": ("vinogradov_count", lambda dsN: lambda: w.vinogradov_count(*dsN),
                                       ((2, 5, 12), (2, 4, 40))),
     "moment_integral": ("moment_integral", _moment(FAM2, 6), (16, 24)),

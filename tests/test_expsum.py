@@ -17,6 +17,7 @@ import pytest
 import weylsums as w
 from weylsums import (
     BudgetError,
+    InvariantViolation,
     TorusPoint,
     WeightSeq,
     classical_family,
@@ -41,7 +42,9 @@ from weylsums.expsum import (
     _fold_weights,
     _four_step,
     _majorant,
+    _most_multisets_sharing_a_sum,
     _most_sharing_a_sum,
+    _multisets,
     _phase_rows,
     _quantize,
     _expi,
@@ -923,30 +926,36 @@ class TestVinogradov:
                 assert vinogradov_count(d, s, N) == oracle(d, s, N), (d, s, N)
 
     def test_one_variable_is_one_pass(self):
-        # s = 1: a window spans 2^18 values of S_1, so N tuples take a few
-        # windows, not N searches over N heads
+        # s = 1: the count is summed in closed form over the one empty
+        # multiset of level 0, not over N tuples
         for d in (1, 2, 3):
             start = time.process_time()
             assert vinogradov_count(d, 1, 10**6) == 10**6
             assert time.process_time() - start < 1.0
 
     def test_budget(self, admitted):
-        # every level's rows plus N head searches a window.  For d >= 2 the
-        # last level holds a head and a distinct pair, N^2 (N + 1) / 2 rows:
-        # (d, 3, 1622) is the last N within the work budget, and would run for
-        # minutes.  For d = 1 a pair's key is its sum, 2N - 1 of them.
-        for d in (2, 3):
-            assert admitted(vinogradov_count, d, 3, 1622)
-            assert not admitted(vinogradov_count, d, 3, 1623)
-        # (1, 3, 24770) passes the check, and the int64 guard refuses past N = 6576
-        assert admitted(vinogradov_count, 1, 3, 24770)
-        assert not admitted(vinogradov_count, 1, 3, 24771)
-        # windows of several S_1 values: fewer head searches for s = 2, and
-        # for s = 1 N rows and N searches for each of the ceil(N / 2^18) windows
-        assert admitted(vinogradov_count, 2, 2, 40131)
-        assert not admitted(vinogradov_count, 2, 2, 40132)
-        assert admitted(vinogradov_count, 1, 1, 23592960)
-        assert not admitted(vinogradov_count, 1, 1, 23592961)
+        # the powers n^k, every level's rows, a pass over the keys it extends
+        # and over its S_1 values, and past level d + 1 N head searches a
+        # window.  For d = 2 the last level makes each of the C(N + 2, 3)
+        # triples once, and the memory budget binds first: the pairs held,
+        # 80 bytes each, and a window.  (2, 3, 2312) would run for minutes.
+        # For d = 3 the pairs are summed in closed form, and memory binds
+        # too: 72 bytes a pair, held with three rows made from them.
+        assert admitted(vinogradov_count, 2, 3, 2312)
+        assert not admitted(vinogradov_count, 2, 3, 2313)
+        assert admitted(vinogradov_count, 3, 3, 2729)
+        assert not admitted(vinogradov_count, 3, 3, 2730)
+        # for d = 1 a pair's key is its sum, 2N - 1 of them: (1, 3, 27144)
+        # passes the check, and the int64 guard refuses past N = 6576
+        assert admitted(vinogradov_count, 1, 3, 27144)
+        assert not admitted(vinogradov_count, 1, 3, 27145)
+        # s <= d: one pass over the N singletons for s = 2, and none for s = 1;
+        # memory binds, 64 bytes a singleton and 16 a value of n for s = 2, and
+        # 16 a value of n for s = 1
+        assert admitted(vinogradov_count, 2, 2, 3355238)
+        assert not admitted(vinogradov_count, 2, 2, 3355239)
+        assert admitted(vinogradov_count, 1, 1, 16776192)
+        assert not admitted(vinogradov_count, 1, 1, 16776193)
 
     def test_budget_refused_for_real(self):
         with pytest.raises(BudgetError, match="work budget"):
@@ -961,9 +970,7 @@ class TestVinogradov:
         distinct, double = math.comb(N, 3), N * (N - 1)
         assert vinogradov_count(6, 3, N) == 36 * distinct + 9 * double + N == 369760
         # s = d = 4: 24 orderings of 4 distinct values, 12 of a pair and two
-        # others, 6 of two pairs, 4 of a triple and another, 1 of a quadruple.
-        # (S_1 - lo, S_2, S_3, S_4) fits one int64 at N = 30 but not at N = 40,
-        # where S_4 takes a key row of its own and the windows lexsort
+        # others, 6 of two pairs, 4 of a triple and another, 1 of a quadruple
         for N in (30, 40):
             J = (576 * math.comb(N, 4) + 144 * N * math.comb(N - 1, 2) + 36 * math.comb(N, 2)
                  + 16 * N * (N - 1) + N)
@@ -996,6 +1003,106 @@ class TestVinogradov:
         finally:
             tracemalloc.stop()
         assert peak < 5 * VINOGRADOV_BLOCK * 3 * 8 + 2 * N * N * 3 * 8
+
+    @staticmethod
+    def _brute_force(d, s, N):
+        # the power-sum vector of every ordered s-tuple, counted by np.unique
+        n = np.arange(1, N + 1, dtype=np.int64)
+        tuples = np.stack(np.meshgrid(*[n] * s, indexing="ij"), axis=-1).reshape(-1, s)
+        keys = np.stack([(tuples**j).sum(axis=1) for j in range(1, d + 1)], axis=1)
+        counts = np.unique(keys, axis=0, return_counts=True)[1]
+        return int(counts @ counts)
+
+    def test_matches_ordered_tuples(self):
+        for d in range(1, 5):
+            for s in range(1, 5):
+                for N in range(1, 9):
+                    assert vinogradov_count(d, s, N) == self._brute_force(d, s, N), (d, s, N)
+
+    def test_two_key_rows_match_ordered_tuples(self):
+        # (S_1 - lo, ..., S_4) of the 6-multisets fits one int64 one S_1 value
+        # wide, but not with S_5: it takes a key row of its own, and the
+        # windows of level d + 1 = 6 lexsort
+        assert vinogradov_count(5, 6, 8) == self._brute_force(5, 6, 8)
+
+    # the counts before levels up to d + 1 held multisets, d <= s (for d > s
+    # the first s power sums fix the tuple, so J is that of d = s), N = 1..13
+    FROZEN = {
+        (1, 1): [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13],
+        (1, 2): [1, 6, 19, 44, 85, 146, 231, 344, 489, 670, 891, 1156, 1469],
+        (1, 3): [1, 20, 141, 580, 1751, 4332, 9331, 18152, 32661, 55252, 88913, 137292, 204763],
+        (1, 4): [1, 70, 1107, 8092, 38165, 135954, 398567, 1012664, 2306025, 4816030, 9377467, 17232084, 30162301],
+        (1, 5): [1, 252, 8953, 116304, 856945, 4395456, 17538157, 58199208, 167729959, 432457640, 1018872811,
+                 2228154512, 4577127763],
+        (2, 2): [1, 6, 15, 28, 45, 66, 91, 120, 153, 190, 231, 276, 325],
+        (2, 3): [1, 20, 93, 256, 563, 1032, 1771, 2744, 4077, 5788, 7985, 10560, 13855],
+        (2, 4): [1, 70, 639, 2748, 8717, 21090, 46955, 89880, 162009, 273502, 443671, 674964, 1016325],
+        (2, 5): [1, 252, 4653, 32704, 154905, 520156, 1539357, 3793008, 8546059, 17641560, 34376011, 62033512,
+                 108915363],
+        (3, 3): [1, 20, 93, 256, 545, 996, 1645, 2528, 3681, 5140, 6941, 9120, 11713],
+        (3, 4): [1, 70, 639, 2716, 7885, 18306, 36715, 66712, 111897, 176734, 266839, 388404, 546469],
+        (3, 5): [1, 252, 4653, 31504, 127905, 384156, 948157, 2073408, 4047009, 7276060, 12388461, 20189712,
+                 31307713],
+        (4, 4): [1, 70, 639, 2716, 7885, 18306, 36715, 66424, 111321, 175870, 265111, 384660, 540709],
+        (4, 5): [1, 252, 4653, 31504, 127905, 384156, 948157, 2039808, 3965409, 7132060, 12062061, 19407312,
+                 29963713],
+        (5, 5): [1, 252, 4653, 31504, 127905, 384156, 948157, 2039808, 3965409, 7132060, 12062061, 19407312,
+                 29963713],
+    }
+
+    def test_matches_frozen_counts(self):
+        for d in range(1, 8):
+            for s in range(1, 6):
+                counts = [vinogradov_count(d, s, N) for N in range(1, 14)]
+                assert counts == self.FROZEN[min(d, s), s], (d, s)
+
+    def test_multiset_levels_weigh_orderings(self):
+        # level i <= d holds each i-multiset once with i! / prod m_k! orderings,
+        # its largest element and that element's multiplicity
+        for d, N in ((1, 6), (3, 5), (4, 4)):
+            powers = np.arange(N + 1, dtype=np.int64) ** np.arange(1, d + 1)[:, None]
+            tail = np.zeros((d + 3, 1), dtype=np.int64)
+            tail[d : d + 2] = 1
+            for i in range(1, d + 1):
+                tail = _multisets(tail, powers, i)
+                expected = set()
+                for ms in itertools.combinations_with_replacement(range(1, N + 1), i):
+                    counts = Counter(ms)
+                    orderings = math.factorial(i) // math.prod(math.factorial(c) for c in counts.values())
+                    sums = tuple(sum(x**k for x in ms) for k in range(1, d + 1))
+                    expected.add(sums + (orderings, ms[-1], counts[ms[-1]]))
+                assert len(expected) == tail.shape[1] == math.comb(N + i - 1, i)
+                assert set(map(tuple, tail.T.tolist())) == expected, (d, N, i)
+
+    def test_most_multisets_sharing_a_sum_bounds_them(self):
+        for i in range(1, 6):
+            for N in (1, 2, 3, 5, 8, 13):
+                sums = Counter(map(sum, itertools.combinations_with_replacement(range(1, N + 1), i)))
+                assert max(sums.values()) <= _most_multisets_sharing_a_sum(i, N), (i, N)
+
+    @pytest.mark.parametrize("d, s", [(3, 2), (2, 2), (2, 3), (1, 3)])
+    def test_weights_not_counting_every_tuple_refused(self, monkeypatch, d, s):
+        # one weight too many at the first level that merges keys, or the
+        # first multiset level: every level checks that its weights sum to N^i
+        from weylsums import expsum
+
+        grouped, multisets = expsum._grouped, expsum._multisets
+
+        def grouped_plus_one(keys, b):
+            ends, sums = grouped(keys, b)
+            sums[0] += 1
+            return ends, sums
+
+        def multisets_plus_one(tail, powers, i):
+            out = multisets(tail, powers, i)
+            out[len(out) - 3, 0] += 1
+            return out
+
+        monkeypatch.setattr(expsum, "_grouped", grouped_plus_one)
+        if s <= d:
+            monkeypatch.setattr(expsum, "_multisets", multisets_plus_one)
+        with pytest.raises(InvariantViolation, match="level"):
+            vinogradov_count(d, s, 6)
 
 
 class TestMoments:
