@@ -950,6 +950,21 @@ def _windows(reach: np.ndarray, last: np.ndarray, level: _Level) -> list[tuple[i
     return windows
 
 
+def _packed(tail: np.ndarray, weights: np.ndarray, level: _Level) -> np.ndarray:
+    """Each tail key's part of a first key row: (S_1, ..., S_m) in mixed radix, times 2^b, plus the weight minus one.
+
+    A head's part is (n - lo, n^2, ..., n^m) times 2^b.  Either may wrap in
+    int64, but a key lies in [0, 2^62), so their wrapping sum is exact.
+    """
+    packed = tail[0].copy()
+    for k, span in enumerate(level.spans, 1):
+        packed *= span
+        packed += tail[k]
+    packed <<= level.b
+    packed += weights - 1
+    return packed
+
+
 def _first_shared(tail: np.ndarray, powers: np.ndarray, level: _Level, reduce) -> list:
     """Level d + 1, window by window: reduce(lo, the keys of its multisets whose S_1 lies in [lo, hi)).
 
@@ -974,15 +989,7 @@ def _first_shared(tail: np.ndarray, powers: np.ndarray, level: _Level, reduce) -
     reach = S + L  # the least S_1 a multiset makes, in order
     weight = tail[d] * (d + 1)  # with a head past L
     fall = weight - weight // (tail[d + 2] + 1)  # how much less with the head L
-    # the tail's part of the first key row, (S_1, ..., S_m) in mixed radix times 2^b plus the
-    # weight minus one, and the head's, (n - lo, n^2, ..., n^m) times 2^b, may wrap in int64,
-    # but the key lies in [0, 2^62), so their wrapping sum is exact
-    packed = S.copy()
-    for k, span in enumerate(spans, 1):
-        packed *= span
-        packed += tail[k]
-    packed <<= b
-    packed += weight - 1
+    packed = _packed(tail, weight, level)
     active, added, out = np.empty(0, dtype=np.intp), 0, []
     for lo, hi in _windows(reach, S + N, level):
         upto = int(np.searchsorted(reach, hi))
@@ -1025,14 +1032,7 @@ def _walk(tail: np.ndarray, weights: np.ndarray, powers: np.ndarray, i: int, lev
     d, N = powers.shape[0], powers.shape[1] - 1
     m = len(spans) + 1
     t1 = tail[0]
-    # the tail part and the head part of a key may wrap in int64, but the key
-    # lies in [0, 2^62), so their wrapping sum is exact
-    packed = t1.copy()
-    for k, span in enumerate(spans, 1):
-        packed *= span
-        packed += tail[k]
-    packed *= 1 << b
-    packed += weights - 1
+    packed = _packed(tail, weights, level)
     t_min, t_max = int(t1[0]), int(t1[-1])
     out = []
     for lo, hi in _windows(t1 + 1, t1 + N, level):
