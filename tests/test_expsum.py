@@ -1056,6 +1056,14 @@ class TestVinogradov:
                 counts = [vinogradov_count(d, s, N) for N in range(1, 14)]
                 assert counts == self.FROZEN[min(d, s), s], (d, s)
 
+    def test_level_d_plus_one_in_many_windows_matches_frozen_counts(self):
+        # the parent's counts: (2, 3, 200) makes its 1.35e6 triples in six
+        # windows of up to 2^18 rows; at (4, 5, 40) a window is one S_1 value
+        # wide, so the 5-multisets take 196 windows and the tail multisets
+        # enter and leave the visited set one value at a time
+        assert vinogradov_count(2, 3, 200) == 90303824
+        assert vinogradov_count(4, 5, 40) == 10833053440
+
     def test_multiset_levels_weigh_orderings(self):
         # level i <= d holds each i-multiset once with i! / prod m_k! orderings,
         # its largest element and that element's multiplicity
