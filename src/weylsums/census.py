@@ -19,8 +19,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvariantViolation, check_cost, whole
-from .expsum import (WeightSeq, _fft_split, _majorant, _phase_rows, _quantize_array, _reduce_rows, _slab_terms,
-                     _twisted, _walk_bytes, _weights)
+from .expsum import (WeightSeq, _fft_split, _majorant, _phase_rows, _quantize_array, _reduce_rows,
+                     _reduce_rows_bytes, _slab_terms, _twisted, _weights)
 from .polyfam import PolynomialFamily
 
 __all__ = [
@@ -91,6 +91,14 @@ class BoxGrid:
         return tuple(i * z for i, z in zip(index, self.sides))
 
 
+def _rationals(*values) -> tuple[Fraction, ...]:
+    """The one gate of alpha and eps: Fractions, strings ("3/4", "0.05") or floats, as exact rationals."""
+    try:
+        return tuple(Fraction(v) for v in values)
+    except ZeroDivisionError as exc:  # "1/0"
+        raise ValueError(f"alpha and eps need a nonzero denominator: {exc}") from exc
+
+
 def grid_sides(fam: PolynomialFamily, N: int, alpha, eps) -> BoxGrid:
     """Build the census grid with sides 1/ceil(N^(e_j + 1 + eps - alpha)).
 
@@ -99,10 +107,7 @@ def grid_sides(fam: PolynomialFamily, N: int, alpha, eps) -> BoxGrid:
     integer root extraction rather than rounded float powers.
     """
     N = whole("N", N, 2)
-    try:
-        alpha, eps = Fraction(alpha), Fraction(eps)
-    except ZeroDivisionError as exc:  # "1/0"
-        raise ValueError(f"alpha and eps need a nonzero denominator: {exc}") from exc
+    alpha, eps = _rationals(alpha, eps)
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     if eps <= 0:
@@ -183,7 +188,7 @@ def _census_cost(grid: BoxGrid, spb: int) -> tuple[int, int]:
     boxes = min(grid.U, _CHUNK)
     slab = _slab_terms(boxes * spb, grid.N)
     peak = ((17 + 16 * grid.d) * grid.U + (32 + 8 * (2 * grid.d + max(grid.degrees) + 3) * spb) * boxes
-            + _walk_bytes(slab, 16) + 16 * grid.N + _fft_split(grid.N)[2])
+            + _reduce_rows_bytes(slab, 16) + 16 * grid.N + _fft_split(grid.N)[2])
     return grid.U * spb * grid.N, peak
 
 
@@ -278,7 +283,7 @@ def census(
 def counting_bound(grid: BoxGrid, alpha) -> float:
     """The reference count U N^(s(d)(1-2 alpha)); report-only (o(1) implied)."""
     sd = grid.d * (grid.d + 1) / 2
-    return grid.U * float(grid.N) ** (sd * (1.0 - 2.0 * float(alpha)))
+    return grid.U * float(grid.N) ** (sd * (1.0 - 2.0 * float(*_rationals(alpha))))
 
 
 def projection_reference(grid: BoxGrid, sigma_tilde: int, k: int, alpha) -> float:
@@ -288,7 +293,7 @@ def projection_reference(grid: BoxGrid, sigma_tilde: int, k: int, alpha) -> floa
     up to N^o(1); emitted next to measured projections, never asserted.
     """
     sigma_tilde, k = whole("sigma_tilde", sigma_tilde, 0), whole("k", k, 1, grid.d)
-    a = float(alpha)
+    a = float(*_rationals(alpha))
     sd = grid.d * (grid.d + 1) / 2
     expo = sd * (1.0 - 2.0 * a) + sigma_tilde + (grid.d - k) * (1.0 - a)
     return float(grid.N) ** expo

@@ -34,11 +34,11 @@ from .expsum import (
     _prefix_scan,
     _quantize_array,
     _reduce_rows,
+    _reduce_rows_bytes,
     _scan_bytes,
     _slab_terms,
     _sup_linear,
     _twisted,
-    _walk_bytes,
 )
 from .polyfam import IntPolynomial, PolynomialFamily, classical_family, parse_family
 
@@ -408,7 +408,7 @@ def _block_peak(cfg: ExperimentConfig, fam: PolynomialFamily, k: int, route: str
     n_max/2 terms and its magnitudes (28 B a term in all), the cached fold weights of every N (up
     to 16 B a term) and twiddles, and the prefix scan's window (``expsum._scan_bytes``).  Every other route
     holds its draws and, at each N, walks R = S·r rows (r = y_samples, m_samples or 1) in slabs of
-    at most T terms: the walker's bytes a term (``expsum._walk_bytes``, with what the reduction
+    at most T terms: the walker's bytes a term (``expsum._reduce_rows_bytes``, with what the reduction
     makes a term) or, for the windows, the slab and whole rows of n, and a few words a row.
     """
     schedule = cfg.schedule()
@@ -418,9 +418,9 @@ def _block_peak(cfg: ExperimentConfig, fam: PolynomialFamily, k: int, route: str
     R = S * _sample_rows(cfg, route)
     T = max(_slab_terms(R, N) for N in schedule)
     if route == "sampled":  # the row sums; a row's point, coefficients and sum; every y draw, one sample's as floats
-        return _walk_bytes(T, 8) + 8 * n + (16 * L * (fam.d - k) + 8 * (fam.d + max(fam.degrees)) + 40) * R
+        return _reduce_rows_bytes(T, 8) + 8 * n + (16 * L * (fam.d - k) + 8 * (fam.d + max(fam.degrees)) + 40) * R
     if route == "certified":  # e(f_x) zero-padded, its spectrum and magnitudes, and a few small arrays
-        return _walk_bytes(T, 96) + 64 * S + (1 << 14)
+        return _reduce_rows_bytes(T, 96) + 64 * S + (1 << 14)
     # window: n, the deviations of the sorted slab and t; a row's point, coefficients (twice while a start
     # is folded in) and value, and discrepancy_short's start at every N
     starts = 8 * L if cfg.kind == "discrepancy_short" else 0

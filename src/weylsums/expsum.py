@@ -80,7 +80,7 @@ def _expi_bytes(n: int) -> int:
     return 48 * min(n, _SLAB) + (4096 if n <= _SLAB else 1 << 14)
 
 
-def _walk_bytes(T: int, reduce_bytes: int) -> int:
+def _reduce_rows_bytes(T: int, reduce_bytes: int) -> int:
     """Peak bytes of a walk of ``_reduce_rows`` through ``_twisted`` in slabs of T terms: 32 a term (phases,
     n, e(theta)), ``reduce_bytes`` a term for what the reduction makes, and ``_expi``'s buffers."""
     return (32 + reduce_bytes) * T + _expi_bytes(T)
@@ -487,7 +487,7 @@ def short_interval_sum(u: Sequence, M: int, N: int) -> complex:
     one row of the walker, summed whole.
     """
     M, N = whole("M", M), whole("N", N, 1)
-    check_cost("short_interval_sum", N, _walk_bytes(N, 8))
+    check_cost("short_interval_sum", N, _reduce_rows_bytes(N, 8))
     pt = TorusPoint.from_reals(u)
     return complex(_reduce_rows(*_phase_rows(classical_family(pt.d).polys, pt.raw, N, M),
                                 _twisted(lambda c: c.sum(axis=1)), np.complex128)[0])
@@ -749,17 +749,18 @@ def vinogradov_count(d: int, s: int, N: int) -> int:
     and a head n no less than its largest element, weighted by its
     orderings, i! / prod m_k!.  For s <= d the count is the sum of the
     squared orderings of the s-multisets, taken per multiset of level s - 1
-    (``_squared_orderings``).  Otherwise level d + 1 is the first whose
-    multisets can share a key: it still makes each multiset once
-    (``_first_shared``), then merges equal keys and sums their weights.
-    Each later level adds a head n to every key of the level before
-    (``_walk``) and merges likewise, and level s sums the squared weights
-    instead.  Equal keys have equal S_1 = sum n_i, so these levels are
-    walked in windows of S_1 values, each holding at most VINOGRADOV_BLOCK
-    key entries, or a single S_1 value that alone holds more
-    (``_windows``), and a window's keys are final.  Memory is bounded by
-    that block plus two levels of keys.  At every level the weights sum to
-    N^i, one for each i-tuple, or InvariantViolation is raised.
+    (``_squared_orderings``).  Otherwise one enumerator, ``_extend``, makes
+    every later level: it adds a head n to every column of the level before,
+    merges equal keys and sums their weights, and at level s sums the
+    squared weights instead.  Its tail is the d-multisets at level d + 1, the
+    first whose multisets can share a key, so each (d + 1)-multiset is made
+    once, and the merged keys of the level before at every later level.
+    Equal keys have equal S_1 = sum n_i, so these levels are walked in
+    windows of S_1 values, each holding at most VINOGRADOV_BLOCK key entries,
+    or a single S_1 value that alone holds more (``_windows``), and a
+    window's keys are final.  Memory is bounded by that block plus two
+    levels of keys.  At every level the weights sum to N^i, one for each
+    i-tuple, or InvariantViolation is raised.
 
     After the cost check, BudgetError refuses what would leave the exact
     int64 range: the power sums (s N^d), a window's key, or the count,
@@ -787,19 +788,12 @@ def vinogradov_count(d: int, s: int, N: int) -> int:
     if s <= d:
         return _squared_orderings(tail, s, N)
 
-    def reduce(i):
-        level = levels[i - 1]
-        if i == s:
-            return lambda lo, keys: _squared_sums(keys, level.b)
-        return lambda lo, keys: _merged(keys, lo, level)
-
-    parts = _first_shared(tail, powers, levels[d], reduce(d + 1))
-    for i in range(d + 2, s + 1):
-        tail = np.concatenate([p for p, _ in parts], axis=1)
-        weights = np.concatenate([w for _, w in parts])
-        del parts
-        _every_tuple_once(i - 1, N, int(weights.sum()))
-        parts = _walk(tail, weights, powers, i, levels[i - 1], reduce(i))
+    for i in range(d + 1, s + 1):
+        parts = _extend(tail, powers, i, levels[i - 1], _merged if i < s else _squared_sums)
+        if i < s:
+            tail = np.concatenate(parts, axis=1)
+            del parts
+            _every_tuple_once(i, N, int(tail[d].sum()))
     _every_tuple_once(s, N, sum(tuples for tuples, _ in parts))
     return sum(count for _, count in parts)
 
@@ -838,8 +832,8 @@ def _level(d: int, i: int, s: int, N: int) -> _Level:
 
     Up to level d a row is an i-multiset, C(N + i - 1, i) of them, made in
     one pass, and level s <= d is one pass over the multisets of level s - 1.
-    From level d + 1 the rows are walked in windows of S_1 values.  Level
-    d + 1 makes its C(N + d, d + 1) multisets, each weighted by its
+    From level d + 1 ``_extend`` makes the rows in windows of S_1 values.
+    Level d + 1 makes its C(N + d, d + 1) multisets, each weighted by its
     orderings, at most (d + 1)!; a later level adds each head to each key of
     level i - 1, N K_(i-1) rows, weighted by up to M_(i-1) i-tuples.  In a
     window [lo, hi) a key's first row is one int64, (S_1 - lo, S_2, ...,
@@ -848,8 +842,8 @@ def _level(d: int, i: int, s: int, N: int) -> _Level:
     m is the most sums whose first row stays below 2^62 one S_1 value wide,
     and at least min(d, 2); a window spans at most the S_1 values that keep
     it there.  The terms are the rows, a pass over the keys of level i - 1
-    and over the S_1 values, and for a later level a search for every head
-    of every window.
+    and over the S_1 values, a search for every head of every window, and
+    at level d + 1 each (head, S_1) pair whose group L cuts.
     """
     keys_in = _distinct_keys(d, i - 1, N)
     if i <= d:  # a multiset is 8 (d + 3) bytes, and a pass over them 8 more
@@ -876,18 +870,21 @@ def _level(d: int, i: int, s: int, N: int) -> _Level:
     # cap rows, so of two neighbours the first is at its widest or the two hold more than cap
     windows = min(i * N, 2 * rows // cap + i * N // widest + 1)
     keys_out = _distinct_keys(d, i, N)
-    merged = (8 * d + 8) * keys_out if i < s else 0
-    # a window is 8 (c + 2) bytes a row while its keys are made, from 48 bytes a tail key it
-    # visits or 32 a head, and 8 c + 9 while they are sorted, 16 more to lexsort c > 1 rows,
-    # with 16 bytes a distinct key, 8 d more if they are merged.  The keys merged into are
-    # held once as they come and once more while they are joined, and cutting the windows
-    # takes 24 bytes an S_1 value
+    merged = 8 * (d + 3) * keys_out if i < s else 0
+    # level d + 1's (head, S_1) pairs where L cuts the group, each of which makes a row: head n cuts
+    # S_1 = n + d - 1..d n
+    pairs = (d - 1) * N * (N + 1) // 2 - (d - 2) * N if shared else 0
+    # a window is 8 (c + 2) bytes a row while its keys are made, with 48 bytes a cut pair and a head,
+    # and 8 c + 9 while they are sorted, 16 more to lexsort c > 1 rows, with 16 bytes a distinct key,
+    # 8 (d + 3) more if they are merged.  The keys merged into are held once as they come and once
+    # more while they are joined, and cutting the windows takes 24 bytes an S_1 value
     grouped = ((8 * columns + 9 + (16 if columns > 1 else 0)) * window
-               + (16 + (8 * d if i < s else 0)) * min(window, keys_out))
-    visits = 48 * min(keys_in, window) if shared else 32 * min(N, window)
-    window_bytes = max(8 * (columns + 2) * window, grouped) + visits
-    held = 8 * (d + 8) * keys_in if shared else (8 * d + 16) * keys_in
-    return _Level(cap, widest, b, spans, rows + keys_in + i * N + (0 if shared else windows * N),
+               + (16 + (8 * (d + 3) if i < s else 0)) * min(window, keys_out))
+    window_bytes = max(8 * (columns + 2) * window + 48 * min(pairs, window), grouped) + 48 * min(N, window)
+    # the tail, its packed copies and the S_1 range of each column while the windows are cut, and at
+    # level d + 1 the first row of each run of one (S_1, L) and, while it is made, the (S_1, L) order
+    held = 8 * (d + 7 if shared else d + 6) * keys_in + 8 * pairs
+    return _Level(cap, widest, b, spans, rows + keys_in + i * N + windows * N + pairs,
                   held + 24 * i * N + merged + max(window_bytes, merged))
 
 
@@ -930,15 +927,15 @@ def _squared_orderings(tail: np.ndarray, s: int, N: int) -> int:
     return int(first @ first) + int(larger @ w)
 
 
-def _windows(reach: np.ndarray, last: np.ndarray, level: _Level) -> list[tuple[int, int]]:
-    """The windows [lo, hi) that cut the S_1 values from min(reach) to max(last) in order: each holds at most
+def _windows(reach: np.ndarray, past: np.ndarray, level: _Level) -> list[tuple[int, int]]:
+    """The windows [lo, hi) that cut the S_1 values from min(reach) to max(past) - 1 in order: each holds at most
     ``level.cap`` rows, or a single S_1 value that alone holds more, and at most ``level.widest`` values.
 
-    Tail key t makes one row at each S_1 in [reach[t], last[t]].
+    Tail key t makes one row at each S_1 in [reach[t], past[t]).
     """
-    end = int(last.max()) + 1
+    end = int(past.max())
     rows = np.bincount(reach, minlength=end + 1)
-    rows -= np.bincount(last + 1, minlength=end + 1)
+    rows -= np.bincount(past, minlength=end + 1)
     np.cumsum(rows, out=rows)  # the rows at each S_1
     np.cumsum(rows, out=rows)  # the rows up to each S_1
     windows, lo = [], int(reach.min())
@@ -950,110 +947,102 @@ def _windows(reach: np.ndarray, last: np.ndarray, level: _Level) -> list[tuple[i
     return windows
 
 
-def _packed(tail: np.ndarray, weights: np.ndarray, level: _Level) -> np.ndarray:
-    """Each tail key's part of a first key row: (S_1, ..., S_m) in mixed radix, times 2^b, plus the weight minus one.
+def _extend(tail: np.ndarray, powers: np.ndarray, i: int, level: _Level, reduce) -> list:
+    """Level i > d, window by window: reduce(keys, lo, level) for the keys of the rows whose S_1 lies in [lo, hi).
 
-    A head's part is (n - lo, n^2, ..., n^m) times 2^b.  Either may wrap in
-    int64, but a key lies in [0, 2^62), so their wrapping sum is exact.
+    ``tail`` holds level i - 1 as columns (S_1, ..., S_d, weight w, largest
+    element L, its multiplicity m): at level d + 1 the d-multisets as
+    ``_multisets`` makes them, put in order of (S_1, L) here in place, and
+    later the merged keys in order of S_1, each with L = 1 and m = 0.  A row
+    is a tail column and a head n >= L at S_1 + n, of weight w f, or
+    w f / (m + 1) if n = L, with f = i on a multiset tail (the head joins the
+    multiset) and f = 1 on a merged one.  Per window and head, one range of
+    the tail covers the S_1 values whose rows all weigh w f: every value of a
+    merged tail, where f / (m + 1) = f.  On the multiset tail head n cuts the
+    values from n + d - 1 to d n, as the d-multisets of sum S have largest
+    elements from ceil(S / d) to min(N, S - d + 1); below them every L < n,
+    and above them every L > n.  Each L of that span is one run of rows of
+    the group, and each cut value gives two ranges, read off the first rows
+    of the runs: its rows with L < n, and the run of L = n, read from a
+    second packed copy that holds their lesser weight.  A window's keys are a
+    (d - m + 1, rows) array laid out as ``_level`` says, and ``reduce`` may
+    sort it in place.
     """
-    packed = tail[0].copy()
-    for k, span in enumerate(level.spans, 1):
-        packed *= span
-        packed += tail[k]
-    packed <<= level.b
-    packed += weights - 1
-    return packed
-
-
-def _first_shared(tail: np.ndarray, powers: np.ndarray, level: _Level, reduce) -> list:
-    """Level d + 1, window by window: reduce(lo, the keys of its multisets whose S_1 lies in [lo, hi)).
-
-    ``tail`` holds the d-multisets as ``_multisets`` makes them, and is
-    reordered in place.  One of sum S and largest element L makes a row for
-    each head n in [L, N], at S_1 = S + n, so in a window n runs over
-    [max(L, lo - S), min(N, hi - 1 - S)].  The tail is taken in order of
-    S + L, so each window adds the multisets that first reach it as a slice
-    and keeps those that still reach it, and each it visits makes a row.  A
-    key is laid out as ``_level`` says, its weight the orderings of its
-    multiset.
-    """
-    d = len(tail) - 3
-    N = powers.shape[1] - 1
-    b, spans = level.b, level.spans
-    m = len(spans) + 1
-    order = np.argsort(tail[0] + tail[d + 1])
-    for row in tail:
-        row[:] = row[order]
-    del order
-    S, L = tail[0], tail[d + 1]
-    reach = S + L  # the least S_1 a multiset makes, in order
-    weight = tail[d] * (d + 1)  # with a head past L
-    fall = weight - weight // (tail[d + 2] + 1)  # how much less with the head L
-    packed = _packed(tail, weight, level)
-    active, added, out = np.empty(0, dtype=np.intp), 0, []
-    for lo, hi in _windows(reach, S + N, level):
-        upto = int(np.searchsorted(reach, hi))
-        active = np.concatenate((active[S[active] >= lo - N], np.arange(added, upto)))
-        added = upto
-        t = S[active]
-        first = np.maximum(L[active], lo - t)
-        count = np.minimum(hi - 1 - t, N) - first + 1
-        starts = np.cumsum(count) - count
-        n = np.repeat(first - starts, count)
-        n += np.arange(len(n))
-        head = powers[0] - lo
-        for k, span in enumerate(spans, 1):
-            head *= span
-            head += powers[k]
-        head <<= b
-        key = np.empty((d - m + 1, len(n)), dtype=np.int64)
-        np.take(head, n, out=key[0], mode="clip")  # in range: "clip" skips the buffered bounds check
-        key[0] += np.repeat(packed[active], count)
-        at_largest = first == L[active]
-        key[0, starts[at_largest]] -= fall[active[at_largest]]
-        for k in range(m, d):
-            np.take(powers[k], n, out=key[k - m + 1], mode="clip")
-            key[k - m + 1] += np.repeat(tail[k, active], count)
-        del n
-        out.append(reduce(lo, key))
-        del key  # before the next window's
-    return out
-
-
-def _walk(tail: np.ndarray, weights: np.ndarray, powers: np.ndarray, i: int, level: _Level, reduce) -> list:
-    """Level i > d + 1, window by window: reduce(lo, the keys of the rows whose S_1 lies in [lo, hi)).
-
-    ``tail`` holds level i - 1's keys as columns sorted by S_1, and
-    ``weights`` their weights.  A row is a head and a key; a window's keys
-    are a (d - m + 1, rows) array laid out as ``_level`` says, and
-    ``reduce`` may sort it in place.
-    """
-    b, spans = level.b, level.spans
     d, N = powers.shape[0], powers.shape[1] - 1
+    b, spans = level.b, level.spans
     m = len(spans) + 1
-    t1 = tail[0]
-    packed = _packed(tail, weights, level)
-    t_min, t_max = int(t1[0]), int(t1[-1])
+    shared = i == d + 1
+    if shared:
+        at = tail[0] * (N + 2) + tail[d + 1]  # (S_1, L) as one int64
+        order = np.argsort(at)
+        at = at[order]
+        for row in tail:
+            row[:] = row[order]
+        del order
+    S, L = tail[0], tail[d + 1]
+    T, t_min, t_max = len(S), int(S[0]), int(S[-1])
+    if shared:  # each L from ceil(S_1 / d) to min(N, S_1 - d + 1) is one run of rows of the S_1 group
+        run = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1], [True])))  # each run's first row, and T
+        del at
+        first = np.searchsorted(S, np.arange(t_min, t_max + 1))  # the first row of each S_1 group
+        offset = np.searchsorted(run, first) - L[first]  # (S_1, L)'s run is offset[S_1 - t_min] + L
+    # a column's part of a key's first row: (S_1, ..., S_m) in mixed radix, times 2^b, plus its weight
+    # minus one.  A head's part is (n - lo, n^2, ..., n^m) times 2^b.  Either may wrap in int64, but a
+    # key lies in [0, 2^62), so their wrapping sum is exact
+    packed = np.empty((2 if shared else 1, T), dtype=np.int64)
+    packed[0] = S
+    for k, span in enumerate(spans, 1):
+        packed[0] *= span
+        packed[0] += tail[k]
+    packed[0] <<= b
+    weight = tail[d] * i if shared else tail[d]
+    packed[0] += weight - 1
+    if shared:  # the second copy, for a head equal to L: w i / (m + 1), not w i
+        np.floor_divide(weight, tail[d + 2] + 1, out=packed[1])
+        packed[1] += packed[0] - weight
+    del weight
+    packed = packed.reshape(-1)
     out = []
-    for lo, hi in _windows(t1 + 1, t1 + N, level):
+    for lo, hi in _windows(S + L, S + (N + 1), level):
         # only the heads n with t_min <= S_1 - n <= t_max for some S_1 in the window reach it
         heads = slice(max(lo - t_max, 1), min(hi - t_min, N + 1))
         n = powers[0, heads]
-        starts = np.searchsorted(t1, lo - n)
-        lengths = np.searchsorted(t1, hi - n) - starts
-        idx = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        starts = np.searchsorted(S, lo - n)
+        ends = np.searchsorted(S, np.minimum(hi - n, n + d - 1) if shared else hi - n)
+        which = slice(None)  # the head of each range: one range a head
+        if shared:
+            np.maximum(ends, starts, out=ends)
+            lowest = np.maximum(lo - n, n + d - 1)  # the cut S_1 values in the window: count of them from lowest
+            count = np.minimum(hi - n, d * n + 1) - lowest
+            np.maximum(count, 0, out=count)
+            cut = np.repeat(lowest - t_min - (np.cumsum(count) - count), count)
+            cut += np.arange(len(cut))  # S_1 - t_min of each cut (head, S_1) pair
+            pair = np.repeat(np.arange(len(n)), count)
+            r = offset[cut] + n[pair]  # its run, where L = n
+            starts = np.concatenate((starts, first[cut], run[r] + T))  # L = n: the second copy, past the first
+            del cut
+            ends = np.concatenate((ends, run[r], run[r + 1] + T))
+            del r
+            which = np.concatenate((np.arange(len(n)), pair, pair))
+            del pair
+        lengths = np.subtract(ends, starts, out=ends)
+        starts += lengths
+        starts -= np.cumsum(lengths)  # each range's start less the rows before it
+        idx = np.repeat(starts, lengths)
+        del starts
         idx += np.arange(len(idx))
         head = n - lo
         for k, span in enumerate(spans, 1):
             head = head * span + powers[k, heads]
+        head <<= b
         key = np.empty((d - m + 1, len(idx)), dtype=np.int64)
         np.take(packed, idx, out=key[0], mode="clip")  # in range: "clip" skips the buffered bounds check
-        key[0] += np.repeat(head * (1 << b), lengths)
-        for k in range(m, d):
-            np.take(tail[k], idx, out=key[k - m + 1], mode="clip")
-            key[k - m + 1] += np.repeat(powers[k, heads], lengths)
-        del idx
-        out.append(reduce(lo, key))
+        key[0] += np.repeat(head[which], lengths)
+        for k in range(m, d):  # the second copy's columns are those of the first
+            np.take(tail[k], idx, out=key[k - m + 1], mode="wrap")
+            key[k - m + 1] += np.repeat(powers[k, heads][which], lengths)
+        del idx, which, lengths
+        out.append(reduce(key, lo, level))
         del key  # before the next window's
     return out
 
@@ -1095,23 +1084,27 @@ def _grouped(keys: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
     return ends, sums
 
 
-def _squared_sums(keys: np.ndarray, b: int) -> tuple[int, int]:
+def _squared_sums(keys: np.ndarray, lo: int, level: _Level) -> tuple[int, int]:
     """A window's share of the last level: its tuples, and the sum over its distinct keys of their squared weights."""
-    sums = _grouped(keys, b)[1]
+    sums = _grouped(keys, level.b)[1]
     return int(sums.sum()), int(np.dot(sums, sums))
 
 
-def _merged(keys: np.ndarray, lo: int, level: _Level) -> tuple[np.ndarray, np.ndarray]:
-    """A window's distinct keys as columns (S_1, ..., S_d), sorted by S_1, and their weights."""
+def _merged(keys: np.ndarray, lo: int, level: _Level) -> np.ndarray:
+    """A window's distinct keys as tail columns (S_1, ..., S_d, weight, L = 1, m = 0), sorted by S_1."""
     ends, sums = _grouped(keys, level.b)
     m = len(level.spans) + 1
-    out = np.empty((m + len(keys) - 1, len(ends)), dtype=np.int64)
+    d = m + len(keys) - 1
+    out = np.empty((d + 3, len(ends)), dtype=np.int64)
     first = keys[0, ends]
     for k in range(m - 1, 0, -1):
         np.divmod(first, level.spans[k - 1], out=(first, out[k]))
     out[0] = first + lo
-    out[m:] = keys[1:, ends]
-    return out, sums
+    out[m:d] = keys[1:, ends]
+    out[d] = sums
+    out[d + 1] = 1  # L = 1 and m = 0: every head is admitted, and the head 1 weighs w / (m + 1) = w
+    out[d + 2] = 0
+    return out
 
 
 def _most_sharing_a_sum(s: int, N: int) -> int:

@@ -288,6 +288,18 @@ class TestCountingBound:
         # d=2, k=1: s(2)(1-2a) + sigma~_1 + (d-k)(1-a) = -1.5 + 2 + 0.25
         assert projection_reference(g, 2, 1, 0.75) == pytest.approx(16.0**0.75)
 
+    def test_alpha_read_as_grid_sides_reads_it(self):
+        # "3/4", Fraction(3, 4) and 0.75 are one alpha, and "1/0" is refused as grid_sides refuses it
+        from weylsums import projection_reference
+
+        g = grid_sides(classical_family(2), 16, "3/4", "1/4")
+        for reference in (lambda a: counting_bound(g, a), lambda a: projection_reference(g, 0, 1, a)):
+            assert len({reference(a) for a in ("3/4", Fraction(3, 4), 0.75)}) == 1
+            with pytest.raises(ValueError, match="alpha and eps need a nonzero denominator"):
+                reference("1/0")
+        with pytest.raises(ValueError, match="alpha and eps need a nonzero denominator"):
+            grid_sides(classical_family(2), 16, "1/0", "1/4")
+
 
 def unit_box_grid(sides):
     counts = tuple(int(1 / s) for s in sides)

@@ -114,9 +114,10 @@ CASES = {
     "vinogradov_count_key_rows": ("vinogradov_count", lambda N: lambda: w.vinogradov_count(4, 4, N), (40, 50)),
     # S_5 takes a key row of its own at level d + 1 = 6, and the windows lexsort two rows
     "vinogradov_count_two_key_rows": ("vinogradov_count", lambda N: lambda: w.vinogradov_count(5, 6, N), (8, 12)),
-    # windows that cover much of a level's S_1 range: 1.50 and 1.05, the keys of d = 2 fewer than their bound
+    # windows that cover much of a level's S_1 range, the keys of d = 2 fewer than their bound, and at
+    # (2, 4, 60) a merged level, past d + 1, walked in seven windows
     "vinogradov_count_wide_windows": ("vinogradov_count", lambda dsN: lambda: w.vinogradov_count(*dsN),
-                                      ((2, 5, 12), (2, 4, 40))),
+                                      ((2, 5, 12), (2, 4, 40), (2, 4, 60))),
     "moment_integral": ("moment_integral", _moment(FAM2, 6), (16, 24)),
     # one axis of N points: the residues and the weights outweigh the grid
     "moment_integral_one_axis": ("moment_integral", _moment(w.classical_family(1), 2), (1000, 10**5)),
@@ -183,6 +184,16 @@ def test_declared_peak_within_2x_of_measured(case, declared):
         peak = _peak(call)
         [declared_peak] = [bytes_ for name, _, bytes_ in declared if name == what]
         assert peak <= declared_peak <= 2 * peak, f"{case} at {size}: declared {declared_peak}, measured {peak}"
+
+
+def test_a_merged_level_in_many_windows_is_measured(monkeypatch):
+    # the last input of vinogradov_count_wide_windows: level d + 1 = 3 is one window, level 4 several
+    from weylsums import expsum
+
+    walked, windows = [], expsum._windows
+    monkeypatch.setattr(expsum, "_windows", lambda *args: walked.append(windows(*args)) or walked[-1])
+    w.vinogradov_count(*CASES["vinogradov_count_wide_windows"][2][-1])
+    assert [len(cut) > 1 for cut in walked] == [False, True]
 
 
 def test_weyl_sum_peak_grows_only_by_the_declared_window_bytes(declared):

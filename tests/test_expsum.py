@@ -935,20 +935,21 @@ class TestVinogradov:
 
     def test_budget(self, admitted):
         # the powers n^k, every level's rows, a pass over the keys it extends
-        # and over its S_1 values, and past level d + 1 N head searches a
-        # window.  For d = 2 the last level makes each of the C(N + 2, 3)
-        # triples once, and the memory budget binds first: the pairs held,
-        # 80 bytes each, and a window.  (2, 3, 2312) would run for minutes.
-        # For d = 3 the pairs are summed in closed form, and memory binds
-        # too: 72 bytes a pair, held with three rows made from them.
-        assert admitted(vinogradov_count, 2, 3, 2312)
-        assert not admitted(vinogradov_count, 2, 3, 2313)
+        # and over its S_1 values, N head searches a window past level d, and
+        # each (head, S_1) pair at level d + 1 whose group the head cuts.  For
+        # d = 2 the last level makes each of the C(N + 2, 3) triples once, and
+        # the work budget binds first, with the pairs held (80 bytes each) and
+        # a window just under the memory budget.  (2, 3, 2334) would run for
+        # minutes.  For d = 3 the pairs are summed in closed form, and memory
+        # binds: 72 bytes a pair, held with three rows made from them.
+        assert admitted(vinogradov_count, 2, 3, 2334)
+        assert not admitted(vinogradov_count, 2, 3, 2335)
         assert admitted(vinogradov_count, 3, 3, 2729)
         assert not admitted(vinogradov_count, 3, 3, 2730)
-        # for d = 1 a pair's key is its sum, 2N - 1 of them: (1, 3, 27144)
+        # for d = 1 a pair's key is its sum, 2N - 1 of them: (1, 3, 26710)
         # passes the check, and the int64 guard refuses past N = 6576
-        assert admitted(vinogradov_count, 1, 3, 27144)
-        assert not admitted(vinogradov_count, 1, 3, 27145)
+        assert admitted(vinogradov_count, 1, 3, 26710)
+        assert not admitted(vinogradov_count, 1, 3, 26711)
         # s <= d: one pass over the N singletons for s = 2, and none for s = 1;
         # memory binds, 64 bytes a singleton and 16 a value of n for s = 2, and
         # 16 a value of n for s = 1
@@ -1055,6 +1056,20 @@ class TestVinogradov:
             for s in range(1, 6):
                 counts = [vinogradov_count(d, s, N) for N in range(1, 14)]
                 assert counts == self.FROZEN[min(d, s), s], (d, s)
+
+    def test_windows_of_sixteen_entries_match_frozen_counts(self, monkeypatch):
+        # a block of 16 key entries: every level past d walks windows of at
+        # most 16 rows or one S_1 value (3464 windows over the frozen counts,
+        # 2613 of them one value wide), so merged levels take many windows and
+        # window edges fall where L cuts a group of level d + 1
+        from weylsums import expsum
+
+        monkeypatch.setattr(expsum, "VINOGRADOV_BLOCK", 16)
+        for d in range(1, 8):
+            for s in range(1, 6):
+                counts = [vinogradov_count(d, s, N) for N in range(1, 14)]
+                assert counts == self.FROZEN[min(d, s), s], (d, s)
+        assert vinogradov_count(5, 6, 8) == self._brute_force(5, 6, 8)
 
     def test_level_d_plus_one_in_many_windows_matches_frozen_counts(self):
         # the parent's counts: (2, 3, 200) makes its 1.35e6 triples in six
