@@ -16,7 +16,6 @@ from .polyfam import (
     classify_case,
     degree_stats,
     parse_family,
-    shift_coefficients,
     wronskian,
 )
 from .expsum import (
@@ -28,14 +27,12 @@ from .expsum import (
     short_interval_sum,
     completion_naive,
     completion_fft,
-    reconstruct_prefix,
     sup_linear_coeff,
     vinogradov_count,
     moment_integral,
     exact_moment_grid,
 )
 from .exponents import (
-    Rational,
     ExponentReport,
     s_of,
     gamma_star,
@@ -44,7 +41,6 @@ from .exponents import (
     gamma_XL,
     gamma_NL,
     gamma_tilde,
-    gamma_tilde_classical,
     disc_gamma,
     disc_gamma_star,
     self_improve_map,
@@ -55,7 +51,6 @@ from .discrepancy import (
     DiscrepancyResult,
     exact_discrepancy,
     brute_force_discrepancy,
-    erdos_turan_bound,
     erdos_turan_bound_poly,
     poly_discrepancy,
     short_interval_discrepancy,

@@ -43,31 +43,36 @@ PAIR_BLOCK = 1 << 16  # (sample, polygon) pairs per inside test of the Monte Car
 _SEED_MAX = (1 << 64) - 1  # a Philox key holds a seed in 64 bits: a larger one would share a stream
 
 
-def _iroot(x: int, r: int) -> int:
-    """floor(x^(1/r)) for nonnegative big ints (Newton iteration)."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    if r == 1 or x < 2:
-        return x
-    k = 1 << ((x.bit_length() + r - 1) // r)
-    while True:
-        nk = ((r - 1) * k + x // k ** (r - 1)) // r
-        if nk >= k:
-            break
-        k = nk
-    while k**r > x:
-        k -= 1
-    return k
-
-
 def _ceil_pow(N: int, q: Fraction) -> int:
-    """ceil(N^q) computed exactly for rational q > 0 (no float rounding)."""
-    if q <= 0:
-        return 1
+    """ceil(N^q) for rational q = p/r > 0: the least c with c^r >= N^p.
+
+    A float guess is corrected by exact comparisons alone, a gallop from the guess and then bisection:
+    a big-int division, as Newton's method takes, is quadratic in CPython.  A guess below 2^40 is off by
+    at most one, so two powers c^r decide it.
+    """
     p, r = q.numerator, q.denominator
     t = N**p
-    root = _iroot(t, r)
-    return root if root**r == t else root + 1
+    x = float(q) * math.log2(N)
+    shift = max(int(x) - 52, 0)
+    hi = math.ceil(2 ** (x - shift)) << shift  # the guess; the answer lies in (lo, hi]
+    lo, step = hi - 1, 1
+    while hi**r < t:
+        lo, hi, step = hi, hi + step, 2 * step
+    while lo**r >= t:
+        lo, hi, step = max(lo - step, 0), lo, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**r < t else (lo, mid)
+    return hi
+
+
+def _grid_cost(N: int, qs: Sequence[Fraction]) -> tuple[int, int]:
+    """(terms, peak bytes) of the ceilings ceil(N^q), n 30-bit digits of N^p each.  A square of n digits takes
+    Karatsuba's 3^b digit products, b the bit length of n, a power about 3/2 of its last square, and an axis
+    three powers: N^p and the two c^r that bracket it.  24 bytes a digit hold N^p and a power in the making:
+    its last square, the square's root and Karatsuba's halves."""
+    digits = [math.ceil(q.numerator * Fraction(math.log2(N)) / 30) for q in qs]
+    return sum(3 ** (n.bit_length() + 1) for n in digits), 24 * max(digits) + 4096
 
 
 @dataclass(frozen=True)
@@ -87,9 +92,6 @@ class BoxGrid:
     def threshold(self) -> float:
         return float(self.N) ** float(self.alpha)
 
-    def corner(self, index: Sequence[int]) -> tuple[Fraction, ...]:
-        return tuple(i * z for i, z in zip(index, self.sides))
-
 
 def _rationals(*values) -> tuple[Fraction, ...]:
     """The one gate of alpha and eps: Fractions, strings ("3/4", "0.05") or floats, as exact rationals."""
@@ -103,8 +105,8 @@ def grid_sides(fam: PolynomialFamily, N: int, alpha, eps) -> BoxGrid:
     """Build the census grid with sides 1/ceil(N^(e_j + 1 + eps - alpha)).
 
     alpha and eps may be Fractions, strings ("0.05") or floats; they are
-    converted to exact rationals so the per-axis ceilings are computed with
-    integer root extraction rather than rounded float powers.
+    converted to exact rationals so the per-axis ceilings are exact integers,
+    not rounded float powers.
     """
     N = whole("N", N, 2)
     alpha, eps = _rationals(alpha, eps)
@@ -112,10 +114,9 @@ def grid_sides(fam: PolynomialFamily, N: int, alpha, eps) -> BoxGrid:
         raise ValueError("alpha must lie in (0, 1)")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    counts = []
-    for e in fam.degrees:
-        q = Fraction(e + 1) + eps - alpha
-        counts.append(_ceil_pow(N, q))
+    qs = [e + 1 + eps - alpha for e in fam.degrees]
+    check_cost("grid_sides", *_grid_cost(N, qs))
+    counts = [_ceil_pow(N, q) for q in qs]
     U = math.prod(counts)
     return BoxGrid(
         d=fam.d,
@@ -145,15 +146,6 @@ class CensusResult:
     marked_boxes: np.ndarray
     box_peaks: np.ndarray
     marked_by_alpha: dict | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "marked": self.marked,
-            "U": self.U,
-            "threshold": self.threshold,
-            "empirical_moment": self.empirical_moment,
-            "samples_per_box": self.samples_per_box,
-        }
 
 
 def _markov_holds(count: int, moment_sum: float, threshold: float, two_s: int) -> None:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 work or memory
-budget exceeded, 4 hard-invariant failure.
+Exit codes: 0 success, 1 output closed early by its reader, 2
+configuration/usage error, 3 work or memory budget exceeded, 4
+hard-invariant failure.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -368,7 +370,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # here, not at exit: a short output's closed pipe is caught too
+        return code
+    except BrokenPipeError:
+        # the reader is gone: the interpreter's last flush of stdout would raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -15,15 +15,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import check_cost, whole
-from .expsum import (SCALE_BITS, TorusPoint, _expi_bytes, _phase_rows, _quantize_array, _reduce_rows, _slab_terms,
-                     _twisted, raw_phases)
+from .expsum import SCALE_BITS, TorusPoint, _expi_bytes, _phase_rows, _reduce_rows, _slab_terms, _twisted, raw_phases
 from .polyfam import IntPolynomial, PolynomialFamily, classical_family
 
 __all__ = [
     "DiscrepancyResult",
     "exact_discrepancy",
     "brute_force_discrepancy",
-    "erdos_turan_bound",
     "erdos_turan_bound_poly",
     "poly_discrepancy",
     "short_interval_discrepancy",
@@ -45,10 +43,6 @@ class DiscrepancyResult:
 
     def to_json(self) -> dict:
         return {"N": self.N, "value": self.value, "a": self.witness[0], "b": self.witness[1]}
-
-    def csv_row(self) -> str:
-        a, b = self.witness
-        return f"{self.N},{self.value:.17g},{a:.17g},{b:.17g}"
 
 
 def _validate(points) -> np.ndarray:
@@ -212,16 +206,9 @@ def brute_force_discrepancy(points: Sequence[float]) -> float:
     return best
 
 
-def erdos_turan_bound(points: Sequence[float], G: int) -> float:
-    """The upper bound 3 (N/(G+1) + sum_{g<=G} |sum_n e(g x_n)| / g) for D_N."""
-    pts = _validate(points)
-    G = whole("G", G, 1)
-    check_cost("erdos_turan_bound", G * len(pts), _erdos_turan_bytes(len(pts), G))
-    return _erdos_turan(_quantize_array(pts), G)
-
-
 def erdos_turan_bound_poly(fam: PolynomialFamily, u: TorusPoint, N: int, G: int) -> float:
-    """Same bound for the polynomial sequence {f(n)}, from its exact raw phases."""
+    """The upper bound 3 (N/(G+1) + sum_{g<=G} |sum_n e(g f(n))| / g) for the D_N of {f(n)}, n = 1..N,
+    from its exact raw phases."""
     N, G = whole("N", N, 1), whole("G", G, 1)
     check_cost("erdos_turan_bound_poly", G * N, _erdos_turan_bytes(N, G))
     return _erdos_turan(raw_phases(fam.polys, u.raw, N), G)
@@ -229,7 +216,7 @@ def erdos_turan_bound_poly(fam: PolynomialFamily, u: TorusPoint, N: int, G: int)
 
 def _erdos_turan_bytes(N: int, G: int) -> int:
     """Peak bytes of ``_erdos_turan`` on N points: 8 a point of the raw row, 24 a term of one slab of
-    rows g x, S >= N terms (which also covers quantising float points), and 24 a dilation g."""
+    rows g x, S >= N terms, and 24 a dilation g."""
     S = _slab_terms(G, N)
     return 8 * N + 24 * S + 24 * G + _expi_bytes(S) + (1 << 16)
 

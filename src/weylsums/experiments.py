@@ -115,6 +115,8 @@ class ExperimentConfig:
             raise ConfigError("m_samples and y_samples must be >= 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if any(c in self.experiment_id for c in ",\r\n"):  # a CSV cell, and the header comment's one line
+            raise ConfigError(f"experiment_id must hold no comma or line break, got {self.experiment_id!r}")
         try:
             fam = self.family_obj()
         except (ValueError, json.JSONDecodeError) as exc:

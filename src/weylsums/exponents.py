@@ -15,7 +15,6 @@ from .errors import Inapplicable, whole
 from .polyfam import CaseLabel, PolynomialFamily, _case, augmented_family
 
 __all__ = [
-    "Rational",
     "s_of",
     "gamma_star",
     "gamma_general",
@@ -23,7 +22,6 @@ __all__ = [
     "gamma_XL",
     "gamma_NL",
     "gamma_tilde",
-    "gamma_tilde_classical",
     "disc_gamma",
     "disc_gamma_star",
     "self_improve_map",
@@ -31,9 +29,6 @@ __all__ = [
     "best_bound",
     "ExponentReport",
 ]
-
-# Exact rationals are the stdlib Fraction: always reduced, positive denominator.
-Rational = Fraction
 
 
 def _half_plus(a: int, b: int) -> Fraction:
@@ -188,13 +183,6 @@ def gamma_tilde(fam: PolynomialFamily, k: int) -> Fraction:
     projections; applicable only when sigma~_k < d(d+1)/2.
     """
     return _gamma_tilde(_profile(fam, k))
-
-
-def gamma_tilde_classical(d: int, k: int) -> Fraction:
-    """Closed form of gamma_tilde for the family (T, ..., T^d)."""
-    d = whole("d", d, 1)
-    k = whole("k", k, 1, d)
-    return _half_plus((d - k) * (d + k + 2), 2 * d * d + 4 * d - 2 * k)
 
 
 def disc_gamma(fam: PolynomialFamily, k: int) -> Fraction:

@@ -47,7 +47,6 @@ __all__ = [
     "short_interval_sum",
     "completion_naive",
     "completion_fft",
-    "reconstruct_prefix",
     "reconstruct_all_prefixes",
     "sup_linear_coeff",
     "SupLinearResult",
@@ -249,9 +248,6 @@ class CompletionResult:
 
     W: float
     N: int
-
-    def to_json(self) -> dict:
-        return {"W": self.W, "N": self.N}
 
 
 # ---------------------------------------------------------------------------
@@ -652,28 +648,6 @@ def completion_fft(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -
     _fold_weights(N)
     c = _held_row(fam, u, a, N)[None]
     return CompletionResult(W=float(_majorant(c, (c, None))[0]), N=N)
-
-
-def reconstruct_prefix(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int, M: int) -> complex:
-    """Recover T(u; M) from the twisted full-length sums.
-
-    (1/N) sum_{h=1}^{N} (sum_{k<=M} e(-hk/N)) X_h equals the direct prefix
-    sum exactly (orthogonality of the h-twist); this is the module's
-    strongest self-test.
-    """
-    N = whole("N", N, 1)
-    M = whole("M", M, 1, N)
-    check_cost("reconstruct_prefix", N, _row_bytes(fam, N) + 105 * N)
-    c = _held_row(fam, u, a, N)
-    X = _spectrum(c, N)
-    h = np.arange(1, N + 1)
-    w = np.exp(-2j * np.pi * h / N)
-    geom = np.empty(N, dtype=np.complex128)
-    interior = h < N
-    wi = w[interior]
-    geom[interior] = wi * (1 - wi**M) / (1 - wi)
-    geom[~interior] = M  # h = N: the twist is trivial
-    return complex(np.sum(geom * X[h % N]) / N)
 
 
 def reconstruct_all_prefixes(fam: PolynomialFamily, u: TorusPoint, a: WeightSeq, N: int) -> np.ndarray:

@@ -1,8 +1,7 @@
 """Exact integer polynomial families.
 
-Everything here is exact: coefficients are Python ints, Wronskians are
-computed symbolically, and the coefficient shift for short intervals is
-done in Fraction arithmetic so that mod-1 reductions never drift.
+Everything here is exact: coefficients are Python ints and Wronskians are
+computed symbolically.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "wronskian",
     "degree_stats",
     "classify_case",
-    "shift_coefficients",
     "parse_family",
 ]
 
@@ -226,10 +224,6 @@ class PolynomialFamily:
     def d(self) -> int:
         return len(self.polys)
 
-    @property
-    def max_degree(self) -> int:
-        return max(self.degrees)
-
     @cached_property
     def _wronskian(self) -> IntPolynomial:
         return _wronskian_det(self.polys)
@@ -388,32 +382,6 @@ def _case(degrees: Sequence[int], k: int) -> CaseLabel:
     if 1 in degrees[:k]:
         return CaseLabel("B", move_index=degrees.index(1) + 1)
     return CaseLabel("C", append_linear=True)
-
-
-# ---------------------------------------------------------------------------
-# Short-interval coefficient shift
-
-
-def shift_coefficients(u: Sequence, M: int) -> list[Fraction]:
-    """Rewrite sum_j u_j (T+M)^j as v_0 + v_1 T + ... + v_{d-1} T^{d-1} + u_d T^d.
-
-    Returns the d+1 fractional parts [v_0, ..., v_{d-1}, u_d] as exact
-    Fractions: v_j = sum_{i >= max(j,1)} u_i C(i,j) M^{i-j} mod 1.  Floats
-    in ``u`` are converted exactly, so shifting by M and then by -M gives
-    back the original coefficients mod 1 with no drift.  M is an integer
-    (README, "Integer arguments").
-    """
-    M = whole("M", M)
-    us = [Fraction(x) % 1 for x in u]
-    d = len(us)
-    out: list[Fraction] = []
-    for j in range(d):
-        acc = Fraction(0)
-        for i in range(max(j, 1), d + 1):
-            acc += us[i - 1] * math.comb(i, j) * M ** (i - j)
-        out.append(acc % 1)
-    out.append(us[d - 1])
-    return out
 
 
 # ---------------------------------------------------------------------------

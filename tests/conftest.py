@@ -1,10 +1,13 @@
 import importlib
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from weylsums import errors
-from weylsums.expsum import SumTrace, _expi, raw_phases
+from weylsums.discrepancy import _erdos_turan
+from weylsums.expsum import SumTrace, _expi, _quantize_array, raw_phases
 
 # every module whose entry points call errors.check_cost
 COST_MODULES = [importlib.import_module(f"weylsums.{name}")
@@ -81,3 +84,22 @@ def whole_row_trace(c) -> SumTrace:
     return SumTrace(value=complex(cum[-1]), N=N, prefix_max=float(running[-1]),
                     dyadic_prefixes=tuple(float(mags[p]) for p in powers),
                     dyadic_prefix_max=tuple(float(running[p]) for p in powers))
+
+
+def shift_coefficients(u, M: int) -> list[Fraction]:
+    """sum_j u_j (T+M)^j as [v_0, ..., v_{d-1}, u_d] mod 1 in exact Fractions, v_j = sum_{i >= max(j,1)}
+    u_i C(i,j) M^{i-j}: the oracle of the starts fold in ``expsum._coefficient_columns``."""
+    us = [Fraction(x) % 1 for x in u]
+    return [sum(us[i - 1] * math.comb(i, j) * M ** (i - j) for i in range(max(j, 1), len(us) + 1)) % 1
+            for j in range(len(us))] + [us[-1]]
+
+
+def gamma_tilde_classical(d: int, k: int) -> Fraction:
+    """Closed form 1/2 + (d - k)(d + k + 2)/(2d^2 + 4d - 2k) of gamma_tilde for the family (T, ..., T^d)."""
+    return Fraction(1, 2) + Fraction((d - k) * (d + k + 2), 2 * d * d + 4 * d - 2 * k)
+
+
+def erdos_turan_bound(points, G: int) -> float:
+    """The Erdős–Turán bound of float points in [0, 1), each quantised to the 2^-64 grid: the oracle of
+    ``erdos_turan_bound_poly`` on the points {f(n)}."""
+    return _erdos_turan(_quantize_array(np.asarray(points, dtype=np.float64)), G)

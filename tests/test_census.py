@@ -26,6 +26,16 @@ from weylsums import (
 UNIT = WeightSeq.unit()
 
 
+def least_root(N, q):
+    """The least c with c^r >= N^p, q = p/r, by bisection over the integers 0..N^ceil(q), with no float."""
+    p, r = q.numerator, q.denominator
+    lo, hi = 0, N ** math.ceil(q)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**r < N**p else (lo, mid)
+    return hi
+
+
 def small_grid():
     return grid_sides(classical_family(2), 8, Fraction(3, 4), Fraction(1, 4))
 
@@ -79,8 +89,36 @@ class TestGridSides:
             grid_sides(classical_family(2), N, Fraction(3, 4), Fraction(1, 4))
         assert grid_sides(classical_family(2), np.int64(4), Fraction(3, 4), Fraction(1, 4)).counts == (8, 32)
 
+    def test_ceilings_are_the_least_roots(self):
+        # alpha = 1 - f/2 and eps = f/2 put q = e + f on the axis of degree e, so classical:3 covers every
+        # q = a/b in (1, 4] with b <= 12: exact powers among them, such as 64^(3/2) = 512 and 8^(4/3) = 16
+        fracs = sorted({Fraction(a, b) for b in range(1, 13) for a in range(1, b + 1)})
+        for N in range(2, 65):
+            for f in fracs:
+                counts = grid_sides(classical_family(3), N, 1 - f / 2, f / 2).counts
+                assert counts == tuple(least_root(N, e + f) for e in (1, 2, 3)), (N, f)
+        assert least_root(64, Fraction(3, 2)) == 512 and least_root(8, Fraction(4, 3)) == 16
+
+    def test_long_decimal_alpha(self):
+        # q = 22999/10^4 on the last axis: N^p has 138 kbit
+        assert grid_sides(classical_family(2), 64, "0.7501", "0.05").counts == (223, 14258)
+
+    def test_six_decimals_admitted(self, admitted):
+        # N^p of 6.9 Mbit on the last axis, about two seconds; a seventh decimal is ten times the bits
+        assert admitted(grid_sides, classical_family(2), 8, "0.750001", "0.05")
+
+    @pytest.mark.parametrize("alpha, eps", [("0.7500001", "0.05"), ("3/4", "1e-30")])
+    def test_huge_powers_refused_before_any_is_built(self, monkeypatch, alpha, eps):
+        def never(*args):
+            raise AssertionError("a power was built")
+
+        # the module by name: the package attribute census is the function
+        monkeypatch.setattr(sys.modules["weylsums.census"], "_ceil_pow", never)
+        with pytest.raises(BudgetError, match="grid_sides"):
+            grid_sides(classical_family(2), 8, alpha, eps)
+
     def test_budget(self):
-        # a grid allocates nothing, so any size is built; the census on it
+        # a grid holds no boxes, so any box count is built; the census on it
         # checks its own cost
         g = grid_sides(classical_family(3), 64, Fraction(3, 5), Fraction(3, 10))
         assert g.U == 1177 * 75282 * 4817991

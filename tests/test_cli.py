@@ -237,6 +237,12 @@ class TestExitCodes:
         assert code == 2
         assert "log2_n_min" in err
 
+    def test_experiment_id_with_a_comma_exits_2(self, capsys):
+        code, out, err = run(capsys, "sweep", "--experiment-id", "a,b", "--samples", "1",
+                             "--log2-n-min", "6", "--log2-n-max", "8", "--out", "csv")
+        assert (code, out) == (2, "")
+        assert err == "config error: experiment_id must hold no comma or line break, got 'a,b'\n"
+
     def test_direction_length_checked_before_census(self, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("the census ran on a direction of the wrong length")
@@ -355,6 +361,27 @@ class TestSweepCommand:
         assert code == 0
         lines = out.strip().splitlines()
         assert json.loads(lines[0])["stat"] == "prefix_max_T"
+
+
+class TestClosedOutput:
+    @pytest.mark.parametrize("argv", [
+        ["sum", "--family", "classical:2", "--u", "0.1,0.2", "--N", "12"],
+        ["sweep", "--samples", "150", "--log2-n-min", "6", "--log2-n-max", "10", "--out", "csv"],
+    ], ids=["short", "long"])
+    def test_closed_pipe_exits_1_without_a_traceback(self, capsys, argv):
+        # the short output fails at its flush, the long one, over 64 KiB, in the middle of its rows
+        assert (len(run(capsys, *argv)[1]) > 1 << 16) == (argv[0] == "sweep")
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the CLI writes
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        try:
+            out = subprocess.run([sys.executable, "-m", "weylsums.cli", *argv], stdout=write, stderr=subprocess.PIPE,
+                                 text=True, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert out.returncode == 1
+        assert "Traceback" not in out.stderr and "Exception ignored" not in out.stderr
 
 
 class TestOneParser:

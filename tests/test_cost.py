@@ -93,8 +93,6 @@ CASES = {
     "weyl_sum": ("weyl_sum", lambda N: lambda: w.weyl_sum(FAM3, U3, UNIT, N), (1 << 12, 1 << 16, 1 << 20)),
     "completion_fft": ("completion_fft", lambda N: lambda: w.completion_fft(FAM3, U3, UNIT, N), (1 << 12, 1 << 16)),
     "completion_naive": ("completion_naive", lambda N: lambda: w.completion_naive(FAM3, U3, UNIT, N), (256, 1024)),
-    "reconstruct_prefix": ("reconstruct_prefix", lambda N: lambda: w.reconstruct_prefix(FAM3, U3, UNIT, N, N // 3),
-                           (1 << 12, 1 << 16)),
     "reconstruct_all_prefixes": ("reconstruct_all_prefixes",
                                  lambda N: lambda: reconstruct_all_prefixes(FAM3, U3, UNIT, N), (128, 512)),
     "short_interval_sum": ("short_interval_sum", lambda N: lambda: w.short_interval_sum([0.1, 0.2, 0.3], 11, N),
@@ -128,14 +126,14 @@ CASES = {
                      (100, 1000)),
     "exact_discrepancy": ("exact_discrepancy", _on(w.exact_discrepancy, _points), (1 << 12, 1 << 16)),
     "brute_force_discrepancy": ("brute_force_discrepancy", _on(w.brute_force_discrepancy, _points), (128, 512)),
-    "erdos_turan_bound": ("erdos_turan_bound", _on(lambda x: w.erdos_turan_bound(x, 64), _points),
-                          (1 << 12, 1 << 14)),
     "erdos_turan_bound_poly": ("erdos_turan_bound_poly",
                                lambda N: lambda: w.erdos_turan_bound_poly(FAM3, U3, N, 64), (1 << 12, 1 << 14)),
     "poly_discrepancy": ("poly_discrepancy", lambda N: lambda: w.poly_discrepancy(FAM3, U3, N), (1 << 12, 1 << 16)),
     "short_interval_discrepancy": ("short_interval_discrepancy",
                                    lambda N: lambda: w.short_interval_discrepancy([0.1, 0.2, 0.3], 7, N),
                                    (1 << 12, 1 << 16)),
+    # alpha of four and five decimals: N^p of 17 and 170 KiB, p/10^4 and p/10^5 the exponent of the last axis
+    "grid_sides": ("grid_sides", lambda alpha: lambda: w.grid_sides(FAM2, 64, alpha, "0.05"), ("0.7501", "0.75001")),
     "census": ("census", _census, (8, 12)),
     "census_four_samples": ("census", _census_samples(FAM2, 4), (8, 12)),
     "census_two_samples_d3": ("census", _census_samples(FAM3, 2), (3, 4)),

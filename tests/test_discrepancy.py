@@ -12,7 +12,6 @@ from weylsums import (
     WeightSeq,
     brute_force_discrepancy,
     classical_family,
-    erdos_turan_bound,
     erdos_turan_bound_poly,
     exact_discrepancy,
     poly_discrepancy,
@@ -25,7 +24,9 @@ from weylsums.discrepancy import (
     _window_discrepancies,
 )
 from weylsums.expsum import PhaseTable, _expi_bytes, raw_phases
-from weylsums.polyfam import IntPolynomial, shift_coefficients
+from weylsums.polyfam import IntPolynomial
+
+from conftest import erdos_turan_bound, shift_coefficients
 
 MASK = (1 << 64) - 1
 
@@ -319,13 +320,6 @@ class TestErdosTuran:
             with pytest.raises(BudgetError):
                 erdos_turan_bound_poly(classical_family(2), u, N, G)
 
-    def test_point_budget(self, admitted):
-        assert admitted(erdos_turan_bound, np.zeros(4096), 524288)
-        assert not admitted(erdos_turan_bound, np.zeros(4096), 524289)
-
-    def test_point_budget_runs(self):
-        assert erdos_turan_bound(np.zeros(4096), 1024) > 0
-
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_one_block_matches_per_g_weyl_sums(self, d, monkeypatch):
         # the dilation g*u wraps mod 2^64: 3 * ceil(2^64/3) = 2^64 + 2, and
@@ -355,18 +349,18 @@ class TestErdosTuran:
                     assert got[-1] == got[0]
 
     def test_full_budget_of_dilations(self, monkeypatch):
-        # one point: every |e(g x)| is 1, so the bound is 3 (1/(G+1) + H_G).
+        # one point, f(1) = 0.3: every |e(g x)| is 1, so the bound is 3 (1/(G+1) + H_G).
         # At a 16 MiB memory budget, 24 bytes a g and slabs of 8192 rows admit G = 671573.
         monkeypatch.setattr("weylsums.errors.MEMORY_BUDGET", 1 << 24)
-        G = 671573
+        G, fam, u = 671573, classical_family(1), TorusPoint.from_reals([0.3])
         harmonic = math.fsum(1.0 / np.arange(1, G + 1))
-        assert erdos_turan_bound([0.3], G) == pytest.approx(3 * (1 / (G + 1) + harmonic), rel=1e-12)
+        assert erdos_turan_bound_poly(fam, u, 1, G) == pytest.approx(3 * (1 / (G + 1) + harmonic), rel=1e-12)
         with pytest.raises(BudgetError):
-            erdos_turan_bound([0.3], G + 1)
+            erdos_turan_bound_poly(fam, u, 1, G + 1)
 
     def test_g_validated(self):
         with pytest.raises(ValueError):
-            erdos_turan_bound([0.1], 0)
+            erdos_turan_bound_poly(classical_family(1), TorusPoint.from_reals([0.1]), 1, 0)
 
     @pytest.mark.parametrize("d,N,G", [(1, 50, 7), (2, 300, 40), (3, 4096, 64)])
     def test_matches_float_phase_formula(self, d, N, G):
@@ -417,11 +411,6 @@ class TestPolyDiscrepancy:
             poly_discrepancy(classical_family(2), TorusPoint.from_reals([0.1, 0.2]), N)
         with pytest.raises(ValueError, match="N must be >= 1"):
             short_interval_discrepancy([0.1, 0.2], 5, N)
-
-    def test_csv_row(self):
-        res = poly_discrepancy(classical_family(1), TorusPoint.from_reals([0.5]), 4)
-        row = res.csv_row()
-        assert row.startswith("4,2")
 
 
 class TestShortIntervalDiscrepancy:

@@ -32,9 +32,9 @@ from weylsums import (
 )
 from weylsums.experiments import _draw, _sample_rng, _split_family, csv_lines, fit_by_sample
 from weylsums.expsum import PhaseTable, _majorant, raw_phases
-from weylsums.polyfam import IntPolynomial, shift_coefficients
+from weylsums.polyfam import IntPolynomial
 
-from conftest import whole_row, whole_row_trace
+from conftest import shift_coefficients, whole_row, whole_row_trace
 
 
 def tiny_cfg(**kw):
@@ -133,6 +133,12 @@ class TestConfig:
             tiny_cfg(alphas=("1.5",)).validate()
         with pytest.raises(ConfigError):  # no lower coefficients to take the sup over
             tiny_cfg(kind="short", family="classical:1", k=1).validate()
+
+    @pytest.mark.parametrize("experiment_id", ["a,b", "a\nb", "a\rb"])
+    def test_experiment_id_fits_one_csv_cell(self, experiment_id):
+        # a comma would split the id's cell of every row, and a line break the header comment
+        with pytest.raises(ConfigError, match="^experiment_id must hold no comma or line break, got "):
+            tiny_cfg(experiment_id=experiment_id).validate()
 
     def test_short_rejects_nonclassical_family(self):
         with pytest.raises(ConfigError):

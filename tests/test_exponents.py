@@ -18,12 +18,13 @@ from weylsums import (
     gamma_general,
     gamma_star,
     gamma_tilde,
-    gamma_tilde_classical,
     parse_family,
     s_of,
     self_improve_map,
 )
 from weylsums.polyfam import IntPolynomial, augmented_family, classify_case, degree_stats, wronskian
+
+from conftest import gamma_tilde_classical
 
 HALF = Fraction(1, 2)
 

@@ -23,13 +23,11 @@ from weylsums import (
     classical_family,
     completion_fft,
     completion_naive,
-    erdos_turan_bound,
     erdos_turan_bound_poly,
     exact_moment_grid,
     moment_integral,
     parse_family,
     poly_discrepancy,
-    reconstruct_prefix,
     short_interval_discrepancy,
     short_interval_sum,
     sup_linear_coeff,
@@ -536,13 +534,13 @@ class TestCompletion:
 class TestReconstruction:
     def test_full_prefix_at_zero(self):
         fam = classical_family(1)
-        val = reconstruct_prefix(fam, TorusPoint.from_reals([0]), UNIT, 16, 16)
+        val = reconstruct_all_prefixes(fam, TorusPoint.from_reals([0]), UNIT, 16)[16 - 1]
         assert val == pytest.approx(16, abs=1e-9)
 
     def test_first_term(self):
         fam = classical_family(2)
         u = random_point(2)
-        val = reconstruct_prefix(fam, u, UNIT, 32, 1)
+        val = reconstruct_all_prefixes(fam, u, UNIT, 32)[1 - 1]
         direct = whole_row(fam.polys, u.raw, 32)[0]
         assert val == pytest.approx(direct, abs=1e-9)
 
@@ -554,19 +552,12 @@ class TestReconstruction:
         direct = np.cumsum(whole_row(fam.polys, u.raw, N))
         assert np.abs(rec - direct).max() < 1e-8
 
-    def test_range_checked(self):
-        fam = classical_family(1)
-        with pytest.raises(ValueError):
-            reconstruct_prefix(fam, TorusPoint.from_reals([0]), UNIT, 8, 9)
-
 
 ONE_POINT = {  # each one-point entry point as a call on (N, M); M is ignored where there is none
     "weyl_sum": lambda N, M: weyl_sum(classical_family(2), TorusPoint.from_reals([0.1, 0.2]), UNIT, N),
     "short_interval_sum": lambda N, M: short_interval_sum([0.1, 0.2], M, N),
     "completion_naive": lambda N, M: completion_naive(classical_family(2), TorusPoint.from_reals([0.1, 0.2]), UNIT, N),
     "completion_fft": lambda N, M: completion_fft(classical_family(2), TorusPoint.from_reals([0.1, 0.2]), UNIT, N),
-    "reconstruct_prefix": lambda N, M: reconstruct_prefix(classical_family(2), TorusPoint.from_reals([0.1, 0.2]),
-                                                          UNIT, N, M),
     "reconstruct_all_prefixes": lambda N, M: reconstruct_all_prefixes(classical_family(2),
                                                                       TorusPoint.from_reals([0.1, 0.2]), UNIT, N),
 }
@@ -616,7 +607,6 @@ INTEGER_ARGUMENTS = {
     "parse_family": {"k": Arg(lambda v: parse_family("classical:2", k=v), 1, 1, 2, lambda f: f.k)},
     "augmented_family": {}, "wronskian": {},
     "degree_stats": _split(w.degree_stats), "classify_case": _split(w.classify_case),
-    "shift_coefficients": {"M": Arg(lambda v: w.shift_coefficients([0.5, 0.125], v), -3)},
     # expsum
     "TorusPoint": {"raw coordinate": Arg(lambda v: TorusPoint([v, 1]), 5, **BITS64, kept=lambda p: p.raw[0])},
     "TorusPoint.from_reals": {}, "WeightSeq": {}, "WeightSeq.unit": {}, "WeightSeq.explicit": {},
@@ -630,8 +620,6 @@ INTEGER_ARGUMENTS = {
     "completion_naive": _one_point(completion_naive, kept=lambda r: r.N),
     "completion_fft": _one_point(completion_fft, kept=lambda r: r.N),
     "reconstruct_all_prefixes": _one_point(reconstruct_all_prefixes),
-    "reconstruct_prefix": {"N": Arg(lambda v: reconstruct_prefix(FAM2, U2, UNIT, v, 1), 4, 1),
-                           "M": Arg(lambda v: reconstruct_prefix(FAM2, U2, UNIT, 4, v), 2, 1, 4)},
     "short_interval_sum": {"M": Arg(lambda v: short_interval_sum([0.1, 0.2], v, 4), -3),
                            "N": Arg(lambda v: short_interval_sum([0.1, 0.2], 3, v), 4, 1)},
     "sup_linear_coeff": {"oversample": Arg(lambda v: sup_linear_coeff([1, 1j], v), 4, 2)},
@@ -644,18 +632,15 @@ INTEGER_ARGUMENTS = {
     "exact_moment_grid": {"N": Arg(lambda v: exact_moment_grid(FAM1, v, 2), 4, 1),
                           "two_s": Arg(lambda v: exact_moment_grid(FAM1, 4, v), 2, 2)},
     # exponents
-    "Rational": {}, "s_of": {"q": Arg(w.s_of, 2, 1)},
+    "s_of": {"q": Arg(w.s_of, 2, 1)},
     "gamma_star": _split(w.gamma_star), "gamma_general": _split(w.gamma_general), "gamma_YL": _split(w.gamma_YL),
     "gamma_XL": _split(w.gamma_XL), "gamma_NL": _split(w.gamma_NL, NL2, 1), "gamma_tilde": _split(w.gamma_tilde),
-    "gamma_tilde_classical": {"d": Arg(lambda v: w.gamma_tilde_classical(v, 1), 2, 1),
-                              "k": Arg(lambda v: w.gamma_tilde_classical(2, v), 1, 1, 2)},
     "disc_gamma": _split(w.disc_gamma), "disc_gamma_star": _split(w.disc_gamma_star),
     "self_improve_map": _split(lambda fam, k: w.self_improve_map(fam, k, 1)),
     "fixed_point": _split(lambda fam, k: w.fixed_point(fam, k, 1, Fraction(1, 100))),
     "best_bound": _split(w.best_bound, valid=1, kept=lambda r: r.to_json()["k"]),
     # discrepancy
     "exact_discrepancy": {}, "brute_force_discrepancy": {},
-    "erdos_turan_bound": {"G": Arg(lambda v: erdos_turan_bound([0.1, 0.2], v), 4, 1)},
     "erdos_turan_bound_poly": {"N": Arg(lambda v: erdos_turan_bound_poly(FAM2, U2, v, 4), 4, 1),
                                "G": Arg(lambda v: erdos_turan_bound_poly(FAM2, U2, 4, v), 4, 1)},
     "poly_discrepancy": {"N": Arg(lambda v: poly_discrepancy(FAM2, U2, v), 4, 1, kept=lambda r: r.N)},
@@ -773,7 +758,7 @@ class TestOnePointEntries:
                         (0, "N must be >= 1"), (-3, "N must be >= 1")):
             with pytest.raises(ValueError, match=word):
                 call(N, 2)
-        if name in ("short_interval_sum", "reconstruct_prefix"):
+        if name == "short_interval_sum":
             for M in (2.7, "2", 2.0):
                 with pytest.raises(ValueError, match="M must be an integer"):
                     call(5, M)
@@ -818,8 +803,6 @@ class TestOnePointEntries:
                     assert short_interval_sum(u.fractions(), M, N) == complex(np.sum(c_M)), (M, N)
             if N < 1 << 20:
                 assert completion_fft(fam, u, a, N).W == float(_majorant(c))
-                for M in (1, N // 3 + 1, N):
-                    assert reconstruct_prefix(fam, u, a, N, M) == through_the_oracle(reconstruct_prefix, fam, u, a, N, M)
                 continue
             assert np.array_equal(held_row(fam, u, a, N), c)
             given = []
